@@ -19,95 +19,29 @@ from pathlib import Path
 
 from . import abgroup, elliptic, lcohom, quadorder, segre, spectool
 from .errors import (InconclusiveError, InputError, NotRepresentableError)
-from .verdict import (NO, UNKNOWN, YES, CohomologyWitness, Denominators,
-                      HeightViolation, Verdict, check_citations)
-
-
-# catalog --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    description: str
-    primes: str  # how to name a prime of this ring on the command line
-    representable: bool = True
-    notes: tuple = ()
-
-    def to_json(self):
-        return {
-            "id": self.id,
-            "description": self.description,
-            "primes": self.primes,
-            "representable": self.representable,
-            "notes": list(self.notes),
-        }
-
-
-CATALOG = (
-    CatalogEntry(
-        "quad:-5",
-        "Z[sqrt(-5)], the maximal imaginary quadratic order of discriminant -20",
-        '--prime "p<l>" or "p<l>bar" for the conjugate, comma separated',
-        notes=("any squarefree d < 0 works as quad:<d>",),
-    ),
-    CatalogEntry(
-        "ell:0,-4",
-        "cone over the plane cubic with affine model y^2 = x^3 - 4; "
-        "carries rational points of infinite order",
-        '--prime "x,y" (rationals allowed as num/den) or "O"',
-    ),
-    CatalogEntry(
-        "ell:-1,0",
-        "cone over y^2 = x^3 - x; every rational point is 2-torsion",
-        '--prime "x,y" or "O"',
-    ),
-    CatalogEntry(
-        "ell:0,1",
-        "cone over y^2 = x^3 + 1; rational points form a cyclic group of order 6",
-        '--prime "x,y" or "O"',
-    ),
-    CatalogEntry(
-        "segre",
-        "the quadric cone k[X,Y,U,V]/(XU-YV); height-one homogeneous primes "
-        "presented by bihomogeneous polynomials in S0,S1,T0,T1",
-        '--prime "(X,V)" for a coordinate pair, or --fp "S0*T0^2 + S1*T1^2"',
-    ),
-    CatalogEntry(
-        "twoplanes",
-        "k[X,Y,U]/(XU), two planes meeting in a line",
-        '--prime "(X,Y)": any variable subset generating a prime',
-        notes=("polynomial model standing in for the power series ring; the "
-               "graded pieces and the (non)vanishing verdicts agree degreewise",),
-    ),
-    CatalogEntry(
-        "dim3hyper",
-        "k[X,Y,U,V]/(XU-YV) as a three dimensional hypersurface singularity",
-        '--prime one of "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", or "(X,Y,U,V)"',
-        notes=("certificates run on the monomial surrogate k[X,Y,U,V]/(XU): "
-               "killing Y or V gives the same quotient for both rings",),
-    ),
-    CatalogEntry(
-        "nagata",
-        "a noetherian normal local domain whose defining data is not finitely "
-        "presentable in this tool",
-        "none",
-        representable=False,
-        notes=("catalogued as a boundary marker; classify refuses it",),
-    ),
-)
-
-
-def catalog_list():
-    return CATALOG
+from .verdict import Verdict
 
 
 # input parsing ---------------------------------------------------------------
+
+def _required(value: str, message: str) -> str:
+    if not value:
+        raise InputError(message)
+    return value
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise InputError("cannot read %r as a rational number" % (text,)) from None
+
+
+def _parse_curve(text: str, message: str):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError(message)
+    return elliptic.WeierstrassCurve(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
 
 
 def _parse_point(text: str):
@@ -201,195 +135,160 @@ def _parse_relations(text: str, variables):
     return rels
 
 
-# per-ring classify dispatch ---------------------------------------------------
+# ring families ---------------------------------------------------------------
+# A family parser turns the ring id and the prime options into the positional
+# arguments of the family classifier.
 
-def _classify_quad(ring: str, prime_spec: str) -> Verdict:
+def _quad_args(ring, prime_spec, fp, asserted):
     body = ring.split(":", 1)[1]
     try:
         d = int(body)
     except ValueError:
         raise InputError("cannot read %r as an integer" % (body,)) from None
     order = quadorder.QuadOrder(d)
-    if not prime_spec:
-        raise InputError("quad rings need --prime")
-    ideals, labels = _parse_quad_primes(order, prime_spec)
-    return quadorder.classify_dedekind(order, ideals, labels)
+    return (order, *_parse_quad_primes(
+        order, _required(prime_spec, "quad rings need --prime")))
 
 
-def _classify_ell(ring: str, prime_spec: str) -> Verdict:
-    body = ring.split(":", 1)[1]
-    parts = body.split(",")
-    if len(parts) != 2:
-        raise InputError('curve spec must look like "ell:a,b"')
-    E = elliptic.WeierstrassCurve(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
-    if not prime_spec:
-        raise InputError("elliptic rings need --prime with a point")
-    P = _parse_point(prime_spec)
-    return elliptic.classify_point(E, P, ring_id=ring)
+def _ell_args(ring, prime_spec, fp, asserted):
+    E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
+    P = _parse_point(_required(prime_spec, "elliptic rings need --prime with a point"))
+    return E, P, ring
 
 
-def _classify_segre(prime_spec: str, fp: str, asserted: bool, box: int) -> Verdict:
+def _segre_args(ring, prime_spec, fp, asserted):
     if fp and prime_spec:
         raise InputError("give either --prime or --fp, not both")
     if fp:
-        prime = segre.SegrePrime.poly(fp, irreducible=asserted)
-    elif prime_spec:
-        prime = segre.coordinate_prime(_parse_variable_set(prime_spec))
-    else:
-        raise InputError("segre needs --prime or --fp")
-    return segre.classify_segre(prime, box=box)
+        return (segre.SegrePrime.poly(fp, irreducible=asserted),)
+    names = _parse_variable_set(_required(prime_spec, "segre needs --prime or --fp"))
+    if asserted:
+        raise InputError("--assert-irreducible applies to --fp only")
+    return (segre.coordinate_prime(names),)
 
 
-TWOPLANES = lcohom.MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
-DIM3_SURROGATE = lcohom.MonomialAlgebra.make(("X", "Y", "U", "V"), [{"X", "U"}])
-DIM3_PRIMES = (("X", "Y"), ("X", "V"), ("Y", "U"), ("U", "V"))
+def _variable_args(message):
+    def parse(ring, prime_spec, fp, asserted):
+        return (_parse_variable_set(_required(prime_spec, message)),)
+    return parse
 
 
-def _classify_twoplanes(prime_spec: str, box: int) -> Verdict:
-    if not prime_spec:
-        raise InputError("twoplanes needs --prime with a variable subset")
-    names = _parse_variable_set(prime_spec)
-    A = TWOPLANES
-    for n in names:
-        A.index(n)
-    names = tuple(sorted(set(names), key=A.index))
-    desc = "(%s)" % ", ".join(names)
-    if not lcohom.is_variable_prime(A, names):
-        raise InputError("%s is not a prime of %s" % (desc, A.describe()))
-    ht = lcohom.prime_height(A, names)
+@dataclass(frozen=True)
+class Row:
+    """One `catalog list` entry."""
 
-    if ht > 1:
-        return Verdict(
-            ring_id="twoplanes", prime_description=desc,
-            flat=NO, universal=NO, classical=NO,
-            witness=HeightViolation(desc, ht),
-            citations=check_citations(("height-le-one-necessary",)),
-        )
-    if ht == 0 and len(names) == 1:
-        s = names[0]
-        return Verdict(
-            ring_id="twoplanes", prime_description=desc,
-            flat=YES, universal=YES, classical=YES,
-            witness=Denominators((s,)),
-            citations=check_citations((
-                "classical-support-union",
-                "flat-universal-classical-hierarchy",
-            )),
-            notes=("V(%s) is literally the vanishing set of the element %s"
-                   % (s, s),),
-        )
-
-    ideal = lcohom.VariableIdeal.of(A, names)
-    pairs_all_nonface = all(
-        not A.is_face({a, b})
-        for i, a in enumerate(names) for b in names[i + 1:])
-    if len(names) >= 2 and pairs_all_nonface:
-        # every Cech level above 1 is identically zero, H^k = 0 for k > 1
-        return Verdict(
-            ring_id="twoplanes", prime_description=desc,
-            flat=YES, universal=UNKNOWN, classical=UNKNOWN,
-            citations=check_citations((
-                "coherence-local-cohomology",
-                "cech-length-bound",
-            )),
-            notes=("every localisation at two or more of the generators is "
-                   "zero, so H^k vanishes for all k > 1 and the flat "
-                   "epimorphism exists",
-                   "the torsion criteria for universal/classical need a "
-                   "normal domain and are not implemented for this ring"),
-        )
-
-    for i in range(2, len(names) + 1):
-        out = lcohom.certify_nonvanishing(A, ideal, i, box)
-        if out.found:
-            witness = CohomologyWitness(
-                algebra=A.describe(), ideal=names, degree=i,
-                multidegree=out.witness, box=box, steps=(out.note,))
-            return Verdict(
-                ring_id="twoplanes", prime_description=desc,
-                flat=NO, universal=NO, classical=NO,
-                witness=witness,
-                citations=check_citations((
-                    "twoplanes-not-coherent",
-                    "coherence-local-cohomology",
-                )),
-            )
-    return Verdict(
-        ring_id="twoplanes", prime_description=desc,
-        flat=UNKNOWN, universal=UNKNOWN, classical=UNKNOWN,
-        notes=("no H^k witness within box %d and no vanishing proof either; "
-               "retry with a larger --box" % box,),
-    )
+    id: str
+    description: str
+    primes: str  # how to name a prime of this ring on the command line
+    notes: tuple = ()
 
 
-def _classify_dim3(prime_spec: str, box: int) -> Verdict:
-    if not prime_spec:
-        raise InputError("dim3hyper needs --prime")
-    names = _parse_variable_set(prime_spec)
-    names = tuple(sorted(set(names), key=lambda n: "XYUV".index(n)
-                         if n in "XYUV" else -1))
-    for n in names:
-        if n not in ("X", "Y", "U", "V"):
-            raise InputError("unknown variable %r" % (n,))
-    desc = "(%s)" % ", ".join(names)
+@dataclass(frozen=True)
+class Family:
+    """A ring family: its ids, its catalog rows and how to classify it.
 
-    if set(names) == {"X", "Y", "U", "V"}:
-        return Verdict(
-            ring_id="dim3hyper", prime_description=desc,
-            flat=NO, universal=NO, classical=NO,
-            witness=HeightViolation(desc, 3),
-            citations=check_citations(("height-le-one-necessary",)),
-            notes=("the maximal ideal has height 3",),
-        )
-    if names not in DIM3_PRIMES:
-        raise InputError(
-            "%s is not a supported prime here; the variable primes of the "
-            "hypersurface are (X,Y), (X,V), (Y,U), (U,V) and the maximal ideal"
-            % (desc,))
+    spec is the ring id, or "<name>:<parameters>" for ids that carry
+    parameters.  reads lists the classify options the family uses besides
+    --prime.  classifier names a module function; it is looked up on each
+    call, so a rebinding of the module attribute applies.
+    """
 
-    kill = next(v for v in ("Y", "V") if v not in names)
-    ideal = lcohom.VariableIdeal.of(DIM3_SURROGATE, names)
-    cert = lcohom.nonvanish_via_quotient(DIM3_SURROGATE, kill, ideal, 2, box)
-    if not cert.found:
-        raise AssertionError("witness must exist for the coordinate primes")
-    steps = cert.steps() + (
-        "killing %s takes the hypersurface ring and its monomial surrogate "
-        "to the same quotient, so the certificate applies to the "
-        "hypersurface" % kill,)
-    witness = CohomologyWitness(
-        algebra=cert.quotient.describe(), ideal=names, degree=2,
-        multidegree=cert.outcome.witness, box=box, steps=steps)
-    return Verdict(
-        ring_id="dim3hyper", prime_description=desc,
-        flat=NO, universal=NO, classical=NO,
-        witness=witness,
-        citations=check_citations((
-            "dim3-hypersurface-not-coherent",
-            "coherence-local-cohomology",
-            "top-degree-right-exactness",
-        )),
-    )
+    spec: str
+    rows: tuple
+    reads: tuple = ()
+    parse: object = None
+    classifier: tuple = None  # (module, function name)
+    representable: bool = True
+
+    def matches(self, ring: str) -> bool:
+        name, colon, _ = self.spec.partition(":")
+        return ring.startswith(name + colon) if colon else ring == self.spec
+
+
+FAMILIES = (
+    Family(
+        "quad:<d>",
+        (Row("quad:-5",
+             "Z[sqrt(-5)], the maximal imaginary quadratic order of discriminant -20",
+             '--prime "p<l>" or "p<l>bar" for the conjugate, comma separated',
+             ("any squarefree d < 0 works as quad:<d>",)),),
+        parse=_quad_args, classifier=(quadorder, "classify_dedekind"),
+    ),
+    Family(
+        "ell:a,b",
+        (Row("ell:0,-4",
+             "cone over the plane cubic with affine model y^2 = x^3 - 4; "
+             "carries rational points of infinite order",
+             '--prime "x,y" (rationals allowed as num/den) or "O"'),
+         Row("ell:-1,0", "cone over y^2 = x^3 - x; every rational point is 2-torsion",
+             '--prime "x,y" or "O"'),
+         Row("ell:0,1",
+             "cone over y^2 = x^3 + 1; rational points form a cyclic group of order 6",
+             '--prime "x,y" or "O"')),
+        parse=_ell_args, classifier=(elliptic, "classify_point"),
+    ),
+    Family(
+        "segre",
+        (Row("segre",
+             "the quadric cone k[X,Y,U,V]/(XU-YV); height-one homogeneous primes "
+             "presented by bihomogeneous polynomials in S0,S1,T0,T1",
+             '--prime "(X,V)" for a coordinate pair, or --fp "S0*T0^2 + S1*T1^2"'),),
+        reads=("--fp", "--assert-irreducible", "--box"),
+        parse=_segre_args, classifier=(segre, "classify_segre"),
+    ),
+    Family(
+        "twoplanes",
+        (Row("twoplanes", "k[X,Y,U]/(XU), two planes meeting in a line",
+             '--prime "(X,Y)": any variable subset generating a prime',
+             ("polynomial model standing in for the power series ring; the "
+              "graded pieces and the (non)vanishing verdicts agree degreewise",)),),
+        reads=("--box",),
+        parse=_variable_args("twoplanes needs --prime with a variable subset"),
+        classifier=(lcohom, "classify_twoplanes"),
+    ),
+    Family(
+        "dim3hyper",
+        (Row("dim3hyper",
+             "k[X,Y,U,V]/(XU-YV) as a three dimensional hypersurface singularity",
+             '--prime one of "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", or "(X,Y,U,V)"',
+             ("certificates run on the monomial surrogate k[X,Y,U,V]/(XU): "
+              "killing Y or V gives the same quotient for both rings",)),),
+        reads=("--box",),
+        parse=_variable_args("dim3hyper needs --prime"),
+        classifier=(lcohom, "classify_dim3hyper"),
+    ),
+    Family(
+        "nagata",
+        (Row("nagata",
+             "a noetherian normal local domain whose defining data is not finitely "
+             "presentable in this tool",
+             "none", ("catalogued as a boundary marker; classify refuses it",)),),
+        representable=False,
+    ),
+)
 
 
 def classify(ring: str, prime_spec: str = "", fp: str = "",
-             asserted: bool = False, box: int = 3) -> Verdict:
-    """Dispatch a ring spec string to the family classifier."""
+             asserted: bool = False, box: int = None) -> Verdict:
+    """Parse the prime for the ring's family and run the family classifier.
+
+    box None leaves the classifier's own search box in place.
+    """
     ring = ring.strip()
-    if ring.startswith("quad:"):
-        return _classify_quad(ring, prime_spec)
-    if ring.startswith("ell:"):
-        return _classify_ell(ring, prime_spec)
-    if ring == "segre":
-        return _classify_segre(prime_spec, fp, asserted, box)
-    if ring == "twoplanes":
-        return _classify_twoplanes(prime_spec, box)
-    if ring == "dim3hyper":
-        return _classify_dim3(prime_spec, box)
-    if ring == "nagata":
+    family = next((f for f in FAMILIES if f.matches(ring)), None)
+    if family is None:
+        raise InputError("unknown ring %r; see `uniloc catalog list`" % (ring,))
+    if not family.representable:
         raise NotRepresentableError(
-            "nagata is catalogued but carries no finite presentation; "
-            "nothing can be computed for it")
-    raise InputError("unknown ring %r; see `uniloc catalog list`" % (ring,))
+            "%s is catalogued but carries no finite presentation; "
+            "nothing can be computed for it" % (ring,))
+    given = {"--fp": fp, "--assert-irreducible": asserted, "--box": box is not None}
+    for option, value in given.items():
+        if value and option not in family.reads:
+            raise InputError("%s does not apply to %s" % (option, ring))
+    args = family.parse(ring, prime_spec, fp, asserted)
+    module, name = family.classifier
+    return getattr(module, name)(*args, **({} if box is None else {"box": box}))
 
 
 # subcommand handlers ---------------------------------------------------------
@@ -402,17 +301,17 @@ def _emit(args, payload_json, payload_text) -> None:
 
 
 def _cmd_catalog_list(args) -> int:
-    entries = catalog_list()
-    if args.format == "json":
-        doc = {"schema": 1, "entries": [e.to_json() for e in entries]}
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return 0
-    for e in entries:
-        flag = "" if e.representable else "  [not representable]"
-        print("%-12s %s%s" % (e.id, e.description, flag))
-        print("%-12s primes: %s" % ("", e.primes))
-        for note in e.notes:
-            print("%-12s note: %s" % ("", note))
+    entries, lines = [], []
+    for family in FAMILIES:
+        flag = "" if family.representable else "  [not representable]"
+        for row in family.rows:
+            entries.append({"id": row.id, "description": row.description,
+                            "primes": row.primes, "notes": list(row.notes),
+                            "representable": family.representable})
+            lines.append("%-12s %s%s" % (row.id, row.description, flag))
+            lines.append("%-12s primes: %s" % ("", row.primes))
+            lines.extend("%-12s note: %s" % ("", note) for note in row.notes)
+    _emit(args, {"schema": 1, "entries": entries}, "\n".join(lines))
     return 0
 
 
@@ -451,10 +350,7 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_ell_torsion(args) -> int:
-    parts = args.curve.split(",")
-    if len(parts) != 2:
-        raise InputError('--curve must look like "a,b"')
-    E = elliptic.WeierstrassCurve(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+    E = _parse_curve(args.curve, '--curve must look like "a,b"')
     P = _parse_point(args.point)
     order = elliptic.torsion_order(E, P)  # ModelNotIntegral exits 4
     rendered = "infinite" if order is abgroup.INFINITE else order
@@ -580,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bihomogeneous polynomial for segre primes")
     p_classify.add_argument("--assert-irreducible", action="store_true",
                             help="assert irreducibility of --fp above degree 2")
-    p_classify.add_argument("--box", type=int, default=3,
+    p_classify.add_argument("--box", type=int,
                             help="search box for cohomology witnesses")
     add_format(p_classify)
     p_classify.set_defaults(func=_cmd_classify)

@@ -19,8 +19,8 @@ from math import lcm
 
 from .abgroup import INFINITE
 from .errors import InconclusiveError, InputError, PreconditionError
-from .verdict import (TorsionWitness, Verdict, NO, UNKNOWN, YES,
-                      check_citations, render_order, render_rational)
+from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY,
+                      TorsionWitness, Verdict, render_order, render_rational)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
 MAZUR_ORDERS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -84,31 +84,6 @@ class WeierstrassCurve:
 
     def __repr__(self):
         return "y^2 = x^3 + (%s)x + (%s)" % (render_rational(self.a), render_rational(self.b))
-
-
-@dataclass(frozen=True)
-class HomogeneousCubic:
-    """X^3 + a*X*Z^2 + b*Z^3 - Y^2*Z, with inflection O = (0:1:0)."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    @property
-    def discriminant(self) -> Fraction:
-        return -16 * (4 * self.a ** 3 + 27 * self.b ** 2)
-
-
-def from_homogeneous(cubic: HomogeneousCubic) -> WeierstrassCurve:
-    """Dehomogenize at Z = 1.  Singular cubics are rejected, and the
-    offending discriminant value is part of the error."""
-    if cubic.discriminant == 0:
-        raise InputError(
-            "singular cubic: discriminant %s = 0" % render_rational(cubic.discriminant))
-    return WeierstrassCurve(cubic.a, cubic.b)
 
 
 def _require_on_curve(E: WeierstrassCurve, P: ECPoint):
@@ -388,6 +363,13 @@ def miller_function(E: WeierstrassCurve, P: ECPoint, n: int):
 
 # classifier -----------------------------------------------------------------
 
+CONE_FACTS = ("elliptic-cone-flat-always", "elliptic-cone-class-group",
+              "graded-picard-trivial")
+TORSION_UNDECIDED = FLAT_ONLY.cite(("elliptic-cone-flat-always",))
+TORSION_POINT = CLASS_TORSION.cite(CONE_FACTS)
+NON_TORSION_POINT = CLASS_NON_TORSION.cite(CONE_FACTS, ("mazur-bound", "nagell-lutz"))
+
+
 def classify_point(E: WeierstrassCurve, P: ECPoint,
                    ring_id: str = None, prime_description: str = None) -> Verdict:
     """Verdict for V(p) at the prime of the cone over a rational point.
@@ -404,53 +386,24 @@ def classify_point(E: WeierstrassCurve, P: ECPoint,
     try:
         order = torsion_order(E, P)
     except ModelNotIntegral:
-        return Verdict(
-            ring_id=ring_id, prime_description=prime_description,
-            flat=YES, universal=UNKNOWN, classical=UNKNOWN,
-            witness=None,
-            citations=check_citations(("elliptic-cone-flat-always",)),
+        return TORSION_UNDECIDED(
+            ring_id, prime_description,
             notes=("torsion of the point is undecided: the model is not integral, "
-                   "so the integrality shortcut for torsion testing does not apply",),
-        )
+                   "so the integrality shortcut for torsion testing does not apply",))
 
     if order is INFINITE:
-        witness = TorsionWitness(INFINITE, cls.describe())
-        return Verdict(
-            ring_id=ring_id, prime_description=prime_description,
-            flat=YES, universal=NO, classical=NO,
-            witness=witness,
-            citations=check_citations((
-                "elliptic-cone-flat-always",
-                "elliptic-cone-class-group",
-                "graded-picard-trivial",
-                "class-torsion-universal",
-                "class-torsion-classical",
-                "mazur-bound",
-                "nagell-lutz",
-            )),
+        return NON_TORSION_POINT(
+            ring_id, prime_description, TorsionWitness(INFINITE, cls.describe()),
             notes=("the class of the prime is (P, 1 mod 3) with P non-torsion, "
                    "hence non-torsion in the class group",),
-            extra=(("torsion", render_order(INFINITE)),),
-        )
+            extra=(("torsion", render_order(INFINITE)),))
 
     program = miller_function(E, P, order)
     cl_order = lcm(order, 3)
-    witness = TorsionWitness(order, cls.describe(), program)
-    return Verdict(
-        ring_id=ring_id, prime_description=prime_description,
-        flat=YES, universal=YES, classical=YES,
-        witness=witness,
-        citations=check_citations((
-            "elliptic-cone-flat-always",
-            "elliptic-cone-class-group",
-            "graded-picard-trivial",
-            "class-torsion-universal",
-            "class-torsion-classical",
-            "picard-torsion-collapse",
-        )),
+    return TORSION_POINT(
+        ring_id, prime_description, TorsionWitness(order, cls.describe(), program),
         notes=("the class of the prime has order %d in E(Q) x Z/3, so the "
                "%d-th power of the prime is principal" % (cl_order, cl_order),
                "the line program certifies a function with divisor "
                "%d(P) - %d(O)" % (order, order)),
-        extra=(("torsion", render_order(order)),),
-    )
+        extra=(("torsion", render_order(order)),))

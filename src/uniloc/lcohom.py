@@ -14,6 +14,10 @@ small complex of Q-vector spaces with 0/±1 differentials, and ranks are
 computed exactly.  Nonvanishing is certified by exhibiting a witness
 degree; vanishing is only ever asserted through the complex length
 bound, never through box exhaustion.
+
+The catalog families decided by this cohomology, the two planes
+k[X,Y,U]/(XU) and the hypersurface k[X,Y,U,V]/(XU-YV), are classified
+at the end of the module.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InputError, PreconditionError
+from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
+                      FLAT_ONLY, HEIGHT_VIOLATION, UNDECIDED, CohomologyWitness,
+                      Denominators, HeightViolation, Verdict)
 
 ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
 
@@ -296,3 +303,97 @@ def nonvanish_via_quotient(A: MonomialAlgebra, kill: str, I: VariableIdeal,
         A, kill, quotient, gens, i, out,
         "top-degree Cech cohomology is right exact, so a nonzero class on the "
         "quotient forces H^%d_(%s) != 0 upstairs" % (i, ", ".join(gens)))
+
+
+# the twoplanes and dim3hyper classifiers ------------------------------------
+
+TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
+DIM3_SURROGATE = MonomialAlgebra.make(("X", "Y", "U", "V"), [{"X", "U"}])
+DIM3_PRIMES = (("X", "Y"), ("X", "V"), ("Y", "U"), ("U", "V"))
+
+# every localisation at two or more generators is zero, so H^k = 0 for k > 1
+TWOPLANES_VANISHING = FLAT_ONLY.cite(("coherence-local-cohomology",
+                                      "cech-length-bound"))
+TWOPLANES_COORDINATE = CLASSICAL.cite(after=("flat-universal-classical-hierarchy",))
+TWOPLANES_OBSTRUCTION = COHOMOLOGY_OBSTRUCTION.cite(("twoplanes-not-coherent",))
+DIM3_OBSTRUCTION = COHOMOLOGY_VIA_QUOTIENT.cite(("dim3-hypersurface-not-coherent",))
+
+
+def classify_twoplanes(names, box: int = 3) -> Verdict:
+    """Verdict for V(p) in k[X,Y,U]/(XU), p generated by the named variables."""
+    A = TWOPLANES
+    for n in names:
+        A.index(n)
+    names = tuple(sorted(set(names), key=A.index))
+    desc = "(%s)" % ", ".join(names)
+    if not is_variable_prime(A, names):
+        raise InputError("%s is not a prime of %s" % (desc, A.describe()))
+    ht = prime_height(A, names)
+
+    if ht > 1:
+        return HEIGHT_VIOLATION("twoplanes", desc, HeightViolation(desc, ht))
+    if ht == 0 and len(names) == 1:
+        s = names[0]
+        return TWOPLANES_COORDINATE(
+            "twoplanes", desc, Denominators((s,)),
+            notes=("V(%s) is literally the vanishing set of the element %s"
+                   % (s, s),))
+
+    ideal = VariableIdeal.of(A, names)
+    pairs_all_nonface = all(
+        not A.is_face({a, b})
+        for i, a in enumerate(names) for b in names[i + 1:])
+    if len(names) >= 2 and pairs_all_nonface:
+        return TWOPLANES_VANISHING(
+            "twoplanes", desc,
+            notes=("every localisation at two or more of the generators is "
+                   "zero, so H^k vanishes for all k > 1 and the flat "
+                   "epimorphism exists",
+                   "the torsion criteria for universal/classical need a "
+                   "normal domain and are not implemented for this ring"))
+
+    for i in range(2, len(names) + 1):
+        out = certify_nonvanishing(A, ideal, i, box)
+        if out.found:
+            witness = CohomologyWitness(
+                algebra=A.describe(), ideal=names, degree=i,
+                multidegree=out.witness, box=box, steps=(out.note,))
+            return TWOPLANES_OBSTRUCTION("twoplanes", desc, witness)
+    return UNDECIDED(
+        "twoplanes", desc,
+        notes=("no H^k witness within box %d and no vanishing proof either; "
+               "retry with a larger --box" % box,))
+
+
+def classify_dim3hyper(names, box: int = 3) -> Verdict:
+    """Verdict for V(p) in the hypersurface k[X,Y,U,V]/(XU-YV), p a
+    variable prime; certificates run on the monomial surrogate."""
+    names = tuple(sorted(set(names), key=lambda n: "XYUV".index(n)
+                         if n in "XYUV" else -1))
+    for n in names:
+        if n not in ("X", "Y", "U", "V"):
+            raise InputError("unknown variable %r" % (n,))
+    desc = "(%s)" % ", ".join(names)
+
+    if set(names) == {"X", "Y", "U", "V"}:
+        return HEIGHT_VIOLATION("dim3hyper", desc, HeightViolation(desc, 3),
+                                notes=("the maximal ideal has height 3",))
+    if names not in DIM3_PRIMES:
+        raise InputError(
+            "%s is not a supported prime here; the variable primes of the "
+            "hypersurface are (X,Y), (X,V), (Y,U), (U,V) and the maximal ideal"
+            % (desc,))
+
+    kill = next(v for v in ("Y", "V") if v not in names)
+    ideal = VariableIdeal.of(DIM3_SURROGATE, names)
+    cert = nonvanish_via_quotient(DIM3_SURROGATE, kill, ideal, 2, box)
+    if not cert.found:
+        raise AssertionError("witness must exist for the coordinate primes")
+    steps = cert.steps() + (
+        "killing %s takes the hypersurface ring and its monomial surrogate "
+        "to the same quotient, so the certificate applies to the "
+        "hypersurface" % kill,)
+    witness = CohomologyWitness(
+        algebra=cert.quotient.describe(), ideal=names, degree=2,
+        multidegree=cert.outcome.witness, box=box, steps=steps)
+    return DIM3_OBSTRUCTION("dim3hyper", desc, witness)

@@ -13,8 +13,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InputError
-from .verdict import (Denominators, Verdict, YES, check_citations,
-                      render_rational)
+from .verdict import DIMENSION_LE_ONE, Denominators, Verdict, render_rational
+
+# a generator of p^n for the class order n is the denominator for p
+DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
+                                        "classical-support-union"))
 
 
 def _is_prime(n: int) -> bool:
@@ -409,16 +412,5 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
         notes.append("V is empty: the identity localisation")
     notes.append("Krull dimension one: flat epimorphisms, universal and "
                  "classical localisations all coincide here")
-    return Verdict(
-        ring_id="quad:%d" % order.d,
-        prime_description="{%s}" % desc,
-        flat=YES, universal=YES, classical=YES,
-        witness=Denominators(tuple(elements), tuple(details)),
-        citations=check_citations((
-            "dim-le-one-flat-equals-universal",
-            "picard-torsion-collapse",
-            "dedekind-classical-generator",
-            "classical-support-union",
-        )),
-        notes=tuple(notes),
-    )
+    return DEDEKIND("quad:%d" % order.d, "{%s}" % desc,
+                    Denominators(tuple(elements), tuple(details)), notes)

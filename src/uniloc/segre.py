@@ -25,9 +25,9 @@ from math import isqrt
 from . import lcohom
 from .abgroup import INFINITE
 from .errors import InputError
-from .verdict import (NO, UNKNOWN, YES, CohomologyWitness, PrincipalElement,
-                      TorsionWitness, Verdict, check_citations,
-                      render_rational)
+from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
+                      UNDECIDED, CohomologyWitness, PrincipalElement,
+                      TorsionWitness, Verdict, render_rational)
 
 S_NAMES = ("S0", "S1", "T0", "T1")
 XYUV_NAMES = ("X", "Y", "U", "V")
@@ -565,6 +565,11 @@ def is_irreducible(f: BihomogPoly):
 
 # the classifier ------------------------------------------------------------
 
+ONE_SIDED = COHOMOLOGY_VIA_QUOTIENT.cite(("segre-trichotomy",))
+UNBALANCED = CLASS_NON_TORSION.cite(("segre-trichotomy", "segre-class-rho"))
+BALANCED = CLASSICAL.cite(("segre-trichotomy",))
+
+
 def _classify_linear(pair: LinearPair, box: int, ring_id: str) -> Verdict:
     change = case1_normal_form(pair)
     quotient_vars = tuple(v for v in XYUV_NAMES if v != change.kill)
@@ -589,18 +594,8 @@ def _classify_linear(pair: LinearPair, box: int, ring_id: str) -> Verdict:
         box=box,
         steps=tuple(steps),
     )
-    return Verdict(
-        ring_id=ring_id,
-        prime_description=pair.describe(),
-        flat=NO, universal=NO, classical=NO,
-        witness=witness,
-        citations=check_citations((
-            "segre-trichotomy",
-            "coherence-local-cohomology",
-            "top-degree-right-exactness",
-        )),
-        notes=("bidegree (%d, %d) is one sided" % psi(SegrePrime(pair)),),
-    )
+    return ONE_SIDED(ring_id, pair.describe(), witness,
+                     notes=("bidegree (%d, %d) is one sided" % psi(SegrePrime(pair)),))
 
 
 def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdict:
@@ -641,17 +636,12 @@ def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdi
                          f.poly.coefficient((0, 0, 0, 1))))
             orientation = ORIENT_XY_VU if e == 0 else ORIENT_XV_YU
             return _classify_linear(LinearPair((p1, q1), orientation), box, ring_id)
-        return Verdict(
-            ring_id=ring_id,
-            prime_description=pres.describe(),
-            flat=UNKNOWN, universal=UNKNOWN, classical=UNKNOWN,
-            witness=None,
-            citations=(),
+        return UNDECIDED(
+            ring_id, pres.describe(),
             notes=tuple(notes) + (
                 "one-sided bidegree (%d, %d) with nonlinear f: the "
                 "classification of this case assumes an algebraically closed "
-                "ground field, which Q is not; no verdict" % (d, e),),
-        )
+                "ground field, which Q is not; no verdict" % (d, e),))
 
     if d != e:
         witness = TorsionWitness(
@@ -659,31 +649,11 @@ def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdi
             class_description="the prime maps to rho = e - d = %+d in Cl = Z, "
                               "which has infinite order" % (e - d),
         )
-        return Verdict(
-            ring_id=ring_id,
-            prime_description=pres.describe(),
-            flat=YES, universal=NO, classical=NO,
-            witness=witness,
-            citations=check_citations((
-                "segre-trichotomy",
-                "segre-class-rho",
-                "class-torsion-universal",
-                "class-torsion-classical",
-            )),
-            notes=tuple(notes),
-        )
+        return UNBALANCED(ring_id, pres.describe(), witness, notes)
 
     generator = to_xyuv(f)
-    return Verdict(
-        ring_id=ring_id,
-        prime_description=pres.describe(),
-        flat=YES, universal=YES, classical=YES,
-        witness=PrincipalElement(generator.render()),
-        citations=check_citations((
-            "segre-trichotomy",
-            "classical-support-union",
-        )),
+    return BALANCED(
+        ring_id, pres.describe(), PrincipalElement(generator.render()),
         notes=tuple(notes) + (
             "the prime is principal, so inverting powers of the generator "
-            "gives the classical ring of fractions",),
-    )
+            "gives the classical ring of fractions",))

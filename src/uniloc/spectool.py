@@ -205,23 +205,6 @@ def count_antichains(P: SpecPoset) -> int:
     return count
 
 
-def classical_support_check(P: SpecPoset, V, vanishing_sets) -> bool:
-    """Is V exactly the union of the denominator vanishing sets?
-
-    vanishing_sets maps a denominator label to the primes containing it;
-    each such set must itself be specialisation closed (vanishing sets
-    always are, so a violation means inconsistent input data).
-    """
-    V = _as_closed(P, V)
-    union = set()
-    for label, nodes in vanishing_sets.items():
-        nodes = P.check_members(nodes)
-        if not is_closed(P, nodes):
-            raise InputError("V(%s) is not specialisation closed" % (label,))
-        union |= nodes
-    return union == set(V.members)
-
-
 def truncated_spec_z(primes=(2, 3, 5)) -> SpecPoset:
     """Spec Z cut down to (0) and finitely many maximal ideals."""
     labels = ["(0)"] + ["(%d)" % p for p in primes]

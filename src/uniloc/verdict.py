@@ -11,13 +11,15 @@ structurally: a Verdict violating it cannot be constructed.
 Every definite answer carries at least one citation anchor.  Anchors
 are short stable slugs naming the mathematical fact that licensed the
 answer; the registry CITATIONS maps each anchor to a one-line statement
-of the fact.
+of the fact.  Verdicts are built only by the named decision rules at
+the end of this module, each of which owns its answer triple and its
+anchors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .abgroup import INFINITE
@@ -324,3 +326,52 @@ def check_citations(anchors) -> tuple:
         if a not in CITATIONS:
             raise InputError("unknown citation anchor: %r" % (a,))
     return tuple(anchors)
+
+
+# ---------------------------------------------------------------------------
+# Decision rules.  A rule fixes the answers it licenses and the anchors it
+# cites; a family adds its own facts around them with cite().  Anchors are
+# checked when a rule is built, which for every rule is at import.
+
+
+@dataclass(frozen=True)
+class Rule:
+    flat: str
+    universal: str
+    classical: str
+    citations: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "citations", check_citations(self.citations))
+
+    def cite(self, before=(), after=()) -> "Rule":
+        """The same answers, citing family facts around the rule's own anchors."""
+        return replace(self, citations=tuple(before) + self.citations + tuple(after))
+
+    def __call__(self, ring_id, prime_description, witness=None, notes=(),
+                 extra=()) -> Verdict:
+        return Verdict(ring_id, prime_description, self.flat, self.universal,
+                       self.classical, witness, self.citations, tuple(notes),
+                       tuple(extra))
+
+
+# a minimal prime of height above one rules out a flat epimorphism
+HEIGHT_VIOLATION = Rule(NO, NO, NO, ("height-le-one-necessary",))
+# a flat epimorphism exists exactly when H^k_I vanishes for k > 1
+COHOMOLOGY_OBSTRUCTION = Rule(NO, NO, NO, ("coherence-local-cohomology",))
+COHOMOLOGY_VIA_QUOTIENT = COHOMOLOGY_OBSTRUCTION.cite(
+    after=("top-degree-right-exactness",))
+# flatness shown by family facts, with no criterion for the other two answers
+FLAT_ONLY = Rule(YES, UNKNOWN, UNKNOWN)
+# the class-torsion criteria in Cl and in Cl modulo Pic
+CLASS_TORSION = Rule(YES, YES, YES, ("class-torsion-universal",
+                                     "class-torsion-classical",
+                                     "picard-torsion-collapse"))
+CLASS_NON_TORSION = Rule(YES, NO, NO, ("class-torsion-universal",
+                                       "class-torsion-classical"))
+# V is the union of the vanishing sets of explicit denominators
+CLASSICAL = Rule(YES, YES, YES, ("classical-support-union",))
+# in Krull dimension at most one every flat epimorphism is universal
+DIMENSION_LE_ONE = Rule(YES, YES, YES, ("dim-le-one-flat-equals-universal",
+                                        "picard-torsion-collapse"))
+UNDECIDED = Rule(UNKNOWN, UNKNOWN, UNKNOWN)

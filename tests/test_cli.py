@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from uniloc.cli import main
+from uniloc.cli import FAMILIES, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -35,6 +38,17 @@ class TestCatalog:
                        "segre", "twoplanes", "dim3hyper", "nagata"]
         nagata = doc["entries"][-1]
         assert nagata["representable"] is False
+
+    def test_rows_match_their_family(self):
+        for family in FAMILIES:
+            for row in family.rows:
+                assert [f for f in FAMILIES if f.matches(row.id)] == [family]
+
+    def test_readme_table_follows_registry(self):
+        section = README.read_text().split("## Ring catalog", 1)[1].split("\n## ", 1)[0]
+        first = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+                 if line.startswith("| `")]
+        assert first == [f.spec for f in FAMILIES]
 
 
 class TestClassifyQuad:
@@ -82,6 +96,15 @@ class TestClassifyQuad:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("input error:"), argv
+
+    def test_unread_options(self, capsys):
+        for extra, option in ((("--fp", "S0"), "--fp"),
+                              (("--assert-irreducible",), "--assert-irreducible"),
+                              (("--box", "3"), "--box")):
+            code, out, err = run(capsys, "classify", "--ring", "quad:-5",
+                                 "--prime", "p2", *extra)
+            assert (code, out) == (2, ""), extra
+            assert err == "input error: %s does not apply to quad:-5\n" % option
 
 
 class TestClassgroup:
@@ -149,7 +172,11 @@ class TestClassifyEll:
         for argv in (("classify", "--ring", "ell:0,1", "--prime", "1,1"),
                      ("classify", "--ring", "ell:0,0", "--prime", "1,1"),
                      ("classify", "--ring", "ell:0", "--prime", "1,1"),
-                     ("classify", "--ring", "ell:0,1")):
+                     ("classify", "--ring", "ell:0,1"),
+                     ("classify", "--ring", "ell:0,1", "--prime", "2,3",
+                      "--fp", "S0*T0"),
+                     ("classify", "--ring", "ell:0,1", "--prime", "2,3",
+                      "--box", "2")):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
 
@@ -193,6 +220,8 @@ class TestClassifySegre:
                      ("classify", "--ring", "segre", "--fp", "S0*W1"),
                      ("classify", "--ring", "segre",
                       "--prime", "(X,V)", "--fp", "S0"),
+                     ("classify", "--ring", "segre",
+                      "--prime", "(X,V)", "--assert-irreducible"),
                      ("classify", "--ring", "segre")):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
@@ -236,6 +265,9 @@ class TestClassifyTwoplanes:
             code, _, _ = run(capsys, "classify", "--ring", "twoplanes",
                              "--prime", prime)
             assert code == 2, prime
+        code, _, err = run(capsys, "classify", "--ring", "twoplanes",
+                           "--prime", "(X,Y)", "--fp", "S0")
+        assert code == 2 and "--fp" in err
 
 
 class TestClassifyDim3:
@@ -266,6 +298,13 @@ class TestClassifyDim3:
             code, _, _ = run(capsys, "classify", "--ring", "dim3hyper",
                              "--prime", prime)
             assert code == 2, prime
+
+    def test_errors(self, capsys):
+        for extra in (("--fp", "S0"), ("--assert-irreducible",)):
+            code, _, err = run(capsys, "classify", "--ring", "dim3hyper",
+                               "--prime", "(X,V)", *extra)
+            assert code == 2, extra
+            assert extra[0] in err
 
 
 class TestDispatch:

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from uniloc.abgroup import INFINITE
-from uniloc.elliptic import (ClAClass, ECPoint, HomogeneousCubic, Line,
-                             ModelNotIntegral, O, WeierstrassCurve, add,
-                             check_line_program, cl_add, cl_class,
-                             classify_point, div_t_class, divisor_class,
-                             formal_line_divisor, from_homogeneous,
-                             line_through, miller_function, mul, negate,
-                             torsion_order, vertical_at)
+from uniloc.elliptic import (ClAClass, ECPoint, Line, ModelNotIntegral, O,
+                             WeierstrassCurve, add, check_line_program,
+                             cl_add, cl_class, classify_point, div_t_class,
+                             divisor_class, formal_line_divisor, line_through,
+                             miller_function, mul, negate, torsion_order,
+                             vertical_at)
 from uniloc.errors import InputError, PreconditionError
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
@@ -64,11 +63,6 @@ class TestPointsAndCurves:
         assert WeierstrassCurve(Fraction(1, 4), 0).spec() == "ell:1/4,0"
         assert not WeierstrassCurve(Fraction(1, 4), 0).is_integral
         assert E_PLUS_1.is_integral
-
-    def test_from_homogeneous(self):
-        assert from_homogeneous(HomogeneousCubic(0, 1)) == E_PLUS_1
-        with pytest.raises(InputError):
-            from_homogeneous(HomogeneousCubic(-3, 2))
 
 
 class TestGroupLaw:

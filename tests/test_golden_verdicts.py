@@ -1,0 +1,34 @@
+"""Byte-identity guard for the CLI verdicts.
+
+golden_verdicts.json holds, for each recorded argv, the exit code,
+stdout and stderr of an in-process `uniloc.cli.main` call.  The cases
+cover every reachable classify branch in text and JSON, plus
+`catalog list` and argparse's refusal of a missing `--ring`.  The
+fixture was recorded once and is never regenerated: a refactor must
+reproduce it byte for byte.
+"""
+
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from uniloc.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_verdicts.json")
+CASES = json.loads(FIXTURE.read_text())
+
+
+def run_main(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_replay(case):
+    assert run_main(case["argv"]) == case

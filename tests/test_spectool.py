@@ -5,10 +5,9 @@ import pytest
 
 from uniloc.errors import InputError
 from uniloc.spectool import (ENUM_BOUND, SpecClosedSet, SpecPoset,
-                             check_height_condition, classical_support_check,
-                             count_antichains, enumerate_closed, is_closed,
-                             minimal_primes, specialisation_closure,
-                             truncated_spec_z)
+                             check_height_condition, count_antichains,
+                             enumerate_closed, is_closed, minimal_primes,
+                             specialisation_closure, truncated_spec_z)
 
 
 def chain_poset():
@@ -200,25 +199,6 @@ class TestEnumeration:
 
 
 class TestClassicalSupport:
-    def test_union_matches(self):
-        Z = truncated_spec_z()
-        V = specialisation_closure(Z, {"(2)", "(3)"})
-        assert classical_support_check(Z, V, {"2": {"(2)"}, "3": {"(3)"}})
-        assert not classical_support_check(Z, V, {"6": {"(2)", "(3)"},
-                                                  "5": {"(5)"}})
-        assert classical_support_check(Z, V, {"6": {"(2)", "(3)"}})
-
-    def test_vanishing_sets_must_be_closed(self):
-        Z = truncated_spec_z()
-        V = specialisation_closure(Z, {"(0)"})
-        with pytest.raises(InputError):
-            classical_support_check(Z, V, {"0": {"(0)"}})
-
-    def test_empty_family(self):
-        Z = truncated_spec_z()
-        V = SpecClosedSet(Z, frozenset())
-        assert classical_support_check(Z, V, {})
-
     def test_custom_primes(self):
         P = truncated_spec_z((7, 11))
         assert set(P.nodes) == {"(0)", "(7)", "(11)"}

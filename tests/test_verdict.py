@@ -1,14 +1,19 @@
+import ast
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import uniloc
 from uniloc.abgroup import INFINITE
 from uniloc.errors import InputError
-from uniloc.verdict import (CITATIONS, CohomologyWitness, Denominators,
-                            HeightViolation, PrincipalElement, TorsionWitness,
-                            Verdict, check_citations, render_order,
-                            render_rational)
+from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, UNDECIDED,
+                            CohomologyWitness, Denominators, HeightViolation,
+                            PrincipalElement, Rule, TorsionWitness, Verdict,
+                            check_citations, render_order, render_rational)
 
 CITE = ("flat-universal-classical-hierarchy",)
 
@@ -176,3 +181,39 @@ class TestSerialization:
         assert "witness:" not in text
         assert "citations:" not in text
         assert "note: outside the decision rules" in text
+
+
+def all_rules():
+    """Every module-level decision rule of the package."""
+    rules = []
+    for info in pkgutil.iter_modules(uniloc.__path__):
+        module = importlib.import_module("uniloc." + info.name)
+        rules += [v for v in vars(module).values() if isinstance(v, Rule)]
+    return rules
+
+
+class TestRules:
+    def test_answers_and_anchors(self):
+        v = COHOMOLOGY_VIA_QUOTIENT.cite(("segre-trichotomy",))("r", "p", notes=["n"])
+        assert (v.flat, v.universal, v.classical) == ("no", "no", "no")
+        assert v.citations == ("segre-trichotomy", "coherence-local-cohomology",
+                               "top-degree-right-exactness")
+        assert v.notes == ("n",)
+        assert not UNDECIDED("r", "p").conclusive
+
+    def test_anchors_checked_when_built(self):
+        with pytest.raises(InputError):
+            UNDECIDED.cite(("no-such-fact",))
+
+    def test_anchors_match_the_registry(self):
+        carried = {a for rule in all_rules() for a in rule.citations}
+        assert carried == set(CITATIONS)
+
+    def test_only_verdict_module_builds_verdicts(self):
+        builders = set()
+        for path in Path(uniloc.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and "Verdict" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    builders.add(path.name)
+        assert builders == {"verdict.py"}
