@@ -3,18 +3,20 @@ arithmetic subcommands (class groups, torsion, Cech dimensions, Smith
 normal form, poset enumeration).
 
 Exit codes: 0 success, 2 input error, 3 ring not representable,
-4 inconclusive (an unknown answer or an exhausted search box).
+4 inconclusive: an unknown classify answer, or a torsion order that
+`ell torsion` cannot test on a model without integer coefficients.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice
 from pathlib import Path
 
 from . import abgroup, elliptic, lcohom, quadorder, segre, spectool
@@ -79,13 +81,15 @@ def _parse_quad_primes(order, text: str):
             if conjugate:
                 raise InputError("%d is inert, p%d has no distinct conjugate"
                                  % (ell, ell))
-            ideals.append(quadorder.inert_ideal(order, ell))
+            ideal = quadorder.inert_ideal(order, ell)
         elif isinstance(dec, quadorder.Ramified):
             # the ramified prime equals its conjugate, accept both spellings
-            ideals.append(dec.p)
+            ideal = dec.p
         else:
-            ideals.append(dec.pbar if conjugate else dec.p)
-        labels.append(token)
+            ideal = dec.pbar if conjugate else dec.p
+        if ideal not in ideals:  # a prime named twice keeps its first label
+            ideals.append(ideal)
+            labels.append(token)
     return ideals, labels
 
 
@@ -153,7 +157,7 @@ def _quad_args(ring, prime_spec, fp, asserted):
 def _ell_args(ring, prime_spec, fp, asserted):
     E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
     P = _parse_point(_required(prime_spec, "elliptic rings need --prime with a point"))
-    return E, P, ring
+    return E, P
 
 
 def _segre_args(ring, prime_spec, fp, asserted):
@@ -294,10 +298,17 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 # subcommand handlers ---------------------------------------------------------
 
 def _emit(args, payload_json, payload_text) -> None:
-    if args.format == "json":
-        print(json.dumps(payload_json, sort_keys=True, indent=2))
-    else:
+    if args.format == "json":  # join in batches: json.dumps holds every chunk at once
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload_json)
+        payload_text = "".join(iter(lambda: "".join(islice(chunks, 4096)), ""))
+    try:
         print(payload_text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send the flush at exit to devnull, keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_catalog_list(args) -> int:
@@ -371,12 +382,8 @@ def _cmd_cech(args) -> int:
     gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
     I = lcohom.VariableIdeal.of(A, gens)
     out = lcohom.certify_nonvanishing(A, I, args.i, args.box)
-    dims = {}
-    if not out.identically_zero:
-        for a in product(range(-args.box, args.box + 1), repeat=len(variables)):
-            dim = lcohom.cech_dim(A, I, args.i, a)
-            if dim:
-                dims[",".join(str(x) for x in a)] = dim
+    dims = {",".join(str(x) for x in a): dim
+            for a, dim in lcohom.dims_in_box(A, I, args.i, args.box)}
     doc = {
         "schema": 1,
         "algebra": A.describe(),
@@ -389,14 +396,13 @@ def _cmd_cech(args) -> int:
     }
     lines = ["algebra: %s" % A.describe(),
              "ideal: (%s)" % ", ".join(I.generators)]
-    for key, dim in sorted(dims.items()):
-        lines.append("H^%d dim %d at (%s)" % (args.i, dim, key))
+    if args.format == "text":  # the table can be large: spell it out only to print it
+        lines += ["H^%d dim %d at (%s)" % (args.i, dim, key)
+                  for key, dim in sorted(dims.items())]
     lines.append("witness: %s" % (list(out.witness) if out.found else "none"))
     lines.append("note: %s" % out.note)
     _emit(args, doc, "\n".join(lines))
-    if out.found or out.identically_zero:
-        return 0
-    return 4
+    return 0
 
 
 def _cmd_snf(args) -> int:
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--assert-irreducible", action="store_true",
                             help="assert irreducibility of --fp above degree 2")
     p_classify.add_argument("--box", type=int,
-                            help="search box for cohomology witnesses")
+                            help="range recorded with a cohomology witness")
     add_format(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -501,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma separated squarefree monomials, e.g. XU")
     p_cech.add_argument("--ideal", required=True, help="comma separated generators")
     p_cech.add_argument("--i", type=int, required=True)
-    p_cech.add_argument("--box", type=int, default=3)
+    p_cech.add_argument("--box", type=int, default=3,
+                        help="display range |a_j| <= N of the dimension table")
     add_format(p_cech)
     p_cech.set_defaults(func=_cmd_cech)
 

@@ -2,7 +2,7 @@
 
 The command line maps these to exit codes (see cli.py): input errors
 exit with 2, non-representable catalog entries with 3, inconclusive
-searches with 4.
+computations with 4.
 """
 
 
@@ -24,7 +24,7 @@ class NotRepresentableError(UnilocError):
 
 
 class InconclusiveError(UnilocError):
-    """A bounded search was exhausted without a definite answer.
+    """A computation could not reach a definite answer.
 
-    Exhaustion is never treated as a proof of absence.
+    Giving up is never treated as a proof of absence.
     """

@@ -11,9 +11,10 @@ zero or one-dimensional:
 
 Cohomology in a fixed multidegree is therefore the cohomology of a
 small complex of Q-vector spaces with 0/±1 differentials, and ranks are
-computed exactly.  Nonvanishing is certified by exhibiting a witness
-degree; vanishing is only ever asserted through the complex length
-bound, never through box exhaustion.
+computed exactly.  The rule reads only the signs of a, so dim H^i_I(A)_a
+depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
+(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  A scan
+of the 3^m sign patterns finds a witness degree or proves H^i = 0.
 
 The catalog families decided by this cohomology, the two planes
 k[X,Y,U]/(XU) and the hypersurface k[X,Y,U,V]/(XU-YV), are classified
@@ -28,8 +29,8 @@ from itertools import combinations, product
 
 from .errors import InputError, PreconditionError
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
-                      FLAT_ONLY, HEIGHT_VIOLATION, UNDECIDED, CohomologyWitness,
-                      Denominators, HeightViolation, Verdict)
+                      FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
+                      HeightViolation, Verdict)
 
 ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
 
@@ -214,12 +215,10 @@ def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
 
 @dataclass(frozen=True)
 class NonvanishOutcome:
-    """Result of a bounded witness search for H^i != 0."""
+    """Result of the sign-pattern scan for H^i != 0."""
 
-    witness: tuple  # multidegree, or None
+    witness: tuple  # multidegree, or None when H^i = 0
     dim: int
-    box: int
-    identically_zero: bool
     note: str
 
     @property
@@ -227,37 +226,35 @@ class NonvanishOutcome:
         return self.witness is not None
 
 
-def _shell_degrees(m: int, box: int):
-    # radius shells, lexicographic inside each shell, so small witnesses win
-    for r in range(0, box + 1):
-        for a in product(range(-r, r + 1), repeat=m):
-            if max((abs(x) for x in a), default=0) == r:
-                yield a
+def _sign_patterns(m: int):
+    """The 3^m sign vectors: the zero vector, then the rest in lexicographic order."""
+    yield (0,) * m
+    yield from (s for s in product((-1, 0, 1), repeat=m) if any(s))
 
 
 def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
                          box: int) -> NonvanishOutcome:
-    """Scan |a_j| <= box for a degree with cech_dim > 0.
-
-    An empty scan is NOT a vanishing proof and is reported as such; the
-    only outright zero conclusion is the complex length bound i > #gens.
-    """
+    """Decide H^i_I(A) != 0 by the first sign pattern with cech_dim > 0; an
+    empty scan proves H^i = 0.  The witness has entries in {-1, 0, 1}, so
+    it lies in every box, and box only appears in the note."""
     if box < 1:
         raise InputError("box must be >= 1")
-    gens = VariableIdeal.of(A, I.generators).generators
-    if i > len(gens):
-        return NonvanishOutcome(
-            None, 0, box, True,
-            "degree %d exceeds the %d generators, the complex is that short: "
-            "H^%d is identically zero" % (i, len(gens), i))
-    for a in _shell_degrees(len(A.variables), box):
+    for a in _sign_patterns(len(A.variables)):
         d = cech_dim(A, I, i, a)
         if d > 0:
-            return NonvanishOutcome(tuple(a), d, box, False,
-                                    "witness found inside box %d" % box)
-    return NonvanishOutcome(
-        None, 0, box, False,
-        "no witness within box %d; this does not prove vanishing" % box)
+            return NonvanishOutcome(a, d, "witness found inside box %d" % box)
+    return NonvanishOutcome(None, 0, "all %d sign patterns of the multidegree give "
+                            "zero: H^%d is identically zero" % (3 ** len(A.variables), i))
+
+
+def dims_in_box(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
+    """Yield (degree, dim) for the nonzero dims of H^i_I(A) with |a_j| <= box:
+    one rank per sign pattern, each nonzero pattern expanded over the box."""
+    ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1)}
+    for s in _sign_patterns(len(A.variables)):
+        d = cech_dim(A, I, i, s)
+        if d:
+            yield from ((a, d) for a in product(*(ranges[x] for x in s)))
 
 
 @dataclass(frozen=True)
@@ -311,7 +308,7 @@ TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 DIM3_SURROGATE = MonomialAlgebra.make(("X", "Y", "U", "V"), [{"X", "U"}])
 DIM3_PRIMES = (("X", "Y"), ("X", "V"), ("Y", "U"), ("U", "V"))
 
-# every localisation at two or more generators is zero, so H^k = 0 for k > 1
+# H^k = 0 for every k > 1, by the length bound or by the sign-pattern scan
 TWOPLANES_VANISHING = FLAT_ONLY.cite(("coherence-local-cohomology",
                                       "cech-length-bound"))
 TWOPLANES_COORDINATE = CLASSICAL.cite(after=("flat-universal-classical-hierarchy",))
@@ -340,29 +337,22 @@ def classify_twoplanes(names, box: int = 3) -> Verdict:
                    % (s, s),))
 
     ideal = VariableIdeal.of(A, names)
-    pairs_all_nonface = all(
-        not A.is_face({a, b})
-        for i, a in enumerate(names) for b in names[i + 1:])
-    if len(names) >= 2 and pairs_all_nonface:
-        return TWOPLANES_VANISHING(
-            "twoplanes", desc,
-            notes=("every localisation at two or more of the generators is "
-                   "zero, so H^k vanishes for all k > 1 and the flat "
-                   "epimorphism exists",
-                   "the torsion criteria for universal/classical need a "
-                   "normal domain and are not implemented for this ring"))
-
-    for i in range(2, len(names) + 1):
-        out = certify_nonvanishing(A, ideal, i, box)
-        if out.found:
-            witness = CohomologyWitness(
-                algebra=A.describe(), ideal=names, degree=i,
-                multidegree=out.witness, box=box, steps=(out.note,))
-            return TWOPLANES_OBSTRUCTION("twoplanes", desc, witness)
-    return UNDECIDED(
+    reason = "every localisation at two or more of the generators is zero"
+    if len(names) < 2 or any(A.is_face(pair) for pair in combinations(names, 2)):
+        for i in range(2, len(names) + 1):
+            out = certify_nonvanishing(A, ideal, i, box)
+            if out.found:
+                witness = CohomologyWitness(
+                    algebra=A.describe(), ideal=names, degree=i,
+                    multidegree=out.witness, box=box, steps=(out.note,))
+                return TWOPLANES_OBSTRUCTION("twoplanes", desc, witness)
+        reason = "no sign pattern of the multidegree carries an H^k class for k > 1"
+    return TWOPLANES_VANISHING(
         "twoplanes", desc,
-        notes=("no H^k witness within box %d and no vanishing proof either; "
-               "retry with a larger --box" % box,))
+        notes=(reason + ", so H^k vanishes for all k > 1 and the flat "
+               "epimorphism exists",
+               "the torsion criteria for universal/classical need a "
+               "normal domain and are not implemented for this ring"))
 
 
 def classify_dim3hyper(names, box: int = 3) -> Verdict:

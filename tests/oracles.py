@@ -6,7 +6,7 @@ reduction for membership.  Agreement between the two sides is the test.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 
@@ -155,3 +155,18 @@ def quad_principal_rows(order, x, y):
     c0, c1 = quad_w_square(order)
     x, y = Fraction(x), Fraction(y)
     return [[x, y], [y * c0, x + y * c1]]
+
+
+def shell_degrees(m, box):
+    """Multidegrees with |a_j| <= box by radius shell, lexicographic inside
+    each shell."""
+    for r in range(box + 1):
+        for a in product(range(-r, r + 1), repeat=m):
+            if max((abs(x) for x in a), default=0) == r:
+                yield a
+
+
+def first_shell_witness(dim, m, box):
+    """Brute-force bounded search: the first degree of the shell scan with
+    dim(a) > 0, or None."""
+    return next((a for a in shell_degrees(m, box) if dim(a) > 0), None)

@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import uniloc
 from uniloc.cli import FAMILIES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(uniloc.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -19,6 +22,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, (json.loads(out) if out else None), err
+
+
+def run_module(*argv, **kwargs):
+    """Run the CLI as `python -m uniloc.cli` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "uniloc.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 class TestCatalog:
@@ -77,6 +87,18 @@ class TestClassifyQuad:
         labels = [d["prime"] for d in doc["witness"]["details"]]
         assert labels == ["p2", "p3bar", "p11"]
         assert doc["witness"]["details"][2]["generator"] == "11"
+
+    def test_repeated_prime_is_listed_once(self, capsys):
+        # p2 is ramified in Z[sqrt(-5)], so p2bar names the same ideal
+        code, out, _ = run(capsys, "classify", "--ring", "quad:-5",
+                           "--prime", "p2,p2bar")
+        assert code == 0
+        assert "prime: {p2}\n" in out and "witness: denominators {2}\n" in out
+        code, doc, _ = run_json(capsys, "classify", "--ring", "quad:-5",
+                                "--prime", "p3,p3")
+        assert code == 0 and doc["prime"] == "{p3}"
+        assert [d["prime"] for d in doc["witness"]["details"]] == ["p3"]
+        assert doc["witness"]["elements"] == ["2-sqrt(-5)"]
 
     def test_other_discriminant(self, capsys):
         code, out, _ = run(capsys, "classify", "--ring", "quad:-1",
@@ -167,6 +189,15 @@ class TestClassifyEll:
                                 "--prime", "1/2,1/2")
         assert code == 4
         assert doc["flat"] == "yes" and doc["universal"] == "unknown"
+
+    def test_ring_id_is_rendered_from_the_curve(self, capsys):
+        for ring in ("ell:0,+1", "ell:0, 1", "ell:0,2/2", "ell:0,1"):
+            code, doc, _ = run_json(capsys, "classify", "--ring", ring,
+                                    "--prime", "2,3")
+            assert (code, doc["ring"]) == (0, "ell:0,1"), ring
+        code, out, _ = run(capsys, "classify", "--ring", "ell:0/3,-8/2",
+                           "--prime", "2,2")
+        assert code == 0 and out.startswith("ring: ell:0,-4\n")
 
     def test_errors(self, capsys):
         for argv in (("classify", "--ring", "ell:0,1", "--prime", "1,1"),
@@ -377,12 +408,14 @@ class TestCech:
                                   "--rel", "XU", "--ideal", "X,Y", "--i", "2")
         assert code1 == code2 == 0 and doc1 == doc2
 
-    def test_no_witness_is_exit_4(self, capsys):
+    def test_no_witness_is_proved_zero(self, capsys):
+        # depth two kills H^1 of k[X,Y]; the sign-pattern scan proves it
         code, doc, err = run_json(capsys, "cech", "--vars", "X,Y",
                                   "--ideal", "X,Y", "--i", "1")
-        assert code == 4
+        assert (code, err) == (0, "")
         assert doc["witness"] is None
-        assert "does not prove vanishing" in doc["note"]
+        assert doc["note"] == ("all 9 sign patterns of the multidegree give "
+                               "zero: H^1 is identically zero")
         assert doc["dim_by_degree"] == {}
 
     def test_beyond_length_is_conclusive_zero(self, capsys):
@@ -503,9 +536,18 @@ class TestHarness:
         assert first == second
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "uniloc.cli", "classgroup",
-             "--disc", "-20", "--format", "json"],
-            capture_output=True, text=True)
+        proc = run_module("classgroup", "--disc", "-20", "--format", "json",
+                          capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class_number"] == 2
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("catalog", "list", stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr

@@ -3,12 +3,13 @@ from itertools import combinations, product
 
 import pytest
 
+from oracles import first_shell_witness
 from uniloc.errors import InputError, PreconditionError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
                            VariableIdeal, _differential, cech_dim,
-                           certify_nonvanishing, is_variable_prime,
-                           kill_variable, nonvanish_via_quotient,
-                           prime_height)
+                           certify_nonvanishing, dims_in_box,
+                           is_variable_prime, kill_variable,
+                           nonvanish_via_quotient, prime_height)
 
 TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 THREE_VARS = MonomialAlgebra.make(("X", "U", "V"), [{"X", "U"}])
@@ -205,7 +206,7 @@ class TestCertify:
     def test_beyond_length_identically_zero(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
         out = certify_nonvanishing(TWOPLANES, I, 3, 2)
-        assert out.identically_zero and not out.found
+        assert not out.found and out.dim == 0
         assert "identically zero" in out.note
 
     def test_twoplanes_witnesses(self):
@@ -215,21 +216,47 @@ class TestCertify:
         h1 = certify_nonvanishing(TWOPLANES, I, 1, 3)
         assert h1.found and h1.witness == (0, -1, 1)
         h0 = certify_nonvanishing(TWOPLANES, I, 0, 2)
-        assert not h0.found and not h0.identically_zero
-        assert "does not prove vanishing" in h0.note
+        assert not h0.found and h0.dim == 0
+        assert h0.note == ("all 27 sign patterns of the multidegree give "
+                           "zero: H^0 is identically zero")
 
     def test_three_vars_witness(self):
         I = VariableIdeal.of(THREE_VARS, ("X", "V"))
         out = certify_nonvanishing(THREE_VARS, I, 2, 3)
         assert out.found and out.witness == (-1, 0, -1)
 
-    def test_plane_h1_is_invisible_to_the_scan(self):
-        # depth two kills H^1, the scan honestly reports no proof
+    def test_plane_h1_is_proved_zero(self):
+        # depth two kills H^1, and an empty sign-pattern scan proves it
         I = VariableIdeal.of(PLANE, ("X", "Y"))
         out = certify_nonvanishing(PLANE, I, 1, 3)
-        assert not out.found and not out.identically_zero
+        assert not out.found
+        assert out.note.endswith("H^1 is identically zero")
         top = certify_nonvanishing(PLANE, I, 2, 3)
         assert top.found and top.witness == (-1, -1)
+
+    def test_sign_patterns_against_shell_scan(self):
+        rng = random.Random(3131)
+        found = empty = 0
+        for _ in range(14):
+            A = random_algebra(rng, max_vars=4)
+            m = len(A.variables)
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            for i in range(len(I.generators) + 2):
+                dims = {a: cech_dim(A, I, i, a)
+                        for a in product(range(-2, 3), repeat=m)}
+                # (a) the dimension depends only on the sign pattern of a
+                for a, d in dims.items():
+                    sign = tuple((x > 0) - (x < 0) for x in a)
+                    assert d == dims[sign], (A, I, i, a)
+                # (b) same witness as the box search; (c) a miss on both sides
+                for box in (1, 2):
+                    out = certify_nonvanishing(A, I, i, box)
+                    assert out.witness == first_shell_witness(dims.get, m, box), \
+                        (A, I, i, box)
+                found += out.found
+                empty += not out.found
+                assert dict(dims_in_box(A, I, i, 2)) == {a: d for a, d in dims.items() if d}
+        assert found and empty
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
