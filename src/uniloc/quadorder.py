@@ -2,8 +2,11 @@
 
 Ideals are kept in the standard form scale * (a*Z + ((b + sqrt(D))/2)*Z)
 with b^2 = D mod 4a and -a < b <= a.  Only maximal orders of imaginary
-fields are supported: the unit group is finite and form reduction gives
-an exact, terminating principal-ideal test with generator extraction.
+fields are supported: the unit group is finite and Gauss reduction of
+the form (a, b, c) decides principality.  Each reduction step divides the
+ideal by an explicit element, so a principal ideal's generator is the
+product of those elements (Cohen, A Course in Computational Algebraic
+Number Theory, GTM 138, sec. 5.2-5.4).
 """
 
 from __future__ import annotations
@@ -20,15 +23,46 @@ DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
                                         "classical-support-union"))
 
 
+# Miller-Rabin on the first 13 prime bases is exact below PRIME_BOUND, the
+# least strong pseudoprime to all of them (Sorenson-Webster 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n >= PRIME_BOUND without a small factor
+    is refused rather than answered with a probable verdict."""
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= PRIME_BOUND:
+        raise InputError("%d is too large: primality is decided exactly only "
+                         "below %d" % (n, PRIME_BOUND))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for p in MR_BASES:
+        x = pow(p, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        i += 1
     return True
+
+
+def _sqrt_mod(n: int, ell: int) -> int:
+    """A square root of n, a square modulo the prime ell (Tonelli-Shanks)."""
+    n %= ell
+    if n == 0 or ell == 2:
+        return n
+    s = ((ell - 1) & (1 - ell)).bit_length() - 1  # ell - 1 = 2^s * q, q odd
+    q = (ell - 1) >> s
+    z = next(z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) == ell - 1)
+    c, r, t = pow(z, q, ell), pow(n, (q + 1) // 2, ell), pow(n, q, ell)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, ell) == 1)
+        b = pow(c, 1 << (s - i - 1), ell)
+        s, c, r, t = i, b * b % ell, r * b % ell, t * b * b % ell
+    return r
 
 
 def _is_squarefree(n: int) -> bool:
@@ -148,12 +182,13 @@ class QuadIdeal:
         return (self.a, self.b, self.c)
 
 
+def _centred(b: int, a: int) -> int:
+    """b mod 2a, in (-a, a]."""
+    return a - (a - b) % (2 * a)
+
+
 def make_ideal(order: QuadOrder, a: int, b: int, scale=Fraction(1)) -> QuadIdeal:
-    # canonicalizes b into (-a, a]
-    bb = b % (2 * a)
-    if bb > a:
-        bb -= 2 * a
-    return QuadIdeal(order, a, bb, Fraction(scale))
+    return QuadIdeal(order, a, _centred(b, a), Fraction(scale))
 
 
 def unit_ideal(order: QuadOrder) -> QuadIdeal:
@@ -201,66 +236,79 @@ def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_pow(I: QuadIdeal, n: int) -> QuadIdeal:
+    """I^n by repeated squaring; the canonical form of a lattice is unique,
+    so the result does not depend on the order of the products."""
     if n < 0:
         raise InputError("negative ideal powers not needed here")
     out = unit_ideal(I.order)
-    for _ in range(n):
-        out = ideal_mul(out, I)
+    while n:
+        if n & 1:
+            out = ideal_mul(out, I)
+        n >>= 1
+        if n:
+            I = ideal_mul(I, I)
     return out
+
+
+def _reduce_form(a: int, b: int, D: int, steps=None):
+    """Gauss reduction of the form (a, b, (b^2 - D)/4a); returns the reduced
+    (a, b).  Each swap (a, b, c) -> (c, -b, a) is I = J*(tau/c) with
+    tau = (b + sqrt(D))/2, and appends (b, c) to steps when given."""
+    while True:
+        b = _centred(b, a)
+        c = (b * b - D) // (4 * a)
+        if a <= c:
+            break
+        if steps is not None:
+            steps.append((b, c))
+        a, b = c, -b
+    if a == c and b < 0:
+        b = -b
+    return a, b
 
 
 def reduce(I: QuadIdeal) -> QuadIdeal:
     """Reduced representative of the class of I (scale dropped)."""
-    a, b, c = I.form()
-    while True:
-        bb = b % (2 * a)
-        if bb > a:
-            bb -= 2 * a
-        b = bb
-        c = (b * b - I.order.discriminant) // (4 * a)
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
-    if a == c and b < 0:
-        b = -b
-    return QuadIdeal(I.order, a, b)
+    return QuadIdeal(I.order, *_reduce_form(I.a, I.b, I.order.discriminant))
+
+
+def _unit_multiples(g: QuadElement):
+    """g times each unit: w generates the 4 units for d = -1 and the 6 for
+    d = -3, where w^2 = c0 + c1*w; otherwise the units are +-1."""
+    order = g.order
+    if order.d not in (-1, -3):
+        return [g, QuadElement(order, -g.x, -g.y)]
+    c0, c1 = ((order.d - 1) // 4, 1) if order._parity else (order.d, 0)
+    out = [g]
+    while len(out) < {-1: 4, -3: 6}[order.d]:
+        out.append(QuadElement(order, out[-1].y * c0, out[-1].x + out[-1].y * c1))
+    return out
 
 
 def is_principal(I: QuadIdeal):
     """Generator of I if principal, else None.
 
-    The class test is form reduction; the generator comes from a bounded
-    enumeration of elements with |norm| = N(I), filtered by membership.
+    Form reduction decides the class; when the reduced form is the unit
+    form, the generator of the primitive part is the product of the
+    reduction steps' tau/c.  Of its unit multiples the one with the least
+    (|y|, |x|), then x >= 0, then y >= 0, is returned, so the choice does
+    not depend on the reduction path.
     """
-    if reduce(I) != unit_ideal(I.order):
+    D, parity = I.order.discriminant, I.order._parity
+    steps = []
+    if _reduce_form(I.a, I.b, D, steps) != (1, parity):
         return None
-    target = I.a  # norm of the primitive part
-    d = I.order.d
-    parity = I.order._parity
-    ymax = isqrt(4 * target // abs(d)) + 1
-    xmax = isqrt(target) + (ymax + 1) // 2 + 1
-    for y in range(0, ymax + 1):
-        for x in range(0, xmax + 1):
-            if parity:
-                nrm = x * x + x * y + y * y * (1 - d) // 4
-                nrm_m = x * x - x * y + y * y * (1 - d) // 4
-            else:
-                nrm = x * x - d * y * y
-                nrm_m = nrm
-            for sx, sy, n in ((1, 1, nrm), (1, -1, nrm_m), (-1, 1, nrm_m), (-1, -1, nrm)):
-                if x == 0 and sx < 0:
-                    continue
-                if y == 0 and sy < 0:
-                    continue
-                if x == 0 and y == 0:
-                    continue
-                if n != target:
-                    continue
-                cand = QuadElement(I.order, Fraction(sx * x) * I.scale, Fraction(sy * y) * I.scale)
-                if contains(I, cand):
-                    return cand
-    return None
+    # the product of the taus is (p + q*sqrt(D))/2, over the product of the cs
+    p, q, den = 2, 0, 1
+    for b, c in steps:
+        p, q, den = (p * b + q * D) // 2, (p + q * b) // 2, den * c
+    # in the 1, w basis: x = (p - parity*q)/2, y = q
+    g = QuadElement(I.order, Fraction((p - parity * q) // 2, den) * I.scale,
+                    Fraction(q, den) * I.scale)
+    g = min(_unit_multiples(g), key=lambda e: (abs(e.y), abs(e.x), 2 * (e.x < 0) + (e.y < 0)))
+    if not contains(I, g) or g.norm() != ideal_norm(I):
+        raise AssertionError("reduction produced %r, not a generator of %r" % (g, I))
+    return g
 
 
 # prime decomposition ------------------------------------------------------
@@ -305,14 +353,11 @@ def decompose_prime(order: QuadOrder, ell: int):
     sym = _symbol(D, ell)
     if sym == -1:
         return Inert(ell)
-    # find b in (-ell, ell] with b^2 = D mod 4*ell
-    hit = None
-    for b in range(-ell + 1, ell + 1):
-        if (b * b - D) % (4 * ell) == 0:
-            if hit is None or b > 0:
-                hit = b
-        if hit is not None and hit > 0:
-            break
+    # b in (-ell, ell] with b^2 = D mod 4*ell, each = +-r mod ell: a pair
+    # +-b when ell splits, else one root; take the largest
+    r = _sqrt_mod(D, ell)
+    hit = max((b for b in (r, -r, r - ell, ell - r)
+               if -ell < b <= ell and (b * b - D) % (4 * ell) == 0), default=None)
     if hit is None:
         raise AssertionError("no square root found despite symbol %d" % sym)
     p = make_ideal(order, ell, hit)
@@ -394,14 +439,10 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
     details = []
     for idx, P in enumerate(primes):
         label = labels[idx] if labels else repr(P)
-        if P.a == 1:  # inert principal prime (ell)
-            n = 1
-            gen = QuadElement(order, Fraction(P.scale), Fraction(0))
-        else:
-            n = class_order(P)
-            gen = is_principal(ideal_pow(P, n))
-            if gen is None:
-                raise AssertionError("p^order must be principal")
+        n = class_order(P)
+        gen = is_principal(ideal_pow(P, n))
+        if gen is None:
+            raise AssertionError("p^order must be principal")
         elements.append(render_element(gen))
         details.append((("prime", label), ("class_order", n),
                         ("generator", render_element(gen))))

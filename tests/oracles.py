@@ -7,7 +7,7 @@ reduction for membership.  Agreement between the two sides is the test.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 
 
 def det_cofactor(rows):
@@ -155,6 +155,61 @@ def quad_principal_rows(order, x, y):
     c0, c1 = quad_w_square(order)
     x, y = Fraction(x), Fraction(y)
     return [[x, y], [y * c0, x + y * c1]]
+
+
+def first_hit_generator(I):
+    """Brute-force generator of a principal ideal, or None.
+
+    Scans the primitive part's coordinates (x, y) in the (1, w) basis by
+    |y|, then |x|, then the signs (+,+), (+,-), (-,+), (-,-), and returns
+    the first element of norm N(I) that lies in I, scaled back.  The box
+    is large enough for every such element, so None means not principal.
+    """
+    order, scale = I.order, I.scale
+    c0, c1 = quad_w_square(order)
+    rows = quad_ideal_rows(I)
+    target = I.a  # norm of the primitive part
+    d = order.d
+    ymax = isqrt(4 * target // abs(d)) + 1
+    xmax = isqrt(target) + (ymax + 1) // 2 + 1
+    for y in range(0, ymax + 1):
+        for x in range(0, xmax + 1):
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                if (x == 0 and sx < 0) or (y == 0 and sy < 0) or x == y == 0:
+                    continue
+                u, v = sx * x, sy * y
+                # N(u + v*w) = u^2 + c1*u*v - c0*v^2
+                if u * u + c1 * u * v - c0 * v * v != target:
+                    continue
+                cand = [Fraction(u) * scale, Fraction(v) * scale]
+                if lattice_member(rows, cand):
+                    return cand
+    return None
+
+
+def is_prime_trial(n):
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def least_positive_root(D, ell):
+    """The b in (-ell, ell] with b^2 = D mod 4*ell by linear search: the
+    least positive one, else the first."""
+    hit = None
+    for b in range(-ell + 1, ell + 1):
+        if (b * b - D) % (4 * ell) == 0:
+            if b > 0:
+                return b
+            if hit is None:
+                hit = b
+    return hit
 
 
 def shell_degrees(m, box):

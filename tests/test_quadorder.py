@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (quad_ideal_rows, quad_principal_rows, quad_product_rows,
-                     same_rational_lattice)
+from oracles import (first_hit_generator, is_prime_trial, lattice_member,
+                     least_positive_root, quad_ideal_rows, quad_principal_rows,
+                     quad_product_rows, same_rational_lattice)
 from uniloc import quadorder
 from uniloc.errors import InputError
 from uniloc.quadorder import (Inert, QuadElement, QuadIdeal, QuadOrder,
-                              Ramified, Split, class_number, class_order,
+                              PRIME_BOUND, Ramified, Split, class_number,
+                              class_order,
                               classify_dedekind, contains, decompose_prime,
                               ideal_mul, ideal_norm, ideal_pow, inert_ideal,
                               is_principal, is_prime_ideal, make_ideal, reduce,
@@ -176,6 +178,18 @@ def test_ideal_pow():
         ideal_pow(p3, -1)
 
 
+def test_ideal_pow_is_the_repeated_product():
+    for d in (-5, -23, -971):
+        order = QuadOrder(d)
+        for ell in (2, 3, 13):
+            dec = decompose_prime(order, ell)
+            I = dec.p if isinstance(dec, (Split, Ramified)) else inert_ideal(order, ell)
+            acc = unit_ideal(order)
+            for n in range(20):
+                assert ideal_pow(I, n) == acc, (d, ell, n)
+                acc = ideal_mul(acc, I)
+
+
 def test_mixed_order_product_rejected():
     with pytest.raises(InputError):
         ideal_mul(unit_ideal(QuadOrder(-5)), unit_ideal(QuadOrder(-1)))
@@ -240,6 +254,114 @@ def test_is_principal_certificates():
             assert gen.norm() == ideal_norm(I)
             assert same_rational_lattice(
                 quad_ideal_rows(I), quad_principal_rows(order, gen.x, gen.y))
+
+
+# (d, ell, class order of p<ell>) over class numbers 15 to 120; every
+# power up to k + 1 has norm at most 5^8, inside the brute-force oracle's reach
+ORACLE_CASES = (
+    (-971, 3, 5), (-971, 13, 3), (-2087, 3, 7), (-3299, 3, 9), (-3299, 11, 3),
+    (-9431, 5, 7), (-40009, 2, 2), (-11570, 2, 2), (-11570, 3, 10),
+    (-11570, 5, 2), (-11766, 7, 5), (-10149, 5, 6),
+)
+
+
+def test_is_principal_matches_first_hit_oracle():
+    # the reduction's generator is the one the brute-force scan meets first
+    for d, ell, k in ORACLE_CASES:
+        order = QuadOrder(d)
+        dec = decompose_prime(order, ell)
+        assert class_order(dec.p) == k
+        h = class_number(order)
+        assert h % k == 0 and 10 <= h <= 200
+        primes = (dec.p, dec.pbar) if isinstance(dec, Split) else (dec.p,)
+        for P in primes:
+            for n in range(k + 2):
+                I = ideal_pow(P, n)
+                gen = is_principal(I)
+                want = first_hit_generator(I)
+                assert (gen is None) == (want is None) == (n % k != 0), (d, ell, n)
+                if gen is not None:
+                    assert [gen.x, gen.y] == want, (d, ell, n)
+
+
+def test_is_principal_units_of_minus_one_and_minus_three():
+    # the orders with more than two units: the generator is still the first hit
+    for d in (-1, -3):
+        order = QuadOrder(d)
+        for ell in small_primes(100):
+            dec = decompose_prime(order, ell)
+            if isinstance(dec, Inert):
+                ideals = [inert_ideal(order, ell)]
+            else:
+                ideals = [dec.p, getattr(dec, "pbar", dec.p)]
+            for P in ideals:
+                for n in range(3):
+                    I = ideal_pow(P, n)
+                    gen = is_principal(I)
+                    assert [gen.x, gen.y] == first_hit_generator(I), (d, ell, n)
+
+
+def test_minus_10007_p2_certificate():
+    # class order 77: the generator has norm 2^77 and lies in p2^77
+    order = QuadOrder(-10007)
+    p2 = decompose_prime(order, 2).p
+    assert class_order(p2) == 77
+    I = ideal_pow(p2, 77)
+    gen = is_principal(I)
+    assert gen.norm() == 2 ** 77
+    assert lattice_member(quad_ideal_rows(I), [gen.x, gen.y])
+    assert same_rational_lattice(quad_ideal_rows(I),
+                                 quad_principal_rows(order, gen.x, gen.y))
+    assert render_element(gen) == "(212462990979+7476169711*sqrt(-10007))/2"
+
+
+def test_sqrt_mod_matches_brute_force():
+    for ell in small_primes(2000):
+        roots = {}
+        for x in range(ell):
+            roots.setdefault(x * x % ell, set()).add(x)
+        for n, rs in roots.items():
+            assert quadorder._sqrt_mod(n, ell) in rs, (n, ell)
+
+
+def test_decompose_root_matches_linear_search():
+    # the p<ell> root b is the one the linear search over (-ell, ell] picks
+    orders = [QuadOrder(d) for d in (-1, -2, -3, -5, -6, -7, -14, -23, -971)]
+    for ell in small_primes(2000):
+        for order in orders:
+            dec = decompose_prime(order, ell)
+            if isinstance(dec, Inert):
+                continue
+            assert dec.p.b == least_positive_root(order.discriminant, ell), \
+                (order.d, ell)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if quadorder._is_prime(n)] == \
+        [n for n in range(10 ** 5) if is_prime_trial(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265)
+    # least strong pseudoprimes to the first k prime bases, k = 1..12
+    strong = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461)
+    for n in carmichael + strong:
+        assert not quadorder._is_prime(n), n
+    for n in (2 ** 31 - 1, 10 ** 12 + 39, 2 ** 61 - 1):
+        assert quadorder._is_prime(n), n
+    assert not quadorder._is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+
+
+def test_prime_bound_is_refused():
+    # the bound is the least strong pseudoprime to all 13 bases
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    beyond = next(n for n in range(PRIME_BOUND + 2, PRIME_BOUND + 200, 2)
+                  if all(n % p for p in quadorder.MR_BASES))
+    for ell in (PRIME_BOUND, beyond):
+        with pytest.raises(InputError, match=str(PRIME_BOUND)):
+            decompose_prime(QuadOrder(-5), ell)
 
 
 def test_minus_five_headline_facts():
