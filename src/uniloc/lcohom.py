@@ -33,7 +33,6 @@ from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT
                       HeightViolation, Verdict)
 
 ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
-SCAN_VARIABLE_BOUND = 10  # the sign-pattern scan costs 3^m rank computations
 
 
 @dataclass(frozen=True)
@@ -229,9 +228,6 @@ class NonvanishOutcome:
 
 def _sign_patterns(m: int):
     """The 3^m sign vectors: the zero vector, then the rest in lexicographic order."""
-    if m > SCAN_VARIABLE_BOUND:
-        raise InputError("the sign-pattern scan takes 3^m rank computations and is "
-                         "limited to %d variables, got %d" % (SCAN_VARIABLE_BOUND, m))
     yield (0,) * m
     yield from (s for s in product((-1, 0, 1), repeat=m) if any(s))
 

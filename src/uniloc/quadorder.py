@@ -23,29 +23,14 @@ DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
                                         "classical-support-union"))
 
 
-# Miller-Rabin on the first 13 prime bases is exact below PRIME_BOUND, the
-# least strong pseudoprime to all of them (Sorenson-Webster 2017)
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_BOUND = 3317044064679887385961981
-
-
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; n >= PRIME_BOUND without a small factor
-    is refused rather than answered with a probable verdict."""
     if n < 2:
         return False
-    for p in MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n >= PRIME_BOUND:
-        raise InputError("%d is too large: primality is decided exactly only "
-                         "below %d" % (n, PRIME_BOUND))
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
-    d = (n - 1) >> s
-    for p in MR_BASES:
-        x = pow(p, d, n)
-        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
             return False
+        i += 1
     return True
 
 
@@ -236,17 +221,11 @@ def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_pow(I: QuadIdeal, n: int) -> QuadIdeal:
-    """I^n by repeated squaring; the canonical form of a lattice is unique,
-    so the result does not depend on the order of the products."""
     if n < 0:
         raise InputError("negative ideal powers not needed here")
     out = unit_ideal(I.order)
-    while n:
-        if n & 1:
-            out = ideal_mul(out, I)
-        n >>= 1
-        if n:
-            I = ideal_mul(I, I)
+    for _ in range(n):
+        out = ideal_mul(out, I)
     return out
 
 
@@ -400,6 +379,8 @@ def class_order(I: QuadIdeal) -> int:
     """Least n >= 1 with I^n principal."""
     base = reduce(I)
     unit = unit_ideal(I.order)
+    if base == unit:
+        return 1
     acc = base
     n = 1
     bound = class_number(I.order)

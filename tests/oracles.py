@@ -187,18 +187,6 @@ def first_hit_generator(I):
     return None
 
 
-def is_prime_trial(n):
-    """Primality by trial division."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def least_positive_root(D, ell):
     """The b in (-ell, ell] with b^2 = D mod 4*ell by linear search: the
     least positive one, else the first."""

@@ -8,7 +8,6 @@ import pytest
 
 import uniloc
 from uniloc.cli import FAMILIES, main
-from uniloc.lcohom import SCAN_VARIABLE_BOUND
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(uniloc.__file__).resolve().parents[1])
@@ -119,12 +118,6 @@ class TestClassifyQuad:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("input error:"), argv
-
-    def test_prime_above_the_exact_primality_bound(self, capsys):
-        code, out, err = run(capsys, "classify", "--ring", "quad:-5",
-                             "--prime", "p%d" % (10 ** 25 + 13))
-        assert (code, out) == (2, "")
-        assert err.startswith("input error:") and "3317044064679887385961981" in err
 
     def test_unread_options(self, capsys):
         for extra, option in ((("--fp", "S0"), "--fp"),
@@ -452,15 +445,6 @@ class TestCech:
                       "--box", "0")):
             code, _, _ = run(capsys, *argv)
             assert code == 2, argv
-
-    def test_too_many_variables_is_refused(self, capsys):
-        names = ",".join("v%d" % k for k in range(SCAN_VARIABLE_BOUND + 1))
-        code, out, err = run(capsys, "cech", "--vars", names, "--ideal", "v0,v1",
-                             "--i", "2", "--box", "1")
-        assert (code, out) == (2, "")
-        assert err == ("input error: the sign-pattern scan takes 3^m rank computations "
-                       "and is limited to %d variables, got %d\n"
-                       % (SCAN_VARIABLE_BOUND, SCAN_VARIABLE_BOUND + 1))
 
 
 class TestSnf:

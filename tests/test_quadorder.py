@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (first_hit_generator, is_prime_trial, lattice_member,
+from oracles import (first_hit_generator, lattice_member,
                      least_positive_root, quad_ideal_rows, quad_principal_rows,
                      quad_product_rows, same_rational_lattice)
 from uniloc import quadorder
 from uniloc.errors import InputError
 from uniloc.quadorder import (Inert, QuadElement, QuadIdeal, QuadOrder,
-                              PRIME_BOUND, Ramified, Split, class_number,
-                              class_order,
+                              Ramified, Split, class_number, class_order,
                               classify_dedekind, contains, decompose_prime,
                               ideal_mul, ideal_norm, ideal_pow, inert_ideal,
                               is_principal, is_prime_ideal, make_ideal, reduce,
@@ -178,18 +177,6 @@ def test_ideal_pow():
         ideal_pow(p3, -1)
 
 
-def test_ideal_pow_is_the_repeated_product():
-    for d in (-5, -23, -971):
-        order = QuadOrder(d)
-        for ell in (2, 3, 13):
-            dec = decompose_prime(order, ell)
-            I = dec.p if isinstance(dec, (Split, Ramified)) else inert_ideal(order, ell)
-            acc = unit_ideal(order)
-            for n in range(20):
-                assert ideal_pow(I, n) == acc, (d, ell, n)
-                acc = ideal_mul(acc, I)
-
-
 def test_mixed_order_product_rejected():
     with pytest.raises(InputError):
         ideal_mul(unit_ideal(QuadOrder(-5)), unit_ideal(QuadOrder(-1)))
@@ -232,6 +219,20 @@ def test_class_order_divides_class_number():
             if isinstance(dec, Inert):
                 continue
             assert h % class_order(dec.p) == 0
+
+
+def test_principal_primes_skip_the_class_number(monkeypatch):
+    # class_number is O(|D|); a prime of class order 1 must not pay for it
+    def refuse(order):
+        raise AssertionError("class_number called for %r" % (order,))
+    monkeypatch.setattr(quadorder, "class_number", refuse)
+    order = QuadOrder(-100000007)
+    assert isinstance(decompose_prime(order, 5), Inert)
+    verdict = classify_dedekind(order, [inert_ideal(order, 5)], ["p5"])
+    assert verdict.witness.elements == ("5",)
+    p5 = decompose_prime(QuadOrder(-1), 5).p  # (2+i)
+    assert class_order(p5) == 1
+    assert render_element(is_principal(p5)) == "2+sqrt(-1)"
 
 
 def test_is_principal_certificates():
@@ -334,34 +335,6 @@ def test_decompose_root_matches_linear_search():
                 continue
             assert dec.p.b == least_positive_root(order.discriminant, ell), \
                 (order.d, ell)
-
-
-def test_is_prime_matches_trial_division():
-    assert [n for n in range(10 ** 5) if quadorder._is_prime(n)] == \
-        [n for n in range(10 ** 5) if is_prime_trial(n)]
-
-
-def test_is_prime_on_pseudoprimes_and_large_primes():
-    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265)
-    # least strong pseudoprimes to the first k prime bases, k = 1..12
-    strong = (2047, 1373653, 25326001, 3215031751, 2152302898747,
-              3474749660383, 341550071728321, 3825123056546413051,
-              318665857834031151167461)
-    for n in carmichael + strong:
-        assert not quadorder._is_prime(n), n
-    for n in (2 ** 31 - 1, 10 ** 12 + 39, 2 ** 61 - 1):
-        assert quadorder._is_prime(n), n
-    assert not quadorder._is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
-
-
-def test_prime_bound_is_refused():
-    # the bound is the least strong pseudoprime to all 13 bases
-    assert PRIME_BOUND == 1287836182261 * 2575672364521
-    beyond = next(n for n in range(PRIME_BOUND + 2, PRIME_BOUND + 200, 2)
-                  if all(n % p for p in quadorder.MR_BASES))
-    for ell in (PRIME_BOUND, beyond):
-        with pytest.raises(InputError, match=str(PRIME_BOUND)):
-            decompose_prime(QuadOrder(-5), ell)
 
 
 def test_minus_five_headline_facts():
