@@ -1,15 +1,13 @@
 """Integer matrices, Smith normal form, finitely presented abelian groups.
 
 All arithmetic is exact on Python ints; there are no modular shortcuts.
-The Smith normal form drives every class-group computation in the
-package: group structure is read off the diagonal, and element orders
-come from the change-of-basis matrix.
+The Smith normal form backs the `snf` command and the cokernel of a
+relation matrix, whose group structure is read off the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .errors import InputError
 
@@ -75,10 +73,6 @@ class IntMatrix:
             for i in range(self.rows)
         ]
         return IntMatrix.from_rows(prod) if self.rows else IntMatrix(0, other.cols, ())
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def diagonal(self):
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
@@ -230,32 +224,9 @@ class GroupStructure:
         if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
             raise InputError("invariant factors must form a divisibility chain")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def torsion_order(self):
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
     def __repr__(self):
         parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
-    """Z^generator_count modulo the rows of `relations`."""
-
-    generator_count: int
-    relations: IntMatrix
-
-    def __post_init__(self):
-        if self.relations.cols != self.generator_count:
-            raise InputError("relation vectors must have length generator_count")
 
 
 def cokernel_structure(M: IntMatrix) -> GroupStructure:
@@ -273,33 +244,3 @@ def cokernel_structure(M: IntMatrix) -> GroupStructure:
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d > 1)
     return GroupStructure(M.cols - rank, factors)
-
-
-def presentation_structure(G: AbelianGroupPresentation) -> GroupStructure:
-    return cokernel_structure(G.relations)
-
-
-def element_order(G: AbelianGroupPresentation, v):
-    """Smallest n >= 1 with n*v in the relation span, or INFINITE.
-
-    The change of basis W from the Smith normal form turns the relation
-    lattice into a diagonal one, where the order is a gcd computation
-    per coordinate.
-    """
-    v = list(v)
-    if len(v) != G.generator_count:
-        raise InputError("vector length does not match generator count")
-    D, _, W = smith_normal_form(G.relations)
-    n = G.generator_count
-    wr = W.to_rows()
-    c = [sum(v[k] * wr[k][j] for k in range(n)) for j in range(n)]
-    diag = D.diagonal()
-    order = 1
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if c[j] != 0:
-                return INFINITE
-        else:
-            order = lcm(order, d // gcd(d, c[j]))
-    return order

@@ -381,9 +381,8 @@ def _cmd_cech(args) -> int:
                                     _parse_relations(args.rel or "", variables))
     gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
     I = lcohom.VariableIdeal.of(A, gens)
-    out = lcohom.certify_nonvanishing(A, I, args.i, args.box)
-    dims = {",".join(str(x) for x in a): dim
-            for a, dim in lcohom.dims_in_box(A, I, args.i, args.box)}
+    out, table = lcohom.cech_table(A, I, args.i, args.box)
+    dims = {",".join(str(x) for x in a): dim for a, dim in table}
     doc = {
         "schema": 1,
         "algebra": A.describe(),

@@ -3,16 +3,15 @@
 A Divisor is a finite integer combination of prime labels.  A
 DivisorClassModel lists the primes relevant to a query together with
 the divisors of chosen elements; the class group shadow it presents is
-the free group on the primes modulo those principal relations.  Orders
-and quotients are delegated to the Smith normal form machinery.
+the free group on the primes modulo those principal relations.  Its
+structure is read off the Smith normal form of the relation matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import (AbelianGroupPresentation, GroupStructure, IntMatrix,
-                      cokernel_structure, element_order)
+from .abgroup import GroupStructure, IntMatrix, cokernel_structure
 from .errors import InputError
 
 
@@ -33,10 +32,6 @@ class Divisor:
         items = tuple(sorted((str(k), int(v)) for k, v in dict(mapping).items() if int(v) != 0))
         return cls(items)
 
-    @classmethod
-    def zero(cls) -> "Divisor":
-        return cls(())
-
     def coefficient(self, label: str) -> int:
         for lab, c in self.coefficients:
             if lab == label:
@@ -46,38 +41,6 @@ class Divisor:
     @property
     def support(self) -> tuple:
         return tuple(lab for lab, _ in self.coefficients)
-
-    def to_json(self):
-        return {lab: c for lab, c in self.coefficients}
-
-    def __repr__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for lab, c in self.coefficients:
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            parts.append("%s%s%s" % (sign, "" if mag == 1 else "%d*" % mag, lab))
-        return " ".join(parts)
-
-
-def add(a: Divisor, b: Divisor) -> Divisor:
-    total = dict(a.coefficients)
-    for lab, c in b.coefficients:
-        total[lab] = total.get(lab, 0) + c
-    return Divisor.of(total)
-
-
-def negate(a: Divisor) -> Divisor:
-    return Divisor.of({lab: -c for lab, c in a.coefficients})
-
-
-def scale(n: int, a: Divisor) -> Divisor:
-    return Divisor.of({lab: n * c for lab, c in a.coefficients})
-
-
-def is_effective(a: Divisor) -> bool:
-    return all(c >= 0 for _, c in a.coefficients)
 
 
 @dataclass(frozen=True)
@@ -103,18 +66,10 @@ class DivisorClassModel:
             raise InputError("unknown prime label(s): %s" % ", ".join(unknown))
         return [d.coefficient(p) for p in self.primes]
 
-    def presentation(self) -> AbelianGroupPresentation:
+    def structure(self) -> GroupStructure:
         rows = [self._vector(rel) for rel in self.principal_relations]
         mat = IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(self.primes), ())
-        return AbelianGroupPresentation(len(self.primes), mat)
-
-    def structure(self) -> GroupStructure:
-        return cokernel_structure(self.presentation().relations)
-
-
-def class_order(model: DivisorClassModel, d: Divisor):
-    """Order of [d] in the presented quotient group (int or INFINITE)."""
-    return element_order(model.presentation(), model._vector(d))
+        return cokernel_structure(mat)
 
 
 def quotient_by_divisor(clX: DivisorClassModel, t: Divisor) -> DivisorClassModel:

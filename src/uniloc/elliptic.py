@@ -178,23 +178,6 @@ def cl_class(E: WeierstrassCurve, P: ECPoint) -> ClAClass:
     return ClAClass(P, 1)
 
 
-def cl_add(E: WeierstrassCurve, c1: ClAClass, c2: ClAClass) -> ClAClass:
-    return ClAClass(add(E, c1.point, c2.point), (c1.degree_mod3 + c2.degree_mod3) % 3)
-
-
-def divisor_class(E: WeierstrassCurve, parts) -> ClAClass:
-    """Class of a formal combination sum n_i * (P_i)."""
-    total = ClAClass(O, 0)
-    for P, n in parts:
-        total = cl_add(E, total, ClAClass(mul(E, n, P), n % 3))
-    return total
-
-
-def div_t_class(E: WeierstrassCurve) -> ClAClass:
-    # the hyperplane section at infinity has divisor 3*(O)
-    return ClAClass(O, 0)
-
-
 # line programs for torsion certificates ------------------------------------
 
 @dataclass(frozen=True)

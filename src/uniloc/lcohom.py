@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
                       FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
                       HeightViolation, Verdict)
@@ -81,9 +81,6 @@ class MonomialAlgebra:
                     faces.append(tuple(combo))
         maximal = [f for f in faces if not any(set(f) < set(g) for g in faces)]
         return sorted(maximal, key=lambda f: (-len(f), f))
-
-    def dimension(self) -> int:
-        return max((len(f) for f in self.facets()), default=0)
 
     def describe(self) -> str:
         sep = "" if all(len(v) == 1 for v in self.variables) else "*"
@@ -232,6 +229,21 @@ def _sign_patterns(m: int):
     yield from (s for s in product((-1, 0, 1), repeat=m) if any(s))
 
 
+def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
+    """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order."""
+    for s in _sign_patterns(len(A.variables)):
+        d = cech_dim(A, I, i, s)
+        if d:
+            yield s, d
+
+
+def _outcome(first, A: MonomialAlgebra, i: int, box: int) -> NonvanishOutcome:
+    if first is None:
+        return NonvanishOutcome(None, 0, "all %d sign patterns of the multidegree give "
+                                "zero: H^%d is identically zero" % (3 ** len(A.variables), i))
+    return NonvanishOutcome(*first, "witness found inside box %d" % box)
+
+
 def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
                          box: int) -> NonvanishOutcome:
     """Decide H^i_I(A) != 0 by the first sign pattern with cech_dim > 0; an
@@ -239,67 +251,19 @@ def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
     it lies in every box, and box only appears in the note."""
     if box < 1:
         raise InputError("box must be >= 1")
-    for a in _sign_patterns(len(A.variables)):
-        d = cech_dim(A, I, i, a)
-        if d > 0:
-            return NonvanishOutcome(a, d, "witness found inside box %d" % box)
-    return NonvanishOutcome(None, 0, "all %d sign patterns of the multidegree give "
-                            "zero: H^%d is identically zero" % (3 ** len(A.variables), i))
+    return _outcome(next(_nonzero_patterns(A, I, i), None), A, i, box)
 
 
-def dims_in_box(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
-    """Yield (degree, dim) for the nonzero dims of H^i_I(A) with |a_j| <= box:
-    one rank per sign pattern, each nonzero pattern expanded over the box."""
+def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
+    """The certify_nonvanishing outcome and the (degree, dim) pairs of the
+    nonzero dims of H^i_I(A) with |a_j| <= box, from one scan of the sign
+    patterns: each nonzero pattern is expanded over the box."""
+    if box < 1:
+        raise InputError("box must be >= 1")
+    found = list(_nonzero_patterns(A, I, i))
     ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1)}
-    for s in _sign_patterns(len(A.variables)):
-        d = cech_dim(A, I, i, s)
-        if d:
-            yield from ((a, d) for a in product(*(ranges[x] for x in s)))
-
-
-@dataclass(frozen=True)
-class QuotientCertificate:
-    """Two-step nonvanishing certificate through a one-variable quotient."""
-
-    original: MonomialAlgebra
-    killed: str
-    quotient: MonomialAlgebra
-    ideal: tuple
-    degree: int
-    outcome: NonvanishOutcome
-    justification: str
-
-    @property
-    def found(self) -> bool:
-        return self.outcome.found
-
-    def steps(self) -> tuple:
-        return (
-            "pass to the quotient %s by killing %s" % (self.quotient.describe(), self.killed),
-            self.justification,
-            self.outcome.note,
-        )
-
-
-def nonvanish_via_quotient(A: MonomialAlgebra, kill: str, I: VariableIdeal,
-                           i: int, box: int = 3) -> QuotientCertificate:
-    """Certify H^i_I(A) != 0 by certifying it on A/(kill).
-
-    Right-exactness of the top Cech cohomology is what transports the
-    witness back, so i must equal the generator count of I.
-    """
-    gens = VariableIdeal.of(A, I.generators).generators
-    if i != len(gens):
-        raise PreconditionError(
-            "quotient reduction only applies in top degree %d, got %d" % (len(gens), i))
-    if kill in gens:
-        raise InputError("cannot kill a generator of the ideal")
-    quotient = kill_variable(A, kill)
-    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, gens), i, box)
-    return QuotientCertificate(
-        A, kill, quotient, gens, i, out,
-        "top-degree Cech cohomology is right exact, so a nonzero class on the "
-        "quotient forces H^%d_(%s) != 0 upstairs" % (i, ", ".join(gens)))
+    table = ((a, d) for s, d in found for a in product(*(ranges[x] for x in s)))
+    return _outcome(found[0] if found else None, A, i, box), table
 
 
 # the twoplanes and dim3hyper classifiers ------------------------------------
@@ -375,15 +339,19 @@ def classify_dim3hyper(names, box: int = 3) -> Verdict:
             % (desc,))
 
     kill = next(v for v in ("Y", "V") if v not in names)
-    ideal = VariableIdeal.of(DIM3_SURROGATE, names)
-    cert = nonvanish_via_quotient(DIM3_SURROGATE, kill, ideal, 2, box)
-    if not cert.found:
+    quotient = kill_variable(DIM3_SURROGATE, kill)
+    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, box)
+    if not out.found:
         raise AssertionError("witness must exist for the coordinate primes")
-    steps = cert.steps() + (
+    steps = (
+        "pass to the quotient %s by killing %s" % (quotient.describe(), kill),
+        "top-degree Cech cohomology is right exact, so a nonzero class on the "
+        "quotient forces H^2_(%s) != 0 upstairs" % ", ".join(names),
+        out.note,
         "killing %s takes the hypersurface ring and its monomial surrogate "
         "to the same quotient, so the certificate applies to the "
-        "hypersurface" % kill,)
+        "hypersurface" % kill)
     witness = CohomologyWitness(
-        algebra=cert.quotient.describe(), ideal=names, degree=2,
-        multidegree=cert.outcome.witness, box=box, steps=steps)
+        algebra=quotient.describe(), ideal=names, degree=2,
+        multidegree=out.witness, box=box, steps=steps)
     return DIM3_OBSTRUCTION("dim3hyper", desc, witness)

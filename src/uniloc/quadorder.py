@@ -79,12 +79,6 @@ class QuadOrder:
         # parity of every admissible b, equals D mod 2
         return self.discriminant % 2
 
-    def omega_symbol(self) -> str:
-        # the module generator printed in element output
-        if self._parity:
-            return "(1+sqrt(%d))/2" % self.d
-        return "sqrt(%d)" % self.d
-
     def __repr__(self):
         return "QuadOrder(d=%d, D=%d)" % (self.d, self.discriminant)
 

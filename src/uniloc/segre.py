@@ -281,6 +281,7 @@ class BihomogPoly:
         return self.poly.terms
 
     def bidegree(self):
+        """(degree in S0,S1, degree in T0,T1)."""
         e = self.poly.terms[0][0]
         return (e[0] + e[1], e[2] + e[3])
 
@@ -289,11 +290,6 @@ class BihomogPoly:
 
     def __repr__(self):
         return "BihomogPoly(%s)" % self.render()
-
-
-def bidegree(f: BihomogPoly):
-    """(degree in S0,S1, degree in T0,T1)."""
-    return f.bidegree()
 
 
 _EMBED = {
@@ -445,13 +441,7 @@ def coordinate_prime(names) -> SegrePrime:
 
 def psi(p: SegrePrime):
     """Bidegree of the defining polynomial f_p."""
-    return bidegree(p.f_poly())
-
-
-def rho(p: SegrePrime) -> int:
-    """Class of the prime in Cl = Z: e - d."""
-    d, e = psi(p)
-    return e - d
+    return p.f_poly().bidegree()
 
 
 # case-1 coordinate normalization -------------------------------------------

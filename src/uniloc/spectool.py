@@ -2,9 +2,9 @@
 
 A SpecPoset is a finite set of labelled primes with a strict
 containment order.  Specialisation closed subsets are the upward closed
-ones; the module computes closures, heights, the minimal primes of a
-closed set, the necessary height condition, and (for small posets) the
-full list of closed subsets, whose count is the number of flat
+ones; the module computes heights, the necessary height condition on
+the minimal primes of a closed set, and (for small posets) the full
+list of closed subsets, whose count is the number of flat
 epimorphism classes when the ring has dimension at most one.
 
 Spectra here are always finite truncations of the real thing, so every
@@ -24,42 +24,45 @@ ENUM_BOUND = 16  # enumerate_closed walks all 2^n subsets
 @dataclass(frozen=True)
 class SpecPoset:
     nodes: tuple
-    _below: tuple  # (node, frozenset of strictly smaller nodes), transitive
+    _order: dict  # node -> (frozenset of strictly smaller nodes, height)
 
     @classmethod
     def build(cls, nodes, edges) -> "SpecPoset":
         """nodes: labels; edges: (child, parent) pairs meaning child < parent."""
         nodes = list(dict.fromkeys(nodes))
         known = set(nodes)
-        direct = {n: set() for n in nodes}
+        direct = {n: {} for n in nodes}  # parent -> its children, in edge order
         for child, parent in edges:
             if child not in known or parent not in known:
                 raise InputError("edge %r < %r uses an undeclared node" % (child, parent))
             if child == parent:
                 raise InputError("node %r below itself" % (child,))
-            direct[parent].add(child)
+            direct[parent][child] = None
 
-        below = {}
-
-        def descend(n, trail):
-            if n in trail:
-                raise InputError("containment cycle through %r" % (n,))
-            if n in below:
-                return below[n]
-            acc = set()
-            for c in direct[n]:
-                acc.add(c)
-                acc |= descend(c, trail | {n})
-            below[n] = acc
-            return acc
-
-        for n in nodes:
-            descend(n, frozenset())
-        for n in nodes:
-            if n in below[n]:
-                raise InputError("containment cycle through %r" % (n,))
-        return cls(tuple(nodes),
-                   tuple((n, frozenset(below[n])) for n in nodes))
+        # topological order: a node is placed once every node directly below it is
+        parents = {n: [] for n in nodes}
+        for parent, children in direct.items():
+            for child in children:
+                parents[child].append(parent)
+        waiting = {n: len(direct[n]) for n in nodes}
+        ready = [n for n in nodes if not waiting[n]]
+        order = {}
+        while ready:
+            n = ready.pop()
+            below = frozenset(direct[n]).union(*(order[c][0] for c in direct[n]))
+            order[n] = (below, 1 + max((order[c][1] for c in direct[n]), default=-1))
+            for parent in parents[n]:
+                waiting[parent] -= 1
+                if not waiting[parent]:
+                    ready.append(parent)
+        if len(order) < len(nodes):
+            # an unplaced node has an unplaced child, so walking down them repeats
+            n, seen = next(n for n in nodes if n not in order), set()
+            while n not in seen:
+                seen.add(n)
+                n = next(c for c in direct[n] if c not in order)
+            raise InputError("containment cycle through %r" % (n,))
+        return cls(tuple(nodes), order)
 
     @classmethod
     def from_text(cls, text: str) -> "SpecPoset":
@@ -90,11 +93,14 @@ class SpecPoset:
 
     # --- order queries
 
+    def _lookup(self, node):
+        try:
+            return self._order[node]
+        except KeyError:
+            raise InputError("unknown prime %r" % (node,)) from None
+
     def below(self, node) -> frozenset:
-        for n, b in self._below:
-            if n == node:
-                return b
-        raise InputError("unknown prime %r" % (node,))
+        return self._lookup(node)[0]
 
     def check_members(self, S):
         known = set(self.nodes)
@@ -106,16 +112,10 @@ class SpecPoset:
 
     def height(self, node) -> int:
         """Longest chain strictly below, counted in steps."""
-        b = self.below(node)
-        if not b:
-            return 0
-        return 1 + max(self.height(c) for c in b)
+        return self._lookup(node)[1]
 
     def heights(self) -> dict:
-        return {n: self.height(n) for n in self.nodes}
-
-    def dimension(self) -> int:
-        return max((self.height(n) for n in self.nodes), default=0)
+        return {n: self._order[n][1] for n in self.nodes}
 
 
 @dataclass(frozen=True)
@@ -143,29 +143,9 @@ class SpecClosedSet:
         return sorted(self.members)
 
 
-def specialisation_closure(P: SpecPoset, S) -> SpecClosedSet:
-    """Smallest upward closed set containing S."""
-    S = P.check_members(S)
-    closed = {n for n in P.nodes if n in S or (P.below(n) & S)}
-    return SpecClosedSet(P, frozenset(closed))
-
-
 def is_closed(P: SpecPoset, S) -> bool:
     S = P.check_members(S)
     return all(n in S or not (P.below(n) & S) for n in P.nodes)
-
-
-def _as_closed(P: SpecPoset, V) -> SpecClosedSet:
-    if isinstance(V, SpecClosedSet):
-        if V.poset is not P and V.poset != P:
-            raise InputError("closed set belongs to a different poset")
-        return V
-    return SpecClosedSet(P, frozenset(V))
-
-
-def minimal_primes(V: SpecClosedSet) -> frozenset:
-    P = V.poset
-    return frozenset(n for n in V.members if not (P.below(n) & V.members))
 
 
 def check_height_condition(P: SpecPoset, V) -> bool:
@@ -173,8 +153,8 @@ def check_height_condition(P: SpecPoset, V) -> bool:
 
     Necessary for a flat epimorphism with support V; never sufficient.
     """
-    V = _as_closed(P, V)
-    return all(P.height(n) <= 1 for n in minimal_primes(V))
+    members = SpecClosedSet(P, frozenset(V)).members
+    return all(P.height(n) <= 1 for n in members if not (P.below(n) & members))
 
 
 def enumerate_closed(P: SpecPoset):
@@ -189,20 +169,6 @@ def enumerate_closed(P: SpecPoset):
             if is_closed(P, combo):
                 out.append(SpecClosedSet(P, frozenset(combo)))
     return out
-
-
-def count_antichains(P: SpecPoset) -> int:
-    """Independent count for enumerate_closed: closed sets match antichains
-    of their minimal elements one to one."""
-    if len(P.nodes) > ENUM_BOUND:
-        raise InputError("poset too large")
-    count = 0
-    for k in range(len(P.nodes) + 1):
-        for combo in combinations(P.nodes, k):
-            if all(a not in P.below(b) and b not in P.below(a)
-                   for a, b in combinations(combo, 2)):
-                count += 1
-    return count
 
 
 def truncated_spec_z(primes=(2, 3, 5)) -> SpecPoset:

@@ -1,8 +1,8 @@
 """Independent reference computations for the test suite.
 
 Deliberately different algorithms from the package: cofactor expansion
-instead of Bareiss, Hermite form instead of Smith form, rational row
-reduction for membership.  Agreement between the two sides is the test.
+instead of Bareiss, Hermite form instead of Smith form, antichains
+instead of closed sets.  Agreement between the two sides is the test.
 """
 
 from fractions import Fraction
@@ -90,28 +90,6 @@ def lattice_member(rows, v) -> bool:
     both, _ = _cleared(list(rows) + [v])
     base = both[:-1]
     return hnf(base) == hnf(both)
-
-
-def rank_q(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c] / mat[rank][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def in_rowspace_q(rows, v) -> bool:
-    rows = [list(r) for r in rows]
-    return rank_q(rows + [list(v)]) == rank_q(rows)
 
 
 # quadratic ideals as lattices over the standard basis (1, w) ----------------
@@ -213,3 +191,17 @@ def first_shell_witness(dim, m, box):
     """Brute-force bounded search: the first degree of the shell scan with
     dim(a) > 0, or None."""
     return next((a for a in shell_degrees(m, box) if dim(a) > 0), None)
+
+
+# finite posets ----------------------------------------------------------------
+
+def count_antichains(P) -> int:
+    """Independent count for enumerate_closed: closed sets match antichains
+    of their minimal elements one to one."""
+    count = 0
+    for k in range(len(P.nodes) + 1):
+        for combo in combinations(P.nodes, k):
+            if all(a not in P.below(b) and b not in P.below(a)
+                   for a, b in combinations(combo, 2)):
+                count += 1
+    return count

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uniloc
+from uniloc import lcohom
 from uniloc.cli import FAMILIES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -446,6 +450,20 @@ class TestCech:
             code, _, _ = run(capsys, *argv)
             assert code == 2, argv
 
+    def test_one_sign_pattern_scan(self, capsys, monkeypatch):
+        calls = []
+        cech_dim = lcohom.cech_dim
+
+        def counted(*args):
+            calls.append(args)
+            return cech_dim(*args)
+
+        monkeypatch.setattr(lcohom, "cech_dim", counted)
+        code, doc, _ = run_json(capsys, "cech", "--vars", "X,Y,U,V,W",
+                                "--ideal", "X,Y", "--i", "1")
+        assert code == 0 and doc["witness"] is None
+        assert len(calls) == 3 ** 5
+
 
 class TestSnf:
     def test_small_matrix(self, capsys, tmp_path):
@@ -514,6 +532,52 @@ class TestSpecEnumerate:
         for path in (cycle, bad, tmp_path / "missing.txt"):
             code, _, _ = run(capsys, "spec", "enumerate", "--poset", str(path))
             assert code == 2, path
+
+    def test_long_top_down_chain(self, capsys, tmp_path):
+        poset = tmp_path / "chain.txt"
+        poset.write_text("".join("n%d < n%d\n" % (i - 1, i) for i in range(1199, 0, -1)))
+        code, out, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
+        assert (code, out) == (2, "")
+        assert err == "input error: poset has 1200 nodes, enumeration is capped at 16\n"
+
+
+LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"])
+POSET_LINES = st.one_of(
+    st.tuples(LABELS, LABELS).map(lambda e: "%s < %s" % e),  # self-loops and cycles too
+    LABELS,
+    st.sampled_from(["", "# note", "a < b < c", "a <", "< b", "two words", "<"]),
+)
+NAMES = st.sampled_from(["X", "Y", "U", "V", "Z", ""])
+
+
+def main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzz:
+    """Any input ends in a stated exit code, never in an exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(POSET_LINES, max_size=16))
+    def test_spec_enumerate(self, tmp_path_factory, lines):
+        poset = tmp_path_factory.mktemp("fuzz") / "poset.txt"
+        poset.write_text("\n".join(lines) + "\n")
+        assert main_quietly(["spec", "enumerate", "--poset", str(poset)]) in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(variables=st.lists(NAMES, max_size=4),
+           rel=st.lists(st.lists(NAMES, max_size=3), max_size=3),
+           ideal=st.lists(NAMES, max_size=4),
+           i=st.integers(-2, 5), box=st.integers(-1, 3),
+           star=st.booleans(), fmt=st.sampled_from(["text", "json"]))
+    def test_cech(self, variables, rel, ideal, i, box, star, fmt):
+        argv = ["cech", "--vars=" + ",".join(variables),
+                "--rel=" + ",".join(("*" if star else "").join(r) for r in rel),
+                "--ideal=" + ",".join(ideal), "--i=%d" % i, "--box=%d" % box,
+                "--format=" + fmt]
+        assert main_quietly(argv) in (0, 2, 3, 4)
 
 
 class TestHarness:

@@ -1,8 +1,7 @@
 import pytest
 
-from uniloc.abgroup import GroupStructure, INFINITE
-from uniloc.divisors import (Divisor, DivisorClassModel, add, class_order,
-                             is_effective, negate, quotient_by_divisor, scale)
+from uniloc.abgroup import GroupStructure
+from uniloc.divisors import Divisor, DivisorClassModel, quotient_by_divisor
 from uniloc.errors import InputError
 
 
@@ -12,7 +11,6 @@ def test_divisor_normalization():
     assert d.coefficient("p") == 1
     assert d.coefficient("missing") == 0
     assert d.support == ("p", "q")
-    assert d.to_json() == {"p": 1, "q": 2}
 
 
 def test_divisor_raw_constructor_validation():
@@ -22,19 +20,6 @@ def test_divisor_raw_constructor_validation():
         Divisor((("p", 1), ("p", 2)))
     with pytest.raises(InputError):
         Divisor((("p", 0),))
-
-
-def test_divisor_arithmetic():
-    a = Divisor.of({"p": 1, "q": -2})
-    b = Divisor.of({"q": 2, "r": 3})
-    assert add(a, b) == Divisor.of({"p": 1, "r": 3})
-    assert add(a, negate(a)) == Divisor.zero()
-    assert scale(3, a) == Divisor.of({"p": 3, "q": -6})
-    assert scale(0, a) == Divisor.zero()
-    assert is_effective(b)
-    assert not is_effective(a)
-    assert repr(Divisor.of({"p": 1, "q": -2})) == "p -2*q"
-    assert repr(Divisor.zero()) == "0"
 
 
 def test_model_validation():
@@ -47,38 +32,29 @@ def test_model_validation():
 def test_free_model_structure():
     m = DivisorClassModel.on(("p", "q"))
     assert m.structure() == GroupStructure(2, ())
-    assert class_order(m, Divisor.of({"p": 1})) is INFINITE
-    assert class_order(m, Divisor.zero()) == 1
 
 
 def test_unknown_label_rejected():
     m = DivisorClassModel.on(("p",))
     with pytest.raises(InputError):
-        class_order(m, Divisor.of({"q": 1}))
+        quotient_by_divisor(m, Divisor.of({"q": 1}))
 
 
 def test_cone_style_model():
     # Z + Z/6 presented on a hyperplane class h and a point class p
     m = DivisorClassModel.on(("h", "p"), (Divisor.of({"p": 6}),))
     assert m.structure() == GroupStructure(1, (6,))
-    assert class_order(m, Divisor.of({"p": 1})) == 6
-    assert class_order(m, Divisor.of({"p": 4})) == 3
-    assert class_order(m, Divisor.of({"h": 1})) is INFINITE
 
 
 def test_quotient_by_divisor():
     m = DivisorClassModel.on(("h", "p"), (Divisor.of({"p": 6}),))
     q = quotient_by_divisor(m, Divisor.of({"h": 3}))
     assert q.structure() == GroupStructure(0, (3, 6))
-    assert class_order(q, Divisor.of({"h": 1})) == 3
-    assert class_order(q, Divisor.of({"p": 1})) == 6
-    # the class of the adjoined divisor dies in the quotient
-    assert class_order(q, Divisor.of({"h": 3})) == 1
 
 
 def test_quotient_by_zero_is_identity():
     m = DivisorClassModel.on(("h",))
-    assert quotient_by_divisor(m, Divisor.zero()) is m
+    assert quotient_by_divisor(m, Divisor.of({})) is m
 
 
 def test_quotient_validates_support():

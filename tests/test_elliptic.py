@@ -6,10 +6,9 @@ import pytest
 from uniloc.abgroup import INFINITE
 from uniloc.elliptic import (ClAClass, ECPoint, Line, ModelNotIntegral, O,
                              WeierstrassCurve, add, check_line_program,
-                             cl_add, cl_class, classify_point, div_t_class,
-                             divisor_class, formal_line_divisor, line_through,
-                             miller_function, mul, negate, torsion_order,
-                             vertical_at)
+                             cl_class, classify_point, formal_line_divisor,
+                             line_through, miller_function, mul, negate,
+                             torsion_order, vertical_at)
 from uniloc.errors import InputError, PreconditionError
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
@@ -150,21 +149,6 @@ class TestClassGroupImage:
         with pytest.raises(InputError):
             ClAClass(pt(2, 3), 3)
 
-    def test_cl_add(self):
-        c1 = cl_class(E_PLUS_1, pt(2, 3))
-        c2 = cl_class(E_PLUS_1, pt(0, 1))
-        s = cl_add(E_PLUS_1, c1, c2)
-        assert s.point == pt(-1, 0) and s.degree_mod3 == 2
-
-    def test_divisor_class_and_hyperplane(self):
-        assert div_t_class(E_PLUS_1) == ClAClass(O, 0)
-        P, Q = pt(2, 3), pt(0, 1)
-        third = negate(E_PLUS_1, add(E_PLUS_1, P, Q))
-        total = divisor_class(E_PLUS_1, [(P, 1), (Q, 1), (third, 1)])
-        assert total == ClAClass(O, 0)
-        assert divisor_class(E_PLUS_1, [(P, 2), (P, -2)]) == ClAClass(O, 0)
-        assert divisor_class(E_PLUS_1, [(P, 1)]) == cl_class(E_PLUS_1, P)
-
 
 class TestLines:
     def test_vertical(self):
@@ -248,8 +232,10 @@ class TestFormalDivisors:
             for L in (vertical_at(E, P), line_through(E, P, Q)):
                 div = formal_line_divisor(E, L)
                 assert sum(div.values()) == 0
-                affine = [(pt_, n) for pt_, n in div.items()]
-                assert divisor_class(E, affine) == ClAClass(O, 0)
+                total = O
+                for pt_, n in div.items():
+                    total = add(E, total, mul(E, n, pt_))
+                assert total == O
 
 
 class TestLinePrograms:

@@ -4,12 +4,12 @@ from itertools import combinations, product
 import pytest
 
 from oracles import first_shell_witness
-from uniloc.errors import InputError, PreconditionError
+from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
                            VariableIdeal, _differential, cech_dim,
-                           certify_nonvanishing, dims_in_box,
-                           is_variable_prime, kill_variable,
-                           nonvanish_via_quotient, prime_height)
+                           cech_table, certify_nonvanishing,
+                           classify_dim3hyper, is_variable_prime,
+                           kill_variable, prime_height)
 
 TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 THREE_VARS = MonomialAlgebra.make(("X", "U", "V"), [{"X", "U"}])
@@ -68,10 +68,8 @@ class TestAlgebra:
         assert not TWOPLANES.is_face(("X", "U"))
         assert not TWOPLANES.is_face(("X", "Y", "U"))
         assert TWOPLANES.facets() == [("X", "Y"), ("Y", "U")]
-        assert TWOPLANES.dimension() == 2
         assert PLANE.facets() == [("X", "Y")]
         assert DIM3.facets() == [("X", "Y", "V"), ("Y", "U", "V")]
-        assert DIM3.dimension() == 3
 
     def test_facet_enumeration_bound(self):
         big = MonomialAlgebra.make(tuple("v%d" % i for i in range(ENUM_VARIABLE_BOUND + 1)))
@@ -255,7 +253,9 @@ class TestCertify:
                         (A, I, i, box)
                 found += out.found
                 empty += not out.found
-                assert dict(dims_in_box(A, I, i, 2)) == {a: d for a, d in dims.items() if d}
+                table_out, table = cech_table(A, I, i, 2)
+                assert table_out == certify_nonvanishing(A, I, i, 2)
+                assert dict(table) == {a: d for a, d in dims.items() if d}
         assert found and empty
 
     def test_witness_is_smallest_shell(self):
@@ -268,23 +268,12 @@ class TestQuotientRoute:
     def test_dim3_cases(self):
         for gens, kill, witness in ((("X", "Y"), "V", (-1, -1, 0)),
                                     (("X", "V"), "Y", (-1, 0, -1))):
-            I = VariableIdeal.of(DIM3, gens)
-            cert = nonvanish_via_quotient(DIM3, kill, I, 2, box=3)
-            assert cert.found
-            assert cert.killed == kill
-            assert cert.outcome.witness == witness
+            cert = classify_dim3hyper(gens, box=3).witness
+            assert cert.algebra == kill_variable(DIM3, kill).describe()
+            assert cert.multidegree == witness
             assert cert.ideal == gens
-            steps = cert.steps()
-            assert steps[0].startswith("pass to the quotient")
+            steps = cert.steps
+            assert steps[0] == "pass to the quotient %s by killing %s" % (
+                cert.algebra, kill)
             assert "right exact" in steps[1]
             assert "witness found" in steps[2]
-
-    def test_top_degree_only(self):
-        I = VariableIdeal.of(DIM3, ("X", "Y"))
-        with pytest.raises(PreconditionError):
-            nonvanish_via_quotient(DIM3, "V", I, 1, box=2)
-
-    def test_cannot_kill_a_generator(self):
-        I = VariableIdeal.of(DIM3, ("X", "Y"))
-        with pytest.raises(InputError):
-            nonvanish_via_quotient(DIM3, "X", I, 2, box=2)

@@ -56,10 +56,6 @@ class TestOrderValidation:
         assert QuadOrder(-7).discriminant == -7
         assert QuadOrder(-15).discriminant == -15
 
-    def test_omega_symbol(self):
-        assert QuadOrder(-5).omega_symbol() == "sqrt(-5)"
-        assert QuadOrder(-7).omega_symbol() == "(1+sqrt(-7))/2"
-
 
 def test_element_norms():
     o5 = QuadOrder(-5)
