@@ -239,8 +239,11 @@ def cokernel_structure(M: IntMatrix) -> GroupStructure:
     >>> cokernel_structure(IntMatrix.from_rows([[3, 0], [0, 0]]))
     Z + Z/3
     """
-    D, _, _ = smith_normal_form(M)
+    return diagonal_structure(smith_normal_form(M)[0])
+
+
+def diagonal_structure(D: IntMatrix) -> GroupStructure:
+    """Structure of Z^cols / rowspan(D), D a Smith normal form."""
     diag = D.diagonal()
     rank = sum(1 for d in diag if d != 0)
-    factors = tuple(d for d in diag if d > 1)
-    return GroupStructure(M.cols - rank, factors)
+    return GroupStructure(D.cols - rank, tuple(d for d in diag if d > 1))

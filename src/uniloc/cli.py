@@ -409,7 +409,7 @@ def _cmd_snf(args) -> int:
     D, U, W = abgroup.smith_normal_form(M)
     if (U @ M) @ W != D:
         raise AssertionError("transform identity U*M*W = D failed")
-    structure = abgroup.cokernel_structure(M)
+    structure = abgroup.diagonal_structure(D)
     doc = {
         "schema": 1,
         "D": D.to_rows(),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uniloc
-from uniloc import lcohom
+from uniloc import abgroup, lcohom
 from uniloc.cli import FAMILIES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -108,6 +108,24 @@ class TestClassifyQuad:
         code, out, _ = run(capsys, "classify", "--ring", "quad:-1",
                            "--prime", "p5")
         assert code == 0 and "classical localisation: yes" in out
+
+    def test_eighteen_digit_d(self, capsys):
+        # D = 5 mod 8, so 2 is inert: only the squarefree test grows with |d|
+        code, doc, _ = run_json(capsys, "classify", "--ring",
+                                "quad:-1000000000000000003", "--prime", "p2")
+        assert code == 0
+        assert doc["ring"] == "quad:-1000000000000000003"
+        assert doc["witness"]["elements"] == ["2"]
+
+    def test_class_group_too_large_to_list(self, capsys):
+        # p2 is ramified and not principal, so class_order asks for the
+        # class number, and D = -(10^12 + 4) is past what reduced_forms lists
+        for argv in (("classify", "--ring", "quad:-250000000001", "--prime", "p2"),
+                     ("classgroup", "--disc", "-1000000000004")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == ("input error: cannot list the reduced forms of "
+                           "discriminant -1000000000004: |D| is above 1000000000000\n")
 
     def test_input_errors(self, capsys):
         cases = [
@@ -480,6 +498,25 @@ class TestSnf:
         code, doc, _ = run_json(capsys, "snf", "--matrix", str(mat))
         assert code == 0
         assert doc["cokernel"] == {"free_rank": 1, "invariant_factors": []}
+
+    def test_one_smith_normal_form_call(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        snf = abgroup.smith_normal_form
+        monkeypatch.setattr(abgroup, "smith_normal_form",
+                            lambda M: calls.append(M) or snf(M))
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 3\n2 4 4\n-6 6 12\n")
+        code, doc, _ = run_json(capsys, "snf", "--matrix", str(mat))
+        assert code == 0
+        assert len(calls) == 1
+        assert doc == {
+            "schema": 1,
+            "D": [[2, 0, 0], [0, 6, 0]],
+            "U": [[1, 0], [3, 1]],
+            "W": [[1, 0, -2], [0, -1, 4], [0, 1, -3]],
+            "diagonal": [2, 6],
+            "cokernel": {"free_rank": 1, "invariant_factors": [2, 6]},
+        }
 
     def test_text_output(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"

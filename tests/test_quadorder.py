@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from oracles import (first_hit_generator, lattice_member,
                      least_positive_root, quad_ideal_rows, quad_principal_rows,
-                     quad_product_rows, same_rational_lattice)
+                     quad_product_rows, reduced_forms_brute, same_rational_lattice,
+                     squarefree_brute)
 from uniloc import quadorder
 from uniloc.errors import InputError
 from uniloc.quadorder import (Inert, QuadElement, QuadIdeal, QuadOrder,
@@ -38,6 +40,23 @@ def small_primes(bound):
     return out
 
 
+def random_prime(rng, lo, hi):
+    while True:
+        n = rng.randrange(lo, hi)
+        if all(n % i for i in range(2, isqrt(n) + 1)):
+            return n
+
+
+def prime_divisors(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
 class TestOrderValidation:
     def test_positive_d_rejected(self):
         with pytest.raises(InputError):
@@ -49,6 +68,21 @@ class TestOrderValidation:
         for d in (-4, -8, -9, -12, -45):
             with pytest.raises(InputError):
                 QuadOrder(d)
+
+    def test_squarefree_matches_trial_division(self):
+        for n in range(1, 100000):
+            assert quadorder._is_squarefree(n) == squarefree_brute(n), n
+        # the cofactor left after division up to the cube root is 1, p,
+        # pq or p^2: seeded p^2*m must fail and p*m (m squarefree) pass
+        rng = random.Random(6)
+        for _ in range(60):
+            p, q = random_prime(rng, 2, 10 ** 5), random_prime(rng, 2, 10 ** 5)
+            m = rng.randrange(1, 1000)
+            assert not quadorder._is_squarefree(-p * p * m), (p, m)
+            assert not quadorder._is_squarefree(p * p * q * q), (p, q)
+            if squarefree_brute(m) and m % p:
+                assert quadorder._is_squarefree(-p * m), (p, m)
+                assert quadorder._is_squarefree(p * q * m) == (p != q and m % q != 0)
 
     def test_discriminant(self):
         assert QuadOrder(-5).discriminant == -20
@@ -190,6 +224,41 @@ def test_reduced_forms_of_minus_twenty():
     assert reduced_forms(QuadOrder(-5)) == [(1, 0, 5), (2, 2, 3)]
 
 
+def test_reduced_forms_match_brute_force():
+    for d in range(-1, -3001, -1):
+        if squarefree_brute(-d):
+            order = QuadOrder(d)
+            assert reduced_forms(order) == reduced_forms_brute(order.discriminant), d
+    rng = random.Random(6)
+    tested = 0
+    while tested < 8:
+        d = -rng.randrange(25000, 10 ** 6)
+        if not squarefree_brute(-d) or abs(QuadOrder(d).discriminant) > 10 ** 6:
+            continue
+        order = QuadOrder(d)
+        assert reduced_forms(order) == reduced_forms_brute(order.discriminant), d
+        tested += 1
+
+
+def test_reduced_forms_genus_count_near_1e8():
+    # brute force is too slow here.  Each class of order <= 2 holds exactly
+    # one ambiguous reduced form (b = 0, b = a or a = c), and there are
+    # 2^(t-1) of them, t the number of primes dividing D (Gauss's genus
+    # theory; Cohen, GTM 138, sec. 5.3)
+    for d in (-100000007, -111546435, -74364290, -48612265):
+        D = QuadOrder(d).discriminant
+        forms = reduced_forms(QuadOrder(d))
+        assert len(set(forms)) == len(forms) and forms == sorted(forms)
+        for a, b, c in forms:
+            assert b * b - 4 * a * c == D
+            assert abs(b) <= a <= c and gcd(gcd(a, b), c) == 1
+            assert b >= 0 or (-b != a and a != c), (a, b, c)
+        genus = 2 ** (len(prime_divisors(-D)) - 1)
+        ambiguous = [f for f in forms if f[1] in (0, f[0]) or f[0] == f[2]]
+        assert len(ambiguous) == genus, d
+        assert len(forms) % genus == 0
+
+
 def test_reduced_forms_close_under_composition():
     for d in (-1, -2, -5, -6, -13, -23, -47):
         order = QuadOrder(d)
@@ -218,7 +287,8 @@ def test_class_order_divides_class_number():
 
 
 def test_principal_primes_skip_the_class_number(monkeypatch):
-    # class_number is O(|D|); a prime of class order 1 must not pay for it
+    # class_number lists every reduced form; a prime of class order 1 must
+    # not pay for it
     def refuse(order):
         raise AssertionError("class_number called for %r" % (order,))
     monkeypatch.setattr(quadorder, "class_number", refuse)
