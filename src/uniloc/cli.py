@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import abgroup, elliptic, lcohom, quadorder, segre, spectool
 from .errors import (InconclusiveError, InputError, NotRepresentableError)
-from .verdict import Verdict
+from .verdict import Verdict, check_printable
 
 
 # input parsing ---------------------------------------------------------------
@@ -409,6 +409,7 @@ def _cmd_snf(args) -> int:
     D, U, W = abgroup.smith_normal_form(M)
     if (U @ M) @ W != D:
         raise AssertionError("transform identity U*M*W = D failed")
+    check_printable((x for T in (D, U, W) for x in T.entries), "the Smith normal form")
     structure = abgroup.diagonal_structure(D)
     doc = {
         "schema": 1,

@@ -6,17 +6,22 @@ fields are supported: the unit group is finite and Gauss reduction of
 the form (a, b, c) decides principality.  Each reduction step divides the
 ideal by an explicit element, so a principal ideal's generator is the
 product of those elements (Cohen, A Course in Computational Algebraic
-Number Theory, GTM 138, sec. 5.2-5.4).
+Number Theory, GTM 138, sec. 5.2-5.4).  `class_walk` composes a prime
+with itself in reduced form and carries those elements along, so one
+walk around the class cycle gives the class order n and a generator of
+p^n without building p^n; it stops once n is too large for that
+generator to be printed (PRINT_DIGITS).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 from .errors import InputError
-from .verdict import DIMENSION_LE_ONE, Denominators, Verdict, render_rational
+from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict,
+                      render_rational)
 
 # a generator of p^n for the class order n is the denominator for p
 DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
@@ -231,7 +236,8 @@ def ideal_pow(I: QuadIdeal, n: int) -> QuadIdeal:
 def _reduce_form(a: int, b: int, D: int, steps=None):
     """Gauss reduction of the form (a, b, (b^2 - D)/4a); returns the reduced
     (a, b).  Each swap (a, b, c) -> (c, -b, a) is I = J*(tau/c) with
-    tau = (b + sqrt(D))/2, and appends (b, c) to steps when given."""
+    tau = (b + sqrt(D))/2, and appends (b, c) to steps when given.  The
+    final flip (a, b, a) -> (a, -b, a) is such a swap too."""
     while True:
         b = _centred(b, a)
         c = (b * b - D) // (4 * a)
@@ -241,6 +247,8 @@ def _reduce_form(a: int, b: int, D: int, steps=None):
             steps.append((b, c))
         a, b = c, -b
     if a == c and b < 0:
+        if steps is not None:
+            steps.append((b, c))
         b = -b
     return a, b
 
@@ -263,30 +271,49 @@ def _unit_multiples(g: QuadElement):
     return out
 
 
+def _times_taus(p: int, den: int, steps, D: int):
+    """(p', q', den'): p/2 times the steps' taus is (p' + q'*sqrt(D))/2, and
+    den' is den times their cs."""
+    q = 0
+    for b, c in steps:
+        p, q, den = (p * b + q * D) // 2, (p + q * b) // 2, den * c
+    return p, q, den
+
+
+def _generator(I: QuadIdeal, n: int, x, y) -> QuadElement:
+    """x + y*w as a generator of I^n, where I is prime if n > 1.
+
+    Of its unit multiples the one with the least (|y|, |x|), then x >= 0,
+    then y >= 0, is returned, so the choice does not depend on how it was
+    found.  The check is exact: g lies in I, has norm N(I)^n, and is not in
+    the conjugate of I unless that is I.  For n = 1 that makes (g) = I.
+    For a prime I, the integral ideals of norm N(I)^n are I^i conj(I)^(n-i),
+    and g outside conj(I) leaves only I^n.
+    """
+    g = QuadElement(I.order, x, y)
+    g = min(_unit_multiples(g), key=lambda e: (abs(e.y), abs(e.x), 2 * (e.x < 0) + (e.y < 0)))
+    conj = make_ideal(I.order, I.a, -I.b, I.scale)
+    if not contains(I, g) or g.norm() != ideal_norm(I) ** n \
+            or (conj != I and contains(conj, g)):
+        raise AssertionError("%r is not a generator of %r^%d" % (g, I, n))
+    return g
+
+
 def is_principal(I: QuadIdeal):
     """Generator of I if principal, else None.
 
     Form reduction decides the class; when the reduced form is the unit
     form, the generator of the primitive part is the product of the
-    reduction steps' tau/c.  Of its unit multiples the one with the least
-    (|y|, |x|), then x >= 0, then y >= 0, is returned, so the choice does
-    not depend on the reduction path.
+    reduction steps' tau/c (see _generator for the unit multiple returned).
     """
     D, parity = I.order.discriminant, I.order._parity
     steps = []
     if _reduce_form(I.a, I.b, D, steps) != (1, parity):
         return None
-    # the product of the taus is (p + q*sqrt(D))/2, over the product of the cs
-    p, q, den = 2, 0, 1
-    for b, c in steps:
-        p, q, den = (p * b + q * D) // 2, (p + q * b) // 2, den * c
+    p, q, den = _times_taus(2, 1, steps, D)
     # in the 1, w basis: x = (p - parity*q)/2, y = q
-    g = QuadElement(I.order, Fraction((p - parity * q) // 2, den) * I.scale,
-                    Fraction(q, den) * I.scale)
-    g = min(_unit_multiples(g), key=lambda e: (abs(e.y), abs(e.x), 2 * (e.x < 0) + (e.y < 0)))
-    if not contains(I, g) or g.norm() != ideal_norm(I):
-        raise AssertionError("reduction produced %r, not a generator of %r" % (g, I))
-    return g
+    return _generator(I, 1, Fraction((p - parity * q) // 2, den) * I.scale,
+                      Fraction(q, den) * I.scale)
 
 
 # prime decomposition ------------------------------------------------------
@@ -408,17 +435,59 @@ def class_order(I: QuadIdeal) -> int:
     """Least n >= 1 with I^n principal."""
     base = reduce(I)
     unit = unit_ideal(I.order)
-    if base == unit:
-        return 1
     acc = base
     n = 1
-    bound = class_number(I.order)
     while acc != unit:
         acc = reduce(ideal_mul(acc, base))
         n += 1
-        if n > bound:
-            raise AssertionError("class order exceeded the class number")
     return n
+
+
+def class_walk(P: QuadIdeal):
+    """(n, g): the class order n of the prime ideal P and the generator g
+    of P^n that is_principal(ideal_pow(P, n)) returns.
+
+    R_0 is the unit ideal and R_k the reduced ideal of R_{k-1}*P.  With
+    P^k = G_k*R_k, the element alpha_k = N(R_k)*G_k generates
+    P^k*conj(R_k), so it is integral, of about k*log2(N(P))/2 bits.  Each
+    step multiplies alpha by the product's content, by N(R_k) and by the
+    reduction's taus, and divides exactly by N(R_{k-1}) times the
+    reduction's cs.  When R_n is the unit ideal, alpha_n generates P^n:
+    the compact representation of a principal ideal along the
+    composition cycle (Buchmann and Vollmer, Binary Quadratic Forms, 2007;
+    Cohen, GTM 138, sec. 5.4).  No power of P is built.
+
+    A generator g of P^n is printed as u + v*sqrt(d) or (u + v*sqrt(d))/2
+    with max(u^2, |d|*v^2) >= N(g)/2 = N(P)^n/2.  So once the walk shows
+    N(P)^n >= 2|d|*10^(2*PRINT_DIGITS), u or v has more than PRINT_DIGITS
+    digits and the walk stops with an InputError.
+
+    >>> class_walk(decompose_prime(QuadOrder(-5), 3).p)
+    (2, 2-sqrt(-5))
+    """
+    order = P.order
+    D, parity = order.discriminant, order._parity
+    # least k with N(P)^k past the bound, plus one for rounding
+    kmax = int((log(-2 * order.d) + 2 * PRINT_DIGITS * log(10)) / log(ideal_norm(P))) + 2
+    R = unit_ideal(order)
+    p, q = 2, 0  # alpha = (p + q*sqrt(D))/2
+    n = 0
+    while True:
+        n += 1
+        K = ideal_mul(R, P)
+        steps = []
+        a, b = _reduce_form(K.a, K.b, D, steps)
+        # content*N(R_k)*prod(tau) = (tp + tq*sqrt(D))/2, over N(R_{k-1})*prod(c)
+        tp, tq, den = _times_taus(2 * K.scale.numerator * a, R.a, steps, D)
+        p, q = (p * tp + q * tq * D) // (2 * den), (p * tq + q * tp) // (2 * den)
+        if (a, b) == (1, parity):
+            break
+        if n + 1 >= kmax:
+            raise InputError("the class order of %r is above %d, so a generator of "
+                             "its power has more than %d digits, too long to print"
+                             % (P, n, PRINT_DIGITS))
+        R = QuadIdeal(order, a, b)
+    return n, _generator(P, n, Fraction((p - parity * q) // 2), Fraction(q))
 
 
 def is_prime_ideal(I: QuadIdeal) -> bool:
@@ -434,7 +503,9 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
 
     Krull dimension one makes every specialisation closed set the support
     of a flat epimorphism which is also universal; finiteness of the
-    class group always produces classical denominators.
+    class group always produces classical denominators.  The denominator
+    for P is a generator of P^n, n the class order, from class_walk: a
+    class order whose generator cannot be printed is an InputError.
     """
     primes = list(primes)
     for P in primes:
@@ -449,13 +520,10 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
     details = []
     for idx, P in enumerate(primes):
         label = labels[idx] if labels else repr(P)
-        n = class_order(P)
-        gen = is_principal(ideal_pow(P, n))
-        if gen is None:
-            raise AssertionError("p^order must be principal")
-        elements.append(render_element(gen))
-        details.append((("prime", label), ("class_order", n),
-                        ("generator", render_element(gen))))
+        n, gen = class_walk(P)
+        text = render_element(gen)
+        elements.append(text)
+        details.append((("prime", label), ("class_order", n), ("generator", text)))
 
     desc = ", ".join(labels) if labels else ", ".join(repr(P) for P in primes)
     notes = []

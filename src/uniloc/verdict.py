@@ -32,12 +32,27 @@ UNKNOWN = "unknown"
 _STATES = (YES, NO, UNKNOWN)
 
 
+# CPython turns no integer of more than 4300 digits into text
+# (sys.get_int_max_str_digits); a longer one in an answer is an input error
+PRINT_DIGITS = 4300
+_PRINT_LIMIT = 10 ** PRINT_DIGITS
+
+
+def check_printable(numbers, what: str) -> None:
+    if any(abs(n) >= _PRINT_LIMIT for n in numbers):
+        raise InputError("%s has an integer of more than %d digits, too long to print"
+                         % (what, PRINT_DIGITS))
+
+
 def render_rational(q) -> str:
     """Serialize an exact number: integers bare, fractions as "num/den"."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    num, den = q.numerator, q.denominator
+    if not abs(num) < _PRINT_LIMIT > den:
+        check_printable((num, den), "the answer")
+    if den == 1:
+        return str(num)
+    return "%d/%d" % (num, den)
 
 
 def render_order(n) -> object:

@@ -118,14 +118,32 @@ class TestClassifyQuad:
         assert doc["witness"]["elements"] == ["2"]
 
     def test_class_group_too_large_to_list(self, capsys):
-        # p2 is ramified and not principal, so class_order asks for the
-        # class number, and D = -(10^12 + 4) is past what reduced_forms lists
-        for argv in (("classify", "--ring", "quad:-250000000001", "--prime", "p2"),
-                     ("classgroup", "--disc", "-1000000000004")):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (2, ""), argv
-            assert err == ("input error: cannot list the reduced forms of "
-                           "discriminant -1000000000004: |D| is above 1000000000000\n")
+        # D = -(10^12 + 4) is past what reduced_forms lists
+        code, out, err = run(capsys, "classgroup", "--disc", "-1000000000004")
+        assert (code, out) == (2, "")
+        assert err == ("input error: cannot list the reduced forms of "
+                       "discriminant -1000000000004: |D| is above 1000000000000\n")
+
+    def test_classify_past_the_forms_bound(self, capsys):
+        # p2 is ramified and not principal: the class walk needs no class
+        # number, so the class group's size does not bound classify
+        code, doc, _ = run_json(capsys, "classify", "--ring", "quad:-250000000001",
+                                "--prime", "p2")
+        assert code == 0
+        assert doc["witness"]["details"] == [
+            {"prime": "p2", "class_order": 2, "generator": "2"}]
+
+    def test_unprintable_generator(self, capsys):
+        # class orders above 10^4: a generator of p^n would have more than
+        # 4300 digits, and the walk stops as soon as that is certain
+        for ring, prime, ideal, bound in (
+                ("quad:-250000000003", "p7", "(7, (3+sqrt(-250000000003))/2)", 10191),
+                ("quad:-999999999989", "p3", "(3, 1+sqrt(-999999999989))", 18051)):
+            code, out, err = run(capsys, "classify", "--ring", ring, "--prime", prime)
+            assert (code, out) == (2, ""), ring
+            assert err == ("input error: the class order of %s is above %d, so a "
+                           "generator of its power has more than 4300 digits, too "
+                           "long to print\n" % (ideal, bound))
 
     def test_input_errors(self, capsys):
         cases = [
@@ -517,6 +535,17 @@ class TestSnf:
             "diagonal": [2, 6],
             "cokernel": {"free_rank": 1, "invariant_factors": [2, 6]},
         }
+
+    def test_unprintable_entries(self, tmp_path):
+        # D = diag(1, (10^2999 + 1)(10^2999 + 3)) has a 5999-digit entry
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 2\n%d 0\n0 %d\n" % (10 ** 2999 + 1, 10 ** 2999 + 3))
+        for fmt in ("text", "json"):
+            proc = run_module("snf", "--matrix", str(mat), "--format", fmt,
+                              capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == (2, ""), fmt
+            assert proc.stderr == ("input error: the Smith normal form has an integer "
+                                   "of more than 4300 digits, too long to print\n")
 
     def test_text_output(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"

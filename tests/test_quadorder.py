@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -12,7 +13,7 @@ from uniloc import quadorder
 from uniloc.errors import InputError
 from uniloc.quadorder import (Inert, QuadElement, QuadIdeal, QuadOrder,
                               Ramified, Split, class_number, class_order,
-                              classify_dedekind, contains, decompose_prime,
+                              class_walk, classify_dedekind, contains, decompose_prime,
                               ideal_mul, ideal_norm, ideal_pow, inert_ideal,
                               is_principal, is_prime_ideal, make_ideal, reduce,
                               reduced_forms, render_element, unit_ideal)
@@ -287,8 +288,8 @@ def test_class_order_divides_class_number():
 
 
 def test_principal_primes_skip_the_class_number(monkeypatch):
-    # class_number lists every reduced form; a prime of class order 1 must
-    # not pay for it
+    # class_number lists every reduced form; classify never pays for it,
+    # whatever the class order
     def refuse(order):
         raise AssertionError("class_number called for %r" % (order,))
     monkeypatch.setattr(quadorder, "class_number", refuse)
@@ -299,6 +300,13 @@ def test_principal_primes_skip_the_class_number(monkeypatch):
     p5 = decompose_prime(QuadOrder(-1), 5).p  # (2+i)
     assert class_order(p5) == 1
     assert render_element(is_principal(p5)) == "2+sqrt(-1)"
+    order = QuadOrder(-10007)
+    p2 = decompose_prime(order, 2).p
+    assert class_order(p2) == 77
+    verdict = classify_dedekind(order, [p2], ["p2"])
+    assert verdict.witness.details[0] == (
+        ("prime", "p2"), ("class_order", 77),
+        ("generator", "(212462990979+7476169711*sqrt(-10007))/2"))
 
 
 def test_is_principal_certificates():
@@ -380,6 +388,126 @@ def test_minus_10007_p2_certificate():
     assert same_rational_lattice(quad_ideal_rows(I),
                                  quad_principal_rows(order, gen.x, gen.y))
     assert render_element(gen) == "(212462990979+7476169711*sqrt(-10007))/2"
+
+
+def prime_ideals(order, ell):
+    dec = decompose_prime(order, ell)
+    if isinstance(dec, Inert):
+        return [inert_ideal(order, ell)]
+    return [dec.p, dec.pbar] if isinstance(dec, Split) else [dec.p]
+
+
+def power_path(P):
+    """The class order and generator from the power: class_order, then
+    is_principal(ideal_pow(P, n))."""
+    n = class_order(P)
+    return n, is_principal(ideal_pow(P, n))
+
+
+def test_class_walk_matches_first_hit_oracle():
+    for d, ell, k in ORACLE_CASES:
+        for P in prime_ideals(QuadOrder(d), ell):
+            n, gen = class_walk(P)
+            assert n == k, (d, ell)
+            assert [gen.x, gen.y] == first_hit_generator(ideal_pow(P, k)), (d, ell)
+            assert (n, gen) == power_path(P), (d, ell)
+
+
+def test_class_walk_matches_the_power_path():
+    rng = random.Random(7)
+    ells = small_primes(38)
+    tested = 0
+    while tested < 150:
+        d = -rng.randrange(1, 6000)
+        if not squarefree_brute(-d):
+            continue
+        order = QuadOrder(d)
+        for P in prime_ideals(order, rng.choice(ells)):
+            assert class_walk(P) == power_path(P), (d, P)
+        tested += 1
+
+
+def test_class_walk_records_the_final_flip():
+    # (2, -1, 2) reduces to (2, 1, 2) by the flip, a swap by tau/2 with
+    # tau = (-1 + sqrt(-15))/2; unrecorded, the walk would follow p2 for p2bar
+    steps = []
+    assert quadorder._reduce_form(2, -1, -15, steps) == (2, 1)
+    assert steps == [(-1, 2)]
+    order = QuadOrder(-15)
+    dec = decompose_prime(order, 2)
+    got = [render_element(class_walk(P)[1]) for P in (dec.p, dec.pbar)]
+    assert got == ["(1+sqrt(-15))/2", "(1-sqrt(-15))/2"]
+    for P in (dec.p, dec.pbar):
+        gen = class_walk(P)[1]
+        assert [gen.x, gen.y] == first_hit_generator(ideal_pow(P, 2))
+
+
+def test_generator_check_rejects_the_conjugate_split():
+    # l lies in p and has norm N(p)^2, but (l) = p*pbar, not p^2: only the
+    # test that a generator of p^n avoids pbar tells them apart
+    for d in D_POOL:
+        order = QuadOrder(d)
+        for ell in small_primes(30):
+            dec = decompose_prime(order, ell)
+            if not isinstance(dec, Split):
+                continue
+            with pytest.raises(AssertionError):
+                quadorder._generator(dec.p, 2, Fraction(ell), Fraction(0))
+
+
+def test_minus_100000007_p2():
+    # class order 7253: the generator has norm 2^7253 and lies in p2^7253,
+    # so it generates p2^7253
+    order = QuadOrder(-100000007)
+    p2 = decompose_prime(order, 2).p
+    n, gen = class_walk(p2)
+    assert n == 7253 == class_order(p2)
+    assert gen.norm() == 2 ** 7253
+    assert lattice_member(quad_ideal_rows(ideal_pow(p2, n)), [gen.x, gen.y])
+
+
+def printed_digits(gen):
+    text = render_element(gen).replace("sqrt(%d)" % gen.order.d, "")
+    return max(len(run) for run in re.findall(r"\d+", text))
+
+
+def test_class_walk_refuses_only_unprintable_generators(monkeypatch):
+    # with a print limit of a few digits the walk's early stop is reached on
+    # small d: whenever it refuses, the generator from the power must have
+    # more digits than the limit
+    rng = random.Random(8)
+    refused = 0
+    for limit in (2, 3, 5):
+        for d in rng.sample(range(-1500, 0), 120):
+            if not squarefree_brute(-d):
+                continue
+            order = QuadOrder(d)
+            for ell in (2, 3, 5, 7):
+                for P in prime_ideals(order, ell):
+                    with monkeypatch.context() as m:
+                        m.setattr(quadorder, "PRINT_DIGITS", limit)
+                        try:
+                            class_walk(P)
+                            continue
+                        except InputError:
+                            refused += 1
+                    assert printed_digits(power_path(P)[1]) > limit, (d, P)
+    assert refused > 50
+
+
+def test_unprintable_generator_is_refused_before_rendering(monkeypatch):
+    # the walk's bound leaves a margin of 2|d|; what passes it is checked
+    # digit for digit when rendered
+    from uniloc import verdict
+    order = QuadOrder(-10007)
+    p2 = decompose_prime(order, 2).p
+    monkeypatch.setattr(verdict, "_PRINT_LIMIT", 10 ** 11)  # 11 digits
+    assert class_walk(p2)[0] == 77
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        classify_dedekind(order, [p2], ["p2"])
+    monkeypatch.setattr(verdict, "_PRINT_LIMIT", 10 ** 12)
+    assert classify_dedekind(order, [p2], ["p2"]).witness.elements == \
+        ("(212462990979+7476169711*sqrt(-10007))/2",)
 
 
 def test_sqrt_mod_matches_brute_force():

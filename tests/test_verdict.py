@@ -85,6 +85,15 @@ class TestRendering:
         assert render_rational(Fraction(-7, 2)) == "-7/2"
         assert render_rational(Fraction(4, 2)) == "2"
 
+    def test_render_rational_digit_limit(self):
+        # 4300 digits is what str(int) accepts; one more is an input error
+        big = 10 ** 4300
+        assert render_rational(big - 1) == "9" * 4300
+        assert render_rational(Fraction(1 - big, big - 2)) == "-%s/%s8" % ("9" * 4300, "9" * 4299)
+        for q in (big, -big, Fraction(1, big), Fraction(big + 1, 2)):
+            with pytest.raises(InputError, match="more than 4300 digits"):
+                render_rational(q)
+
     def test_render_order(self):
         assert render_order(5) == 5
         assert render_order(INFINITE) == "infinite"
