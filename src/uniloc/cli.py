@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import abgroup, elliptic, lcohom, quadorder, segre, spectool
 from .errors import (InconclusiveError, InputError, NotRepresentableError)
-from .verdict import Verdict, check_printable
+from .verdict import PRINT_DIGITS, Verdict, check_printable
 
 
 # input parsing ---------------------------------------------------------------
@@ -108,10 +108,14 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     if len(lines) - 1 != rows:
         raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
     entries = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], 1):
         row = ln.split()
         if len(row) != cols:
             raise InputError("row %r does not have %d entries" % (ln, cols))
+        # int() refuses such a token with the ValueError of a syntax error
+        if any(sum(map(str.isdigit, t)) > PRINT_DIGITS for t in row):
+            raise InputError("matrix row %d has an integer of more than %d digits, "
+                             "too long to print" % (number, PRINT_DIGITS))
         try:
             entries.append([int(t) for t in row])
         except ValueError:

@@ -14,7 +14,11 @@ small complex of Q-vector spaces with 0/±1 differentials, and ranks are
 computed exactly.  The rule reads only the signs of a, so dim H^i_I(A)_a
 depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
 (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  A scan
-of the 3^m sign patterns finds a witness degree or proves H^i = 0.
+of the sign patterns finds a witness degree or proves H^i = 0.  Every
+piece is zero unless the negative coordinates are generators of I and
+the support {j : a_j != 0} is a face, so the scan builds at most
+3^|gens| * 2^(m - |gens|) patterns, drops the non-faces, and computes
+ranks once per distinct complex.
 
 The catalog families decided by this cohomology, the two planes
 k[X,Y,U]/(XU) and the hypersurface k[X,Y,U,V]/(XU-YV), are classified
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import InputError
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
@@ -157,7 +161,8 @@ def _piece_nonzero(A: MonomialAlgebra, W, a) -> bool:
 def _differential(A: MonomialAlgebra, gens, k, a):
     """Matrix of C^k -> C^{k+1} in multidegree a (rows: targets)."""
     sources = [c for c in combinations(gens, k) if _piece_nonzero(A, c, a)]
-    targets = [c for c in combinations(gens, k + 1) if _piece_nonzero(A, c, a)]
+    targets = {c: row for row, c in enumerate(
+        c for c in combinations(gens, k + 1) if _piece_nonzero(A, c, a))}
     mat = [[0] * len(sources) for _ in targets]
     for col, W in enumerate(sources):
         ws = set(W)
@@ -165,10 +170,9 @@ def _differential(A: MonomialAlgebra, gens, k, a):
             if g in ws:
                 continue
             W2 = tuple(sorted(ws | {g}, key=gens.index))
-            if W2 not in targets:
-                continue
-            sign = (-1) ** W2.index(g)
-            mat[targets.index(W2)][col] = sign
+            row = targets.get(W2)
+            if row is not None:
+                mat[row][col] = (-1) ** W2.index(g)
     return mat, len(sources), len(targets)
 
 
@@ -223,18 +227,29 @@ class NonvanishOutcome:
         return self.witness is not None
 
 
-def _sign_patterns(m: int):
-    """The 3^m sign vectors: the zero vector, then the rest in lexicographic order."""
-    yield (0,) * m
-    yield from (s for s in product((-1, 0, 1), repeat=m) if any(s))
-
-
 def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
-    """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order."""
-    for s in _sign_patterns(len(A.variables)):
-        d = cech_dim(A, I, i, s)
-        if d:
-            yield s, d
+    """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order.
+
+    The scan order is the zero vector, then the rest of {-1,0,1}^m in
+    lexicographic order.  Only patterns that can carry a nonzero piece
+    are built: a negative coordinate must be a generator and the support
+    a face.  The complex depends only on which W have a nonzero piece,
+    so cech_dim runs once per such set.
+    """
+    gens = set(I.generators)
+    subsets = [W for k in range(len(gens) + 1)
+               for W in combinations(I.generators, k)]
+    choices = [(-1, 0, 1) if v in gens else (0, 1) for v in A.variables]
+    zero = (0,) * len(A.variables)
+    dims = {}
+    for s in chain((zero,), (s for s in product(*choices) if any(s))):
+        if not A.is_face(v for v, x in zip(A.variables, s) if x):
+            continue
+        key = tuple(_piece_nonzero(A, W, s) for W in subsets)
+        if key not in dims:
+            dims[key] = cech_dim(A, I, i, s)
+        if dims[key]:
+            yield s, dims[key]
 
 
 def _outcome(first, A: MonomialAlgebra, i: int, box: int) -> NonvanishOutcome:

@@ -14,11 +14,11 @@ verdict is quantified over the represented fragment only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InputError
 
-ENUM_BOUND = 16  # enumerate_closed walks all 2^n subsets
+# an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each
+ENUM_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,6 @@ class SpecClosedSet:
         return sorted(self.members)
 
 
-def is_closed(P: SpecPoset, S) -> bool:
-    S = P.check_members(S)
-    return all(n in S or not (P.below(n) & S) for n in P.nodes)
-
-
 def check_height_condition(P: SpecPoset, V) -> bool:
     """Every minimal prime of V has height at most one.
 
@@ -158,17 +153,36 @@ def check_height_condition(P: SpecPoset, V) -> bool:
 
 
 def enumerate_closed(P: SpecPoset):
-    """All upward closed subsets, smallest first; refuses large posets."""
+    """All upward closed subsets, smallest first; refuses large posets.
+
+    Each undecided node, in P.nodes order, is either included together
+    with every node above it or excluded together with every node below
+    it, so every leaf of the branching is a distinct closed set and the
+    work follows the output.  Sorting by (size, node positions) gives the
+    order of a scan over combinations(P.nodes, k) for k = 0, 1, ...
+    """
     if len(P.nodes) > ENUM_BOUND:
         raise InputError(
             "poset has %d nodes, enumeration is capped at %d"
             % (len(P.nodes), ENUM_BOUND))
-    out = []
-    for k in range(len(P.nodes) + 1):
-        for combo in combinations(P.nodes, k):
-            if is_closed(P, combo):
-                out.append(SpecClosedSet(P, frozenset(combo)))
-    return out
+    n = len(P.nodes)
+    position = {node: j for j, node in enumerate(P.nodes)}
+    below = [sum(1 << position[c] for c in P.below(node)) for node in P.nodes]
+    above = [sum(1 << k for k in range(n) if below[k] >> j & 1) for j in range(n)]
+    leaves = []
+    stack = [(0, 0, 0)]  # (next position, included mask, decided mask)
+    while stack:
+        j, included, decided = stack.pop()
+        while j < n and decided >> j & 1:
+            j += 1
+        if j == n:
+            leaves.append([k for k in range(n) if included >> k & 1])
+            continue
+        up, down = 1 << j | above[j], 1 << j | below[j]
+        stack.append((j + 1, included | up, decided | up))
+        stack.append((j + 1, included, decided | down))
+    leaves.sort(key=lambda ks: (len(ks), ks))
+    return [SpecClosedSet(P, frozenset(P.nodes[k] for k in ks)) for ks in leaves]
 
 
 def truncated_spec_z(primes=(2, 3, 5)) -> SpecPoset:

@@ -2,7 +2,8 @@
 
 Deliberately different algorithms from the package: cofactor expansion
 instead of Bareiss, Hermite form instead of Smith form, antichains
-instead of closed sets.  Agreement between the two sides is the test.
+instead of closed sets, and the full scans that the package prunes.
+Agreement between the two sides is the test.
 """
 
 from fractions import Fraction
@@ -225,3 +226,25 @@ def count_antichains(P) -> int:
                    for a, b in combinations(combo, 2)):
                 count += 1
     return count
+
+
+def closed_sets_brute(P):
+    """Every upward closed subset, by testing each subset of P.nodes in
+    the order of combinations(P.nodes, k) for k = 0, 1, ..."""
+    out = []
+    for k in range(len(P.nodes) + 1):
+        for combo in combinations(P.nodes, k):
+            S = set(combo)
+            if all(n in S or not (P.below(n) & S) for n in P.nodes):
+                out.append(frozenset(combo))
+    return out
+
+
+# multigraded Cech cohomology ---------------------------------------------------
+
+def nonzero_patterns_brute(dim, m):
+    """(sign pattern, dim) for every one of the 3^m sign patterns with
+    dim > 0: the zero vector first, then the rest in lexicographic order."""
+    patterns = [(0,) * m] + [s for s in product((-1, 0, 1), repeat=m) if any(s)]
+    dims = [(s, dim(s)) for s in patterns]
+    return [(s, d) for s, d in dims if d > 0]

@@ -498,7 +498,9 @@ class TestCech:
         code, doc, _ = run_json(capsys, "cech", "--vars", "X,Y,U,V,W",
                                 "--ideal", "X,Y", "--i", "1")
         assert code == 0 and doc["witness"] is None
-        assert len(calls) == 3 ** 5
+        # 3^2 * 2^3 = 72 candidate patterns, and the complex takes one of
+        # 4 shapes (which of X, Y are negative): one cech_dim call per shape
+        assert len(calls) == 4
 
 
 class TestSnf:
@@ -546,6 +548,15 @@ class TestSnf:
             assert (proc.returncode, proc.stdout) == (2, ""), fmt
             assert proc.stderr == ("input error: the Smith normal form has an integer "
                                    "of more than 4300 digits, too long to print\n")
+
+    def test_overlong_entry(self, capsys, tmp_path):
+        # int() would refuse 10^4400 as if it were not a number
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 1\n3\n1%s\n" % ("0" * 4400))
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == ("input error: matrix row 2 has an integer of more than "
+                       "4300 digits, too long to print\n")
 
     def test_text_output(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"

@@ -3,11 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import first_shell_witness
+from oracles import first_shell_witness, nonzero_patterns_brute
 from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
-                           VariableIdeal, _differential, cech_dim,
-                           cech_table, certify_nonvanishing,
+                           VariableIdeal, _differential, _nonzero_patterns,
+                           cech_dim, cech_table, certify_nonvanishing,
                            classify_dim3hyper, is_variable_prime,
                            kill_variable, prime_height)
 
@@ -256,6 +256,22 @@ class TestCertify:
                 table_out, table = cech_table(A, I, i, 2)
                 assert table_out == certify_nonvanishing(A, I, i, 2)
                 assert dict(table) == {a: d for a, d in dims.items() if d}
+        assert found and empty
+
+    def test_pruned_scan_matches_full_scan(self):
+        # the same nonzero patterns in the same order as all 3^m patterns
+        rng = random.Random(4747)
+        found = empty = 0
+        for _ in range(20):
+            A = random_algebra(rng, max_vars=6)
+            m = len(A.variables)
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            for i in range(len(I.generators) + 1):
+                got = list(_nonzero_patterns(A, I, i))
+                assert got == nonzero_patterns_brute(
+                    lambda s: cech_dim(A, I, i, s), m), (A, I, i)
+                found += bool(got)
+                empty += not got
         assert found and empty
 
     def test_witness_is_smallest_shell(self):
