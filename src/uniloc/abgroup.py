@@ -12,23 +12,6 @@ from dataclasses import dataclass
 from .errors import InputError
 
 
-class _Infinite:
-    """Singleton order of a non-torsion element."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-
-INFINITE = _Infinite()
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major entries."""

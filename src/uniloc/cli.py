@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 ring not representable,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -19,9 +20,30 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from . import abgroup, elliptic, lcohom, quadorder, segre, spectool
 from .errors import (InconclusiveError, InputError, NotRepresentableError)
-from .verdict import PRINT_DIGITS, Verdict, check_printable
+from .verdict import INFINITE, PRINT_DIGITS, Verdict, check_printable
+
+
+def _lazy(name: str):
+    """The module uniloc.<name>, registered now and run on first attribute access.
+
+    It sits in sys.modules and on the package at once, as after an import,
+    so a call compiles and runs only the family modules its subcommand uses.
+    """
+    fullname = "%s.%s" % (__package__, name)
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+abgroup, elliptic, lcohom, quadorder, segre, spectool = map(
+    _lazy, ("abgroup", "elliptic", "lcohom", "quadorder", "segre", "spectool"))
 
 
 # input parsing ---------------------------------------------------------------
@@ -198,7 +220,9 @@ class Family:
     spec is the ring id, or "<name>:<parameters>" for ids that carry
     parameters.  reads lists the classify options the family uses besides
     --prime.  classifier names a module function; it is looked up on each
-    call, so a rebinding of the module attribute applies.
+    call, so a rebinding of the module attribute applies.  The family
+    modules load on first use (see _lazy): holding one here runs none of
+    its code, and only the family a call classifies is compiled.
     """
 
     spec: str
@@ -280,7 +304,8 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
              asserted: bool = False, box: int = None) -> Verdict:
     """Parse the prime for the ring's family and run the family classifier.
 
-    box None leaves the classifier's own search box in place.
+    box None leaves the classifier's own search box in place; a given box
+    must be at least 1 for every family.
     """
     ring = ring.strip()
     family = next((f for f in FAMILIES if f.matches(ring)), None)
@@ -294,6 +319,8 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
     for option, value in given.items():
         if value and option not in family.reads:
             raise InputError("%s does not apply to %s" % (option, ring))
+    if box is not None and box < 1:
+        raise InputError("box must be >= 1")
     args = family.parse(ring, prime_spec, fp, asserted)
     module, name = family.classifier
     return getattr(module, name)(*args, **({} if box is None else {"box": box}))
@@ -368,7 +395,7 @@ def _cmd_ell_torsion(args) -> int:
     E = _parse_curve(args.curve, '--curve must look like "a,b"')
     P = _parse_point(args.point)
     order = elliptic.torsion_order(E, P)  # ModelNotIntegral exits 4
-    rendered = "infinite" if order is abgroup.INFINITE else order
+    rendered = "infinite" if order is INFINITE else order
     doc = {
         "schema": 1,
         "curve": E.spec(),

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .abgroup import INFINITE
 from .errors import InconclusiveError, InputError, PreconditionError
-from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY,
+from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
                       TorsionWitness, Verdict, render_order, render_rational)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur

@@ -23,10 +23,9 @@ from fractions import Fraction
 from math import isqrt
 
 from . import lcohom
-from .abgroup import INFINITE
 from .errors import InputError
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
-                      UNDECIDED, CohomologyWitness, PrincipalElement,
+                      INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
                       TorsionWitness, Verdict, render_rational)
 
 S_NAMES = ("S0", "S1", "T0", "T1")
@@ -532,7 +531,8 @@ def _is_rational_square(q: Fraction) -> bool:
 
 
 def is_irreducible(f: BihomogPoly):
-    """True/False for total degree <= 2, None when undecided (degree > 2)."""
+    """True/False for total degree <= 2.  Above that, False when a variable
+    divides every term, else None (undecided)."""
     d, e = f.bidegree()
     if d + e <= 1:
         return True
@@ -550,6 +550,10 @@ def is_irreducible(f: BihomogPoly):
         b = f.poly.coefficient((0, 0, 1, 1))
         c = f.poly.coefficient((0, 0, 0, 2))
         return not _is_rational_square(b * b - 4 * a * c)
+    # a variable whose exponent is positive in every term splits off f = v*g,
+    # and g has degree at least 2, so it is not a unit
+    if any(all(column) for column in zip(*(expo for expo, _ in f.terms))):
+        return False
     return None
 
 

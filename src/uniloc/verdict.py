@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .abgroup import INFINITE
 from .errors import InputError
 
 YES = "yes"
@@ -53,6 +52,23 @@ def render_rational(q) -> str:
     if den == 1:
         return str(num)
     return "%d/%d" % (num, den)
+
+
+class _Infinite:
+    """Singleton order of a non-torsion element."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "Infinite"
+
+
+INFINITE = _Infinite()
 
 
 def render_order(n) -> object:

@@ -16,8 +16,8 @@ from test_lcohom import random_algebra
 from test_quadorder import D_POOL, small_primes
 
 from uniloc import cli
-from uniloc.abgroup import (INFINITE, GroupStructure, IntMatrix,
-                            cokernel_structure, det, smith_normal_form)
+from uniloc.abgroup import (GroupStructure, IntMatrix, cokernel_structure, det,
+                            smith_normal_form)
 from uniloc.divisors import Divisor, DivisorClassModel, quotient_by_divisor
 from uniloc.elliptic import (O, WeierstrassCurve, add, check_line_program,
                              classify_point, mul, negate, torsion_order)
@@ -31,6 +31,7 @@ from uniloc.segre import (ORIENT_XV_YU, ORIENT_XY_VU, SegrePrime,
                           classify_segre, coordinate_prime, psi)
 from uniloc.spectool import (SpecPoset, check_height_condition,
                              enumerate_closed, truncated_spec_z)
+from uniloc.verdict import INFINITE
 
 RANK = {"no": 0, "unknown": 1, "yes": 2}
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from uniloc import abgroup, lcohom
 from uniloc.cli import FAMILIES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = README.with_name("bench") / "tracing.py"
 SRC = str(Path(uniloc.__file__).resolve().parents[1])
 
 
@@ -28,11 +30,23 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out else None), err
 
 
+def assert_box_refused(capsys, *argv):
+    """Every classify call with --box below 1 exits 2 with the same message."""
+    for box in ("0", "-3"):
+        code, out, err = run(capsys, "classify", *argv, "--box=" + box)
+        assert (code, out, err) == (2, "", "input error: box must be >= 1\n"), argv
+
+
+def run_python(*args, **kwargs):
+    """Run a fresh interpreter that finds uniloc on its path."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
 def run_module(*argv, **kwargs):
     """Run the CLI as `python -m uniloc.cli` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "uniloc.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+    return run_python("-m", "uniloc.cli", *argv, **kwargs)
 
 
 class TestCatalog:
@@ -297,6 +311,18 @@ class TestClassifySegre:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
 
+    def test_variable_factor_is_reducible(self, capsys):
+        for extra in ((), ("--assert-irreducible",)):
+            code, out, err = run(capsys, "classify", "--ring", "segre",
+                                 "--fp", "S0^3*T0", *extra)
+            assert (code, out) == (2, ""), extra
+            assert err == ("input error: f = S0^3*T0 is reducible, "
+                           "it does not define a prime\n")
+
+    def test_box_below_one(self, capsys):
+        assert_box_refused(capsys, "--ring", "segre", "--prime", "(X,V)")
+        assert_box_refused(capsys, "--ring", "segre", "--fp", "S0*T0 + 2*S1*T1")
+
 
 class TestClassifyTwoplanes:
     def test_the_bad_prime(self, capsys):
@@ -340,6 +366,10 @@ class TestClassifyTwoplanes:
                            "--prime", "(X,Y)", "--fp", "S0")
         assert code == 2 and "--fp" in err
 
+    def test_box_below_one(self, capsys):
+        for prime in ("(X)", "(X,U)", "(X,Y)", "(X,Y,U)"):
+            assert_box_refused(capsys, "--ring", "twoplanes", "--prime", prime)
+
 
 class TestClassifyDim3:
     def test_xy_prime(self, capsys):
@@ -376,6 +406,10 @@ class TestClassifyDim3:
                                "--prime", "(X,V)", *extra)
             assert code == 2, extra
             assert extra[0] in err
+
+    def test_box_below_one(self, capsys):
+        for prime in ("(X,Y)", "(X,V)", "(X,Y,U,V)"):
+            assert_box_refused(capsys, "--ring", "dim3hyper", "--prime", prime)
 
 
 class TestDispatch:
@@ -692,3 +726,70 @@ class TestHarness:
             os.close(write_end)
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
+
+
+# Prints which uniloc modules ran (module code executed, from the "exec" audit
+# event) by `import uniloc.cli` and by the whole call, and which were in
+# sys.modules right after the import.
+AUDIT = """
+import contextlib, io, json, os, sys
+ran = set()
+
+def hook(event, args):
+    path = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.path.basename(os.path.dirname(path)) == "uniloc":
+        ran.add(os.path.basename(path)[:-3])
+
+sys.addaudithook(hook)
+from uniloc import cli
+doc = {"import": sorted(ran),
+       "registered": sorted(m.partition(".")[2] for m in sys.modules
+                            if m.startswith("uniloc."))}
+with contextlib.redirect_stdout(io.StringIO()):
+    doc["exit"] = cli.main(sys.argv[1:])
+doc["ran"] = sorted(ran)
+print(json.dumps(doc))
+"""
+
+FAMILY_MODULES = {"abgroup", "elliptic", "lcohom", "quadorder", "segre", "spectool"}
+
+
+def audit(*argv):
+    proc = run_python("-c", AUDIT, *argv, capture_output=True, text=True,
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def traced_modules():
+    """bench/tracing.py UNILOC_MODULES, read without importing the bench."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "UNILOC_MODULES":
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("UNILOC_MODULES not found in %s" % TRACING)
+
+
+class TestLazyFamilies:
+    """A call compiles and runs only the family modules its subcommand uses."""
+
+    def test_import_runs_no_family_module(self):
+        doc = audit("catalog", "list")
+        assert doc["import"] == ["__init__", "cli", "errors", "verdict"]
+        assert doc["exit"] == 0 and doc["ran"] == doc["import"]
+
+    def test_import_registers_every_traced_module(self):
+        # the tracer looks each module up in sys.modules right after the import
+        registered = set(audit("catalog", "list")["registered"])
+        assert traced_modules() - {"divisors"} <= registered
+
+    def test_classify_runs_only_its_family(self):
+        doc = audit("classify", "--ring", "quad:-5", "--prime", "p2")
+        assert doc["exit"] == 0
+        assert FAMILY_MODULES & set(doc["ran"]) == {"quadorder"}
+
+    def test_snf_runs_only_abgroup(self, tmp_path):
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 2\n2 4\n6 8\n")
+        doc = audit("snf", "--matrix", str(mat))
+        assert doc["exit"] == 0
+        assert FAMILY_MODULES & set(doc["ran"]) == {"abgroup"}

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from uniloc.abgroup import INFINITE
 from uniloc.elliptic import (ClAClass, ECPoint, Line, ModelNotIntegral, O,
                              WeierstrassCurve, add, check_line_program,
                              cl_class, classify_point, formal_line_divisor,
                              line_through, miller_function, mul, negate,
                              torsion_order, vertical_at)
 from uniloc.errors import InputError, PreconditionError
+from uniloc.verdict import INFINITE
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
 E_PLUS_1 = WeierstrassCurve(0, 1)          # y^2 = x^3 + 1

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from uniloc.abgroup import INFINITE
 from uniloc.errors import InputError
 from uniloc.segre import (BihomogPoly, CoordinateChange, LinearPair,
                           ORIENT_XV_YU, ORIENT_XY_VU, PolyPrime, Polynomial,
                           SegrePrime, S_NAMES, XYUV_NAMES, case1_normal_form,
                           classify_segre, coordinate_prime, embed_xyuv,
                           is_irreducible, parse_polynomial, psi, to_xyuv)
+from uniloc.verdict import INFINITE
 
 
 def spoly(text):
@@ -251,6 +251,12 @@ class TestIrreducibility:
     def test_higher_degree_undecided(self):
         assert is_irreducible(BihomogPoly.from_string("S0*T0^2 + S1*T1^2")) is None
         assert is_irreducible(BihomogPoly.from_string("S0^2*T0^2 + S1^2*T1^2")) is None
+
+    def test_variable_factor_above_degree_two(self):
+        for text in ("S0^3*T0", "S0*S1*T0 + S0^2*T1", "S0*T0*T1 + S1*T0^2",
+                     "S0^2*T1^2 - S1^2*T1^2"):
+            assert is_irreducible(BihomogPoly.from_string(text)) is False, text
+        assert is_irreducible(BihomogPoly.from_string("S0^2*T0 + S1^2*T1")) is None
 
 
 class TestClassify:

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 import uniloc
-from uniloc.abgroup import INFINITE
 from uniloc.errors import InputError
-from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, UNDECIDED,
+from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE, UNDECIDED,
                             CohomologyWitness, Denominators, HeightViolation,
                             PrincipalElement, Rule, TorsionWitness, Verdict,
                             check_citations, render_order, render_rational)
