@@ -581,6 +581,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a failed self-check: a uniloc bug
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

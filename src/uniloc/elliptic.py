@@ -9,6 +9,14 @@ point is torsion.  Torsion certificates are straight-line programs of
 chords, tangents and verticals whose formal divisor telescopes to
 n(P) - n(O); they are checked by pure divisor accounting, never by
 polynomial division.
+
+The group law works on the integer numerators and denominators of the
+coordinates: a slope is kept as an integer pair, each new coordinate is
+built over a common denominator and normalised by one Fraction at the
+end, and membership on the curve compares two integer products.  Every
+check stays: each operation still verifies that its inputs lie on the
+curve, and the line-program checker re-derives each chord's third point
+through the group law.
 """
 
 from __future__ import annotations
@@ -38,8 +46,25 @@ class ECPoint:
         if (self.x is None) != (self.y is None):
             raise InputError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            if type(self.x) is not Fraction:
+                object.__setattr__(self, "x", Fraction(self.x))
+            if type(self.y) is not Fraction:
+                object.__setattr__(self, "y", Fraction(self.y))
+
+    def _key(self):
+        # Fractions are normalised, so equal points have equal integer pairs
+        if self.x is None:
+            return None
+        return (self.x.numerator, self.x.denominator,
+                self.y.numerator, self.y.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_infinity(self) -> bool:
@@ -76,7 +101,14 @@ class WeierstrassCurve:
     def contains(self, P: ECPoint) -> bool:
         if P.is_infinity:
             return True
-        return P.y * P.y == P.x ** 3 + self.a * P.x + self.b
+        # y^2 = x^3 + a*x + b, both sides times yd^2 * xd^3 * ad * bd
+        xn, xd = P.x.numerator, P.x.denominator
+        yn, yd = P.y.numerator, P.y.denominator
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        xd3 = xd * xd * xd
+        return yn * yn * xd3 * ad * bd == yd * yd * (
+            (xn * xn * xn * ad + an * xn * xd * xd) * bd + bn * xd3 * ad)
 
     def spec(self) -> str:
         return "ell:%s,%s" % (render_rational(self.a), render_rational(self.b))
@@ -97,6 +129,21 @@ def negate(E: WeierstrassCurve, P: ECPoint) -> ECPoint:
     return ECPoint(P.x, -P.y)
 
 
+def _slope(E: WeierstrassCurve, P: ECPoint, Q: ECPoint):
+    """(num, den) with num/den the tangent slope at P if P == Q, else the
+    chord slope through P and Q; both affine, and not Q = -P."""
+    x1n, x1d = P.x.numerator, P.x.denominator
+    y1n, y1d = P.y.numerator, P.y.denominator
+    if P == Q:
+        # (3*x^2 + a) / (2*y)
+        an, ad = E.a.numerator, E.a.denominator
+        return (3 * x1n * x1n * ad + an * x1d * x1d) * y1d, 2 * y1n * x1d * x1d * ad
+    x2n, x2d = Q.x.numerator, Q.x.denominator
+    y2n, y2d = Q.y.numerator, Q.y.denominator
+    # (y2 - y1) / (x2 - x1)
+    return (y2n * y1d - y1n * y2d) * x1d * x2d, (x2n * x1d - x1n * x2d) * y1d * y2d
+
+
 def add(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
@@ -106,12 +153,17 @@ def add(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
         return P
     if P.x == Q.x and P.y == -Q.y:
         return O
-    if P == Q:
-        lam = (3 * P.x * P.x + E.a) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
+    num, den = _slope(E, P, Q)
+    x1n, x1d = P.x.numerator, P.x.denominator
+    x2n, x2d = Q.x.numerator, Q.x.denominator
+    y1n, y1d = P.y.numerator, P.y.denominator
+    # x3 = lam^2 - x1 - x2 over den^2 * x1d * x2d
+    x3 = Fraction(num * num * x1d * x2d - (x1n * x2d + x2n * x1d) * den * den,
+                  den * den * x1d * x2d)
+    # y3 = lam * (x1 - x3) - y1 over den * x1d * x3d * y1d
+    x3n, x3d = x3.numerator, x3.denominator
+    y3 = Fraction(num * (x1n * x3d - x3n * x1d) * y1d - y1n * den * x1d * x3d,
+                  den * x1d * x3d * y1d)
     return ECPoint(x3, y3)
 
 
@@ -199,7 +251,13 @@ class Line:
     def evaluate(self, P: ECPoint) -> Fraction:
         if P.is_infinity:
             return Fraction(self.b)  # value at (0 : 1 : 0)
-        return self.a * P.x + self.b * P.y + self.c
+        # a*x + b*y + c over (ad * xd) * (bd * yd) * cd
+        ax_d = self.a.denominator * P.x.denominator
+        by_d = self.b.denominator * P.y.denominator
+        cd = self.c.denominator
+        return Fraction((self.a.numerator * P.x.numerator * by_d
+                         + self.b.numerator * P.y.numerator * ax_d) * cd
+                        + self.c.numerator * ax_d * by_d, ax_d * by_d * cd)
 
     def form_str(self) -> str:
         parts = []
@@ -234,11 +292,12 @@ def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
         raise PreconditionError("chords are drawn between affine points")
     if P.x == Q.x and P.y == -Q.y:
         return vertical_at(E, P)
-    if P == Q:
-        lam = (3 * P.x * P.x + E.a) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    return Line(lam, Fraction(-1), P.y - lam * P.x, "chord", P, Q)
+    num, den = _slope(E, P, Q)
+    xn, xd = P.x.numerator, P.x.denominator
+    yn, yd = P.y.numerator, P.y.denominator
+    # c = y - lam * x over den * xd * yd
+    return Line(Fraction(num, den), Fraction(-1),
+                Fraction(yn * den * xd - num * xn * yd, den * xd * yd), "chord", P, Q)
 
 
 def formal_line_divisor(E: WeierstrassCurve, line: Line) -> dict:

@@ -2,7 +2,8 @@
 
 The command line maps these to exit codes (see cli.py): input errors
 exit with 2, non-representable catalog entries with 3, inconclusive
-computations with 4.
+computations with 4.  A failed internal self-check raises AssertionError
+and exits with 1; it is a bug, never an answer.
 """
 
 

@@ -2,13 +2,16 @@
 
 Deliberately different algorithms from the package: cofactor expansion
 instead of Bareiss, Hermite form instead of Smith form, antichains
-instead of closed sets, and the full scans that the package prunes.
+instead of closed sets, the full scans that the package prunes, and the
+group law in Fraction arithmetic instead of integer pairs.
 Agreement between the two sides is the test.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
+
+from uniloc.errors import InputError, PreconditionError
 
 
 def det_cofactor(rows):
@@ -248,3 +251,74 @@ def nonzero_patterns_brute(dim, m):
     patterns = [(0,) * m] + [s for s in product((-1, 0, 1), repeat=m) if any(s)]
     dims = [(s, dim(s)) for s in patterns]
     return [(s, d) for s, d in dims if d > 0]
+
+
+# elliptic curves y^2 = x^3 + a*x + b ------------------------------------------
+# A point is None (the point at infinity) or a pair (x, y) of Fractions.
+
+# the curves of the benchmark's classify draw, the catalogued three among
+# them, each with a point on it
+ELL_CURVES = (
+    (0, -4, (2, 2)),        # rank one: infinite order
+    (-1, 0, (0, 0)),        # 2-torsion, like (1, 0) and (-1, 0)
+    (0, 1, (2, 3)),         # order 6
+    (-43, 166, (-5, 16)),   # order 7
+    (-132, 481, (2, 15)),   # order 6
+)
+
+def ec_contains_brute(a, b, P):
+    if P is None:
+        return True
+    x, y = P
+    return y * y == x ** 3 + a * x + b
+
+
+def _ec_require(a, b, *points):
+    for P in points:
+        if not ec_contains_brute(a, b, P):
+            raise InputError("point %r is not on the curve" % (P,))
+
+
+def _ec_slope_brute(a, P, Q):
+    """Tangent slope at P if P == Q, else the chord slope through P and Q."""
+    (x1, y1), (x2, y2) = P, Q
+    if P == Q:
+        return (3 * x1 * x1 + a) / (2 * y1)
+    return (y2 - y1) / (x2 - x1)
+
+
+def ec_add_brute(a, b, P, Q):
+    """P + Q by the chord-and-tangent formulas, one Fraction operation at a
+    time."""
+    _ec_require(a, b, P, Q)
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    if P[0] == Q[0] and P[1] == -Q[1]:
+        return None
+    lam = _ec_slope_brute(a, P, Q)
+    x3 = lam * lam - P[0] - Q[0]
+    return (x3, lam * (P[0] - x3) - P[1])
+
+
+def ec_line_brute(a, b, P, Q):
+    """(X, Y, Z coefficients, kind) of the line through P and Q: the
+    vertical X - x*Z if Q = -P (a tangent at a 2-torsion point too), else
+    the chord, which is the tangent if P == Q."""
+    _ec_require(a, b, P, Q)
+    if P is None or Q is None:
+        raise PreconditionError("chords are drawn between affine points")
+    if P[0] == Q[0] and P[1] == -Q[1]:
+        return (Fraction(1), Fraction(0), -P[0], "vertical")
+    lam = _ec_slope_brute(a, P, Q)
+    return (lam, Fraction(-1), P[1] - lam * P[0], "chord")
+
+
+def ec_multiples_brute(a, b, P, n):
+    """O and +-P, ..., +-nP without repeats, by repeated addition."""
+    out, Q = [None], None
+    for _ in range(n):
+        Q = ec_add_brute(a, b, Q, P)
+        out += [Q, Q and (Q[0], -Q[1])]
+    return list(dict.fromkeys(out))

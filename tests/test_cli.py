@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uniloc
-from uniloc import abgroup, lcohom
+from oracles import ELL_CURVES, ec_multiples_brute
+from uniloc import abgroup, elliptic, lcohom
 from uniloc.cli import FAMILIES, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -659,6 +661,35 @@ POSET_LINES = st.one_of(
     st.sampled_from(["", "# note", "a < b < c", "a <", "< b", "two words", "<"]),
 )
 NAMES = st.sampled_from(["X", "Y", "U", "V", "Z", ""])
+FORMATS = st.sampled_from(["text", "json"])
+
+
+def ell_multiples():
+    """("a,b", "x,y") for O and kP, 1 <= |k| <= 4, on the benchmark's
+    curves, the catalogued three among them, and on their non-integral
+    models (a/u^4, b/u^6) with the points (x/u^2, y/u^3)."""
+    out = []
+    for a, b, P in ELL_CURVES:
+        a, b = Fraction(a), Fraction(b)
+        for Q in ec_multiples_brute(a, b, tuple(map(Fraction, P)), 4):
+            for u in (1, 2, 3):
+                point = "O" if Q is None else "%s,%s" % (Q[0] / u ** 2, Q[1] / u ** 3)
+                out.append(("%s,%s" % (a / u ** 4, b / u ** 6), point))
+    return out
+
+
+RATIONAL_TEXT = st.fractions(min_value=-40, max_value=40, max_denominator=6).map(str)
+CURVE_TEXT = st.one_of(
+    st.tuples(RATIONAL_TEXT, RATIONAL_TEXT).map(",".join),  # singular (0,0) too
+    st.sampled_from(["-3,2", "1/4,0", "0", "1,2,3", "a,b", "1/0,1", "nan,1", " , "]),
+    st.text(max_size=8),
+)
+POINT_TEXT = st.one_of(
+    st.tuples(RATIONAL_TEXT, RATIONAL_TEXT).map(",".join),
+    st.sampled_from(["O", "inf", "", "1", "1,2,3", "x,y", "1/0,2", "2,3,"]),
+    st.text(max_size=8),
+)
+ELL_INPUTS = st.one_of(st.sampled_from(ell_multiples()), st.tuples(CURVE_TEXT, POINT_TEXT))
 
 
 def main_quietly(argv):
@@ -690,6 +721,20 @@ class TestFuzz:
                 "--format=" + fmt]
         assert main_quietly(argv) in (0, 2, 3, 4)
 
+    @settings(max_examples=150, deadline=None)
+    @given(curve_point=ELL_INPUTS, fmt=FORMATS)
+    def test_ell_torsion(self, curve_point, fmt):
+        curve, point = curve_point
+        argv = ["ell", "torsion", "--curve=" + curve, "--point=" + point, "--format=" + fmt]
+        assert main_quietly(argv) in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve_point=ELL_INPUTS, fmt=FORMATS)
+    def test_classify_ell(self, curve_point, fmt):
+        curve, point = curve_point
+        argv = ["classify", "--ring=ell:" + curve, "--prime=" + point, "--format=" + fmt]
+        assert main_quietly(argv) in (0, 2, 3, 4)
+
 
 class TestHarness:
     def test_no_subcommand_prints_help(self, capsys):
@@ -715,6 +760,12 @@ class TestHarness:
                           capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class_number"] == 2
+
+    def test_failed_self_check_is_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(elliptic, "check_line_program", lambda *args: False)
+        code, out, err = run(capsys, "classify", "--ring", "ell:0,1", "--prime", "2,3")
+        assert (code, out) == (1, "")
+        assert err == "internal error: constructed program failed its own checker\n"
 
     def test_closed_stdout_is_not_a_traceback(self):
         read_end, write_end = os.pipe()

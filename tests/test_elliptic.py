@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
+from oracles import (ELL_CURVES, ec_add_brute, ec_contains_brute, ec_line_brute,
+                     ec_multiples_brute)
 
 from uniloc.elliptic import (ClAClass, ECPoint, Line, ModelNotIntegral, O,
                              WeierstrassCurve, add, check_line_program,
@@ -64,7 +67,64 @@ class TestPointsAndCurves:
         assert E_PLUS_1.is_integral
 
 
+def oracle_cases():
+    """(a, b, points on the curve, points moved off it in y, points moved
+    in x) for the bench curves and their models (x/u^2, y/u^3): O, +-P,
+    +-2P, +-3P, and on y^2 = x^3 - x all three 2-torsion points."""
+    for a, b, P in ELL_CURVES:
+        a, b = Fraction(a), Fraction(b)
+        points = ec_multiples_brute(a, b, tuple(map(Fraction, P)), 3)
+        if b == 0:
+            points += [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))]
+        for u in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)):
+            on = [P if P is None else (P[0] / u ** 2, P[1] / u ** 3) for P in points]
+            affine = [P for P in on if P is not None]
+            moved_y = [(x, y + Fraction(s, y.denominator)) for x, y in affine for s in (1, -1)]
+            moved_x = [(x + Fraction(s, x.denominator), y) for x, y in affine for s in (1, -1)]
+            yield a / u ** 4, b / u ** 6, on, moved_y, moved_x
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:  # PreconditionError included
+        return type(exc)
+
+
+def as_pair(P):
+    return None if P.is_infinity else (P.x, P.y)
+
+
+def as_point(P):
+    return O if P is None else ECPoint(*P)
+
+
 class TestGroupLaw:
+    def test_matches_fraction_oracle(self):
+        seen = {"sum is O": 0, "tangent is vertical": 0}
+        for a, b, on, moved_y, moved_x in oracle_cases():
+            E = WeierstrassCurve(a, b)
+            for P in on + moved_y + moved_x:
+                assert E.contains(as_point(P)) == ec_contains_brute(a, b, P), (a, b, P)
+            moved = moved_y + moved_x
+            for P, Q in chain(product(on, on + moved), product(moved, on)):
+                args = (E, as_point(P), as_point(Q))
+                got = outcome(add, *args)
+                if isinstance(got, ECPoint):
+                    got = as_pair(got)
+                assert got == outcome(ec_add_brute, a, b, P, Q), (a, b, P, Q)
+                line = outcome(line_through, *args)
+                if isinstance(line, Line):
+                    line = (line.a, line.b, line.c, line.kind)
+                assert line == outcome(ec_line_brute, a, b, P, Q), (a, b, P, Q)
+                if P in moved_y or Q in moved_y:
+                    # off the curve: (y +- 1/yd)^2 = y^2 would need y = -+1/(2*yd)
+                    assert got is InputError and line is InputError, (a, b, P, Q)
+                seen["sum is O"] += got is None and P is not None
+                seen["tangent is vertical"] += (P == Q and isinstance(line, tuple)
+                                                and line[3] == "vertical")
+        assert all(seen.values()), seen
+
     def test_known_multiples_on_e_plus_1(self):
         P = pt(2, 3)
         seq = [mul(E_PLUS_1, n, P) for n in range(7)]
