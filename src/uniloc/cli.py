@@ -219,8 +219,10 @@ class Family:
 
     spec is the ring id, or "<name>:<parameters>" for ids that carry
     parameters.  reads lists the classify options the family uses besides
-    --prime.  classifier names a module function; it is looked up on each
-    call, so a rebinding of the module attribute applies.  The family
+    --prime.  parse turns the ring id and those options into the ring and
+    the prime, and classifier names the module function that takes them and
+    nothing else; it is looked up on each call, so a rebinding of the
+    module attribute applies.  The family
     modules load on first use (see _lazy): holding one here runs none of
     its code, and only the family a call classifies is compiled.
     """
@@ -265,7 +267,7 @@ FAMILIES = (
              "the quadric cone k[X,Y,U,V]/(XU-YV); height-one homogeneous primes "
              "presented by bihomogeneous polynomials in S0,S1,T0,T1",
              '--prime "(X,V)" for a coordinate pair, or --fp "S0*T0^2 + S1*T1^2"'),),
-        reads=("--fp", "--assert-irreducible", "--box"),
+        reads=("--fp", "--assert-irreducible"),
         parse=_segre_args, classifier=(segre, "classify_segre"),
     ),
     Family(
@@ -274,7 +276,6 @@ FAMILIES = (
              '--prime "(X,Y)": any variable subset generating a prime',
              ("polynomial model standing in for the power series ring; the "
               "graded pieces and the (non)vanishing verdicts agree degreewise",)),),
-        reads=("--box",),
         parse=_variable_args("twoplanes needs --prime with a variable subset"),
         classifier=(lcohom, "classify_twoplanes"),
     ),
@@ -285,7 +286,6 @@ FAMILIES = (
              '--prime one of "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", or "(X,Y,U,V)"',
              ("certificates run on the monomial surrogate k[X,Y,U,V]/(XU): "
               "killing Y or V gives the same quotient for both rings",)),),
-        reads=("--box",),
         parse=_variable_args("dim3hyper needs --prime"),
         classifier=(lcohom, "classify_dim3hyper"),
     ),
@@ -301,12 +301,9 @@ FAMILIES = (
 
 
 def classify(ring: str, prime_spec: str = "", fp: str = "",
-             asserted: bool = False, box: int = None) -> Verdict:
-    """Parse the prime for the ring's family and run the family classifier.
-
-    box None leaves the classifier's own search box in place; a given box
-    must be at least 1 for every family.
-    """
+             asserted: bool = False) -> Verdict:
+    """Parse the prime for the ring's family and run the family classifier,
+    which takes only the parsed ring and prime."""
     ring = ring.strip()
     family = next((f for f in FAMILIES if f.matches(ring)), None)
     if family is None:
@@ -315,15 +312,12 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
         raise NotRepresentableError(
             "%s is catalogued but carries no finite presentation; "
             "nothing can be computed for it" % (ring,))
-    given = {"--fp": fp, "--assert-irreducible": asserted, "--box": box is not None}
-    for option, value in given.items():
+    for option, value in (("--fp", fp), ("--assert-irreducible", asserted)):
         if value and option not in family.reads:
             raise InputError("%s does not apply to %s" % (option, ring))
-    if box is not None and box < 1:
-        raise InputError("box must be >= 1")
     args = family.parse(ring, prime_spec, fp, asserted)
     module, name = family.classifier
-    return getattr(module, name)(*args, **({} if box is None else {"box": box}))
+    return getattr(module, name)(*args)
 
 
 # subcommand handlers ---------------------------------------------------------
@@ -359,7 +353,7 @@ def _cmd_catalog_list(args) -> int:
 
 def _cmd_classify(args) -> int:
     verdict = classify(args.ring, args.prime or "", args.fp or "",
-                       args.assert_irreducible, args.box)
+                       args.assert_irreducible)
     _emit(args, verdict.to_json_dict(), verdict.to_text())
     return 0 if verdict.conclusive else 4
 
@@ -513,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bihomogeneous polynomial for segre primes")
     p_classify.add_argument("--assert-irreducible", action="store_true",
                             help="assert irreducibility of --fp above degree 2")
-    p_classify.add_argument("--box", type=int,
-                            help="range recorded with a cohomology witness")
     add_format(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 

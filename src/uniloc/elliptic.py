@@ -411,8 +411,7 @@ TORSION_POINT = CLASS_TORSION.cite(CONE_FACTS)
 NON_TORSION_POINT = CLASS_NON_TORSION.cite(CONE_FACTS, ("mazur-bound", "nagell-lutz"))
 
 
-def classify_point(E: WeierstrassCurve, P: ECPoint,
-                   ring_id: str = None, prime_description: str = None) -> Verdict:
+def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
     """Verdict for V(p) at the prime of the cone over a rational point.
 
     The cone is a two-dimensional normal ring with trivial Picard group,
@@ -420,8 +419,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint,
     when the point is torsion.
     """
     _require_on_curve(E, P)
-    ring_id = ring_id or E.spec()
-    prime_description = prime_description or repr(P)
+    ring_id, prime_description = E.spec(), repr(P)
     cls = cl_class(E, P)
 
     try:

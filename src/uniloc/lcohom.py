@@ -38,6 +38,10 @@ from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT
 
 ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
 
+# the box a classifier's cohomology witness records: the witness lies in
+# {-1, 0, 1}^m, hence in every box, and 3 is the box every recorded verdict carries
+WITNESS_BOX = 3
+
 
 @dataclass(frozen=True)
 class MonomialAlgebra:
@@ -295,7 +299,7 @@ TWOPLANES_OBSTRUCTION = COHOMOLOGY_OBSTRUCTION.cite(("twoplanes-not-coherent",))
 DIM3_OBSTRUCTION = COHOMOLOGY_VIA_QUOTIENT.cite(("dim3-hypersurface-not-coherent",))
 
 
-def classify_twoplanes(names, box: int = 3) -> Verdict:
+def classify_twoplanes(names) -> Verdict:
     """Verdict for V(p) in k[X,Y,U]/(XU), p generated by the named variables."""
     A = TWOPLANES
     for n in names:
@@ -319,11 +323,11 @@ def classify_twoplanes(names, box: int = 3) -> Verdict:
     reason = "every localisation at two or more of the generators is zero"
     if len(names) < 2 or any(A.is_face(pair) for pair in combinations(names, 2)):
         for i in range(2, len(names) + 1):
-            out = certify_nonvanishing(A, ideal, i, box)
+            out = certify_nonvanishing(A, ideal, i, WITNESS_BOX)
             if out.found:
                 witness = CohomologyWitness(
                     algebra=A.describe(), ideal=names, degree=i,
-                    multidegree=out.witness, box=box, steps=(out.note,))
+                    multidegree=out.witness, box=WITNESS_BOX, steps=(out.note,))
                 return TWOPLANES_OBSTRUCTION("twoplanes", desc, witness)
         reason = "no sign pattern of the multidegree carries an H^k class for k > 1"
     return TWOPLANES_VANISHING(
@@ -334,7 +338,7 @@ def classify_twoplanes(names, box: int = 3) -> Verdict:
                "normal domain and are not implemented for this ring"))
 
 
-def classify_dim3hyper(names, box: int = 3) -> Verdict:
+def classify_dim3hyper(names) -> Verdict:
     """Verdict for V(p) in the hypersurface k[X,Y,U,V]/(XU-YV), p a
     variable prime; certificates run on the monomial surrogate."""
     names = tuple(sorted(set(names), key=lambda n: "XYUV".index(n)
@@ -355,7 +359,7 @@ def classify_dim3hyper(names, box: int = 3) -> Verdict:
 
     kill = next(v for v in ("Y", "V") if v not in names)
     quotient = kill_variable(DIM3_SURROGATE, kill)
-    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, box)
+    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, WITNESS_BOX)
     if not out.found:
         raise AssertionError("witness must exist for the coordinate primes")
     steps = (
@@ -368,5 +372,5 @@ def classify_dim3hyper(names, box: int = 3) -> Verdict:
         "hypersurface" % kill)
     witness = CohomologyWitness(
         algebra=quotient.describe(), ideal=names, degree=2,
-        multidegree=out.witness, box=box, steps=steps)
+        multidegree=out.witness, box=WITNESS_BOX, steps=steps)
     return DIM3_OBSTRUCTION("dim3hyper", desc, witness)

@@ -564,12 +564,12 @@ UNBALANCED = CLASS_NON_TORSION.cite(("segre-trichotomy", "segre-class-rho"))
 BALANCED = CLASSICAL.cite(("segre-trichotomy",))
 
 
-def _classify_linear(pair: LinearPair, box: int, ring_id: str) -> Verdict:
+def _classify_linear(pair: LinearPair) -> Verdict:
     change = case1_normal_form(pair)
     quotient_vars = tuple(v for v in XYUV_NAMES if v != change.kill)
     quotient = lcohom.MonomialAlgebra.make(quotient_vars, [{"X", "U"}])
     ideal = lcohom.VariableIdeal.of(quotient, change.normalized)
-    out = lcohom.certify_nonvanishing(quotient, ideal, 2, box)
+    out = lcohom.certify_nonvanishing(quotient, ideal, 2, lcohom.WITNESS_BOX)
     if not out.found:
         raise AssertionError("quadric case-1 witness must exist within any box")
     identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -585,14 +585,14 @@ def _classify_linear(pair: LinearPair, box: int, ring_id: str) -> Verdict:
         ideal=change.normalized,
         degree=2,
         multidegree=out.witness,
-        box=box,
+        box=lcohom.WITNESS_BOX,
         steps=tuple(steps),
     )
-    return ONE_SIDED(ring_id, pair.describe(), witness,
+    return ONE_SIDED("segre", pair.describe(), witness,
                      notes=("bidegree (%d, %d) is one sided" % psi(SegrePrime(pair)),))
 
 
-def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdict:
+def classify_segre(p: SegrePrime) -> Verdict:
     """Decide flat / universal / classical for a height-one prime of the cone.
 
     Linear pairs always land in the no-flat-epimorphism case.  For
@@ -602,7 +602,7 @@ def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdi
     """
     pres = p.presentation
     if isinstance(pres, LinearPair):
-        return _classify_linear(pres, box, ring_id)
+        return _classify_linear(pres)
 
     f = pres.f
     d, e = f.bidegree()
@@ -629,9 +629,9 @@ def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdi
                         (f.poly.coefficient((0, 0, 1, 0)),
                          f.poly.coefficient((0, 0, 0, 1))))
             orientation = ORIENT_XY_VU if e == 0 else ORIENT_XV_YU
-            return _classify_linear(LinearPair((p1, q1), orientation), box, ring_id)
+            return _classify_linear(LinearPair((p1, q1), orientation))
         return UNDECIDED(
-            ring_id, pres.describe(),
+            "segre", pres.describe(),
             notes=tuple(notes) + (
                 "one-sided bidegree (%d, %d) with nonlinear f: the "
                 "classification of this case assumes an algebraically closed "
@@ -643,11 +643,11 @@ def classify_segre(p: SegrePrime, box: int = 3, ring_id: str = "segre") -> Verdi
             class_description="the prime maps to rho = e - d = %+d in Cl = Z, "
                               "which has infinite order" % (e - d),
         )
-        return UNBALANCED(ring_id, pres.describe(), witness, notes)
+        return UNBALANCED("segre", pres.describe(), witness, notes)
 
     generator = to_xyuv(f)
     return BALANCED(
-        ring_id, pres.describe(), PrincipalElement(generator.render()),
+        "segre", pres.describe(), PrincipalElement(generator.render()),
         notes=tuple(notes) + (
             "the prime is principal, so inverting powers of the generator "
             "gives the classical ring of fractions",))

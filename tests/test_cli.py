@@ -32,13 +32,6 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out else None), err
 
 
-def assert_box_refused(capsys, *argv):
-    """Every classify call with --box below 1 exits 2 with the same message."""
-    for box in ("0", "-3"):
-        code, out, err = run(capsys, "classify", *argv, "--box=" + box)
-        assert (code, out, err) == (2, "", "input error: box must be >= 1\n"), argv
-
-
 def run_python(*args, **kwargs):
     """Run a fresh interpreter that finds uniloc on its path."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
@@ -177,8 +170,7 @@ class TestClassifyQuad:
 
     def test_unread_options(self, capsys):
         for extra, option in ((("--fp", "S0"), "--fp"),
-                              (("--assert-irreducible",), "--assert-irreducible"),
-                              (("--box", "3"), "--box")):
+                              (("--assert-irreducible",), "--assert-irreducible")):
             code, out, err = run(capsys, "classify", "--ring", "quad:-5",
                                  "--prime", "p2", *extra)
             assert (code, out) == (2, ""), extra
@@ -261,9 +253,7 @@ class TestClassifyEll:
                      ("classify", "--ring", "ell:0", "--prime", "1,1"),
                      ("classify", "--ring", "ell:0,1"),
                      ("classify", "--ring", "ell:0,1", "--prime", "2,3",
-                      "--fp", "S0*T0"),
-                     ("classify", "--ring", "ell:0,1", "--prime", "2,3",
-                      "--box", "2")):
+                      "--fp", "S0*T0")):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
 
@@ -321,10 +311,6 @@ class TestClassifySegre:
             assert err == ("input error: f = S0^3*T0 is reducible, "
                            "it does not define a prime\n")
 
-    def test_box_below_one(self, capsys):
-        assert_box_refused(capsys, "--ring", "segre", "--prime", "(X,V)")
-        assert_box_refused(capsys, "--ring", "segre", "--fp", "S0*T0 + 2*S1*T1")
-
 
 class TestClassifyTwoplanes:
     def test_the_bad_prime(self, capsys):
@@ -368,10 +354,6 @@ class TestClassifyTwoplanes:
                            "--prime", "(X,Y)", "--fp", "S0")
         assert code == 2 and "--fp" in err
 
-    def test_box_below_one(self, capsys):
-        for prime in ("(X)", "(X,U)", "(X,Y)", "(X,Y,U)"):
-            assert_box_refused(capsys, "--ring", "twoplanes", "--prime", prime)
-
 
 class TestClassifyDim3:
     def test_xy_prime(self, capsys):
@@ -409,10 +391,6 @@ class TestClassifyDim3:
             assert code == 2, extra
             assert extra[0] in err
 
-    def test_box_below_one(self, capsys):
-        for prime in ("(X,Y)", "(X,V)", "(X,Y,U,V)"):
-            assert_box_refused(capsys, "--ring", "dim3hyper", "--prime", prime)
-
 
 class TestDispatch:
     def test_nagata_not_representable(self, capsys):
@@ -424,6 +402,19 @@ class TestDispatch:
         code, _, err = run(capsys, "classify", "--ring", "mystery")
         assert code == 2
         assert "catalog list" in err
+
+    def test_no_box_option(self, capsys):
+        # a classifier takes only its ring and its prime
+        code, out, _ = run(capsys, "classify", "--help")
+        assert code == 0 and "--ring" in out and "--box" not in out
+        for argv in (("quad:-5", "--prime", "p2"), ("ell:0,1", "--prime", "2,3"),
+                     ("segre", "--prime", "(X,V)"), ("segre", "--fp", "S0*T0 + 2*S1*T1"),
+                     ("twoplanes", "--prime", "(X,Y)"), ("twoplanes", "--prime", "(X,U)"),
+                     ("dim3hyper", "--prime", "(U,V)"), ("nagata",)):
+            for box in ("3", "0"):
+                code, out, err = run(capsys, "classify", "--ring", *argv, "--box", box)
+                assert (code, out) == (2, ""), argv
+                assert err.splitlines()[-1] == "uniloc: error: unrecognized arguments: --box " + box
 
 
 class TestEllTorsion:

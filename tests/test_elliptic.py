@@ -375,10 +375,10 @@ class TestClassifyPoint:
         assert any("not integral" in n for n in v.notes)
 
     def test_overrides_and_json(self):
-        v = classify_point(E_PLUS_1, pt(2, 3), ring_id="ell:0,1#cone",
-                           prime_description="p(2,3)")
+        # the ids come from the curve and the point: the classifier takes only those
+        v = classify_point(E_PLUS_1, pt(2, 3))
         d = v.to_json_dict()
-        assert d["ring"] == "ell:0,1#cone"
-        assert d["prime"] == "p(2,3)"
+        assert d["ring"] == "ell:0,1"
+        assert d["prime"] == "(2, 3)"
         assert d["torsion"] == 6
         assert d["witness"]["type"] == "torsion"

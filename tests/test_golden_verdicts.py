@@ -3,9 +3,10 @@
 golden_verdicts.json holds, for each recorded argv, the exit code,
 stdout and stderr of an in-process `uniloc.cli.main` call.  The cases
 cover every reachable classify branch in text and JSON, plus
-`catalog list` and argparse's refusal of a missing `--ring`.  The
-fixture was recorded once and is never regenerated: a refactor must
-reproduce it byte for byte.
+`catalog list` and argparse's refusal of a missing `--ring` and of
+`--box`, which classify does not take.  The fixture is never
+regenerated as a whole: a refactor must reproduce it byte for byte, and
+a deliberate output change re-records only the entries it names.
 """
 
 import json

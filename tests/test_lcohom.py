@@ -284,7 +284,7 @@ class TestQuotientRoute:
     def test_dim3_cases(self):
         for gens, kill, witness in ((("X", "Y"), "V", (-1, -1, 0)),
                                     (("X", "V"), "Y", (-1, 0, -1))):
-            cert = classify_dim3hyper(gens, box=3).witness
+            cert = classify_dim3hyper(gens).witness
             assert cert.algebra == kill_variable(DIM3, kill).describe()
             assert cert.multidegree == witness
             assert cert.ideal == gens

@@ -287,9 +287,11 @@ class TestClassify:
         assert v.notes == ("bidegree (0, 1) is one sided",)
 
     def test_small_box_still_finds_witness(self):
-        v = classify_segre(coordinate_prime(("Y", "U")), box=1)
+        # the witness is a sign pattern, so it lies in the smallest box
+        v = classify_segre(coordinate_prime(("Y", "U")))
         assert v.flat == "no"
         assert max(abs(a) for a in v.witness.multidegree) <= 1
+        assert v.witness.box == 3
 
     def test_linear_poly_routes_to_pair(self):
         v = classify_segre(SegrePrime.poly("S0"))
@@ -342,8 +344,10 @@ class TestClassify:
         assert any("algebraically closed" in n for n in v.notes)
 
     def test_ring_id_override_and_json(self):
-        v = classify_segre(coordinate_prime(("U", "V")), ring_id="segre#cone")
+        # the ring id is fixed: the classifier takes only the prime
+        v = classify_segre(coordinate_prime(("U", "V")))
         d = v.to_json_dict()
-        assert d["ring"] == "segre#cone"
+        assert d["ring"] == "segre"
+        assert d["prime"] == "(U, V)"
         assert d["witness"]["type"] == "cohomology"
         assert d["flat"] == "no"
