@@ -21,7 +21,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import (InconclusiveError, InputError, NotRepresentableError)
-from .verdict import INFINITE, PRINT_DIGITS, Verdict, check_printable
+from .verdict import INFINITE, Verdict, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -56,7 +56,7 @@ def _required(value: str, message: str) -> str:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return read_number(text.strip(), "a rational number", Fraction)
     except (ValueError, ZeroDivisionError):
         raise InputError("cannot read %r as a rational number" % (text,)) from None
 
@@ -96,7 +96,7 @@ def _parse_quad_primes(order, text: str):
         if not m:
             raise InputError('prime spec must look like "p2" or "p3bar", got %r'
                              % (token,))
-        ell = int(m.group(1))
+        ell = read_number(m.group(1), "--prime")
         conjugate = bool(m.group(2))
         dec = quadorder.decompose_prime(order, ell)
         if isinstance(dec, quadorder.Inert):
@@ -134,12 +134,8 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
         row = ln.split()
         if len(row) != cols:
             raise InputError("row %r does not have %d entries" % (ln, cols))
-        # int() refuses such a token with the ValueError of a syntax error
-        if any(sum(map(str.isdigit, t)) > PRINT_DIGITS for t in row):
-            raise InputError("matrix row %d has an integer of more than %d digits, "
-                             "too long to print" % (number, PRINT_DIGITS))
         try:
-            entries.append([int(t) for t in row])
+            entries.append([read_number(t, "matrix row %d" % number) for t in row])
         except ValueError:
             raise InputError("non-integer entry in row %r" % (ln,)) from None
     return abgroup.IntMatrix.from_rows(entries)
@@ -172,7 +168,7 @@ def _parse_relations(text: str, variables):
 def _quad_args(ring, prime_spec, fp, asserted):
     body = ring.split(":", 1)[1]
     try:
-        d = int(body)
+        d = read_number(body, "the ring id")
     except ValueError:
         raise InputError("cannot read %r as an integer" % (body,)) from None
     order = quadorder.QuadOrder(d)

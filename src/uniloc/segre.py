@@ -26,7 +26,8 @@ from . import lcohom
 from .errors import InputError
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
                       INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
-                      TorsionWitness, Verdict, render_rational)
+                      TorsionWitness, Verdict, check_printable, read_number,
+                      render_rational)
 
 S_NAMES = ("S0", "S1", "T0", "T1")
 XYUV_NAMES = ("X", "Y", "U", "V")
@@ -111,11 +112,16 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square and multiply: about 2*log2(n) products, n of them for n <= 3."""
         if n < 0:
             raise InputError("negative power")
-        out = Polynomial.constant(self.names, 1)
-        for _ in range(n):
-            out = out * self
+        out, base = Polynomial.constant(self.names, 1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def substitute(self, images: dict) -> "Polynomial":
@@ -215,9 +221,9 @@ def parse_polynomial(text: str, names) -> Polynomial:
             if not expecting_factor:
                 raise InputError("missing '*' before %r in %r" % (tok, text))
             if tok.isdigit():
-                num = int(tok)
+                num = read_number(tok, "the polynomial")
                 if i + 2 < len(toks) and toks[i + 1] == "/" and toks[i + 2].isdigit():
-                    den = int(toks[i + 2])
+                    den = read_number(toks[i + 2], "the polynomial")
                     if den == 0:
                         raise InputError("zero denominator in %r" % (text,))
                     coeff *= Fraction(num, den)
@@ -230,7 +236,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
                 if i + 1 < len(toks) and toks[i + 1] == "^":
                     if i + 2 >= len(toks) or not toks[i + 2].isdigit():
                         raise InputError("'^' needs an integer exponent in %r" % (text,))
-                    power = int(toks[i + 2])
+                    power = read_number(toks[i + 2], "the polynomial")
                     i += 3
                 else:
                     i += 1
@@ -246,8 +252,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
             raise InputError("term ends with '*' in %r" % (text,))
         key = tuple(expo)
         total[key] = total.get(key, Fraction(0)) + coeff
-    poly = Polynomial.make(names, total)
-    return poly
+    return Polynomial.make(names, total)
 
 
 # the Segre side ------------------------------------------------------------
@@ -264,6 +269,8 @@ class BihomogPoly:
         if self.poly.is_zero():
             raise InputError("zero polynomial has no bidegree")
         degs = {(e[0] + e[1], e[2] + e[3]) for e, _ in self.poly.terms}
+        # exponents add up to the degrees, which the answer prints
+        check_printable((d for deg in degs for d in deg), "an S or T degree of f")
         if len(degs) != 1:
             raise InputError("not bihomogeneous: S,T degrees %s" % sorted(degs))
 

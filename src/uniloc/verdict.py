@@ -19,6 +19,7 @@ anchors.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -41,6 +42,31 @@ def check_printable(numbers, what: str) -> None:
     if any(abs(n) >= _PRINT_LIMIT for n in numbers):
         raise InputError("%s has an integer of more than %d digits, too long to print"
                          % (what, PRINT_DIGITS))
+
+
+_DIGIT_RUN = r"\d(?:_?\d)*"  # as int() and Fraction() read digits, underscores between
+_DIGIT_RUNS = re.compile(_DIGIT_RUN)
+_EXPONENT = re.compile(r"[eE][-+]?(%s)" % _DIGIT_RUN)
+
+
+def read_number(text: str, what: str, kind=int):
+    """kind(text) for kind int or Fraction, bounded before it is built.
+
+    A digit run of more than PRINT_DIGITS digits, and for Fraction an
+    exponent e with 10**|e| past PRINT_DIGITS digits (Fraction builds that
+    power even when the value is small), is an input error.  Within the
+    bounds kind(text) is cheap and reads every spelling as before; its
+    ValueError is left to the caller.
+    """
+    if any(len(run) - run.count("_") > PRINT_DIGITS for run in _DIGIT_RUNS.findall(text)):
+        raise InputError("%s has an integer of more than %d digits, too long to print"
+                         % (what, PRINT_DIGITS))
+    if kind is not int:
+        exponent = _EXPONENT.search(text)
+        if exponent and int(exponent.group(1)) >= PRINT_DIGITS:
+            raise InputError("%s has an exponent of %d or more, too long to print"
+                             % (what, PRINT_DIGITS))
+    return kind(text)
 
 
 def render_rational(q) -> str:

@@ -177,6 +177,42 @@ class TestClassifyQuad:
             assert err == "input error: %s does not apply to quad:-5\n" % option
 
 
+class TestInputBounds:
+    """A number past the print bound is refused before it is built, with one line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "--ring", "ell:0,1", "--prime", "1e10000000,1"),
+         "a rational number has an exponent of 4300 or more, too long to print"),
+        (("classify", "--ring", "ell:0,1", "--prime", "2,3e-4300"),
+         "a rational number has an exponent of 4300 or more, too long to print"),
+        (("ell", "torsion", "--curve", "0,1_0e1_000_000", "--point", "O"),
+         "a rational number has an exponent of 4300 or more, too long to print"),
+        (("classify", "--ring", "ell:0,%s" % ("7" * 5000), "--prime", "O"),
+         "a rational number has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "quad:-5", "--prime", "p" + "7" * 5000),
+         "--prime has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "quad:-" + "7" * 5000, "--prime", "p2"),
+         "the ring id has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "segre", "--fp", "%s*S0*T0 + S1*T1" % ("7" * 5000)),
+         "the polynomial has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "segre", "--fp", "S0^" + "7" * 5000),
+         "the polynomial has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "segre", "--fp", "S0^{0}*S0^{0}*T0 + S1^{0}*S1^{0}*T1"
+          .format("9" * 4300)),
+         "an S or T degree of f has an integer of more than 4300 digits, too long to print"),
+    ])
+    def test_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+    def test_largest_printable_values_still_read(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", "--ring", "quad:-5",
+                                "--prime", "p" + "0" * 4299 + "2")
+        assert code == 0 and doc["prime"] == "{p%s2}" % ("0" * 4299)
+        code, _, err = run(capsys, "ell", "torsion", "--curve", "0,1", "--point", "1e4299,2")
+        assert (code, err.splitlines()[-1][:26]) == (2, "input error: point (100000")
+
+
 class TestClassgroup:
     def test_minus_twenty(self, capsys):
         code, out, _ = run(capsys, "classgroup", "--disc", "-20")
@@ -259,6 +295,14 @@ class TestClassifyEll:
 
 
 class TestClassifySegre:
+    def test_huge_balanced_exponent(self, capsys):
+        # the lift is checked by substituting back, which squares and multiplies
+        e = 10 ** 9
+        code, doc, err = run_json(capsys, "classify", "--ring", "segre", "--fp",
+                                  "S0^%d*T0^%d + S1^%d*T1^%d" % (e, e, e, e))
+        assert (code, err) == (0, "")
+        assert doc["witness"]["element"] == "X^1000000000 + U^1000000000"
+
     def test_coordinate_pair(self, capsys):
         code, out, _ = run(capsys, "classify", "--ring", "segre",
                            "--prime", "(X,V)")

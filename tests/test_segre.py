@@ -45,6 +45,26 @@ class TestPolynomial:
         with pytest.raises(InputError):
             s0 ** -1
 
+    def test_power_by_squaring(self, monkeypatch):
+        f = spoly("S0*T0 - 2*S1*T1 + 1/3*S0*T1")
+        repeated = Polynomial.constant(S_NAMES, 1)
+        for n in range(13):
+            assert f ** n == repeated, n
+            repeated = repeated * f
+        # n <= 3, the benchmark's largest bidegree, takes n products as before
+        products = []
+        product = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: products.append(1) or product(a, b))
+        for n in range(4):
+            products.clear()
+            f ** n
+            assert len(products) == n
+        products.clear()
+        s0 = Polynomial.variable(S_NAMES, "S0")
+        assert (s0 ** (2 ** 40 + 1)).terms == (((2 ** 40 + 1, 0, 0, 0), 1),)
+        assert len(products) == 42  # not 2^40 + 1
+
     def test_substitute(self):
         x = Polynomial.variable(XYUV_NAMES, "X")
         u = Polynomial.variable(XYUV_NAMES, "U")

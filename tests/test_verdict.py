@@ -2,17 +2,20 @@ import ast
 import importlib
 import json
 import pkgutil
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uniloc
 from uniloc.errors import InputError
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE, UNDECIDED,
                             CohomologyWitness, Denominators, HeightViolation,
                             PrincipalElement, Rule, TorsionWitness, Verdict,
-                            check_citations, render_order, render_rational)
+                            check_citations, read_number, render_order,
+                            render_rational)
 
 CITE = ("flat-universal-classical-hierarchy",)
 
@@ -225,3 +228,54 @@ class TestRules:
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     builders.add(path.name)
         assert builders == {"verdict.py"}
+
+
+# number text as int() and Fraction() read it, and near misses
+DIGITS = st.one_of(st.from_regex(r"[0-9]{1,6}(_[0-9]{1,3}){0,2}", fullmatch=True),
+                   st.sampled_from(["", "_", "1__0", "0" * 40, "\u0663", "\u00b2"]))
+NUMBER_TEXT = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "+", "-", " -"]), DIGITS,
+              st.sampled_from(["", "/", " / ", ".", "e", "E-", "e+"]), DIGITS,
+              st.sampled_from(["", " ", "e3", "x"])).map("".join),
+    st.text(alphabet="0123456789_.eE+-/ x", max_size=12),
+)
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except (InputError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestReadNumber:
+    @settings(max_examples=400, deadline=None)
+    @given(text=NUMBER_TEXT)
+    def test_reads_as_int_and_fraction_do(self, text):
+        assert outcome(lambda t: read_number(t, "x"), text) == outcome(int, text)
+        got = outcome(lambda t: read_number(t, "x", Fraction), text)
+        if got is InputError:  # the runs are short, so only an exponent is refused
+            exponent = re.search(r"[eE][-+]?(\d(?:_?\d)*)", text)
+            assert int(exponent.group(1)) >= 4300
+        else:  # the exponent is small, so Fraction(text) is cheap
+            assert got == outcome(Fraction, text)
+
+    def test_digit_runs(self):
+        assert read_number("9" * 4300, "x") == 10 ** 4300 - 1
+        assert read_number("-" + "1_0" * 2150, "x") == -int("10" * 2150)
+        assert read_number("1/" + "9" * 4300, "x", Fraction) == Fraction(1, 10 ** 4300 - 1)
+        for text in ("9" * 4301, "1" + "_0" * 4300, "1/" + "9" * 4301):
+            for kind in (int, Fraction):
+                with pytest.raises(InputError, match="^x has an integer of more than 4300 "
+                                                     "digits, too long to print$"):
+                    read_number(text, "x", kind)
+
+    def test_exponents(self):
+        assert read_number("1e4299", "x", Fraction) == 10 ** 4299
+        assert read_number("-2.5E-4_299", "x", Fraction) == Fraction(-25, 10 ** 4300)
+        for text in ("1e4300", "1e-4300", "0e4300", "1e1_0000000", " 3E+99999999 "):
+            with pytest.raises(InputError, match="^x has an exponent of 4300 or more, "
+                                                 "too long to print$"):
+                read_number(text, "x", Fraction)
+        with pytest.raises(ValueError):  # int() reads no exponent
+            read_number("1e99999", "x")
