@@ -1,4 +1,11 @@
-"""Collects the acceptance results and prints one line per criterion."""
+"""Collects the acceptance results and prints one line per criterion, and
+registers the Hypothesis profile that CI selects."""
+
+from hypothesis import settings
+
+# `--hypothesis-profile=ci`: the same examples on every run, and a failure
+# prints the blob that replays it; local runs keep the random default
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _DOCS = {}
 _RESULTS = {}

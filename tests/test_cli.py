@@ -713,7 +713,15 @@ def ell_multiples():
     return out
 
 
-RATIONAL_TEXT = st.fractions(min_value=-40, max_value=40, max_denominator=6).map(str)
+RATIONAL_TEXT = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=6).map(str),
+    # exponent notation: Fraction builds 10^|e|, so a large e is refused unbuilt
+    st.tuples(st.sampled_from(["1", "-2.5", "0", ".5", "3_0"]), st.sampled_from("eE"),
+              st.one_of(st.integers(-6, 6), st.sampled_from(
+                  [4299, 4300, -4300, "1_0000000", 10 ** 7, 10 ** 100]))
+              ).map(lambda t: "%s%s%s" % t),
+    st.just("7" * 5000),
+)
 CURVE_TEXT = st.one_of(
     st.tuples(RATIONAL_TEXT, RATIONAL_TEXT).map(",".join),  # singular (0,0) too
     st.sampled_from(["-3,2", "1/4,0", "0", "1,2,3", "a,b", "1/0,1", "nan,1", " , "]),
@@ -725,6 +733,70 @@ POINT_TEXT = st.one_of(
     st.text(max_size=8),
 )
 ELL_INPUTS = st.one_of(st.sampled_from(ell_multiples()), st.tuples(CURVE_TEXT, POINT_TEXT))
+
+
+def mostly(common, *rare):
+    """common in about three draws of four, else one of rare."""
+    return st.sampled_from([0, 0, 0, 1]).flatmap(
+        lambda r: st.one_of(*rare) if r else common)
+
+
+BOX = st.sampled_from([[]] * 6 + [["--box", "3"], ["--box", "0"]])  # classify has no --box
+LONG_DIGITS = "7" * 5000
+QUAD_RINGS = mostly(
+    st.sampled_from([-1, -2, -3, -5, -6, -10, -23, -47, -71, -163, -10007, -999983]),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from(["", "x", "-4", "0", "-" + LONG_DIGITS])).map("quad:{}".format)
+# ell <= 10^8: _is_prime is trial division, and quad:-5 --prime p1000000000000000003
+# does not end in 10 s (ROADMAP item 2)
+ELL = mostly(st.sampled_from([2, 3, 5, 7, 11, 13, 29, 101, 10007, 99999989]),
+             st.integers(0, 100), st.integers(0, 10 ** 8))
+QUAD_PRIMES = mostly(
+    st.lists(st.tuples(ELL, st.sampled_from(["", "", "bar"])).map("p%s%s".__mod__),
+             min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "p", "2", "p2bar,", "p" + LONG_DIGITS]),
+    st.text(max_size=8))
+VARIABLE_SETS = mostly(
+    st.sampled_from(["(X)", "(U)", "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", "(V, X)", "(X,U)",
+                     "(X,Y,U)", "(X,Y,U,V)"]),
+    st.lists(NAMES, max_size=5).map(lambda ns: "(%s)" % ",".join(ns)),
+    st.text(max_size=8))
+# exponents up to 10^9: the lift of a balanced f is checked by squaring monomials
+EXPONENT = mostly(st.integers(0, 3), st.integers(0, 10 ** 9), st.just(LONG_DIGITS))
+COEFFICIENT = mostly(st.integers(-3, 3).map(str),
+                     st.sampled_from(["1/2", "3/0", "-7/4", LONG_DIGITS, "1/" + LONG_DIGITS]))
+S_VARIABLE = mostly(st.sampled_from(["S0", "S1", "T0", "T1"]), st.sampled_from(["X", "s0"]))
+FACTOR = st.one_of(S_VARIABLE, COEFFICIENT,
+                   st.tuples(S_VARIABLE, EXPONENT).map("%s^%s".__mod__))
+SEGRE_FP = mostly(
+    # c1*S0^a*T0^b +- c2*S1^a*T1^b, bihomogeneous of bidegree (a, b)
+    st.tuples(COEFFICIENT, EXPONENT, EXPONENT, st.sampled_from([" + ", " - "]), COEFFICIENT)
+    .map(lambda t: "{0}*S0^{1}*T0^{2}{3}{4}*S1^{1}*T1^{2}".format(*t)),
+    st.lists(st.lists(FACTOR, min_size=1, max_size=4).map("*".join),
+             min_size=1, max_size=4).map(" + ".join),
+    st.text(alphabet="ST01^*+-/ 23", max_size=16))
+CLASSIFY = st.one_of(
+    st.tuples(QUAD_RINGS, QUAD_PRIMES.map(lambda p: ["--prime=" + p])),
+    st.tuples(st.just("segre"), st.one_of(
+        VARIABLE_SETS.map(lambda p: ["--prime=" + p]),
+        st.tuples(SEGRE_FP, st.sampled_from([[], [], ["--assert-irreducible"]]))
+        .map(lambda t: ["--fp=" + t[0]] + t[1]))),
+    st.tuples(st.sampled_from(["twoplanes", "dim3hyper"]),
+              VARIABLE_SETS.map(lambda p: ["--prime=" + p])),
+)
+MATRIX_ENTRY = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 40, 10 ** 40))
+MATRIX_TEXT = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.tuples(
+        mostly(st.just("%d %d" % shape), st.sampled_from(["", "2", "a b", "-1 2", "1 1"])),
+        st.lists(st.lists(MATRIX_ENTRY, min_size=shape[1], max_size=shape[1])
+                 .map(lambda row: " ".join(map(str, row))),
+                 min_size=shape[0], max_size=shape[0]),
+        mostly(st.just([]), st.sampled_from([["x"], ["1.5"], ["1e5"], ["1_0"], [LONG_DIGITS],
+                                             ["# note"], ["1 2 3 4 5 6 7"]])),
+    ).map(lambda t: "\n".join([t[0]] + t[1] + t[2]) + "\n"))
+DISC = mostly(st.one_of(st.sampled_from([-3, -4, -20, -23, -47, -163, -40003, -999983]),
+                        st.integers(-10 ** 7, 10 ** 7)).map(str),
+              st.sampled_from(["", "x", "-4000000000003", "-" + LONG_DIGITS]))
 
 
 def main_quietly(argv):
@@ -764,11 +836,30 @@ class TestFuzz:
         assert main_quietly(argv) in (0, 2, 3, 4)
 
     @settings(max_examples=150, deadline=None)
-    @given(curve_point=ELL_INPUTS, fmt=FORMATS)
-    def test_classify_ell(self, curve_point, fmt):
+    @given(curve_point=ELL_INPUTS, box=BOX, fmt=FORMATS)
+    def test_classify_ell(self, curve_point, box, fmt):
         curve, point = curve_point
         argv = ["classify", "--ring=ell:" + curve, "--prime=" + point, "--format=" + fmt]
-        assert main_quietly(argv) in (0, 2, 3, 4)
+        assert main_quietly(argv + box) in (0, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_options=CLASSIFY, box=BOX, fmt=FORMATS)
+    def test_classify(self, ring_options, box, fmt):
+        ring, options = ring_options
+        argv = ["classify", "--ring=" + ring, *options, "--format=" + fmt]
+        assert main_quietly(argv + box) in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=MATRIX_TEXT, fmt=FORMATS)
+    def test_snf(self, tmp_path_factory, text, fmt):
+        matrix = tmp_path_factory.mktemp("fuzz") / "matrix.txt"
+        matrix.write_text(text)
+        assert main_quietly(["snf", "--matrix", str(matrix), "--format=" + fmt]) in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(disc=DISC, fmt=FORMATS)
+    def test_classgroup(self, disc, fmt):
+        assert main_quietly(["classgroup", "--disc=" + disc, "--format=" + fmt]) in (0, 2, 3, 4)
 
 
 class TestHarness:
