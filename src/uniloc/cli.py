@@ -126,7 +126,7 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     head = lines[0].split()
     if len(head) != 2 or not all(t.lstrip("-").isdigit() for t in head):
         raise InputError('first line must be "rows cols"')
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = (read_number(t, "the matrix header") for t in head)
     if len(lines) - 1 != rows:
         raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
     entries = []

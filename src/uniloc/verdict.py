@@ -58,7 +58,8 @@ def read_number(text: str, what: str, kind=int):
     bounds kind(text) is cheap and reads every spelling as before; its
     ValueError is left to the caller.
     """
-    if any(len(run) - run.count("_") > PRINT_DIGITS for run in _DIGIT_RUNS.findall(text)):
+    if len(text) > PRINT_DIGITS and any(len(run) - run.count("_") > PRINT_DIGITS
+                                        for run in _DIGIT_RUNS.findall(text)):
         raise InputError("%s has an integer of more than %d digits, too long to print"
                          % (what, PRINT_DIGITS))
     if kind is not int:

@@ -628,6 +628,11 @@ class TestSnf:
         assert (code, out) == (2, "")
         assert err == ("input error: matrix row 2 has an integer of more than "
                        "4300 digits, too long to print\n")
+        mat.write_text("%s 1\n3\n" % ("7" * 5000))
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == ("input error: the matrix header has an integer of more than "
+                       "4300 digits, too long to print\n")
 
     def test_text_output(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
@@ -787,7 +792,8 @@ CLASSIFY = st.one_of(
 MATRIX_ENTRY = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 40, 10 ** 40))
 MATRIX_TEXT = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
     lambda shape: st.tuples(
-        mostly(st.just("%d %d" % shape), st.sampled_from(["", "2", "a b", "-1 2", "1 1"])),
+        mostly(st.just("%d %d" % shape),
+               st.sampled_from(["", "2", "a b", "-1 2", "1 1", LONG_DIGITS + " 1"])),
         st.lists(st.lists(MATRIX_ENTRY, min_size=shape[1], max_size=shape[1])
                  .map(lambda row: " ".join(map(str, row))),
                  min_size=shape[0], max_size=shape[0]),
