@@ -252,7 +252,8 @@ def parse_polynomial(text: str, names) -> Polynomial:
             raise InputError("term ends with '*' in %r" % (text,))
         key = tuple(expo)
         total[key] = total.get(key, Fraction(0)) + coeff
-    return Polynomial.make(names, total)
+    poly = Polynomial.make(names, total)
+    return poly
 
 
 # the Segre side ------------------------------------------------------------
