@@ -32,6 +32,14 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out else None), err
 
 
+def assert_box_refused(capsys, *argv):
+    """classify has no --box: argparse refuses it, whatever its value."""
+    for box in ("0", "-3"):
+        code, out, err = run(capsys, "classify", *argv, "--box=" + box)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines()[-1] == "uniloc: error: unrecognized arguments: --box=" + box
+
+
 def run_python(*args, **kwargs):
     """Run a fresh interpreter that finds uniloc on its path."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
@@ -357,6 +365,10 @@ class TestClassifySegre:
             assert err == ("input error: f = S0^3*T0 is reducible, "
                            "it does not define a prime\n")
 
+    def test_box_below_one(self, capsys):
+        assert_box_refused(capsys, "--ring", "segre", "--prime", "(X,V)")
+        assert_box_refused(capsys, "--ring", "segre", "--fp", "S0*T0 + 2*S1*T1")
+
 
 class TestClassifyTwoplanes:
     def test_the_bad_prime(self, capsys):
@@ -400,6 +412,10 @@ class TestClassifyTwoplanes:
                            "--prime", "(X,Y)", "--fp", "S0")
         assert code == 2 and "--fp" in err
 
+    def test_box_below_one(self, capsys):
+        for prime in ("(X)", "(X,U)", "(X,Y)", "(X,Y,U)"):
+            assert_box_refused(capsys, "--ring", "twoplanes", "--prime", prime)
+
 
 class TestClassifyDim3:
     def test_xy_prime(self, capsys):
@@ -437,6 +453,10 @@ class TestClassifyDim3:
             assert code == 2, extra
             assert extra[0] in err
 
+    def test_box_below_one(self, capsys):
+        for prime in ("(X,Y)", "(X,V)", "(X,Y,U,V)"):
+            assert_box_refused(capsys, "--ring", "dim3hyper", "--prime", prime)
+
 
 class TestDispatch:
     def test_nagata_not_representable(self, capsys):
@@ -454,8 +474,6 @@ class TestDispatch:
         code, out, _ = run(capsys, "classify", "--help")
         assert code == 0 and "--ring" in out and "--box" not in out
         for argv in (("quad:-5", "--prime", "p2"), ("ell:0,1", "--prime", "2,3"),
-                     ("segre", "--prime", "(X,V)"), ("segre", "--fp", "S0*T0 + 2*S1*T1"),
-                     ("twoplanes", "--prime", "(X,Y)"), ("twoplanes", "--prime", "(X,U)"),
                      ("dim3hyper", "--prime", "(U,V)"), ("nagata",)):
             for box in ("3", "0"):
                 code, out, err = run(capsys, "classify", "--ring", *argv, "--box", box)
