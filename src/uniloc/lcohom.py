@@ -338,6 +338,21 @@ def classify_twoplanes(names) -> Verdict:
                "normal domain and are not implemented for this ring"))
 
 
+def quadric_certificate(names):
+    """H^2 != 0 for the coordinate prime (names) of k[X,Y,U,V]/(XU-YV).
+
+    Kills whichever of Y and V is not a generator; the quadric and its
+    monomial surrogate have the same quotient, whose first nonzero sign
+    pattern is the witness.  Returns (killed variable, quotient, outcome).
+    """
+    kill = next(v for v in ("Y", "V") if v not in names)
+    quotient = kill_variable(DIM3_SURROGATE, kill)
+    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, WITNESS_BOX)
+    if not out.found:
+        raise AssertionError("witness must exist for the coordinate primes")
+    return kill, quotient, out
+
+
 def classify_dim3hyper(names) -> Verdict:
     """Verdict for V(p) in the hypersurface k[X,Y,U,V]/(XU-YV), p a
     variable prime; certificates run on the monomial surrogate."""
@@ -357,11 +372,7 @@ def classify_dim3hyper(names) -> Verdict:
             "hypersurface are (X,Y), (X,V), (Y,U), (U,V) and the maximal ideal"
             % (desc,))
 
-    kill = next(v for v in ("Y", "V") if v not in names)
-    quotient = kill_variable(DIM3_SURROGATE, kill)
-    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, WITNESS_BOX)
-    if not out.found:
-        raise AssertionError("witness must exist for the coordinate primes")
+    kill, quotient, out = quadric_certificate(names)
     steps = (
         "pass to the quotient %s by killing %s" % (quotient.describe(), kill),
         "top-degree Cech cohomology is right exact, so a nonzero class on the "

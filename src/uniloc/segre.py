@@ -64,19 +64,6 @@ class Polynomial:
                              key=lambda t: t[0], reverse=True))
         return cls(names, terms)
 
-    @classmethod
-    def variable(cls, names, name) -> "Polynomial":
-        names = tuple(names)
-        if name not in names:
-            raise InputError("unknown variable %r" % (name,))
-        expo = tuple(1 if n == name else 0 for n in names)
-        return cls.make(names, {expo: 1})
-
-    @classmethod
-    def constant(cls, names, value) -> "Polynomial":
-        names = tuple(names)
-        return cls.make(names, {(0,) * len(names): Fraction(value)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -100,41 +87,12 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.names, other)
         out = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return Polynomial.make(self.names, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        """Square and multiply: about 2*log2(n) products, n of them for n <= 3."""
-        if n < 0:
-            raise InputError("negative power")
-        out, base = Polynomial.constant(self.names, 1), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def substitute(self, images: dict) -> "Polynomial":
-        """Map each variable to a polynomial (all over one target ring)."""
-        target = next(iter(images.values()))
-        out = Polynomial.constant(target.names, 0)
-        for expo, c in self.terms:
-            term = Polynomial.constant(target.names, c)
-            for name, e in zip(self.names, expo):
-                if e:
-                    term = term * (images[name] ** e)
-            out = out + term
-        return out
 
     def render(self) -> str:
         if not self.terms:
@@ -299,19 +257,17 @@ class BihomogPoly:
         return "BihomogPoly(%s)" % self.render()
 
 
-_EMBED = {
-    "X": Polynomial.make(S_NAMES, {(1, 0, 1, 0): 1}),
-    "Y": Polynomial.make(S_NAMES, {(0, 1, 1, 0): 1}),
-    "U": Polynomial.make(S_NAMES, {(0, 1, 0, 1): 1}),
-    "V": Polynomial.make(S_NAMES, {(1, 0, 0, 1): 1}),
-}
-
-
 def embed_xyuv(poly: Polynomial) -> BihomogPoly:
-    """Push a polynomial in X,Y,U,V through the embedding."""
+    """Push a polynomial in X,Y,U,V through the embedding, a monomial map:
+    X^x Y^y U^u V^v goes to S0^(x+v) S1^(y+u) T0^(x+y) T1^(u+v), and the
+    coefficients of monomials with one image add up."""
     if poly.names != XYUV_NAMES:
         raise InputError("expected a polynomial in %s" % (XYUV_NAMES,))
-    return BihomogPoly(poly.substitute(_EMBED))
+    out = {}
+    for (x, y, u, v), c in poly.terms:
+        key = (x + v, y + u, x + y, u + v)
+        out[key] = out.get(key, Fraction(0)) + c
+    return BihomogPoly.from_terms(out)
 
 
 def to_xyuv(f: BihomogPoly) -> Polynomial:
@@ -320,7 +276,7 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
     Each monomial S0^e0 S1^e1 T0^f0 T1^f1 with e0+e1 = f0+f1 lifts to
     X^a Y^c U^d V^b; the lift is pinned down by taking the X exponent
     maximal, which picks XU rather than YV on the ambiguous monomials.
-    The result is verified by substituting back.
+    The result is verified by embedding it again.
     """
     d, e = f.bidegree()
     if d != e:
@@ -337,11 +293,17 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
         out[key] = out.get(key, Fraction(0)) + c
     lifted = Polynomial.make(XYUV_NAMES, out)
     if embed_xyuv(lifted).poly != f.poly:
-        raise AssertionError("lift failed the substitution round trip")
+        raise AssertionError("lift failed the embedding round trip")
     return lifted
 
 
 # prime presentations -------------------------------------------------------
+
+def _linear(**coefficients) -> Polynomial:
+    """The linear form in X,Y,U,V with the given coefficients: _linear(X=p, Y=q)."""
+    return Polynomial.make(XYUV_NAMES, {
+        tuple(int(n == name) for n in XYUV_NAMES): c for name, c in coefficients.items()})
+
 
 @dataclass(frozen=True)
 class LinearPair:
@@ -362,11 +324,10 @@ class LinearPair:
     def members(self):
         """The two ideal generators, as polynomials in X,Y,U,V."""
         p, q = self.g
-        var = {n: Polynomial.variable(XYUV_NAMES, n) for n in XYUV_NAMES}
         if self.orientation == ORIENT_XY_VU:
-            pair = (p * var["X"] + q * var["Y"], p * var["V"] + q * var["U"])
+            pair = (_linear(X=p, Y=q), _linear(V=p, U=q))
         else:
-            pair = (p * var["X"] + q * var["V"], p * var["Y"] + q * var["U"])
+            pair = (_linear(X=p, V=q), _linear(Y=p, U=q))
         return tuple(sorted(pair, key=lambda m: m.terms[0][0], reverse=True))
 
     def f_poly(self) -> BihomogPoly:
@@ -468,33 +429,20 @@ class CoordinateChange:
     det: Fraction
     orientation: str
     normalized: tuple  # ("X", "V") or ("X", "Y")
-    kill: str  # the variable whose quotient is the monomial ring
 
     def substitution(self) -> dict:
         (p, q), (r, t) = self.matrix
-        var = {n: Polynomial.variable(XYUV_NAMES, n) for n in XYUV_NAMES}
         if self.orientation == ORIENT_XY_VU:
-            return {
-                "X": p * var["X"] + q * var["Y"],
-                "Y": r * var["X"] + t * var["Y"],
-                "U": r * var["V"] + t * var["U"],
-                "V": p * var["V"] + q * var["U"],
-            }
-        return {
-            "X": p * var["X"] + q * var["V"],
-            "Y": p * var["Y"] + q * var["U"],
-            "U": r * var["Y"] + t * var["U"],
-            "V": r * var["X"] + t * var["V"],
-        }
+            return {"X": _linear(X=p, Y=q), "Y": _linear(X=r, Y=t),
+                    "U": _linear(V=r, U=t), "V": _linear(V=p, U=q)}
+        return {"X": _linear(X=p, V=q), "Y": _linear(Y=p, U=q),
+                "U": _linear(Y=r, U=t), "V": _linear(X=r, V=t)}
 
     def verify(self) -> bool:
         sub = self.substitution()
-        relation = (Polynomial.variable(XYUV_NAMES, "X")
-                    * Polynomial.variable(XYUV_NAMES, "U")
-                    - Polynomial.variable(XYUV_NAMES, "Y")
-                    * Polynomial.variable(XYUV_NAMES, "V"))
         transformed = sub["X"] * sub["U"] - sub["Y"] * sub["V"]
-        return transformed == self.det * relation
+        return transformed == Polynomial.make(
+            XYUV_NAMES, {(1, 0, 1, 0): self.det, (0, 1, 0, 1): -self.det})
 
     def describe(self) -> str:
         (p, q), (r, t) = self.matrix
@@ -518,12 +466,8 @@ def case1_normal_form(p) -> CoordinateChange:
     else:
         second = (Fraction(1), Fraction(0))
     det = a * second[1] - b * second[0]
-    if p.orientation == ORIENT_XY_VU:
-        normalized, kill = ("X", "V"), "Y"
-    else:
-        normalized, kill = ("X", "Y"), "V"
-    change = CoordinateChange(((a, b), second), det, p.orientation,
-                              normalized, kill)
+    normalized = ("X", "V") if p.orientation == ORIENT_XY_VU else ("X", "Y")
+    change = CoordinateChange(((a, b), second), det, p.orientation, normalized)
     if not change.verify():
         raise AssertionError("coordinate change failed its relation check")
     return change
@@ -574,19 +518,14 @@ BALANCED = CLASSICAL.cite(("segre-trichotomy",))
 
 def _classify_linear(pair: LinearPair) -> Verdict:
     change = case1_normal_form(pair)
-    quotient_vars = tuple(v for v in XYUV_NAMES if v != change.kill)
-    quotient = lcohom.MonomialAlgebra.make(quotient_vars, [{"X", "U"}])
-    ideal = lcohom.VariableIdeal.of(quotient, change.normalized)
-    out = lcohom.certify_nonvanishing(quotient, ideal, 2, lcohom.WITNESS_BOX)
-    if not out.found:
-        raise AssertionError("quadric case-1 witness must exist within any box")
+    kill, quotient, out = lcohom.quadric_certificate(change.normalized)
     identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     steps = []
     if change.matrix != identity:
         steps.append(change.describe())
     steps.append("kill %s: the quotient is the monomial ring %s and "
                  "top-degree right-exactness carries its H^2 class back"
-                 % (change.kill, quotient.describe()))
+                 % (kill, quotient.describe()))
     steps.append(out.note)
     witness = CohomologyWitness(
         algebra=quotient.describe(),

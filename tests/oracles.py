@@ -2,8 +2,9 @@
 
 Deliberately different algorithms from the package: cofactor expansion
 instead of Bareiss, Hermite form instead of Smith form, antichains
-instead of closed sets, the full scans that the package prunes, and the
-group law in Fraction arithmetic instead of integer pairs.
+instead of closed sets, the full scans that the package prunes, the
+group law in Fraction arithmetic instead of integer pairs, and the Segre
+embedding by substitution instead of a monomial map.
 Agreement between the two sides is the test.
 """
 
@@ -12,6 +13,7 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 from uniloc.errors import InputError, PreconditionError
+from uniloc.segre import S_NAMES, Polynomial
 
 
 def det_cofactor(rows):
@@ -322,3 +324,21 @@ def ec_multiples_brute(a, b, P, n):
         Q = ec_add_brute(a, b, Q, P)
         out += [Q, Q and (Q[0], -Q[1])]
     return list(dict.fromkeys(out))
+
+
+SEGRE_IMAGES = {"X": (1, 0, 1, 0), "Y": (0, 1, 1, 0), "U": (0, 1, 0, 1), "V": (1, 0, 0, 1)}
+
+
+def embed_by_substitution(poly):
+    """The image in S0,S1,T0,T1 of a polynomial in X,Y,U,V: X -> S0*T0,
+    Y -> S1*T0, U -> S1*T1, V -> S0*T1 substituted into every term, one
+    factor at a time, and the terms added up."""
+    images = {n: Polynomial.make(S_NAMES, {e: 1}) for n, e in SEGRE_IMAGES.items()}
+    out = Polynomial.make(S_NAMES, {})
+    for expo, c in poly.terms:
+        term = Polynomial.make(S_NAMES, {(0, 0, 0, 0): c})
+        for name, e in zip(poly.names, expo):
+            for _ in range(e):
+                term = term * images[name]
+        out = out + term
+    return out

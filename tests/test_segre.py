@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,15 @@ from uniloc.segre import (BihomogPoly, CoordinateChange, LinearPair,
                           is_irreducible, parse_polynomial, psi, to_xyuv)
 from uniloc.verdict import INFINITE
 
+from oracles import embed_by_substitution
+
 
 def spoly(text):
     return parse_polynomial(text, S_NAMES)
+
+
+def xpoly(text):
+    return parse_polynomial(text, XYUV_NAMES)
 
 
 class TestPolynomial:
@@ -32,56 +39,15 @@ class TestPolynomial:
         with pytest.raises(InputError):
             Polynomial.make(S_NAMES, {(-1, 0, 0, 0): 1})
         with pytest.raises(InputError):
-            Polynomial.variable(S_NAMES, "W")
+            spoly("W")
 
     def test_algebra(self):
-        s0 = Polynomial.variable(S_NAMES, "S0")
-        t0 = Polynomial.variable(S_NAMES, "T0")
+        s0, t0 = spoly("S0"), spoly("T0")
         assert (s0 + t0) - t0 == s0
         assert (s0 * t0).coefficient((1, 0, 1, 0)) == 1
-        assert (2 * s0).render() == "2*S0"
-        assert (s0 ** 3).render() == "S0^3"
-        assert (s0 * Fraction(1, 2)).render() == "1/2*S0"
-        with pytest.raises(InputError):
-            s0 ** -1
-
-    def test_power_by_squaring(self, monkeypatch):
-        f = spoly("S0*T0 - 2*S1*T1 + 1/3*S0*T1")
-        repeated = Polynomial.constant(S_NAMES, 1)
-        for n in range(13):
-            assert f ** n == repeated, n
-            repeated = repeated * f
-        # n <= 3, the benchmark's largest bidegree, takes n products as before
-        products = []
-        product = Polynomial.__mul__
-
-        def counted(a, b):
-            products.append(1)
-            assert len(products) <= 100, "too many products"  # fail, do not hang
-            return product(a, b)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
-        for n in range(4):
-            products.clear()
-            f ** n
-            assert len(products) == n
-        products.clear()
-        s0 = Polynomial.variable(S_NAMES, "S0")
-        assert (s0 ** (2 ** 40 + 1)).terms == (((2 ** 40 + 1, 0, 0, 0), 1),)
-        assert len(products) == 42  # not 2^40 + 1
-
-    def test_substitute(self):
-        x = Polynomial.variable(XYUV_NAMES, "X")
-        u = Polynomial.variable(XYUV_NAMES, "U")
-        f = x * u + 2 * x
-        images = {"X": Polynomial.variable(XYUV_NAMES, "Y"),
-                  "Y": Polynomial.variable(XYUV_NAMES, "Y"),
-                  "U": Polynomial.variable(XYUV_NAMES, "V"),
-                  "V": Polynomial.variable(XYUV_NAMES, "V")}
-        g = f.substitute(images)
-        assert g == Polynomial.variable(XYUV_NAMES, "Y") \
-            * Polynomial.variable(XYUV_NAMES, "V") \
-            + 2 * Polynomial.variable(XYUV_NAMES, "Y")
+        assert (spoly("2") * s0).render() == "2*S0"
+        assert (s0 * s0 * s0).render() == "S0^3"
+        assert (s0 * spoly("1/2")).render() == "1/2*S0"
 
 
 class TestParser:
@@ -131,22 +97,39 @@ class TestBihomog:
         with pytest.raises(InputError):
             BihomogPoly.from_string("S0 - S0")
         with pytest.raises(InputError):
-            BihomogPoly(Polynomial.variable(XYUV_NAMES, "X"))
+            BihomogPoly(xpoly("X"))
 
 
 class TestEmbedding:
     def test_images_of_the_four_variables(self):
         for name, expo in (("X", (1, 0, 1, 0)), ("Y", (0, 1, 1, 0)),
                            ("U", (0, 1, 0, 1)), ("V", (1, 0, 0, 1))):
-            img = embed_xyuv(Polynomial.variable(XYUV_NAMES, name))
+            img = embed_xyuv(xpoly(name))
             assert img.terms == ((expo, Fraction(1)),)
 
     def test_relation_collapses(self):
-        x = Polynomial.variable(XYUV_NAMES, "X")
-        y = Polynomial.variable(XYUV_NAMES, "Y")
-        u = Polynomial.variable(XYUV_NAMES, "U")
-        v = Polynomial.variable(XYUV_NAMES, "V")
-        assert embed_xyuv(x * u).poly == embed_xyuv(y * v).poly
+        assert embed_xyuv(xpoly("X*U")).poly == embed_xyuv(xpoly("Y*V")).poly
+        with pytest.raises(InputError):
+            embed_xyuv(xpoly("X*U - Y*V"))  # the image is zero
+
+    def test_matches_substitution_oracle(self):
+        # homogeneous in X,Y,U,V, so that the image is bihomogeneous
+        by_degree = {}
+        for expo in product(range(7), repeat=4):
+            by_degree.setdefault(sum(expo), []).append(expo)
+        rng = random.Random(305)
+        for _ in range(150):
+            monomials = by_degree[rng.randint(0, 12)]
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                terms[rng.choice(monomials)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            p = Polynomial.make(XYUV_NAMES, terms)
+            expected = embed_by_substitution(p)
+            if expected.is_zero():
+                with pytest.raises(InputError):
+                    embed_xyuv(p)
+                continue
+            assert embed_xyuv(p).poly == expected, p
 
     def test_lift_prefers_xu(self):
         f = BihomogPoly.from_terms({(1, 1, 1, 1): 1})
@@ -229,7 +212,7 @@ class TestNormalForm:
         c = case1_normal_form(LinearPair((1, 0), ORIENT_XY_VU))
         assert c.matrix == ((1, 0), (0, 1))
         assert c.det == 1
-        assert c.normalized == ("X", "V") and c.kill == "Y"
+        assert c.normalized == ("X", "V")
         assert c.verify()
 
     def test_unipotent_completion(self):
@@ -240,14 +223,13 @@ class TestNormalForm:
     def test_swap_completion(self):
         c = case1_normal_form(LinearPair((0, 2), ORIENT_XV_YU))
         assert c.matrix == ((0, 2), (1, 0)) and c.det == -2
-        assert c.normalized == ("X", "Y") and c.kill == "V"
+        assert c.normalized == ("X", "Y")
         assert c.verify()
         assert "determinant -2" in c.describe()
 
     def test_tampered_change_fails_verify(self):
         c = case1_normal_form(LinearPair((1, 1), ORIENT_XY_VU))
-        bad = CoordinateChange(c.matrix, Fraction(7), c.orientation,
-                               c.normalized, c.kill)
+        bad = CoordinateChange(c.matrix, Fraction(7), c.orientation, c.normalized)
         assert not bad.verify()
 
     def test_rejects_poly_primes(self):
