@@ -28,9 +28,17 @@ DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
                                         "classical-support-union"))
 
 
+# trial division makes at most about TRIAL_STEPS divisions: _is_prime refuses
+# an n with square root above it, _is_squarefree an n with cube root above it
+TRIAL_STEPS = 10 ** 6
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
+    if n >= (TRIAL_STEPS + 1) ** 2:
+        raise InputError("cannot test primality past the trial division bound: "
+                         "the square root is above %d" % TRIAL_STEPS)
     i = 2
     while i * i <= n:
         if n % i == 0:
@@ -59,6 +67,9 @@ def _is_squarefree(n: int) -> bool:
     """Trial division only while i^3 <= n, each prime found divided out
     once: the cofactor left is then 1, p, pq or p^2."""
     n = abs(n)
+    if n >= (TRIAL_STEPS + 1) ** 3:
+        raise InputError("cannot test squarefreeness past the trial division bound: "
+                         "the cube root of |d| is above %d" % TRIAL_STEPS)
     i = 2
     while i * i * i <= n:
         if n % i == 0:

@@ -223,6 +223,37 @@ class TestInputBounds:
                                   "y^2 = x^3 + (0)x + (1)\n" % ("0" * 4299))
 
 
+PRIME_BOUND = ("cannot test primality past the trial division bound: "
+               "the square root is above 1000000")
+SQUAREFREE_BOUND = ("cannot test squarefreeness past the trial division bound: "
+                    "the cube root of |d| is above 1000000")
+
+
+class TestTrialDivisionBound:
+    """A prime or a d past the trial division bound ends at once with exit 2.
+
+    Each call runs as a fresh process under a timeout, so an unbounded
+    division loop fails the test instead of hanging the suite."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "--ring", "quad:-5", "--prime", "p1000000000000000003"), PRIME_BOUND),
+        (("classify", "--ring", "quad:-5", "--prime", "p1000002000001"), PRIME_BOUND),
+        (("classify", "--ring", "quad:-1000000000000000000000000000099", "--prime", "p2"),
+         SQUAREFREE_BOUND),
+        (("classgroup", "--disc", "-1000000000000000000000000000003"), SQUAREFREE_BOUND),
+    ])
+    def test_refused(self, argv, message):
+        proc = run_module(*argv, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "input error: %s\n" % message)
+
+    def test_largest_prime_below_the_bound_answers(self):
+        proc = run_module("classify", "--ring", "quad:-5", "--prime", "p999999999989",
+                          "--format", "json", capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["prime"] == "{p999999999989}"
+
+
 class TestClassgroup:
     def test_minus_twenty(self, capsys):
         code, out, _ = run(capsys, "classgroup", "--disc", "-20")
@@ -770,12 +801,11 @@ BOX = st.sampled_from([[]] * 6 + [["--box", "3"], ["--box", "0"]])  # classify h
 LONG_DIGITS = "7" * 5000
 QUAD_RINGS = mostly(
     st.sampled_from([-1, -2, -3, -5, -6, -10, -23, -47, -71, -163, -10007, -999983]),
-    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 31, 10 ** 31),
     st.sampled_from(["", "x", "-4", "0", "-" + LONG_DIGITS])).map("quad:{}".format)
-# ell <= 10^8: _is_prime is trial division, and quad:-5 --prime p1000000000000000003
-# does not end in 10 s (ROADMAP item 2)
 ELL = mostly(st.sampled_from([2, 3, 5, 7, 11, 13, 29, 101, 10007, 99999989]),
-             st.integers(0, 100), st.integers(0, 10 ** 8))
+             st.integers(0, 100), st.integers(0, 10 ** 8), st.integers(0, 10 ** 20),
+             st.sampled_from([10 ** 12 + 39, 10 ** 18 + 3]))
 QUAD_PRIMES = mostly(
     st.lists(st.tuples(ELL, st.sampled_from(["", "", "bar"])).map("p%s%s".__mod__),
              min_size=1, max_size=3).map(",".join),
@@ -822,7 +852,9 @@ MATRIX_TEXT = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
     ).map(lambda t: "\n".join([t[0]] + t[1] + t[2]) + "\n"))
 DISC = mostly(st.one_of(st.sampled_from([-3, -4, -20, -23, -47, -163, -40003, -999983]),
                         st.integers(-10 ** 7, 10 ** 7)).map(str),
-              st.sampled_from(["", "x", "-4000000000003", "-" + LONG_DIGITS]))
+              st.integers(-10 ** 31, -10 ** 12).map(str),
+              st.sampled_from(["", "x", "-4000000000003", "-" + LONG_DIGITS,
+                               "-1000000000000000000000000000003"]))
 
 
 def main_quietly(argv):

@@ -80,10 +80,26 @@ class TestOrderValidation:
             p, q = random_prime(rng, 2, 10 ** 5), random_prime(rng, 2, 10 ** 5)
             m = rng.randrange(1, 1000)
             assert not quadorder._is_squarefree(-p * p * m), (p, m)
-            assert not quadorder._is_squarefree(p * p * q * q), (p, q)
+            if p * p * q * q < (quadorder.TRIAL_STEPS + 1) ** 3:
+                assert not quadorder._is_squarefree(p * p * q * q), (p, q)
+            else:  # past the trial division bound
+                with pytest.raises(InputError):
+                    quadorder._is_squarefree(p * p * q * q)
             if squarefree_brute(m) and m % p:
                 assert quadorder._is_squarefree(-p * m), (p, m)
                 assert quadorder._is_squarefree(p * q * m) == (p != q and m % q != 0)
+
+    def test_trial_division_bound(self):
+        # trial division makes at most about TRIAL_STEPS divisions
+        past = quadorder.TRIAL_STEPS + 1
+        assert not quadorder._is_prime(past ** 2 - 1)
+        with pytest.raises(InputError, match="square root is above 1000000"):
+            quadorder._is_prime(past ** 2)
+        assert not quadorder._is_squarefree(past ** 3 - 1)
+        with pytest.raises(InputError, match="cube root of \\|d\\| is above 1000000"):
+            quadorder._is_squarefree(-past ** 3)
+        with pytest.raises(InputError):
+            QuadOrder(-10 ** 30 - 3)
 
     def test_discriminant(self):
         assert QuadOrder(-5).discriminant == -20
