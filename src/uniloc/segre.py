@@ -13,6 +13,13 @@ bidegree (d, e) of f_p decides everything:
 
 Primes are entered either by f_p directly or, in the one-sided case, as
 a linear pair (g(X,Y), g(V,U)) or (g(X,V), g(Y,U)).
+
+Polynomials are sparse maps from exponent vectors to rationals.  The
+embedding and its inverse act on the exponent vectors; a linear pair and
+a coordinate change build their linear forms from the coefficients, and
+the change checks itself by multiplying out the quadric relation.  The
+H^2 certificate of a linear pair is lcohom.quadric_certificate, the one
+that decides the coordinate primes of the hypersurface.
 """
 
 from __future__ import annotations
@@ -42,8 +49,10 @@ ORIENT_XV_YU = "XV-YU"
 class Polynomial:
     """Sparse polynomial with Fraction coefficients on named variables.
 
-    terms is kept sorted by descending exponent tuple, zero coefficients
-    dropped, so equal polynomials compare equal structurally.
+    Built by make (or parse_polynomial); it has coefficient, is_zero, +,
+    -, * and render, and a scalar is a constant polynomial.  terms is
+    kept sorted by descending exponent tuple, zero coefficients dropped,
+    so equal polynomials compare equal structurally.
     """
 
     names: tuple
@@ -260,7 +269,14 @@ class BihomogPoly:
 def embed_xyuv(poly: Polynomial) -> BihomogPoly:
     """Push a polynomial in X,Y,U,V through the embedding, a monomial map:
     X^x Y^y U^u V^v goes to S0^(x+v) S1^(y+u) T0^(x+y) T1^(u+v), and the
-    coefficients of monomials with one image add up."""
+    coefficients of monomials with one image add up.
+
+    >>> X, Y, U, V = (parse_polynomial(n, XYUV_NAMES) for n in XYUV_NAMES)
+    >>> embed_xyuv(X * U) == embed_xyuv(Y * V)
+    True
+    >>> embed_xyuv(X * U).render()
+    'S0*S1*T0*T1'
+    """
     if poly.names != XYUV_NAMES:
         raise InputError("expected a polynomial in %s" % (XYUV_NAMES,))
     out = {}
@@ -277,6 +293,9 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
     X^a Y^c U^d V^b; the lift is pinned down by taking the X exponent
     maximal, which picks XU rather than YV on the ambiguous monomials.
     The result is verified by embedding it again.
+
+    >>> to_xyuv(BihomogPoly.from_string("S0*S1*T0*T1")).render()
+    'X*U'
     """
     d, e = f.bidegree()
     if d != e:
