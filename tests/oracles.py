@@ -13,7 +13,6 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 from uniloc.errors import InputError, PreconditionError
-from uniloc.segre import S_NAMES, Polynomial
 
 
 def det_cofactor(rows):
@@ -326,19 +325,30 @@ def ec_multiples_brute(a, b, P, n):
     return list(dict.fromkeys(out))
 
 
-SEGRE_IMAGES = {"X": (1, 0, 1, 0), "Y": (0, 1, 1, 0), "U": (0, 1, 0, 1), "V": (1, 0, 0, 1)}
+# the images of X, Y, U, V under the Segre embedding, as exponents of S0,S1,T0,T1
+SEGRE_IMAGES = ((1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1))
 
 
-def embed_by_substitution(poly):
-    """The image in S0,S1,T0,T1 of a polynomial in X,Y,U,V: X -> S0*T0,
-    Y -> S1*T0, U -> S1*T1, V -> S0*T1 substituted into every term, one
-    factor at a time, and the terms added up."""
-    images = {n: Polynomial.make(S_NAMES, {e: 1}) for n, e in SEGRE_IMAGES.items()}
-    out = Polynomial.make(S_NAMES, {})
-    for expo, c in poly.terms:
-        term = Polynomial.make(S_NAMES, {(0, 0, 0, 0): c})
-        for name, e in zip(poly.names, expo):
-            for _ in range(e):
-                term = term * images[name]
-        out = out + term
+def _times_brute(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+def embed_by_substitution(terms):
+    """The image of {X,Y,U,V exponents: coefficient} as {S0,S1,T0,T1
+    exponents: coefficient}: X -> S0*T0, Y -> S1*T0, U -> S1*T1,
+    V -> S0*T1 substituted into every term, multiplied out one factor at
+    a time, and the terms added up; zero coefficients are dropped."""
+    total = {}
+    for expo, c in terms.items():
+        term = {(0, 0, 0, 0): Fraction(c)}
+        for image, e in zip(SEGRE_IMAGES, expo):
+            for _ in range(e):
+                term = _times_brute(term, {image: 1})
+        for e, x in term.items():
+            total[e] = total.get(e, 0) + x
+    return {e: c for e, c in total.items() if c}
