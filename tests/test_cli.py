@@ -337,7 +337,7 @@ class TestClassifyEll:
 
 class TestClassifySegre:
     def test_huge_balanced_exponent(self, capsys):
-        # the lift is checked by substituting back, which squares and multiplies
+        # the lift is checked by embedding it again, which adds exponents
         e = 10 ** 9
         code, doc, err = run_json(capsys, "classify", "--ring", "segre", "--fp",
                                   "S0^%d*T0^%d + S1^%d*T1^%d" % (e, e, e, e))
@@ -816,7 +816,7 @@ VARIABLE_SETS = mostly(
                      "(X,Y,U)", "(X,Y,U,V)"]),
     st.lists(NAMES, max_size=5).map(lambda ns: "(%s)" % ",".join(ns)),
     st.text(max_size=8))
-# exponents up to 10^9: the lift of a balanced f is checked by squaring monomials
+# exponents up to 10^9: the lift of a balanced f is checked by adding exponents
 EXPONENT = mostly(st.integers(0, 3), st.integers(0, 10 ** 9), st.just(LONG_DIGITS))
 COEFFICIENT = mostly(st.integers(-3, 3).map(str),
                      st.sampled_from(["1/2", "3/0", "-7/4", LONG_DIGITS, "1/" + LONG_DIGITS]))
