@@ -7,12 +7,11 @@ relation matrix, whose group structure is read off the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, record
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, row-major entries."""
 
@@ -191,7 +190,7 @@ def smith_normal_form(M: IntMatrix):
     return D, U, W
 
 
-@dataclass(frozen=True)
+@record
 class GroupStructure:
     """Finitely generated abelian group: Z^free_rank + sum of Z/d_i."""
 

@@ -15,12 +15,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
-from .errors import (InconclusiveError, InputError, NotRepresentableError)
+from .errors import InconclusiveError, InputError, NotRepresentableError, record
 from .verdict import INFINITE, Verdict, check_printable, read_number
 
 
@@ -99,27 +97,30 @@ def _parse_quad_primes(order, text: str):
         ell = read_number(m.group(1), "--prime")
         conjugate = bool(m.group(2))
         dec = quadorder.decompose_prime(order, ell)
-        if isinstance(dec, quadorder.Inert):
-            if conjugate:
-                raise InputError("%d is inert, p%d has no distinct conjugate"
-                                 % (ell, ell))
-            ideal = quadorder.inert_ideal(order, ell)
-        elif isinstance(dec, quadorder.Ramified):
+        if isinstance(dec, quadorder.Split):
+            ideal = dec.pbar if conjugate else dec.p
+        elif conjugate and isinstance(dec, quadorder.Inert):
+            raise InputError("%d is inert, p%d has no distinct conjugate"
+                             % (ell, ell))
+        else:
             # the ramified prime equals its conjugate, accept both spellings
             ideal = dec.p
-        else:
-            ideal = dec.pbar if conjugate else dec.p
         if ideal not in ideals:  # a prime named twice keeps its first label
             ideals.append(ideal)
             labels.append(token)
     return ideals, labels
 
 
-def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
+def _read_file(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
+    text = _read_file(path)
     lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
     if not lines:
         raise InputError("empty matrix file %s" % (path,))
@@ -199,7 +200,7 @@ def _variable_args(message):
     return parse
 
 
-@dataclass(frozen=True)
+@record
 class Row:
     """One `catalog list` entry."""
 
@@ -209,7 +210,7 @@ class Row:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class Family:
     """A ring family: its ids, its catalog rows and how to classify it.
 
@@ -455,11 +456,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_spec_enumerate(args) -> int:
-    try:
-        text = Path(args.poset).read_text()
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (args.poset, exc)) from None
-    P = spectool.SpecPoset.from_text(text)
+    P = spectool.SpecPoset.from_text(_read_file(args.poset))
     closed = spectool.enumerate_closed(P)
     heights = P.heights()
     doc = {

@@ -9,13 +9,12 @@ structure is read off the Smith normal form of the relation matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .abgroup import GroupStructure, IntMatrix, cokernel_structure
-from .errors import InputError
+from .errors import InputError, record
 
 
-@dataclass(frozen=True)
+@record
 class Divisor:
     # sorted (label, coefficient) pairs, zero coefficients dropped
     coefficients: tuple
@@ -43,7 +42,7 @@ class Divisor:
         return tuple(lab for lab, _ in self.coefficients)
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClassModel:
     primes: tuple
     principal_relations: tuple

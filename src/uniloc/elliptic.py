@@ -21,11 +21,10 @@ through the group law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InconclusiveError, InputError, PreconditionError
+from .errors import InconclusiveError, InputError, PreconditionError, record
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
                       TorsionWitness, Verdict, render_order, render_rational)
 
@@ -37,7 +36,7 @@ class ModelNotIntegral(InconclusiveError):
     """Torsion testing needs integer curve coefficients."""
 
 
-@dataclass(frozen=True)
+@record
 class ECPoint:
     x: object = None  # Fraction, or None for the point at infinity
     y: object = None
@@ -79,7 +78,7 @@ class ECPoint:
 O = ECPoint()
 
 
-@dataclass(frozen=True)
+@record
 class WeierstrassCurve:
     a: Fraction
     b: Fraction
@@ -208,7 +207,7 @@ def torsion_order(E: WeierstrassCurve, P: ECPoint):
 
 # class group image ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ClAClass:
     """Image of a divisor class in the product description E(Q) x Z/3."""
 
@@ -231,7 +230,7 @@ def cl_class(E: WeierstrassCurve, P: ECPoint) -> ClAClass:
 
 # line programs for torsion certificates ------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Line:
     """A projective line a*X + b*Y + c*Z tagged with how it was drawn.
 

@@ -27,11 +27,10 @@ at the end of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .errors import InputError
+from .errors import InputError, record
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
                       FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
                       HeightViolation, Verdict)
@@ -43,7 +42,7 @@ ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable cou
 WITNESS_BOX = 3
 
 
-@dataclass(frozen=True)
+@record
 class MonomialAlgebra:
     variables: tuple
     relations: tuple  # frozensets of variable names, pairwise incomparable
@@ -102,7 +101,7 @@ class MonomialAlgebra:
         return self.describe()
 
 
-@dataclass(frozen=True)
+@record
 class VariableIdeal:
     generators: tuple
 
@@ -218,7 +217,7 @@ def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
     return pieces_i - _rank(dout) - _rank(din)
 
 
-@dataclass(frozen=True)
+@record
 class NonvanishOutcome:
     """Result of the sign-pattern scan for H^i != 0."""
 

@@ -15,11 +15,10 @@ generator to be printed (PRINT_DIGITS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log
 
-from .errors import InputError
+from .errors import InputError, record
 from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict,
                       render_rational)
 
@@ -81,7 +80,7 @@ def _is_squarefree(n: int) -> bool:
     return n == 1 or r * r != n
 
 
-@dataclass(frozen=True)
+@record
 class QuadOrder:
     d: int  # squarefree, negative
 
@@ -104,7 +103,7 @@ class QuadOrder:
         return "QuadOrder(d=%d, D=%d)" % (self.d, self.discriminant)
 
 
-@dataclass(frozen=True)
+@record
 class QuadElement:
     """x + y*w where w = sqrt(d), or (1+sqrt(d))/2 when d = 1 mod 4."""
 
@@ -146,12 +145,16 @@ def _render_sqrt_form(p, q, d):
     return "%s%s%s" % (render_rational(p), sign, tail)
 
 
-@dataclass(frozen=True)
+@record
 class QuadIdeal:
     order: QuadOrder
     a: int
     b: int
     scale: Fraction = Fraction(1)
+    # True on the ideals decompose_prime returns, whose norm it has proven
+    # prime, so is_prime_ideal need not trial-divide it again.  Not a
+    # field: it takes no part in ==, hash or repr
+    _prime = False
 
     def __post_init__(self):
         D = self.order.discriminant
@@ -329,18 +332,18 @@ def is_principal(I: QuadIdeal):
 
 # prime decomposition ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Split:
     p: QuadIdeal
     pbar: QuadIdeal
 
 
-@dataclass(frozen=True)
+@record
 class Inert:
-    ell: int
+    p: QuadIdeal  # ell times the order
 
 
-@dataclass(frozen=True)
+@record
 class Ramified:
     p: QuadIdeal
 
@@ -358,17 +361,19 @@ def _symbol(D: int, ell: int) -> int:
 
 
 def decompose_prime(order: QuadOrder, ell: int):
-    """Split / Inert / Ramified behaviour of a rational prime.
+    """Split / Inert / Ramified behaviour of a rational prime, with the
+    prime ideals above it (Inert holds ell times the order).
 
     The orders here are maximal, so the conductor is 1 and no prime is
-    excluded.
+    excluded.  ell is trial-divided here, once: is_prime_ideal takes the
+    ideals returned without dividing again.
     """
     if not _is_prime(ell):
         raise InputError("%r is not a rational prime" % (ell,))
     D = order.discriminant
     sym = _symbol(D, ell)
     if sym == -1:
-        return Inert(ell)
+        return Inert(_proven(inert_ideal(order, ell)))
     # b in (-ell, ell] with b^2 = D mod 4*ell, each = +-r mod ell: a pair
     # +-b when ell splits, else one root; take the largest
     r = _sqrt_mod(D, ell)
@@ -376,10 +381,15 @@ def decompose_prime(order: QuadOrder, ell: int):
                if -ell < b <= ell and (b * b - D) % (4 * ell) == 0), default=None)
     if hit is None:
         raise AssertionError("no square root found despite symbol %d" % sym)
-    p = make_ideal(order, ell, hit)
+    p = _proven(make_ideal(order, ell, hit))
     if sym == 0:
         return Ramified(p)
-    return Split(p, make_ideal(order, ell, -hit))
+    return Split(p, _proven(make_ideal(order, ell, -hit)))
+
+
+def _proven(I: QuadIdeal) -> QuadIdeal:
+    object.__setattr__(I, "_prime", True)
+    return I
 
 
 def inert_ideal(order: QuadOrder, ell: int) -> QuadIdeal:
@@ -502,6 +512,8 @@ def class_walk(P: QuadIdeal):
 
 
 def is_prime_ideal(I: QuadIdeal) -> bool:
+    if I._prime:
+        return True  # decompose_prime has proven it prime
     if I.scale == 1 and _is_prime(I.a):
         return True  # norm is prime
     if I.a == 1 and I.scale.denominator == 1 and _is_prime(I.scale.numerator):

@@ -25,12 +25,11 @@ that decides the coordinate primes of the hypersurface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from . import lcohom
-from .errors import InputError
+from .errors import InputError, record
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
                       INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
                       TorsionWitness, Verdict, check_printable, read_number,
@@ -45,7 +44,7 @@ ORIENT_XV_YU = "XV-YU"
 
 # sparse exact polynomials --------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """Sparse polynomial with Fraction coefficients on named variables.
 
@@ -225,7 +224,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
 
 # the Segre side ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BihomogPoly:
     """Polynomial in S0,S1,T0,T1, homogeneous in S and in T separately."""
 
@@ -324,7 +323,7 @@ def _linear(**coefficients) -> Polynomial:
         tuple(int(n == name) for n in XYUV_NAMES): c for name, c in coefficients.items()})
 
 
-@dataclass(frozen=True)
+@record
 class LinearPair:
     """The prime (g(X,Y), g(V,U)) or (g(X,V), g(Y,U)) for linear g."""
 
@@ -360,7 +359,7 @@ class LinearPair:
         return "(%s, %s)" % (a.render(), b.render())
 
 
-@dataclass(frozen=True)
+@record
 class PolyPrime:
     """The prime cut out by an irreducible bihomogeneous f.
 
@@ -380,7 +379,7 @@ class PolyPrime:
         return "V(f), f = %s, bidegree (%d, %d)" % (self.f.render(), d, e)
 
 
-@dataclass(frozen=True)
+@record
 class SegrePrime:
     presentation: object  # LinearPair or PolyPrime
 
@@ -433,7 +432,7 @@ def psi(p: SegrePrime):
 
 # case-1 coordinate normalization -------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CoordinateChange:
     """Invertible 2x2 change taking the linear form g to a coordinate.
 

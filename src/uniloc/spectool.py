@@ -13,15 +13,14 @@ verdict is quantified over the represented fragment only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, record
 
 # an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each
 ENUM_BOUND = 16
 
 
-@dataclass(frozen=True)
+@record
 class SpecPoset:
     nodes: tuple
     _order: dict  # node -> (frozenset of strictly smaller nodes, height)
@@ -118,7 +117,7 @@ class SpecPoset:
         return {n: self._order[n][1] for n in self.nodes}
 
 
-@dataclass(frozen=True)
+@record
 class SpecClosedSet:
     """An upward closed subset of a SpecPoset; closedness is enforced."""
 

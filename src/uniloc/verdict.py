@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, record
 
 YES = "yes"
 NO = "no"
@@ -106,7 +105,7 @@ def render_order(n) -> object:
 # Witness payloads.  One per verdict branch; `kind` tags the JSON form.
 
 
-@dataclass(frozen=True)
+@record
 class Denominators:
     """Multiplicative set witnessing a classical localisation.
 
@@ -116,7 +115,7 @@ class Denominators:
 
     elements: tuple
     details: tuple = ()
-    kind: str = field(default="denominators", init=False)
+    kind = "denominators"
 
     def to_json(self):
         return {
@@ -129,7 +128,7 @@ class Denominators:
         return "denominators {%s}" % ", ".join(self.elements)
 
 
-@dataclass(frozen=True)
+@record
 class TorsionWitness:
     """Order of a divisor class, with an optional line-program certificate.
 
@@ -141,7 +140,7 @@ class TorsionWitness:
     order: object
     class_description: str = ""
     line_program: tuple = None
-    kind: str = field(default="torsion", init=False)
+    kind = "torsion"
 
     def to_json(self):
         out = {"type": self.kind, "order": render_order(self.order)}
@@ -164,12 +163,12 @@ class TorsionWitness:
         return text
 
 
-@dataclass(frozen=True)
+@record
 class PrincipalElement:
     """A single generator: the prime is principal, so one denominator works."""
 
     element: str
-    kind: str = field(default="principal", init=False)
+    kind = "principal"
 
     def to_json(self):
         return {"type": self.kind, "element": self.element}
@@ -178,7 +177,7 @@ class PrincipalElement:
         return "prime is principal, generated by %s" % self.element
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyWitness:
     """A multidegree where H^degree of the named ideal is nonzero.
 
@@ -192,7 +191,7 @@ class CohomologyWitness:
     multidegree: tuple
     box: int
     steps: tuple = ()
-    kind: str = field(default="cohomology", init=False)
+    kind = "cohomology"
 
     def to_json(self):
         return {
@@ -214,13 +213,13 @@ class CohomologyWitness:
         )
 
 
-@dataclass(frozen=True)
+@record
 class HeightViolation:
     """A minimal prime of V has height above one, so no flat epimorphism exists."""
 
     prime: str
     height: int
-    kind: str = field(default="height-violation", init=False)
+    kind = "height-violation"
 
     def to_json(self):
         return {"type": self.kind, "prime": self.prime, "height": self.height}
@@ -232,7 +231,7 @@ class HeightViolation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     ring_id: str
     prime_description: str
@@ -392,7 +391,7 @@ def check_citations(anchors) -> tuple:
 # checked when a rule is built, which for every rule is at import.
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     flat: str
     universal: str
@@ -404,7 +403,8 @@ class Rule:
 
     def cite(self, before=(), after=()) -> "Rule":
         """The same answers, citing family facts around the rule's own anchors."""
-        return replace(self, citations=tuple(before) + self.citations + tuple(after))
+        return Rule(self.flat, self.universal, self.classical,
+                    tuple(before) + self.citations + tuple(after))
 
     def __call__(self, ring_id, prime_description, witness=None, notes=(),
                  extra=()) -> Verdict:

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
-from uniloc import abgroup, elliptic, lcohom
-from uniloc.cli import FAMILIES, main
+from uniloc import abgroup, elliptic, lcohom, quadorder
+from uniloc.cli import FAMILIES, classify, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.with_name("bench") / "tracing.py"
@@ -252,6 +252,15 @@ class TestTrialDivisionBound:
                           "--format", "json", capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["prime"] == "{p999999999989}"
+
+    @pytest.mark.parametrize("prime", ["p999999999989", "p999999999959"])  # split, inert
+    def test_prime_divided_once(self, monkeypatch, prime):
+        # decompose_prime proves l prime; classify_dedekind takes its word
+        calls, is_prime = [], quadorder._is_prime
+        monkeypatch.setattr(quadorder, "_is_prime",
+                            lambda n: calls.append(n) or is_prime(n))
+        assert classify("quad:-5", prime, None, False).conclusive
+        assert calls == [int(prime[1:])]
 
 
 class TestClassgroup:
@@ -970,6 +979,8 @@ AUDIT = """
 import contextlib, io, json, os, sys
 ran = set()
 
+COLD = {"dataclasses", "inspect", "pathlib", "typing"}
+
 def hook(event, args):
     path = getattr(args[0], "co_filename", "") if event == "exec" else ""
     if os.path.basename(os.path.dirname(path)) == "uniloc":
@@ -983,6 +994,7 @@ doc = {"import": sorted(ran),
 with contextlib.redirect_stdout(io.StringIO()):
     doc["exit"] = cli.main(sys.argv[1:])
 doc["ran"] = sorted(ran)
+doc["stdlib"] = sorted(COLD & set(sys.modules))
 print(json.dumps(doc))
 """
 
@@ -990,7 +1002,8 @@ FAMILY_MODULES = {"abgroup", "elliptic", "lcohom", "quadorder", "segre", "specto
 
 
 def audit(*argv):
-    proc = run_python("-c", AUDIT, *argv, capture_output=True, text=True,
+    # -S: no site, whose .pth files can import typing or pathlib on their own
+    proc = run_python("-S", "-c", AUDIT, *argv, capture_output=True, text=True,
                       timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -1028,3 +1041,29 @@ class TestLazyFamilies:
         doc = audit("snf", "--matrix", str(mat))
         assert doc["exit"] == 0
         assert FAMILY_MODULES & set(doc["ran"]) == {"abgroup"}
+
+
+class TestColdImports:
+    """No call imports dataclasses, inspect, typing or pathlib: a fresh
+    process paid about 13 ms for dataclasses and its inspect alone.  pytest
+    has them all loaded, so only a fresh child can tell."""
+
+    @pytest.mark.parametrize("argv", [
+        ("catalog", "list"),
+        ("classify", "--ring", "quad:-5", "--prime", "p2"),
+        ("classify", "--ring", "ell:0,1", "--prime", "2,3"),
+        ("classify", "--ring", "segre", "--fp", "S0*T0 + S1*T1"),
+        ("classify", "--ring", "twoplanes", "--prime", "(X,Y)"),
+        ("classify", "--ring", "dim3hyper", "--prime", "(X,Y)"),
+        ("classgroup", "--disc", "-20"),
+        ("ell", "torsion", "--curve", "0,1", "--point", "2,3"),
+        ("cech", "--vars", "X,Y,U", "--rel", "XU", "--ideal", "X,Y", "--i", "2"),
+        ("snf", "--matrix", "{matrix}"),
+        ("spec", "enumerate", "--poset", "{poset}"),
+    ], ids=" ".join)
+    def test_call_imports_none(self, tmp_path, argv):
+        files = {"matrix": tmp_path / "m.txt", "poset": tmp_path / "p.txt"}
+        files["matrix"].write_text("2 2\n2 4\n6 8\n")
+        files["poset"].write_text("a < b\n")
+        doc = audit(*(arg.format(**files) for arg in argv))
+        assert (doc["exit"], doc["stdlib"]) == (0, [])
