@@ -139,7 +139,6 @@ def smith_normal_form(M: IntMatrix):
         if pos is None:
             break
         while True:
-            pos = _min_abs_pivot(a, t, rows, cols)
             i, j = pos
             if i != t:
                 a[t], a[i] = a[i], a[t]
@@ -162,6 +161,7 @@ def smith_normal_form(M: IntMatrix):
                     if a[t][j] != 0:
                         dirty = True
             if dirty:
+                pos = _min_abs_pivot(a, t, rows, cols)
                 continue
             # pivot must divide the whole trailing block for the chain
             fix = None
@@ -175,6 +175,7 @@ def smith_normal_form(M: IntMatrix):
             if fix is None:
                 break
             row_op(t, fix, -1)  # add the offending row onto the pivot row
+            pos = _min_abs_pivot(a, t, rows, cols)
         t += 1
 
     for i in range(min(rows, cols)):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import INFINITE, Verdict, check_printable, read_number
+from .verdict import Verdict, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -386,14 +386,13 @@ def _cmd_ell_torsion(args) -> int:
     E = _parse_curve(args.curve, '--curve must look like "a,b"')
     P = _parse_point(args.point)
     order = elliptic.torsion_order(E, P)  # ModelNotIntegral exits 4
-    rendered = "infinite" if order is INFINITE else order
     doc = {
         "schema": 1,
         "curve": E.spec(),
         "point": "O" if P.is_infinity else "%s,%s" % (P.x, P.y),
-        "torsion": rendered,
+        "torsion": order,
     }
-    _emit(args, doc, "torsion: %s" % rendered)
+    _emit(args, doc, "torsion: %s" % order)
     return 0
 
 

@@ -26,7 +26,7 @@ from math import lcm
 
 from .errors import InconclusiveError, InputError, PreconditionError, record
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
-                      TorsionWitness, Verdict, render_order, render_rational)
+                      TorsionWitness, Verdict, render_rational)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
 MAZUR_ORDERS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -429,12 +429,12 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
             notes=("torsion of the point is undecided: the model is not integral, "
                    "so the integrality shortcut for torsion testing does not apply",))
 
-    if order is INFINITE:
+    if order == INFINITE:
         return NON_TORSION_POINT(
             ring_id, prime_description, TorsionWitness(INFINITE, cls.describe()),
             notes=("the class of the prime is (P, 1 mod 3) with P non-torsion, "
                    "hence non-torsion in the class group",),
-            extra=(("torsion", render_order(INFINITE)),))
+            extra=(("torsion", INFINITE),))
 
     program = miller_function(E, P, order)
     cl_order = lcm(order, 3)
@@ -444,4 +444,4 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
                "%d-th power of the prime is principal" % (cl_order, cl_order),
                "the line program certifies a function with divisor "
                "%d(P) - %d(O)" % (order, order)),
-        extra=(("torsion", render_order(order)),))
+        extra=(("torsion", order),))

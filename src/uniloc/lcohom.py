@@ -301,9 +301,8 @@ DIM3_OBSTRUCTION = COHOMOLOGY_VIA_QUOTIENT.cite(("dim3-hypersurface-not-coherent
 def classify_twoplanes(names) -> Verdict:
     """Verdict for V(p) in k[X,Y,U]/(XU), p generated by the named variables."""
     A = TWOPLANES
-    for n in names:
-        A.index(n)
-    names = tuple(sorted(set(names), key=A.index))
+    ideal = VariableIdeal.of(A, names)
+    names = ideal.generators
     desc = "(%s)" % ", ".join(names)
     if not is_variable_prime(A, names):
         raise InputError("%s is not a prime of %s" % (desc, A.describe()))
@@ -318,7 +317,6 @@ def classify_twoplanes(names) -> Verdict:
             notes=("V(%s) is literally the vanishing set of the element %s"
                    % (s, s),))
 
-    ideal = VariableIdeal.of(A, names)
     reason = "every localisation at two or more of the generators is zero"
     if len(names) < 2 or any(A.is_face(pair) for pair in combinations(names, 2)):
         for i in range(2, len(names) + 1):
@@ -355,11 +353,7 @@ def quadric_certificate(names):
 def classify_dim3hyper(names) -> Verdict:
     """Verdict for V(p) in the hypersurface k[X,Y,U,V]/(XU-YV), p a
     variable prime; certificates run on the monomial surrogate."""
-    names = tuple(sorted(set(names), key=lambda n: "XYUV".index(n)
-                         if n in "XYUV" else -1))
-    for n in names:
-        if n not in ("X", "Y", "U", "V"):
-            raise InputError("unknown variable %r" % (n,))
+    names = VariableIdeal.of(DIM3_SURROGATE, names).generators
     desc = "(%s)" % ", ".join(names)
 
     if set(names) == {"X", "Y", "U", "V"}:

@@ -11,14 +11,15 @@ bidegree (d, e) of f_p decides everything:
     d = e                 classical; f_p pulls back to a principal
                           generator in X,Y,U,V.
 
-Primes are entered either by f_p directly or, in the one-sided case, as
-a linear pair (g(X,Y), g(V,U)) or (g(X,V), g(Y,U)).
+A prime is the record of f_p alone.  A linear pair (g(X,Y), g(V,U)) or
+(g(X,V), g(Y,U)) is the prime of the linear f_p = g(S0,S1) or g(T0,T1),
+and a linear f_p describes itself by that pair.
 
 Polynomials are sparse maps from exponent vectors to rationals.  The
 embedding and its inverse act on the exponent vectors; a linear pair and
 a coordinate change build their linear forms from the coefficients, and
 the change checks itself by multiplying out the quadric relation.  The
-H^2 certificate of a linear pair is lcohom.quadric_certificate, the one
+H^2 certificate of a linear f_p is lcohom.quadric_certificate, the one
 that decides the coordinate primes of the hypersurface.
 """
 
@@ -315,7 +316,7 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
     return lifted
 
 
-# prime presentations -------------------------------------------------------
+# the prime and its polynomial ---------------------------------------------
 
 def _linear(**coefficients) -> Polynomial:
     """The linear form in X,Y,U,V with the given coefficients: _linear(X=p, Y=q)."""
@@ -323,87 +324,75 @@ def _linear(**coefficients) -> Polynomial:
         tuple(int(n == name) for n in XYUV_NAMES): c for name, c in coefficients.items()})
 
 
-@record
-class LinearPair:
-    """The prime (g(X,Y), g(V,U)) or (g(X,V), g(Y,U)) for linear g."""
-
-    g: tuple  # (p, q), not both zero
-    orientation: str
-
-    def __post_init__(self):
-        if self.orientation not in (ORIENT_XY_VU, ORIENT_XV_YU):
-            raise InputError("orientation must be %s or %s"
-                             % (ORIENT_XY_VU, ORIENT_XV_YU))
-        p, q = (Fraction(x) for x in self.g)
-        if p == 0 and q == 0:
-            raise InputError("g must be a nonzero linear form")
-        object.__setattr__(self, "g", (p, q))
-
-    def members(self):
-        """The two ideal generators, as polynomials in X,Y,U,V."""
-        p, q = self.g
-        if self.orientation == ORIENT_XY_VU:
-            pair = (_linear(X=p, Y=q), _linear(V=p, U=q))
-        else:
-            pair = (_linear(X=p, V=q), _linear(Y=p, U=q))
-        return tuple(sorted(pair, key=lambda m: m.terms[0][0], reverse=True))
-
-    def f_poly(self) -> BihomogPoly:
-        p, q = self.g
-        if self.orientation == ORIENT_XY_VU:
-            return BihomogPoly.from_terms({(1, 0, 0, 0): p, (0, 1, 0, 0): q})
-        return BihomogPoly.from_terms({(0, 0, 1, 0): p, (0, 0, 0, 1): q})
-
-    def describe(self) -> str:
-        a, b = self.members()
-        return "(%s, %s)" % (a.render(), b.render())
+# f = p*S0 + q*S1 is the prime (g(X,Y), g(V,U)), f = p*T0 + q*T1 is
+# (g(X,V), g(Y,U)), with g = (p, q)
+_LINEAR_MONOMIALS = {ORIENT_XY_VU: ((1, 0, 0, 0), (0, 1, 0, 0)),
+                     ORIENT_XV_YU: ((0, 0, 1, 0), (0, 0, 0, 1))}
 
 
 @record
-class PolyPrime:
-    """The prime cut out by an irreducible bihomogeneous f.
+class SegrePrime:
+    """The height-one prime of the cone cut out by an irreducible
+    bihomogeneous f.
 
+    A linear f is a pair of linear forms and describes itself by them.
     Irreducibility is checked exactly in total degree <= 2; above that
     it must be asserted by the caller and the assertion is recorded.
+
+    >>> SegrePrime.linear(1, 1, ORIENT_XY_VU) == SegrePrime.poly("S0 + S1")
+    True
+    >>> SegrePrime.linear(1, 1, ORIENT_XY_VU).describe()
+    '(X + Y, U + V)'
     """
 
     f: BihomogPoly
     irreducible_asserted: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.f, BihomogPoly):
+            raise InputError("a Segre prime is given by a BihomogPoly f")
         if self.f.bidegree() == (0, 0):
             raise InputError("constant polynomial does not define a prime")
 
-    def describe(self) -> str:
-        d, e = self.f.bidegree()
-        return "V(f), f = %s, bidegree (%d, %d)" % (self.f.render(), d, e)
-
-
-@record
-class SegrePrime:
-    presentation: object  # LinearPair or PolyPrime
-
-    def __post_init__(self):
-        if not isinstance(self.presentation, (LinearPair, PolyPrime)):
-            raise InputError("presentation must be LinearPair or PolyPrime")
-
     @classmethod
     def linear(cls, p, q, orientation) -> "SegrePrime":
-        return cls(LinearPair((p, q), orientation))
+        """The prime (g(X,Y), g(V,U)) or (g(X,V), g(Y,U)) for g = (p, q)."""
+        if orientation not in (ORIENT_XY_VU, ORIENT_XV_YU):
+            raise InputError("orientation must be %s or %s"
+                             % (ORIENT_XY_VU, ORIENT_XV_YU))
+        p, q = Fraction(p), Fraction(q)
+        if p == 0 and q == 0:
+            raise InputError("g must be a nonzero linear form")
+        s, t = _LINEAR_MONOMIALS[orientation]
+        return cls(BihomogPoly.from_terms({s: p, t: q}))
 
     @classmethod
     def poly(cls, f, irreducible: bool = False) -> "SegrePrime":
         if isinstance(f, str):
             f = BihomogPoly.from_string(f)
-        return cls(PolyPrime(f, irreducible))
+        return cls(f, irreducible)
 
-    def f_poly(self) -> BihomogPoly:
-        if isinstance(self.presentation, LinearPair):
-            return self.presentation.f_poly()
-        return self.presentation.f
+    def pair(self):
+        """(g, orientation) when f is linear, None otherwise."""
+        d, e = self.f.bidegree()
+        if d + e != 1:
+            return None
+        orientation = ORIENT_XY_VU if e == 0 else ORIENT_XV_YU
+        return (tuple(self.f.poly.coefficient(m) for m in _LINEAR_MONOMIALS[orientation]),
+                orientation)
 
     def describe(self) -> str:
-        return self.presentation.describe()
+        pair = self.pair()
+        if pair is None:
+            d, e = self.f.bidegree()
+            return "V(f), f = %s, bidegree (%d, %d)" % (self.f.render(), d, e)
+        (p, q), orientation = pair
+        if orientation == ORIENT_XY_VU:
+            members = (_linear(X=p, Y=q), _linear(V=p, U=q))
+        else:
+            members = (_linear(X=p, V=q), _linear(Y=p, U=q))
+        a, b = sorted(members, key=lambda m: m.terms[0][0], reverse=True)
+        return "(%s, %s)" % (a.render(), b.render())
 
 
 # the four coordinate primes, keyed by generator set
@@ -427,7 +416,7 @@ def coordinate_prime(names) -> SegrePrime:
 
 def psi(p: SegrePrime):
     """Bidegree of the defining polynomial f_p."""
-    return p.f_poly().bidegree()
+    return p.f.bidegree()
 
 
 # case-1 coordinate normalization -------------------------------------------
@@ -472,20 +461,19 @@ class CoordinateChange:
                    render_rational(self.det), ", ".join(self.normalized)))
 
 
-def case1_normal_form(p) -> CoordinateChange:
+def case1_normal_form(p: SegrePrime) -> CoordinateChange:
     """Complete g to an invertible change sending the prime to coordinates."""
-    if isinstance(p, SegrePrime):
-        p = p.presentation
-    if not isinstance(p, LinearPair):
+    pair = p.pair()
+    if pair is None:
         raise InputError("normal form applies to linear pairs only")
-    a, b = p.g
+    (a, b), orientation = pair
     if a != 0:
         second = (Fraction(0), Fraction(1))
     else:
         second = (Fraction(1), Fraction(0))
     det = a * second[1] - b * second[0]
-    normalized = ("X", "V") if p.orientation == ORIENT_XY_VU else ("X", "Y")
-    change = CoordinateChange(((a, b), second), det, p.orientation, normalized)
+    normalized = ("X", "V") if orientation == ORIENT_XY_VU else ("X", "Y")
+    change = CoordinateChange(((a, b), second), det, orientation, normalized)
     if not change.verify():
         raise AssertionError("coordinate change failed its relation check")
     return change
@@ -534,8 +522,8 @@ UNBALANCED = CLASS_NON_TORSION.cite(("segre-trichotomy", "segre-class-rho"))
 BALANCED = CLASSICAL.cite(("segre-trichotomy",))
 
 
-def _classify_linear(pair: LinearPair) -> Verdict:
-    change = case1_normal_form(pair)
+def _classify_linear(p: SegrePrime) -> Verdict:
+    change = case1_normal_form(p)
     kill, quotient, out = lcohom.quadric_certificate(change.normalized)
     identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     steps = []
@@ -553,24 +541,22 @@ def _classify_linear(pair: LinearPair) -> Verdict:
         box=lcohom.WITNESS_BOX,
         steps=tuple(steps),
     )
-    return ONE_SIDED("segre", pair.describe(), witness,
-                     notes=("bidegree (%d, %d) is one sided" % psi(SegrePrime(pair)),))
+    return ONE_SIDED("segre", p.describe(), witness,
+                     notes=("bidegree (%d, %d) is one sided" % psi(p),))
 
 
 def classify_segre(p: SegrePrime) -> Verdict:
     """Decide flat / universal / classical for a height-one prime of the cone.
 
-    Linear pairs always land in the no-flat-epimorphism case.  For
-    polynomial input the bidegree trichotomy applies once irreducibility
-    is known; one-sided nonlinear input is answered "unknown" because
-    its classification needs an algebraically closed ground field.
+    A linear f always lands in the no-flat-epimorphism case.  Otherwise
+    the bidegree trichotomy applies once irreducibility is known;
+    one-sided nonlinear f is answered "unknown" because its
+    classification needs an algebraically closed ground field.
     """
-    pres = p.presentation
-    if isinstance(pres, LinearPair):
-        return _classify_linear(pres)
-
-    f = pres.f
+    f = p.f
     d, e = f.bidegree()
+    if d + e == 1:
+        return _classify_linear(p)
     known = is_irreducible(f)
     if known is False:
         raise InputError("f = %s is reducible, it does not define a prime"
@@ -581,22 +567,13 @@ def classify_segre(p: SegrePrime) -> Verdict:
         # above total degree 2 irreducibility is a precondition on the
         # caller; the verdict records whether it was explicitly asserted
         notes.append("irreducibility asserted by caller, not verified"
-                     if pres.irreducible_asserted else
+                     if p.irreducible_asserted else
                      "irreducibility assumed, it is only checked up to "
                      "total degree 2")
 
     if d == 0 or e == 0:
-        if d + e == 1:
-            # a linear one-sided f is the same prime as its linear pair
-            (p1, q1) = ((f.poly.coefficient((1, 0, 0, 0)),
-                         f.poly.coefficient((0, 1, 0, 0)))
-                        if e == 0 else
-                        (f.poly.coefficient((0, 0, 1, 0)),
-                         f.poly.coefficient((0, 0, 0, 1))))
-            orientation = ORIENT_XY_VU if e == 0 else ORIENT_XV_YU
-            return _classify_linear(LinearPair((p1, q1), orientation))
         return UNDECIDED(
-            "segre", pres.describe(),
+            "segre", p.describe(),
             notes=tuple(notes) + (
                 "one-sided bidegree (%d, %d) with nonlinear f: the "
                 "classification of this case assumes an algebraically closed "
@@ -608,11 +585,11 @@ def classify_segre(p: SegrePrime) -> Verdict:
             class_description="the prime maps to rho = e - d = %+d in Cl = Z, "
                               "which has infinite order" % (e - d),
         )
-        return UNBALANCED("segre", pres.describe(), witness, notes)
+        return UNBALANCED("segre", p.describe(), witness, notes)
 
     generator = to_xyuv(f)
     return BALANCED(
-        "segre", pres.describe(), PrincipalElement(generator.render()),
+        "segre", p.describe(), PrincipalElement(generator.render()),
         notes=tuple(notes) + (
             "the prime is principal, so inverting powers of the generator "
             "gives the classical ring of fractions",))

@@ -80,25 +80,8 @@ def render_rational(q) -> str:
     return "%d/%d" % (num, den)
 
 
-class _Infinite:
-    """Singleton order of a non-torsion element."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-
-INFINITE = _Infinite()
-
-
-def render_order(n) -> object:
-    return "infinite" if n is INFINITE else n
+# the order of a non-torsion element, as every answer prints it
+INFINITE = "infinite"
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +126,7 @@ class TorsionWitness:
     kind = "torsion"
 
     def to_json(self):
-        out = {"type": self.kind, "order": render_order(self.order)}
+        out = {"type": self.kind, "order": self.order}
         if self.class_description:
             out["class"] = self.class_description
         if self.line_program is not None:
@@ -153,7 +136,7 @@ class TorsionWitness:
         return out
 
     def describe(self):
-        if self.order is INFINITE:
+        if self.order == INFINITE:
             return "class is non-torsion" + (
                 " (%s)" % self.class_description if self.class_description else ""
             )

@@ -88,6 +88,19 @@ def test_snf_empty_shapes():
     assert cokernel_structure(IntMatrix(0, 3, ())) == GroupStructure(3, ())
 
 
+def test_snf_scans_once_per_settled_pivot(monkeypatch):
+    # a diagonal divisibility chain is already in normal form: each pivot
+    # is found by one scan of the trailing block and needs no clearing
+    from uniloc import abgroup
+    scans = []
+    scan = abgroup._min_abs_pivot
+    monkeypatch.setattr(abgroup, "_min_abs_pivot",
+                        lambda *args: scans.append(args[1]) or scan(*args))
+    D, _, _ = snf_checked([[1, 0, 0], [0, 2, 0], [0, 0, 6]])
+    assert D.diagonal() == [1, 2, 6]
+    assert scans == [0, 1, 2]
+
+
 def test_snf_determinantal_divisors():
     # d_1 * ... * d_k equals the gcd of all k x k minors
     rng = random.Random(1009)

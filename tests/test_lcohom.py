@@ -8,8 +8,8 @@ from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
                            VariableIdeal, _differential, _nonzero_patterns,
                            cech_dim, cech_table, certify_nonvanishing,
-                           classify_dim3hyper, is_variable_prime,
-                           kill_variable, prime_height)
+                           classify_dim3hyper, classify_twoplanes,
+                           is_variable_prime, kill_variable, prime_height)
 
 TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 THREE_VARS = MonomialAlgebra.make(("X", "U", "V"), [{"X", "U"}])
@@ -116,6 +116,16 @@ class TestIdealsAndPrimes:
         assert kill_variable(DIM3, "V").describe() == "k[X,Y,U]/(XU)"
         with pytest.raises(InputError):
             kill_variable(TWOPLANES, "Z")
+
+    def test_names_read_through_the_variable_ideal(self):
+        # both classifiers sort and check their names as VariableIdeal.of
+        # does: the first unknown name in the order given is the one named
+        for classify in (classify_twoplanes, classify_dim3hyper):
+            assert classify(("Y", "X", "Y")).prime_description == "(X, Y)"
+            with pytest.raises(InputError, match="unknown variable 'W'"):
+                classify(("X", "W", "Z"))
+            with pytest.raises(InputError, match="at least one generator"):
+                classify(())
 
 
 class TestCechDim:

@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 
 from uniloc.errors import InputError
-from uniloc.segre import (BihomogPoly, CoordinateChange, LinearPair,
-                          ORIENT_XV_YU, ORIENT_XY_VU, PolyPrime, Polynomial,
-                          SegrePrime, S_NAMES, XYUV_NAMES, case1_normal_form,
-                          classify_segre, coordinate_prime, embed_xyuv,
-                          is_irreducible, parse_polynomial, psi, to_xyuv)
+from uniloc.segre import (BihomogPoly, CoordinateChange, ORIENT_XV_YU,
+                          ORIENT_XY_VU, Polynomial, SegrePrime, S_NAMES,
+                          XYUV_NAMES, case1_normal_form, classify_segre,
+                          coordinate_prime, embed_xyuv, is_irreducible,
+                          parse_polynomial, psi, to_xyuv)
 from uniloc.verdict import INFINITE
 
 from oracles import embed_by_substitution
@@ -165,24 +165,31 @@ class TestEmbedding:
 
 class TestLinearPair:
     def test_validation(self):
-        with pytest.raises(InputError):
-            LinearPair((0, 0), ORIENT_XY_VU)
-        with pytest.raises(InputError):
-            LinearPair((1, 0), "XY-UV")
+        with pytest.raises(InputError, match="g must be a nonzero linear form"):
+            SegrePrime.linear(0, 0, ORIENT_XY_VU)
+        with pytest.raises(InputError, match="orientation must be XY-VU or XV-YU"):
+            SegrePrime.linear(1, 0, "XY-UV")
 
     def test_members(self):
-        assert LinearPair((1, 0), ORIENT_XY_VU).describe() == "(X, V)"
-        assert LinearPair((0, 1), ORIENT_XY_VU).describe() == "(Y, U)"
-        assert LinearPair((1, 0), ORIENT_XV_YU).describe() == "(X, Y)"
-        assert LinearPair((0, 1), ORIENT_XV_YU).describe() == "(U, V)"
-        assert LinearPair((1, 1), ORIENT_XY_VU).describe() == "(X + Y, U + V)"
-        assert LinearPair((1, -2), ORIENT_XV_YU).describe() == \
+        assert SegrePrime.linear(1, 0, ORIENT_XY_VU).describe() == "(X, V)"
+        assert SegrePrime.linear(0, 1, ORIENT_XY_VU).describe() == "(Y, U)"
+        assert SegrePrime.linear(1, 0, ORIENT_XV_YU).describe() == "(X, Y)"
+        assert SegrePrime.linear(0, 1, ORIENT_XV_YU).describe() == "(U, V)"
+        assert SegrePrime.linear(1, 1, ORIENT_XY_VU).describe() == "(X + Y, U + V)"
+        assert SegrePrime.linear(1, -2, ORIENT_XV_YU).describe() == \
             "(X - 2*V, Y - 2*U)"
 
     def test_f_poly(self):
-        assert LinearPair((1, 0), ORIENT_XY_VU).f_poly().render() == "S0"
-        assert LinearPair((2, 3), ORIENT_XV_YU).f_poly().render() == \
+        assert SegrePrime.linear(1, 0, ORIENT_XY_VU).f.render() == "S0"
+        assert SegrePrime.linear(2, 3, ORIENT_XV_YU).f.render() == \
             "2*T0 + 3*T1"
+
+    def test_rejects_non_polynomials(self):
+        for bad in ("S0", spoly("S0"), (1, 0)):
+            with pytest.raises(InputError, match="BihomogPoly"):
+                SegrePrime(bad)
+        with pytest.raises(InputError, match="constant polynomial"):
+            SegrePrime.poly("3")
 
 
 class TestCoordinateTable:
@@ -209,26 +216,26 @@ class TestCoordinateTable:
 
 class TestNormalForm:
     def test_coordinate_g_is_identity(self):
-        c = case1_normal_form(LinearPair((1, 0), ORIENT_XY_VU))
+        c = case1_normal_form(SegrePrime.linear(1, 0, ORIENT_XY_VU))
         assert c.matrix == ((1, 0), (0, 1))
         assert c.det == 1
         assert c.normalized == ("X", "V")
         assert c.verify()
 
     def test_unipotent_completion(self):
-        c = case1_normal_form(LinearPair((1, 1), ORIENT_XY_VU))
+        c = case1_normal_form(SegrePrime.linear(1, 1, ORIENT_XY_VU))
         assert c.matrix == ((1, 1), (0, 1)) and c.det == 1
         assert c.verify()
 
     def test_swap_completion(self):
-        c = case1_normal_form(LinearPair((0, 2), ORIENT_XV_YU))
+        c = case1_normal_form(SegrePrime.linear(0, 2, ORIENT_XV_YU))
         assert c.matrix == ((0, 2), (1, 0)) and c.det == -2
         assert c.normalized == ("X", "Y")
         assert c.verify()
         assert "determinant -2" in c.describe()
 
     def test_tampered_change_fails_verify(self):
-        c = case1_normal_form(LinearPair((1, 1), ORIENT_XY_VU))
+        c = case1_normal_form(SegrePrime.linear(1, 1, ORIENT_XY_VU))
         bad = CoordinateChange(c.matrix, Fraction(7), c.orientation, c.normalized)
         assert not bad.verify()
 
@@ -306,6 +313,22 @@ class TestClassify:
         assert v.prime_description == "(X, V)"
         w = classify_segre(SegrePrime.poly("T0 - T1"))
         assert w.prime_description == "(X - V, Y - U)"
+        # a pair and the same f typed as text are one prime with one verdict
+        rng = random.Random(306)
+        for _ in range(60):
+            p, q = (Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+                    for _ in range(2))
+            if p == 0 and q == 0:
+                continue
+            orientation = rng.choice((ORIENT_XY_VU, ORIENT_XV_YU))
+            s, t = ("S0", "S1") if orientation == ORIENT_XY_VU else ("T0", "T1")
+            text = "%s*%s + %s*%s" % (p, s, q, t)
+            pair = SegrePrime.linear(p, q, orientation)
+            typed = SegrePrime.poly(text.replace("+ -", "- "))
+            assert pair == typed, text
+            assert psi(pair) == ((1, 0) if orientation == ORIENT_XY_VU else (0, 1))
+            assert classify_segre(pair).to_json_dict() == \
+                classify_segre(typed).to_json_dict(), text
 
     def test_unbalanced_bidegree_torsion(self):
         v = classify_segre(SegrePrime.poly("S0*T0^2 + S1*T1^2"))

@@ -14,8 +14,7 @@ from uniloc.errors import InputError
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE, UNDECIDED,
                             CohomologyWitness, Denominators, HeightViolation,
                             PrincipalElement, Rule, TorsionWitness, Verdict,
-                            check_citations, read_number, render_order,
-                            render_rational)
+                            check_citations, read_number, render_rational)
 
 CITE = ("flat-universal-classical-hierarchy",)
 
@@ -95,10 +94,6 @@ class TestRendering:
         for q in (big, -big, Fraction(1, big), Fraction(big + 1, 2)):
             with pytest.raises(InputError, match="more than 4300 digits"):
                 render_rational(q)
-
-    def test_render_order(self):
-        assert render_order(5) == 5
-        assert render_order(INFINITE) == "infinite"
 
 
 class TestWitnesses:
