@@ -125,7 +125,7 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     if not lines:
         raise InputError("empty matrix file %s" % (path,))
     head = lines[0].split()
-    if len(head) != 2 or not all(t.lstrip("-").isdigit() for t in head):
+    if len(head) != 2 or not all(t.isdecimal() for t in head):
         raise InputError('first line must be "rows cols"')
     rows, cols = (read_number(t, "the matrix header") for t in head)
     if len(lines) - 1 != rows:
@@ -139,7 +139,7 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
             entries.append([read_number(t, "matrix row %d" % number) for t in row])
         except ValueError:
             raise InputError("non-integer entry in row %r" % (ln,)) from None
-    return abgroup.IntMatrix.from_rows(entries)
+    return abgroup.IntMatrix(rows, cols, tuple(x for row in entries for x in row))
 
 
 def _parse_relations(text: str, variables):
@@ -163,41 +163,44 @@ def _parse_relations(text: str, variables):
 
 
 # ring families ---------------------------------------------------------------
-# A family parser turns the ring id and the prime options into the positional
-# arguments of the family classifier.
 
-def _quad_args(ring, prime_spec, fp, asserted):
+def _classify_quad(ring, prime_spec, fp, asserted):
     body = ring.split(":", 1)[1]
     try:
         d = read_number(body, "the ring id")
     except ValueError:
         raise InputError("cannot read %r as an integer" % (body,)) from None
     order = quadorder.QuadOrder(d)
-    return (order, *_parse_quad_primes(
-        order, _required(prime_spec, "quad rings need --prime")))
+    ideals, labels = _parse_quad_primes(
+        order, _required(prime_spec, "quad rings need --prime"))
+    return quadorder.classify_dedekind(order, ideals, labels)
 
 
-def _ell_args(ring, prime_spec, fp, asserted):
+def _classify_ell(ring, prime_spec, fp, asserted):
     E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
     P = _parse_point(_required(prime_spec, "elliptic rings need --prime with a point"))
-    return E, P
+    return elliptic.classify_point(E, P)
 
 
-def _segre_args(ring, prime_spec, fp, asserted):
+def _classify_segre(ring, prime_spec, fp, asserted):
     if fp and prime_spec:
         raise InputError("give either --prime or --fp, not both")
     if fp:
-        return (segre.SegrePrime.poly(fp, irreducible=asserted),)
+        return segre.classify_segre(segre.SegrePrime.poly(fp, irreducible=asserted))
     names = _parse_variable_set(_required(prime_spec, "segre needs --prime or --fp"))
     if asserted:
         raise InputError("--assert-irreducible applies to --fp only")
-    return (segre.coordinate_prime(names),)
+    return segre.classify_segre(segre.coordinate_prime(names))
 
 
-def _variable_args(message):
-    def parse(ring, prime_spec, fp, asserted):
-        return (_parse_variable_set(_required(prime_spec, message)),)
-    return parse
+def _classify_twoplanes(ring, prime_spec, fp, asserted):
+    return lcohom.classify_twoplanes(_parse_variable_set(
+        _required(prime_spec, "twoplanes needs --prime with a variable subset")))
+
+
+def _classify_dim3hyper(ring, prime_spec, fp, asserted):
+    return lcohom.classify_dim3hyper(_parse_variable_set(
+        _required(prime_spec, "dim3hyper needs --prime")))
 
 
 @record
@@ -216,20 +219,18 @@ class Family:
 
     spec is the ring id, or "<name>:<parameters>" for ids that carry
     parameters.  reads lists the classify options the family uses besides
-    --prime.  parse turns the ring id and those options into the ring and
-    the prime, and classifier names the module function that takes them and
-    nothing else; it is looked up on each call, so a rebinding of the
-    module attribute applies.  The family
-    modules load on first use (see _lazy): holding one here runs none of
-    its code, and only the family a call classifies is compiled.
+    --prime.  classify(ring, prime_spec, fp, asserted) parses the prime and
+    calls the family classifier, read off its module on each call so that a
+    rebinding of the module attribute applies; it is None for a family that
+    is catalogued but not representable.  The family modules load on first
+    use (see _lazy): holding one here runs none of its code, and only the
+    family a call classifies is compiled.
     """
 
     spec: str
     rows: tuple
     reads: tuple = ()
-    parse: object = None
-    classifier: tuple = None  # (module, function name)
-    representable: bool = True
+    classify: object = None
 
     def matches(self, ring: str) -> bool:
         name, colon, _ = self.spec.partition(":")
@@ -243,7 +244,7 @@ FAMILIES = (
              "Z[sqrt(-5)], the maximal imaginary quadratic order of discriminant -20",
              '--prime "p<l>" or "p<l>bar" for the conjugate, comma separated',
              ("any squarefree d < 0 works as quad:<d>",)),),
-        parse=_quad_args, classifier=(quadorder, "classify_dedekind"),
+        classify=_classify_quad,
     ),
     Family(
         "ell:a,b",
@@ -256,7 +257,7 @@ FAMILIES = (
          Row("ell:0,1",
              "cone over y^2 = x^3 + 1; rational points form a cyclic group of order 6",
              '--prime "x,y" or "O"')),
-        parse=_ell_args, classifier=(elliptic, "classify_point"),
+        classify=_classify_ell,
     ),
     Family(
         "segre",
@@ -265,7 +266,7 @@ FAMILIES = (
              "presented by bihomogeneous polynomials in S0,S1,T0,T1",
              '--prime "(X,V)" for a coordinate pair, or --fp "S0*T0^2 + S1*T1^2"'),),
         reads=("--fp", "--assert-irreducible"),
-        parse=_segre_args, classifier=(segre, "classify_segre"),
+        classify=_classify_segre,
     ),
     Family(
         "twoplanes",
@@ -273,8 +274,7 @@ FAMILIES = (
              '--prime "(X,Y)": any variable subset generating a prime',
              ("polynomial model standing in for the power series ring; the "
               "graded pieces and the (non)vanishing verdicts agree degreewise",)),),
-        parse=_variable_args("twoplanes needs --prime with a variable subset"),
-        classifier=(lcohom, "classify_twoplanes"),
+        classify=_classify_twoplanes,
     ),
     Family(
         "dim3hyper",
@@ -283,8 +283,7 @@ FAMILIES = (
              '--prime one of "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", or "(X,Y,U,V)"',
              ("certificates run on the monomial surrogate k[X,Y,U,V]/(XU): "
               "killing Y or V gives the same quotient for both rings",)),),
-        parse=_variable_args("dim3hyper needs --prime"),
-        classifier=(lcohom, "classify_dim3hyper"),
+        classify=_classify_dim3hyper,
     ),
     Family(
         "nagata",
@@ -292,7 +291,6 @@ FAMILIES = (
              "a noetherian normal local domain whose defining data is not finitely "
              "presentable in this tool",
              "none", ("catalogued as a boundary marker; classify refuses it",)),),
-        representable=False,
     ),
 )
 
@@ -305,16 +303,14 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
     family = next((f for f in FAMILIES if f.matches(ring)), None)
     if family is None:
         raise InputError("unknown ring %r; see `uniloc catalog list`" % (ring,))
-    if not family.representable:
+    if family.classify is None:
         raise NotRepresentableError(
             "%s is catalogued but carries no finite presentation; "
             "nothing can be computed for it" % (ring,))
     for option, value in (("--fp", fp), ("--assert-irreducible", asserted)):
         if value and option not in family.reads:
             raise InputError("%s does not apply to %s" % (option, ring))
-    args = family.parse(ring, prime_spec, fp, asserted)
-    module, name = family.classifier
-    return getattr(module, name)(*args)
+    return family.classify(ring, prime_spec, fp, asserted)
 
 
 # subcommand handlers ---------------------------------------------------------
@@ -336,11 +332,12 @@ def _emit(args, payload_json, payload_text) -> None:
 def _cmd_catalog_list(args) -> int:
     entries, lines = [], []
     for family in FAMILIES:
-        flag = "" if family.representable else "  [not representable]"
+        representable = family.classify is not None
+        flag = "" if representable else "  [not representable]"
         for row in family.rows:
             entries.append({"id": row.id, "description": row.description,
                             "primes": row.primes, "notes": list(row.notes),
-                            "representable": family.representable})
+                            "representable": representable})
             lines.append("%-12s %s%s" % (row.id, row.description, flag))
             lines.append("%-12s primes: %s" % ("", row.primes))
             lines.extend("%-12s note: %s" % ("", note) for note in row.notes)

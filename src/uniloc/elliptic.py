@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import InconclusiveError, InputError, PreconditionError, record
+from .errors import InconclusiveError, InputError, record
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
                       TorsionWitness, Verdict, render_rational)
 
@@ -205,29 +205,6 @@ def torsion_order(E: WeierstrassCurve, P: ECPoint):
     return INFINITE
 
 
-# class group image ---------------------------------------------------------
-
-@record
-class ClAClass:
-    """Image of a divisor class in the product description E(Q) x Z/3."""
-
-    point: ECPoint
-    degree_mod3: int
-
-    def __post_init__(self):
-        if self.degree_mod3 not in (0, 1, 2):
-            raise InputError("degree must be reduced mod 3")
-
-    def describe(self) -> str:
-        return "(point %r, degree %d mod 3)" % (self.point, self.degree_mod3)
-
-
-def cl_class(E: WeierstrassCurve, P: ECPoint) -> ClAClass:
-    """Class of the prime at a rational point: (P, 1 mod 3)."""
-    _require_on_curve(E, P)
-    return ClAClass(P, 1)
-
-
 # line programs for torsion certificates ------------------------------------
 
 @record
@@ -279,7 +256,7 @@ class Line:
 def vertical_at(E: WeierstrassCurve, P: ECPoint) -> Line:
     _require_on_curve(E, P)
     if P.is_infinity:
-        raise PreconditionError("no vertical line is taken at O")
+        raise InputError("no vertical line is taken at O")
     return Line(Fraction(1), Fraction(0), -P.x, "vertical", P, negate(E, P))
 
 
@@ -288,7 +265,7 @@ def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
     if P.is_infinity or Q.is_infinity:
-        raise PreconditionError("chords are drawn between affine points")
+        raise InputError("chords are drawn between affine points")
     if P.x == Q.x and P.y == -Q.y:
         return vertical_at(E, P)
     num, den = _slope(E, P, Q)
@@ -370,7 +347,7 @@ def miller_function(E: WeierstrassCurve, P: ECPoint, n: int):
     divisor telescope once n*P = O.
     """
     if torsion_order(E, P) != n:
-        raise PreconditionError("miller_function needs torsion_order(P) = n")
+        raise InputError("miller_function needs torsion_order(P) = n")
     if P.is_infinity:
         return ()  # n == 1, the constant function 1
     prog = []
@@ -419,7 +396,8 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
     """
     _require_on_curve(E, P)
     ring_id, prime_description = E.spec(), repr(P)
-    cls = cl_class(E, P)
+    # the image of the class of the prime in E(Q) x Z/3
+    cls = "(point %r, degree 1 mod 3)" % (P,)
 
     try:
         order = torsion_order(E, P)
@@ -431,7 +409,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
 
     if order == INFINITE:
         return NON_TORSION_POINT(
-            ring_id, prime_description, TorsionWitness(INFINITE, cls.describe()),
+            ring_id, prime_description, TorsionWitness(INFINITE, cls),
             notes=("the class of the prime is (P, 1 mod 3) with P non-torsion, "
                    "hence non-torsion in the class group",),
             extra=(("torsion", INFINITE),))
@@ -439,7 +417,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
     program = miller_function(E, P, order)
     cl_order = lcm(order, 3)
     return TORSION_POINT(
-        ring_id, prime_description, TorsionWitness(order, cls.describe(), program),
+        ring_id, prime_description, TorsionWitness(order, cls, program),
         notes=("the class of the prime has order %d in E(Q) x Z/3, so the "
                "%d-th power of the prime is principal" % (cl_order, cl_order),
                "the line program certifies a function with divisor "

@@ -13,11 +13,8 @@ class UnilocError(Exception):
 
 class InputError(UnilocError):
     """Malformed or out-of-contract input: bad parse, off-curve point,
-    non-prime ideal, dimension mismatch."""
-
-
-class PreconditionError(InputError):
-    """A stated precondition of an operation does not hold."""
+    non-prime ideal, dimension mismatch, or an operation called where its
+    stated precondition does not hold."""
 
 
 class NotRepresentableError(UnilocError):

@@ -16,9 +16,10 @@ depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
 (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  A scan
 of the sign patterns finds a witness degree or proves H^i = 0.  Every
 piece is zero unless the negative coordinates are generators of I and
-the support {j : a_j != 0} is a face, so the scan builds at most
-3^|gens| * 2^(m - |gens|) patterns, drops the non-faces, and computes
-ranks once per distinct complex.
+the support {j : a_j != 0} is a face, and every dim is zero when a
+generator has a positive coordinate (see _nonzero_patterns).  So the scan
+builds at most 2^m patterns, drops the non-faces, and computes ranks
+once per distinct complex.
 
 The catalog families decided by this cohomology, the two planes
 k[X,Y,U]/(XU) and the hypersurface k[X,Y,U,V]/(XU-YV), are classified
@@ -36,10 +37,6 @@ from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT
                       HeightViolation, Verdict)
 
 ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
-
-# the box a classifier's cohomology witness records: the witness lies in
-# {-1, 0, 1}^m, hence in every box, and 3 is the box every recorded verdict carries
-WITNESS_BOX = 3
 
 
 @record
@@ -234,15 +231,20 @@ def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
     """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order.
 
     The scan order is the zero vector, then the rest of {-1,0,1}^m in
-    lexicographic order.  Only patterns that can carry a nonzero piece
-    are built: a negative coordinate must be a generator and the support
-    a face.  The complex depends only on which W have a nonzero piece,
-    so cech_dim runs once per such set.
+    lexicographic order.  Only patterns that can carry a nonzero dim are
+    built: a negative coordinate must be a generator, the support a face,
+    and no generator g positive.  For a_g > 0 and W without g, the piece
+    of A_W is nonzero exactly when the piece of A_(W + g) is, since g lies
+    in {j : a_j > 0} already; the differential part that adds g is plus or
+    minus the identity between them, so the complex is the cone of an
+    isomorphism and is exact (Miller-Sturmfels, ch. 13).  The complex
+    depends only on which W have a nonzero piece, so cech_dim runs once
+    per such set.
     """
     gens = set(I.generators)
     subsets = [W for k in range(len(gens) + 1)
                for W in combinations(I.generators, k)]
-    choices = [(-1, 0, 1) if v in gens else (0, 1) for v in A.variables]
+    choices = [(-1, 0) if v in gens else (0, 1) for v in A.variables]
     zero = (0,) * len(A.variables)
     dims = {}
     for s in chain((zero,), (s for s in product(*choices) if any(s))):
@@ -320,11 +322,11 @@ def classify_twoplanes(names) -> Verdict:
     reason = "every localisation at two or more of the generators is zero"
     if len(names) < 2 or any(A.is_face(pair) for pair in combinations(names, 2)):
         for i in range(2, len(names) + 1):
-            out = certify_nonvanishing(A, ideal, i, WITNESS_BOX)
+            out = certify_nonvanishing(A, ideal, i, CohomologyWitness.box)
             if out.found:
                 witness = CohomologyWitness(
                     algebra=A.describe(), ideal=names, degree=i,
-                    multidegree=out.witness, box=WITNESS_BOX, steps=(out.note,))
+                    multidegree=out.witness, steps=(out.note,))
                 return TWOPLANES_OBSTRUCTION("twoplanes", desc, witness)
         reason = "no sign pattern of the multidegree carries an H^k class for k > 1"
     return TWOPLANES_VANISHING(
@@ -344,7 +346,8 @@ def quadric_certificate(names):
     """
     kill = next(v for v in ("Y", "V") if v not in names)
     quotient = kill_variable(DIM3_SURROGATE, kill)
-    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2, WITNESS_BOX)
+    out = certify_nonvanishing(quotient, VariableIdeal.of(quotient, names), 2,
+                               CohomologyWitness.box)
     if not out.found:
         raise AssertionError("witness must exist for the coordinate primes")
     return kill, quotient, out
@@ -376,5 +379,5 @@ def classify_dim3hyper(names) -> Verdict:
         "hypersurface" % kill)
     witness = CohomologyWitness(
         algebra=quotient.describe(), ideal=names, degree=2,
-        multidegree=out.witness, box=WITNESS_BOX, steps=steps)
+        multidegree=out.witness, steps=steps)
     return DIM3_OBSTRUCTION("dim3hyper", desc, witness)

@@ -176,14 +176,6 @@ class QuadIdeal:
         shift = (self.b - self.order._parity) // 2
         return QuadElement(self.order, Fraction(shift), Fraction(1))
 
-    @property
-    def c(self) -> int:
-        D = self.order.discriminant
-        return (self.b * self.b - D) // (4 * self.a)
-
-    def form(self):
-        return (self.a, self.b, self.c)
-
 
 def _centred(b: int, a: int) -> int:
     """b mod 2a, in (-a, a]."""

@@ -538,7 +538,6 @@ def _classify_linear(p: SegrePrime) -> Verdict:
         ideal=change.normalized,
         degree=2,
         multidegree=out.witness,
-        box=lcohom.WITNESS_BOX,
         steps=tuple(steps),
     )
     return ONE_SIDED("segre", p.describe(), witness,

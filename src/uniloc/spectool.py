@@ -132,12 +132,6 @@ class SpecClosedSet:
                 raise InputError(
                     "%r contains a member but is missing: not upward closed" % (n,))
 
-    def __contains__(self, node):
-        return node in self.members
-
-    def __len__(self):
-        return len(self.members)
-
     def sorted_members(self):
         return sorted(self.members)
 

@@ -165,16 +165,18 @@ class CohomologyWitness:
     """A multidegree where H^degree of the named ideal is nonzero.
 
     steps records the reduction chain (coordinate changes, killed
-    variables) that led to the monomial computation.
+    variables) that led to the monomial computation.  The multidegree
+    has entries in {-1, 0, 1}, so it lies in every box; box is the one
+    every recorded verdict carries.
     """
 
     algebra: str
     ideal: tuple
     degree: int
     multidegree: tuple
-    box: int
     steps: tuple = ()
     kind = "cohomology"
+    box = 3
 
     def to_json(self):
         return {

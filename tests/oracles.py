@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from uniloc.errors import InputError, PreconditionError
+from uniloc.errors import InputError
 
 
 def det_cofactor(rows):
@@ -309,7 +309,7 @@ def ec_line_brute(a, b, P, Q):
     the chord, which is the tangent if P == Q."""
     _ec_require(a, b, P, Q)
     if P is None or Q is None:
-        raise PreconditionError("chords are drawn between affine points")
+        raise InputError("chords are drawn between affine points")
     if P[0] == Q[0] and P[1] == -Q[1]:
         return (Fraction(1), Fraction(0), -P[0], "vertical")
     lam = _ec_slope_brute(a, P, Q)

@@ -6,12 +6,11 @@ import pytest
 from oracles import (ELL_CURVES, ec_add_brute, ec_contains_brute, ec_line_brute,
                      ec_multiples_brute)
 
-from uniloc.elliptic import (ClAClass, ECPoint, Line, ModelNotIntegral, O,
-                             WeierstrassCurve, add, check_line_program,
-                             cl_class, classify_point, formal_line_divisor,
-                             line_through, miller_function, mul, negate,
-                             torsion_order, vertical_at)
-from uniloc.errors import InputError, PreconditionError
+from uniloc.elliptic import (ECPoint, Line, ModelNotIntegral, O, WeierstrassCurve,
+                             add, check_line_program, classify_point,
+                             formal_line_divisor, line_through, miller_function,
+                             mul, negate, torsion_order, vertical_at)
+from uniloc.errors import InputError
 from uniloc.verdict import INFINITE
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
@@ -87,7 +86,7 @@ def oracle_cases():
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except InputError as exc:  # PreconditionError included
+    except InputError as exc:
         return type(exc)
 
 
@@ -203,11 +202,13 @@ class TestTorsion:
 
 
 class TestClassGroupImage:
-    def test_cl_class(self):
-        c = cl_class(E_PLUS_1, pt(2, 3))
-        assert c.point == pt(2, 3) and c.degree_mod3 == 1
+    def test_class_description(self):
+        # the class of the prime at P is (P, 1 mod 3) in E(Q) x Z/3
+        for E, P, text in ((E_PLUS_1, pt(2, 3), "(point (2, 3), degree 1 mod 3)"),
+                           (E_MINUS_4, pt(2, 2), "(point (2, 2), degree 1 mod 3)")):
+            assert classify_point(E, P).witness.class_description == text
         with pytest.raises(InputError):
-            ClAClass(pt(2, 3), 3)
+            classify_point(E_PLUS_1, pt(2, 4))
 
 
 class TestLines:
@@ -217,7 +218,7 @@ class TestLines:
         assert L.other == pt(2, -3)
         assert L.evaluate(pt(2, 3)) == 0 and L.evaluate(O) == 0
         assert L.form_str() == "X - 2*Z"
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="no vertical line is taken at O"):
             vertical_at(E_PLUS_1, O)
 
     def test_chord_and_tangent(self):
@@ -230,7 +231,7 @@ class TestLines:
         assert T.kind == "chord" and T.a == 2  # slope (3*4)/(2*3)
         V = line_through(E_PLUS_1, pt(2, 3), pt(2, -3))
         assert V.kind == "vertical"
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="chords are drawn between affine points"):
             line_through(E_PLUS_1, O, pt(2, 3))
 
     def test_to_json(self):
@@ -332,9 +333,9 @@ class TestLinePrograms:
         assert not check_line_program(E_PLUS_1, pt(2, 3), 6, ())
 
     def test_miller_preconditions(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="needs torsion_order"):
             miller_function(E_PLUS_1, pt(2, 3), 3)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="needs torsion_order"):
             miller_function(E_MINUS_4, pt(2, 2), 5)
         assert miller_function(E_PLUS_1, O, 1) == ()
 

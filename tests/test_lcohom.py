@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from oracles import first_shell_witness, nonzero_patterns_brute
+from uniloc import lcohom
 from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
                            VariableIdeal, _differential, _nonzero_patterns,
@@ -283,6 +284,33 @@ class TestCertify:
                 found += bool(got)
                 empty += not got
         assert found and empty
+
+    def test_positive_generator_gives_zero(self):
+        # a_g > 0 for a generator g makes the complex a cone: the scan skips a
+        rng = random.Random(5151)
+        checked = 0
+        for _ in range(60):
+            A = random_algebra(rng, max_vars=5)
+            m = len(A.variables)
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            for _ in range(8):
+                a = [rng.randint(-2, 2) for _ in A.variables]
+                a[A.index(rng.choice(I.generators))] = rng.randint(1, 2)
+                for i in range(len(I.generators) + 1):
+                    assert cech_dim(A, I, i, a) == 0, (A, I, i, a)
+                    checked += 1
+        assert checked > 1000
+
+    def test_scan_builds_no_positive_generator(self, monkeypatch):
+        calls = []
+        piece = lcohom._piece_nonzero
+        monkeypatch.setattr(lcohom, "_piece_nonzero",
+                            lambda *args: calls.append(args) or piece(*args))
+        A = MonomialAlgebra.make(["v%d" % j for j in range(6)], [{"v0", "v5"}])
+        out, table = cech_table(A, VariableIdeal.of(A, ["v0", "v1", "v2", "v3"]), 2, 1)
+        assert not out.found and list(table) == []
+        # 4080 calls when each generator also took the sign +1
+        assert len(calls) == 1392
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))

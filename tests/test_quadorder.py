@@ -281,15 +281,17 @@ def test_reduced_forms_close_under_composition():
         order = QuadOrder(d)
         forms = reduced_forms(order)
         ideals = [make_ideal(order, a, b) for a, b, _ in forms]
-        table = {I.form() for I in ideals}
-        principal = unit_ideal(order).form()
+        table = {(I.a, I.b) for I in ideals}
+        unit = unit_ideal(order)
+        principal = (unit.a, unit.b)
         assert principal in table
-        assert {reduce(I).form() for I in ideals} == table
+        assert {(R.a, R.b) for R in map(reduce, ideals)} == table
         for I in ideals:
             for J in ideals:
-                assert reduce(ideal_mul(I, J)).form() in table
-            conj = make_ideal(order, I.a, -I.b)
-            assert reduce(ideal_mul(I, conj)).form() == principal
+                R = reduce(ideal_mul(I, J))
+                assert (R.a, R.b) in table
+            R = reduce(ideal_mul(I, make_ideal(order, I.a, -I.b)))
+            assert (R.a, R.b) == principal
 
 
 def test_class_order_divides_class_number():

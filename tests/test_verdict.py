@@ -122,12 +122,13 @@ class TestWitnesses:
         assert w.to_json() == {"type": "principal", "element": "X + U"}
 
     def test_cohomology(self):
-        w = CohomologyWitness("k[X,Y,U]/(XU)", ("X", "Y"), 2, (-1, -1, 0), 3,
+        w = CohomologyWitness("k[X,Y,U]/(XU)", ("X", "Y"), 2, (-1, -1, 0),
                               ("step one",))
         assert "H^2 of (X, Y) over k[X,Y,U]/(XU)" in w.describe()
         j = w.to_json()
         assert j["multidegree"] == [-1, -1, 0]
         assert j["steps"] == ["step one"]
+        assert j["box"] == 3
 
     def test_height_violation(self):
         w = HeightViolation("(X, Y, U)", 2)
