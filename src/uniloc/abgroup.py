@@ -7,8 +7,15 @@ relation matrix, whose group structure is read off the diagonal.
 
 from __future__ import annotations
 
+from operator import mul
 
 from .errors import InputError, record
+
+# the most rows or columns `snf` takes.  In process on a shared 2-core host,
+# `snf` on the seeded n x n matrix (random.Random(n), randint(-9, 9) row by
+# row) answers in 0.76 s at n = 90 and 1.3 s at n = 100 (median of 5); 1 s
+# is the budget per call.  W alone has cols^2 entries, whatever M holds.
+SNF_DIM_BOUND = 90
 
 
 @record
@@ -49,12 +56,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError("shape mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        prod = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix.from_rows(prod) if self.rows else IntMatrix(0, other.cols, ())
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(mul, self.entries[i * self.cols:(i + 1) * self.cols], col))
+            for i in range(self.rows) for col in columns))
 
     def diagonal(self):
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
@@ -102,13 +107,42 @@ def _min_abs_pivot(a, t, rows, cols):
     return best
 
 
+def _xgcd(a, b):
+    # (g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for a > 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
 def smith_normal_form(M: IntMatrix):
     """Diagonalize M over the integers.
 
     Returns (D, U, W) with U*M*W = D, U and W square unimodular, D
     diagonal with non-negative entries in a divisibility chain
-    d1 | d2 | ... .  Pivot policy: smallest absolute value, ties broken
-    by row-major position, which makes the output deterministic.
+    d1 | d2 | ... .
+
+    Two phases apply each operation to the one U and the one W:
+
+    1. Row Hermite normal form H (Kannan and Bachem, SIAM J. Comput. 8,
+       1979; Cohen, GTM 138, sec. 2.4).  The rows of M join one at a time
+       the Hermite form of the rows before them, and after each row every
+       entry above a pivot is reduced modulo that pivot.  The reduced
+       form of k rows is unique, so its entries depend on those rows
+       alone, not on the history of the elimination.  For nonsingular
+       n x n M the row transform is then H*M^-1 = H*adj(M)/det(M), at
+       most n times the Hadamard bound of M.
+    2. The smallest |entry| of the trailing block is the pivot, ties
+       broken by row-major position, which makes the output
+       deterministic; row and column operations clear its row and column
+       until each pivot divides the block after it.
+
+    On the seeded 40 x 40 matrix with entries in [-9, 9], |det M| has 180
+    bits and U and W end with 176 and 180.  The second phase alone, run
+    on M, gives them 4909 and 4211.
 
     >>> D, U, W = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> D.to_rows()
@@ -121,10 +155,11 @@ def smith_normal_form(M: IntMatrix):
 
     def row_op(i, k, q):
         # row i -= q * row k
+        ai, ak, ui, uk = a[i], a[k], u[i], u[k]
         for j in range(cols):
-            a[i][j] -= q * a[k][j]
+            ai[j] -= q * ak[j]
         for j in range(rows):
-            u[i][j] -= q * u[k][j]
+            ui[j] -= q * uk[j]
 
     def col_op(j, k, q):
         # col j -= q * col k
@@ -133,6 +168,45 @@ def smith_normal_form(M: IntMatrix):
         for i in range(cols):
             w[i][j] -= q * w[i][k]
 
+    # phase 1: the rows before row k are in Hermite form, the first
+    # len(piv) of them with pivots in columns piv, the rest zero
+    piv = []
+    for k in range(rows):
+        i = 0
+        for c in range(cols):
+            e = a[k][c]
+            if e == 0:
+                continue
+            while i < len(piv) and piv[i] < c:
+                i += 1
+            if i == len(piv) or piv[i] != c:
+                # a new pivot: move row k to its place in the form
+                if e < 0:
+                    a[k] = [-x for x in a[k]]
+                    u[k] = [-x for x in u[k]]
+                a.insert(i, a.pop(k))
+                u.insert(i, u.pop(k))
+                piv.insert(i, c)
+                break
+            p = a[i][c]
+            if e % p == 0:
+                row_op(k, i, e // p)
+                continue
+            # [row i; row k] <- [[s, t], [-e/g, p/g]] [row i; row k]
+            g, s, t = _xgcd(p, e)
+            p, e = p // g, e // g
+            for m in (a, u):
+                x, y = m[i], m[k]
+                m[i] = [s * v + t * z for v, z in zip(x, y)]
+                m[k] = [p * z - e * v for v, z in zip(x, y)]
+        # reduce the entries above each pivot into [0, pivot)
+        for j, c in enumerate(piv):
+            p = a[j][c]
+            for h in range(j):
+                if not 0 <= a[h][c] < p:
+                    row_op(h, j, a[h][c] // p)
+
+    # phase 2
     t = 0
     while t < min(rows, cols):
         pos = _min_abs_pivot(a, t, rows, cols)
@@ -180,10 +254,8 @@ def smith_normal_form(M: IntMatrix):
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
 
     D = IntMatrix(rows, cols, tuple(x for r in a for x in r))
     U = IntMatrix(rows, rows, tuple(x for r in u for x in r))

@@ -128,6 +128,9 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     if len(head) != 2 or not all(t.isdecimal() for t in head):
         raise InputError('first line must be "rows cols"')
     rows, cols = (read_number(t, "the matrix header") for t in head)
+    if max(rows, cols) > abgroup.SNF_DIM_BOUND:
+        raise InputError("a %d x %d matrix is above abgroup.SNF_DIM_BOUND = %d rows or columns"
+                         % (rows, cols, abgroup.SNF_DIM_BOUND))
     if len(lines) - 1 != rows:
         raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
     entries = []

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -88,25 +89,42 @@ def test_snf_empty_shapes():
     assert cokernel_structure(IntMatrix(0, 3, ())) == GroupStructure(3, ())
 
 
-def test_snf_scans_once_per_settled_pivot(monkeypatch):
-    # a diagonal divisibility chain is already in normal form: each pivot
-    # is found by one scan of the trailing block and needs no clearing
-    from uniloc import abgroup
-    scans = []
-    scan = abgroup._min_abs_pivot
-    monkeypatch.setattr(abgroup, "_min_abs_pivot",
-                        lambda *args: scans.append(args[1]) or scan(*args))
-    D, _, _ = snf_checked([[1, 0, 0], [0, 2, 0], [0, 0, 6]])
-    assert D.diagonal() == [1, 2, 6]
-    assert scans == [0, 1, 2]
+def test_snf_keeps_smith_form_input():
+    # a matrix already in Smith normal form needs no row or column operation
+    for rows in ([[1, 0, 0], [0, 2, 0], [0, 0, 6]], [[0, 0, 0], [0, 0, 0]],
+                 [[2, 0, 0], [0, 0, 0]], [[1, 0], [0, 4], [0, 0]], [[3]]):
+        D, U, W = snf_checked(rows)
+        assert D.to_rows() == rows
+        assert U == IntMatrix.identity(len(rows))
+        assert W == IntMatrix.identity(len(rows[0]))
+
+
+def degenerate(rng, rows):
+    # zero a row or a column, or overwrite a row with a row or a sum of two
+    n, m = len(rows), len(rows[0])
+    for _ in range(rng.randint(0, 2)):
+        i, k, l = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        edit = rng.randrange(4)
+        if edit == 0:
+            rows[i] = [0] * m
+        elif edit == 1:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = 0
+        elif edit == 2:
+            rows[i] = list(rows[k])
+        else:
+            rows[i] = [x + y for x, y in zip(rows[k], rows[l])]
+    return rows
 
 
 def test_snf_determinantal_divisors():
-    # d_1 * ... * d_k equals the gcd of all k x k minors
+    # d_1 * ... * d_k equals the gcd of all k x k minors, on rectangular and
+    # rank-deficient shapes up to 6 x 6, where some columns hold no pivot
     rng = random.Random(1009)
-    for _ in range(120):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randint(-12, 12) for _ in range(m)] for _ in range(n)]
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = degenerate(rng, [[rng.randint(-12, 12) for _ in range(m)] for _ in range(n)])
         D, _, _ = snf_checked(rows)
         diag = D.diagonal()
         prod = 1
@@ -115,9 +133,24 @@ def test_snf_determinantal_divisors():
             assert prod == gcd_of_k_minors(rows, k)
 
 
+@pytest.mark.parametrize("n", [30, 40, 50])
+def test_snf_transforms_stay_the_size_of_the_answer(n):
+    # no entry of U or W has more bits than the Hadamard bound of M times
+    # |det M|; the diagonal loop alone, run on M, gives U 2170 bits at n = 30
+    rng = random.Random(n)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    M = IntMatrix.from_rows(rows)
+    D, U, W = smith_normal_form(M)
+    assert (U @ M) @ W == D
+    hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in rows)) + 1
+    bound = hadamard.bit_length() + abs(det(M)).bit_length()
+    for T in (U, W):
+        assert max(abs(x).bit_length() for x in T.entries) <= bound
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.integers(-40, 40), min_size=1, max_size=4),
-                min_size=1, max_size=4).filter(
+@given(st.lists(st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+                min_size=1, max_size=6).filter(
                     lambda rs: len({len(r) for r in rs}) == 1))
 def test_snf_transform_identity_property(rows):
     snf_checked(rows)

@@ -685,6 +685,20 @@ class TestSnf:
             assert (code, out) == (2, ""), text
             assert err == 'input error: first line must be "rows cols"\n'
 
+    def test_dimension_bound(self, capsys, tmp_path):
+        # W alone has cols^2 entries, so the header is checked before any row
+        bound = abgroup.SNF_DIM_BOUND
+        mat = tmp_path / "m.txt"
+        wide = "1 %d\n%s\n" % (bound + 1, "1 " * (bound + 1))
+        for text in ("0 2000\n", "%d 1\n" % (bound + 1), wide):
+            mat.write_text(text)
+            code, out, err = run(capsys, "snf", "--matrix", str(mat))
+            assert (code, out) == (2, ""), text
+            assert "above abgroup.SNF_DIM_BOUND = %d rows or columns" % bound in err
+        mat.write_text("1 %d\n%s\n" % (bound, "2 " * bound))
+        code, doc, _ = run_json(capsys, "snf", "--matrix", str(mat))
+        assert (code, doc["diagonal"]) == (0, [2])
+
     def test_one_smith_normal_form_call(self, capsys, tmp_path, monkeypatch):
         calls = []
         snf = abgroup.smith_normal_form
