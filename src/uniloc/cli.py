@@ -10,13 +10,14 @@ Exit codes: 0 success, 2 input error, 3 ring not representable,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
 from .verdict import Verdict, check_printable, read_number
@@ -318,10 +319,34 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 
 # subcommand handlers ---------------------------------------------------------
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), one string per value.
+
+    The standard library indents through a generator per token, a few
+    microseconds for each integer of a class group's forms or an SNF
+    transform and each node of a closed set; here a list or dict is one
+    join over its items.
+    """
+    if isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        items = [repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
+                 else _json_text(v, inner) for v in value]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+                 + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    if type(value) is int:
+        return repr(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)  # bool, None, float, [] and {}
+
+
 def _emit(args, payload_json, payload_text) -> None:
-    if args.format == "json":  # join in batches: json.dumps holds every chunk at once
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload_json)
-        payload_text = "".join(iter(lambda: "".join(islice(chunks, 4096)), ""))
+    if args.format == "json":
+        payload_text = _json_text(payload_json)
     try:
         print(payload_text)
         sys.stdout.flush()
@@ -375,10 +400,10 @@ def _cmd_classgroup(args) -> int:
         "class_number": len(forms),
         "reduced_forms": [list(f) for f in forms],
     }
-    text = "\n".join(
-        ["discriminant: %d" % D, "class number: %d" % len(forms)]
-        + ["form: %d %d %d" % f for f in forms])
-    _emit(args, doc, text)
+    lines = ["discriminant: %d" % D, "class number: %d" % len(forms)]
+    if args.format == "text":  # the forms can be many: spell them out only to print them
+        lines += ["form: %d %d %d" % f for f in forms]
+    _emit(args, doc, "\n".join(lines))
     return 0
 
 
@@ -444,9 +469,10 @@ def _cmd_snf(args) -> int:
         },
     }
     lines = ["D = U * M * W with"]
-    for tag, mat in (("D", D), ("U", U), ("W", W)):
-        lines.append("%s:" % tag)
-        lines.extend("  " + " ".join(str(x) for x in row) for row in mat.to_rows())
+    if args.format == "text":  # U and W can be large: spell them out only to print them
+        for tag, mat in (("D", D), ("U", U), ("W", W)):
+            lines.append("%s:" % tag)
+            lines.extend("  " + " ".join(str(x) for x in row) for row in mat.to_rows())
     lines.append("diagonal: %s" % (D.diagonal(),))
     lines.append("cokernel: free rank %d, invariant factors %s"
                  % (structure.free_rank, list(structure.invariant_factors)))
@@ -468,13 +494,15 @@ def _cmd_spec_enumerate(args) -> int:
     lines = ["nodes: %s" % ", ".join(P.nodes),
              "heights: %s" % ", ".join("%s:%d" % (n, heights[n]) for n in P.nodes),
              "count: %d" % len(closed)]
-    lines.extend("closed: {%s}" % ", ".join(c.sorted_members()) for c in closed)
+    if args.format == "text":  # the closed sets can be many: spell them out only to print them
+        lines.extend("closed: {%s}" % ", ".join(c.sorted_members()) for c in closed)
     _emit(args, doc, "\n".join(lines))
     return 0
 
 
 # parser ----------------------------------------------------------------------
 
+@functools.cache  # built once per process: building costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uniloc",

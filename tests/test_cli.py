@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
 from uniloc import abgroup, elliptic, lcohom, quadorder, segre
-from uniloc.cli import FAMILIES, classify, main
+from uniloc.cli import FAMILIES, _json_text, classify, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.with_name("bench") / "tracing.py"
@@ -1130,3 +1130,30 @@ class TestColdImports:
         files["poset"].write_text("a < b\n")
         doc = audit(*(arg.format(**files) for arg in argv))
         assert (doc["exit"], doc["stdlib"]) == (0, [])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonText:
+    """--format json prints what json.dumps(sort_keys=True, indent=2) would."""
+
+    @settings(max_examples=300)
+    @given(value=JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_non_string_keys(self):
+        value = {2: [1], 10: {"b": (), "a": {}}, -1: "é"}
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_parser_reused_across_calls(self, capsys):
+        assert run(capsys, "classgroup", "--disc", "-20", "--format", "text")[0] == 0
+        code, doc, _ = run_json(capsys, "classgroup", "--disc", "-23")
+        assert (code, doc["class_number"]) == (0, 3)
+        assert run(capsys, "classgroup")[0] == 2
+        assert "form: 1 1 6" in run(capsys, "classgroup", "--disc", "-23")[1]
