@@ -12,15 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
-import json
 import os
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import Verdict, check_printable, read_number
+from .verdict import Verdict, _json_text, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -318,31 +316,6 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 
 
 # subcommand handlers ---------------------------------------------------------
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), one string per value.
-
-    The standard library indents through a generator per token, a few
-    microseconds for each integer of a class group's forms or an SNF
-    transform and each node of a closed set; here a list or dict is one
-    join over its items.
-    """
-    if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        items = [repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
-                 else _json_text(v, inner) for v in value]
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-                 + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
-    if type(value) is int:
-        return repr(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)  # bool, None, float, [] and {}
-
 
 def _emit(args, payload_json, payload_text) -> None:
     if args.format == "json":

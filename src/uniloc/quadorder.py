@@ -10,13 +10,16 @@ Number Theory, GTM 138, sec. 5.2-5.4).  `class_walk` composes a prime
 with itself in reduced form and carries those elements along, so one
 walk around the class cycle gives the class order n and a generator of
 p^n without building p^n; it stops once n is too large for that
-generator to be printed (PRINT_DIGITS).
+generator to be printed (PRINT_DIGITS).  The walk's state is the (a, b)
+of the reduced ideal and the element as two integers: it builds no
+QuadIdeal and no Fraction per step, and `ideal_mul` and the walk share
+one composition core, `_compose`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import gcd, isqrt, lcm, log
 
 from .errors import InputError, record
 from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict,
@@ -190,6 +193,11 @@ def unit_ideal(order: QuadOrder) -> QuadIdeal:
     return make_ideal(order, 1, order._parity)
 
 
+def _in_ideal(x: int, y: int, a: int, b: int, parity: int) -> bool:
+    """x + y*w in a*Z + ((b + sqrt(D))/2)*Z, for integers x and y."""
+    return (x - y * ((b - parity) // 2)) % a == 0
+
+
 def contains(I: QuadIdeal, e: QuadElement) -> bool:
     """Exact membership test against the standard basis of I."""
     x, y = Fraction(e.x) / I.scale, Fraction(e.y) / I.scale
@@ -204,19 +212,17 @@ def ideal_norm(I: QuadIdeal) -> Fraction:
 
 
 def _xgcd(a: int, b: int):
-    if b == 0:
-        return (abs(a), (1 if a >= 0 else -1), 0)
-    g, x, y = _xgcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    """Product in canonical form; multiplicative on norms."""
-    if I.order != J.order:
-        raise InputError("ideals from different orders")
-    D = I.order.discriminant
-    a1, b1 = I.a, I.b
-    a2, b2 = J.a, J.b
+def _compose(a1: int, b1: int, a2: int, b2: int, D: int):
+    """(a3, b3, e): the product of the primitive ideals (a1, (b1 + sqrt(D))/2)
+    and (a2, (b2 + sqrt(D))/2) is e*(a3, (b3 + sqrt(D))/2), b3 in (-a3, a3]."""
     s = (b1 + b2) // 2
     g1, x1, y1 = _xgcd(a1, a2)
     e, x2, w = _xgcd(g1, s)
@@ -226,8 +232,15 @@ def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     num = u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + D) // 2
     if num % e != 0:
         raise AssertionError("composition numerator not divisible")
-    b3 = num // e
-    return make_ideal(I.order, a3, b3, I.scale * J.scale * e)
+    return a3, _centred(num // e, a3), e
+
+
+def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
+    """Product in canonical form; multiplicative on norms."""
+    if I.order != J.order:
+        raise InputError("ideals from different orders")
+    a3, b3, e = _compose(I.a, I.b, J.a, J.b, I.order.discriminant)
+    return QuadIdeal(I.order, a3, b3, I.scale * J.scale * e)
 
 
 def ideal_pow(I: QuadIdeal, n: int) -> QuadIdeal:
@@ -264,16 +277,17 @@ def reduce(I: QuadIdeal) -> QuadIdeal:
     return QuadIdeal(I.order, *_reduce_form(I.a, I.b, I.order.discriminant))
 
 
-def _unit_multiples(g: QuadElement):
-    """g times each unit: w generates the 4 units for d = -1 and the 6 for
-    d = -3, where w^2 = c0 + c1*w; otherwise the units are +-1."""
-    order = g.order
+def _unit_multiples(order: QuadOrder, x, y):
+    """x + y*w times each unit, as (x, y) pairs: w generates the 4 units for
+    d = -1 and the 6 for d = -3, where w^2 = c0 + c1*w; otherwise the units
+    are +-1."""
     if order.d not in (-1, -3):
-        return [g, QuadElement(order, -g.x, -g.y)]
+        return [(x, y), (-x, -y)]
     c0, c1 = ((order.d - 1) // 4, 1) if order._parity else (order.d, 0)
-    out = [g]
+    out = [(x, y)]
     while len(out) < {-1: 4, -3: 6}[order.d]:
-        out.append(QuadElement(order, out[-1].y * c0, out[-1].x + out[-1].y * c1))
+        x, y = y * c0, x + y * c1
+        out.append((x, y))
     return out
 
 
@@ -295,12 +309,29 @@ def _generator(I: QuadIdeal, n: int, x, y) -> QuadElement:
     the conjugate of I unless that is I.  For n = 1 that makes (g) = I.
     For a prime I, the integral ideals of norm N(I)^n are I^i conj(I)^(n-i),
     and g outside conj(I) leaves only I^n.
+
+    x and y are integers, or Fractions when I has a fractional scale s; the
+    check runs on integers.  With g = (X + Y*w)/m and s = sn/sd, g/s has
+    the coordinates (u, v) = (X, Y)*sd/(m*sn), and g lies in I when those
+    are integers in the primitive part (a, (b + sqrt(D))/2).  Then
+    4*N(g/s) = (2u + parity*v)^2 - D*v^2, and N(g) = N(I)^n = (s^2*a)^n
+    reads 4*N(g/s)*sd^(2n-2) = 4*a^n*sn^(2n-2).
     """
-    g = QuadElement(I.order, x, y)
-    g = min(_unit_multiples(g), key=lambda e: (abs(e.y), abs(e.x), 2 * (e.x < 0) + (e.y < 0)))
-    conj = make_ideal(I.order, I.a, -I.b, I.scale)
-    if not contains(I, g) or g.norm() != ideal_norm(I) ** n \
-            or (conj != I and contains(conj, g)):
+    order = I.order
+    x, y = min(_unit_multiples(order, x, y),
+               key=lambda g: (abs(g[1]), abs(g[0]), 2 * (g[0] < 0) + (g[1] < 0)))
+    D, parity, a, b = order.discriminant, order._parity, I.a, I.b
+    m = lcm(x.denominator, y.denominator)
+    sn, sd = I.scale.numerator, I.scale.denominator
+    k = m * sn
+    u, ru = divmod(x.numerator * (m // x.denominator) * sd, k)
+    v, rv = divmod(y.numerator * (m // y.denominator) * sd, k)
+    t = 2 * u + parity * v
+    bc = _centred(-b, a)  # the conjugate's b
+    g = QuadElement(order, Fraction(x), Fraction(y))
+    if ru or rv or not _in_ideal(u, v, a, b, parity) \
+            or (t * t - D * v * v) * sd ** (2 * n - 2) != 4 * a ** n * sn ** (2 * n - 2) \
+            or (bc != b and _in_ideal(u, v, a, bc, parity)):
         raise AssertionError("%r is not a generator of %r^%d" % (g, I, n))
     return g
 
@@ -468,7 +499,10 @@ def class_walk(P: QuadIdeal):
     reduction's cs.  When R_n is the unit ideal, alpha_n generates P^n:
     the compact representation of a principal ideal along the
     composition cycle (Buchmann and Vollmer, Binary Quadratic Forms, 2007;
-    Cohen, GTM 138, sec. 5.4).  No power of P is built.
+    Cohen, GTM 138, sec. 5.4).  No power of P is built.  The state is the
+    (a, b) of R_k and alpha = (p + q*sqrt(D))/2 as the integers p and q;
+    each step composes (a, b) with P's (a, b) through _compose, the core of
+    ideal_mul, and _generator checks alpha_n in integers.
 
     A generator g of P^n is printed as u + v*sqrt(d) or (u + v*sqrt(d))/2
     with max(u^2, |d|*v^2) >= N(g)/2 = N(P)^n/2.  So once the walk shows
@@ -482,25 +516,26 @@ def class_walk(P: QuadIdeal):
     D, parity = order.discriminant, order._parity
     # least k with N(P)^k past the bound, plus one for rounding
     kmax = int((log(-2 * order.d) + 2 * PRINT_DIGITS * log(10)) / log(ideal_norm(P))) + 2
-    R = unit_ideal(order)
+    pa, pb, scale = P.a, P.b, P.scale.numerator  # a prime ideal is integral
+    a, b = 1, parity  # R_0
     p, q = 2, 0  # alpha = (p + q*sqrt(D))/2
     n = 0
     while True:
         n += 1
-        K = ideal_mul(R, P)
+        ka, kb, e = _compose(a, b, pa, pb, D)  # R_{k-1}*P = scale*e*(ka, kb)
         steps = []
-        a, b = _reduce_form(K.a, K.b, D, steps)
+        ra, rb = _reduce_form(ka, kb, D, steps)
         # content*N(R_k)*prod(tau) = (tp + tq*sqrt(D))/2, over N(R_{k-1})*prod(c)
-        tp, tq, den = _times_taus(2 * K.scale.numerator * a, R.a, steps, D)
+        tp, tq, den = _times_taus(2 * scale * e * ra, a, steps, D)
         p, q = (p * tp + q * tq * D) // (2 * den), (p * tq + q * tp) // (2 * den)
-        if (a, b) == (1, parity):
+        if (ra, rb) == (1, parity):
             break
         if n + 1 >= kmax:
             raise InputError("the class order of %r is above %d, so a generator of "
                              "its power has more than %d digits, too long to print"
                              % (P, n, PRINT_DIGITS))
-        R = QuadIdeal(order, a, b)
-    return n, _generator(P, n, Fraction((p - parity * q) // 2), Fraction(q))
+        a, b = ra, rb
+    return n, _generator(P, n, (p - parity * q) // 2, q)
 
 
 def is_prime_ideal(I: QuadIdeal) -> bool:

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
 from uniloc import abgroup, elliptic, lcohom, quadorder, segre
-from uniloc.cli import FAMILIES, _json_text, classify, main
+from uniloc.cli import FAMILIES, classify, main
+from uniloc.verdict import _json_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.with_name("bench") / "tracing.py"

@@ -473,6 +473,99 @@ def test_generator_check_rejects_the_conjugate_split():
                 quadorder._generator(dec.p, 2, Fraction(ell), Fraction(0))
 
 
+def split_walks(ells):
+    """(P, n, g, gbar) for the split primes over D_POOL and a few larger
+    class groups: g generates P^n and gbar generates conj(P)^n."""
+    for d in D_POOL + (-971, -2087, -10007):
+        order = QuadOrder(d)
+        for ell in ells:
+            dec = decompose_prime(order, ell)
+            if isinstance(dec, Split):
+                n, g = class_walk(dec.p)
+                yield dec.p, n, g, class_walk(dec.pbar)[1]
+
+
+def times_sqrt_form(order, x, y, e0, e1):
+    """(x + y*w)*(e0 + e1*sqrt(d)) in the 1, w basis."""
+    half = Fraction(order._parity, 2)
+    g0, g1 = x + y * half, y - y * half  # x + y*w = g0 + g1*sqrt(d)
+    h0, h1 = g0 * e0 + order.d * g1 * e1, g0 * e1 + g1 * e0
+    return h0 - h1 * order._parity, h1 * (1 + order._parity)
+
+
+def test_generator_check_rejects_non_generators():
+    # g generates P^n.  Each case below fails the check: g + 1 and gbar are
+    # not in P; (l) = P*conj(P) is in conj(P); l has the norm of P^2 and
+    # lies outside conj(P)^2, but not in P^2; g*(1 + l) is in P and outside
+    # conj(P), with too large a norm; g*eps, for eps = ((4 + d) + 4*sqrt(d))
+    # /(4 - d) of norm 1, and g + 1/7 are not integral.  The middle four
+    # fail one of the three tests only, and the coordinates of g + 1/7
+    # round down to g's, which pass them all.  Integer inputs as class_walk
+    # passes them, and the fractional inputs of is_principal over a scale 1/3
+    for P, n, g, gbar in split_walks(small_primes(30)):
+        order, ell = P.order, P.a
+        x, y = int(g.x), int(g.y)
+        Pn, P2 = ideal_pow(P, n), ideal_pow(P, 2)
+        d = order.d
+        eps = times_sqrt_form(order, g.x, g.y, Fraction(4 + d, 4 - d), Fraction(4, 4 - d))
+        for I, k, x1, y1 in ((P, n, x + 1, y), (P, n, int(gbar.x), int(gbar.y)),
+                             (P, 2, ell, 0), (P2, 1, ell, 0),
+                             (P, n, x * (1 + ell), y * (1 + ell))):
+            with pytest.raises(AssertionError):
+                quadorder._generator(I, k, x1, y1)
+        assert quadorder._generator(P, n, x, y) == g
+        for I, x1, y1 in ((Pn, x + 1, y), (Pn, gbar.x, gbar.y), (P2, ell, 0),
+                          (Pn, x * (1 + ell), y * (1 + ell)), (Pn, *eps),
+                          (Pn, x + Fraction(1, 7), y)):
+            S = make_ideal(order, I.a, I.b, I.scale / 3)
+            with pytest.raises(AssertionError):
+                quadorder._generator(S, 1, Fraction(x1) / 3, Fraction(y1) / 3)
+        S = make_ideal(order, Pn.a, Pn.b, Pn.scale / 3)
+        assert quadorder._generator(S, 1, g.x / 3, g.y / 3) == is_principal(S)
+
+
+def test_generator_is_canonical_over_the_units():
+    # every unit multiple of a generator comes back as the same element,
+    # from integers and from fractions over a scale; -1 and -3 have 4 and 6
+    for P, n, g, _ in split_walks(small_primes(14)):
+        J = ideal_pow(P, n)
+        I = make_ideal(P.order, J.a, J.b, J.scale / 3)
+        units = quadorder._unit_multiples(P.order, int(g.x), int(g.y))
+        assert len(units) == {-1: 4, -3: 6}.get(P.order.d, 2)
+        assert len(set(units)) == len(units)
+        for x, y in units:
+            assert quadorder._generator(P, n, x, y) == g
+            assert quadorder._generator(J, 1, Fraction(x), Fraction(y)) == g
+            h = quadorder._generator(I, 1, Fraction(x, 3), Fraction(y, 3))
+            assert (h.x, h.y) == (g.x / 3, g.y / 3)
+
+
+def test_class_walk_builds_no_ideal_per_step(monkeypatch):
+    # the walk composes plain (a, b) pairs: the QuadIdeal records it builds
+    # do not grow with the class order, and it never calls ideal_mul
+    post_init = QuadIdeal.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(I, J):
+        raise AssertionError("ideal_mul called")
+
+    counts = {}
+    for d, ell in ((-971, 3), (-10007, 2)):  # class orders 5 and 77
+        P = decompose_prime(QuadOrder(d), ell).p
+        with monkeypatch.context() as m:
+            m.setattr(QuadIdeal, "__post_init__", counted)
+            m.setattr(quadorder, "ideal_mul", refuse)
+            built.clear()
+            n = class_walk(P)[0]
+        counts[n] = len(built)
+    assert sorted(counts) == [5, 77]
+    assert counts[5] == counts[77] <= 2
+
+
 def test_minus_100000007_p2():
     # class order 7253: the generator has norm 2^7253 and lies in p2^7253,
     # so it generates p2^7253
