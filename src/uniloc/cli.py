@@ -350,7 +350,7 @@ def _cmd_classify(args) -> int:
     verdict = classify(args.ring, args.prime or "", args.fp or "",
                        args.assert_irreducible)
     _emit(args, verdict.to_json_dict(), verdict.to_text())
-    return 0 if verdict.conclusive else 4
+    return 0 if verdict.rule.conclusive else 4
 
 
 def _cmd_classgroup(args) -> int:

@@ -203,8 +203,7 @@ def contains(I: QuadIdeal, e: QuadElement) -> bool:
     x, y = Fraction(e.x) / I.scale, Fraction(e.y) / I.scale
     if x.denominator != 1 or y.denominator != 1:
         return False
-    shift = (I.b - I.order._parity) // 2
-    return (x.numerator - y.numerator * shift) % I.a == 0
+    return _in_ideal(x.numerator, y.numerator, I.a, I.b, I.order._parity)
 
 
 def ideal_norm(I: QuadIdeal) -> Fraction:

@@ -1,12 +1,12 @@
 """Classification verdicts.
 
-A Verdict answers three nested questions about a localisation task
+A verdict answers three nested questions about a localisation task
 (ring, specialisation closed set): does a flat ring epimorphism exist,
 is it a universal localisation, is it a classical ring of fractions.
 Answers are tri-state ("yes" / "no" / "unknown"); "unknown" is a
 first-class honest answer for inputs outside the implemented decision
-rules.  The hierarchy classical => universal => flat is enforced
-structurally: a Verdict violating it cannot be constructed.
+rules.  A Verdict references the named Rule that decided it, and the
+rule holds the answers: no Rule violates classical => universal => flat.
 
 Every definite answer carries at least one citation anchor.  Anchors
 are short stable slugs naming the mathematical fact that licensed the
@@ -245,47 +245,29 @@ class HeightViolation:
 
 @record
 class Verdict:
+    """A decision rule applied to one ring and one prime.
+
+    The rule holds the answers and their anchors; the verdict adds the
+    witness, the notes and the ring family's JSON fields.
+    """
+
     ring_id: str
     prime_description: str
-    flat: str
-    universal: str
-    classical: str
+    rule: Rule
     witness: object = None
-    citations: tuple = ()
     notes: tuple = ()
     extra: tuple = ()  # ring-family JSON fields, e.g. ("torsion", 6)
-
-    def __post_init__(self):
-        for name in ("flat", "universal", "classical"):
-            if getattr(self, name) not in _STATES:
-                raise InputError("bad tri-state for %s: %r" % (name, getattr(self, name)))
-        # hierarchy: classical => universal => flat, contrapositives included
-        if self.classical == YES and self.universal != YES:
-            raise InputError("classical=yes requires universal=yes")
-        if self.universal == YES and self.flat != YES:
-            raise InputError("universal=yes requires flat=yes")
-        if self.flat == NO and self.universal != NO:
-            raise InputError("flat=no requires universal=no")
-        if self.universal == NO and self.classical != NO:
-            raise InputError("universal=no requires classical=no")
-        if (self.flat != UNKNOWN or self.universal != UNKNOWN or self.classical != UNKNOWN) \
-                and not self.citations:
-            raise InputError("definite answers require at least one citation anchor")
-
-    @property
-    def conclusive(self) -> bool:
-        return UNKNOWN not in (self.flat, self.universal, self.classical)
 
     def to_json_dict(self):
         out = {
             "schema": 1,
             "ring": self.ring_id,
             "prime": self.prime_description,
-            "flat": self.flat,
-            "universal": self.universal,
-            "classical": self.classical,
+            "flat": self.rule.flat,
+            "universal": self.rule.universal,
+            "classical": self.rule.classical,
             "witness": self.witness.to_json() if self.witness is not None else None,
-            "citations": list(self.citations),
+            "citations": list(self.rule.citations),
             "notes": list(self.notes),
         }
         for key, value in self.extra:
@@ -301,9 +283,9 @@ class Verdict:
         lines = [
             "ring: %s" % self.ring_id,
             "prime: %s" % self.prime_description,
-            "flat epimorphism: %s" % self.flat,
-            "universal localisation: %s" % self.universal,
-            "classical localisation: %s" % self.classical,
+            "flat epimorphism: %s" % self.rule.flat,
+            "universal localisation: %s" % self.rule.universal,
+            "classical localisation: %s" % self.rule.classical,
         ]
         for key, value in self.extra:
             lines.append("%s: %s" % (key, value))
@@ -311,8 +293,8 @@ class Verdict:
             lines.append("witness: %s" % self.witness.describe())
         for note in self.notes:
             lines.append("note: %s" % note)
-        if self.citations:
-            lines.append("citations: %s" % ", ".join(self.citations))
+        if self.rule.citations:
+            lines.append("citations: %s" % ", ".join(self.rule.citations))
         return "\n".join(lines)
 
 
@@ -399,7 +381,7 @@ def check_citations(anchors) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Decision rules.  A rule fixes the answers it licenses and the anchors it
-# cites; a family adds its own facts around them with cite().  Anchors are
+# cites; a family adds its own facts around them with cite().  Both are
 # checked when a rule is built, which for every rule is at import.
 
 
@@ -411,7 +393,23 @@ class Rule:
     citations: tuple = ()
 
     def __post_init__(self):
+        for name in ("flat", "universal", "classical"):
+            if getattr(self, name) not in _STATES:
+                raise InputError("bad tri-state for %s: %r" % (name, getattr(self, name)))
+        # hierarchy: classical => universal => flat, contrapositives included
+        if self.classical == YES and self.universal != YES:
+            raise InputError("classical=yes requires universal=yes")
+        if self.universal == YES and self.flat != YES:
+            raise InputError("universal=yes requires flat=yes")
+        if self.flat == NO and self.universal != NO:
+            raise InputError("flat=no requires universal=no")
+        if self.universal == NO and self.classical != NO:
+            raise InputError("universal=no requires classical=no")
         object.__setattr__(self, "citations", check_citations(self.citations))
+
+    @property
+    def conclusive(self) -> bool:
+        return UNKNOWN not in (self.flat, self.universal, self.classical)
 
     def cite(self, before=(), after=()) -> "Rule":
         """The same answers, citing family facts around the rule's own anchors."""
@@ -420,9 +418,10 @@ class Rule:
 
     def __call__(self, ring_id, prime_description, witness=None, notes=(),
                  extra=()) -> Verdict:
-        return Verdict(ring_id, prime_description, self.flat, self.universal,
-                       self.classical, witness, self.citations, tuple(notes),
-                       tuple(extra))
+        # here, not when built: FLAT_ONLY is an anchorless template for cite()
+        if not self.citations and {self.flat, self.universal, self.classical} != {UNKNOWN}:
+            raise InputError("definite answers require at least one citation anchor")
+        return Verdict(ring_id, prime_description, self, witness, tuple(notes), tuple(extra))
 
 
 # a minimal prime of height above one rules out a flat epimorphism

@@ -66,7 +66,7 @@ def test_criterion_1():
         assert square == inert_ideal(order, 2)
         assert render_element(is_principal(square)) == "2"
         v = classify_dedekind(order, [p2], ["p2"])
-        assert (v.flat, v.universal, v.classical) == ("yes", "yes", "yes")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
         assert v.witness.elements == ("2",)
 
 
@@ -74,12 +74,12 @@ def test_criterion_2():
     """criterion 2: elliptic trichotomy, torsion certificates, non-torsion refusal"""
     with budget():
         v = classify_point(WeierstrassCurve(0, -4), pt(2, 2))
-        assert (v.flat, v.universal, v.classical) == ("yes", "no", "no")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "no", "no")
         assert v.witness.order is INFINITE
         for curve, point, n in ((WeierstrassCurve(-1, 0), pt(0, 0), 2),
                                 (WeierstrassCurve(0, 1), pt(2, 3), 6)):
             w = classify_point(curve, point)
-            assert (w.flat, w.universal, w.classical) == ("yes", "yes", "yes")
+            assert (w.rule.flat, w.rule.universal, w.rule.classical) == ("yes", "yes", "yes")
             assert w.witness.order == n
             assert check_line_program(curve, point, n, w.witness.line_program)
 
@@ -92,12 +92,12 @@ def test_criterion_3():
         for names, expected in table.items():
             assert psi(coordinate_prime(names)) == expected
         a = classify_segre(SegrePrime.poly("S0"))
-        assert (a.flat, a.universal, a.classical) == ("no", "no", "no")
+        assert (a.rule.flat, a.rule.universal, a.rule.classical) == ("no", "no", "no")
         b = classify_segre(SegrePrime.poly("S0*T0^2 + S1*T1^2"))
-        assert (b.flat, b.universal, b.classical) == ("yes", "no", "no")
+        assert (b.rule.flat, b.rule.universal, b.rule.classical) == ("yes", "no", "no")
         assert b.witness.order is INFINITE
         c = classify_segre(SegrePrime.poly("S0*T0 + S1*T1"))
-        assert (c.flat, c.universal, c.classical) == ("yes", "yes", "yes")
+        assert (c.rule.flat, c.rule.universal, c.rule.classical) == ("yes", "yes", "yes")
         assert c.witness.element == "X + U"
 
 
@@ -265,7 +265,7 @@ def test_criterion_7e():
         rng = random.Random(75)
 
         def check(v):
-            assert_hierarchy(v.flat, v.universal, v.classical, v.citations)
+            assert_hierarchy(v.rule.flat, v.rule.universal, v.rule.classical, v.rule.citations)
 
         for k in range(400):
             E, P, Q = random_curve_with_points(rng)
@@ -288,14 +288,14 @@ def test_criterion_7e():
             f = _fmt_terms([(a, "S0*T0"), (b, "S0*T1"),
                             (c, "S1*T0"), (d, "S1*T1")])
             v = classify_segre(SegrePrime.poly(f))
-            assert v.classical == "yes"
+            assert v.rule.classical == "yes"
             check(v)
         for _ in range(50):
             a = rng.choice((1, 2, 3, -1))
             b = rng.choice((1, 2, 3, -2))
             f = _fmt_terms([(a, "S0*T0^2"), (b, "S1*T1^2")])
             v = classify_segre(SegrePrime.poly(f, irreducible=True))
-            assert v.universal == "no"
+            assert v.rule.universal == "no"
             check(v)
         for _ in range(50):
             f = _fmt_terms([(1, "S0^2"), (rng.choice((1, 2, 5)), "S1^2")])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,7 +261,7 @@ class TestTrialDivisionBound:
         calls, is_prime = [], quadorder._is_prime
         monkeypatch.setattr(quadorder, "_is_prime",
                             lambda n: calls.append(n) or is_prime(n))
-        assert classify("quad:-5", prime, None, False).conclusive
+        assert classify("quad:-5", prime, None, False).rule.conclusive
         assert calls == [int(prime[1:])]
 
 
@@ -518,7 +519,7 @@ class TestDispatch:
         for ring, prime, fp in (("quad:-5", "p2", ""), ("ell:0,1", "2,3", ""),
                                 ("segre", "(X,V)", ""), ("segre", "", "S0*T0 + S1*T1"),
                                 ("twoplanes", "(X,Y)", ""), ("dim3hyper", "(X,Y)", "")):
-            assert classify(ring, prime, fp).conclusive
+            assert classify(ring, prime, fp).rule.conclusive
         assert seen == ["classify_dedekind", "classify_point", "classify_segre",
                         "classify_segre", "classify_twoplanes", "classify_dim3hyper"]
 
@@ -634,6 +635,22 @@ class TestCech:
                       "--box", "0")):
             code, _, _ = run(capsys, *argv)
             assert code == 2, argv
+
+    def test_oversized_table_refused(self, capsys, monkeypatch):
+        # 10^11 rows, counted from the sign patterns before any row is built
+        argv = ("cech", "--vars", "X", "--ideal", "X", "--i", "1", "--box", "100000000000")
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == ("input error: the table for --box 100000000000 has more than "
+                           "lcohom.CECH_ROWS_BOUND = %d rows\n" % lcohom.CECH_ROWS_BOUND)
+        # twoplanes H^2 has 3^2 rows in box 3 and 4^2 in box 4
+        monkeypatch.setattr(lcohom, "CECH_ROWS_BOUND", 9)
+        twoplanes = ("cech", "--vars", "X,Y,U", "--rel", "XU", "--ideal", "X,Y", "--i", "2")
+        assert run(capsys, *twoplanes, "--box", "3")[0] == 0
+        assert run(capsys, *twoplanes, "--box", "4")[0] == 2
 
     def test_one_sign_pattern_scan(self, capsys, monkeypatch):
         calls = []
@@ -937,7 +954,8 @@ class TestFuzz:
     @given(variables=st.lists(NAMES, max_size=4),
            rel=st.lists(st.lists(NAMES, max_size=3), max_size=3),
            ideal=st.lists(NAMES, max_size=4),
-           i=st.integers(-2, 5), box=st.integers(-1, 3),
+           i=st.integers(-2, 5),
+           box=st.integers(-1, 3) | st.sampled_from([10 ** 6, 10 ** 11, 2 ** 64]),
            star=st.booleans(), fmt=st.sampled_from(["text", "json"]))
     def test_cech(self, variables, rel, ideal, i, box, star, fmt):
         argv = ["cech", "--vars=" + ",".join(variables),

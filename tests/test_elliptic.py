@@ -343,7 +343,7 @@ class TestLinePrograms:
 class TestClassifyPoint:
     def test_torsion_point_all_yes(self):
         v = classify_point(E_PLUS_1, pt(2, 3))
-        assert (v.flat, v.universal, v.classical) == ("yes", "yes", "yes")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
         assert v.ring_id == "ell:0,1"
         assert v.prime_description == "(2, 3)"
         assert v.witness.order == 6
@@ -353,7 +353,7 @@ class TestClassifyPoint:
 
     def test_two_torsion(self):
         v = classify_point(E_MINUS_X, pt(0, 0))
-        assert (v.flat, v.universal, v.classical) == ("yes", "yes", "yes")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
         assert v.witness.order == 2
         assert ("torsion", 2) in v.extra
         # class order in E(Q) x Z/3 is lcm(2, 3)
@@ -361,7 +361,7 @@ class TestClassifyPoint:
 
     def test_non_torsion_point(self):
         v = classify_point(E_MINUS_4, pt(2, 2))
-        assert (v.flat, v.universal, v.classical) == ("yes", "no", "no")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "no", "no")
         assert v.witness.order is INFINITE
         assert v.witness.line_program is None
         assert "(2, 2)" in v.witness.class_description
@@ -370,9 +370,9 @@ class TestClassifyPoint:
     def test_non_integral_model_inconclusive(self):
         E = WeierstrassCurve(Fraction(1, 4), 0)
         v = classify_point(E, pt(Fraction(1, 2), Fraction(1, 2)))
-        assert (v.flat, v.universal, v.classical) == ("yes", "unknown", "unknown")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "unknown", "unknown")
         assert v.witness is None
-        assert not v.conclusive
+        assert not v.rule.conclusive
         assert any("not integral" in n for n in v.notes)
 
     def test_overrides_and_json(self):

@@ -670,7 +670,7 @@ def test_classify_dedekind_single_prime():
     order = QuadOrder(-5)
     p2 = decompose_prime(order, 2).p
     v = classify_dedekind(order, [p2], ["p2"])
-    assert (v.flat, v.universal, v.classical) == ("yes", "yes", "yes")
+    assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
     assert v.witness.elements == ("2",)
     assert v.witness.details[0] == (("prime", "p2"), ("class_order", 2),
                                     ("generator", "2"))
@@ -691,7 +691,7 @@ def test_classify_dedekind_inert_and_split():
 
 def test_classify_dedekind_empty_v():
     v = classify_dedekind(QuadOrder(-5), [])
-    assert v.classical == "yes"
+    assert v.rule.classical == "yes"
     assert any("empty" in n for n in v.notes)
 
 

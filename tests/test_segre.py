@@ -276,7 +276,7 @@ class TestIrreducibility:
 class TestClassify:
     def test_linear_pair_all_no(self):
         v = classify_segre(coordinate_prime(("X", "V")))
-        assert (v.flat, v.universal, v.classical) == ("no", "no", "no")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("no", "no", "no")
         assert v.ring_id == "segre"
         assert v.prime_description == "(X, V)"
         assert v.witness.kind == "cohomology"
@@ -285,31 +285,31 @@ class TestClassify:
         assert v.witness.algebra == "k[X,U,V]/(XU)"
         assert len(v.witness.steps) == 2  # no coordinate change line
         assert v.notes == ("bidegree (1, 0) is one sided",)
-        assert v.citations == ("segre-trichotomy", "coherence-local-cohomology",
+        assert v.rule.citations == ("segre-trichotomy", "coherence-local-cohomology",
                                "top-degree-right-exactness")
 
     def test_sheared_pair_records_change(self):
         v = classify_segre(SegrePrime.linear(1, 1, ORIENT_XY_VU))
-        assert v.flat == "no"
+        assert v.rule.flat == "no"
         assert len(v.witness.steps) == 3
         assert "coordinate change" in v.witness.steps[0]
 
     def test_other_orientation_kills_v(self):
         v = classify_segre(coordinate_prime(("X", "Y")))
-        assert v.flat == "no"
+        assert v.rule.flat == "no"
         assert v.witness.algebra == "k[X,Y,U]/(XU)"
         assert v.notes == ("bidegree (0, 1) is one sided",)
 
     def test_small_box_still_finds_witness(self):
         # the witness is a sign pattern, so it lies in the smallest box
         v = classify_segre(coordinate_prime(("Y", "U")))
-        assert v.flat == "no"
+        assert v.rule.flat == "no"
         assert max(abs(a) for a in v.witness.multidegree) <= 1
         assert v.witness.box == 3
 
     def test_linear_poly_routes_to_pair(self):
         v = classify_segre(SegrePrime.poly("S0"))
-        assert (v.flat, v.universal, v.classical) == ("no", "no", "no")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("no", "no", "no")
         assert v.prime_description == "(X, V)"
         w = classify_segre(SegrePrime.poly("T0 - T1"))
         assert w.prime_description == "(X - V, Y - U)"
@@ -332,19 +332,19 @@ class TestClassify:
 
     def test_unbalanced_bidegree_torsion(self):
         v = classify_segre(SegrePrime.poly("S0*T0^2 + S1*T1^2"))
-        assert (v.flat, v.universal, v.classical) == ("yes", "no", "no")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "no", "no")
         assert v.witness.order is INFINITE
         assert "+1" in v.witness.class_description
         assert any("only checked up to" in n for n in v.notes)
         w = classify_segre(SegrePrime.poly("S0^2*T0 + S1^2*T1",
                                            irreducible=True))
-        assert w.universal == "no"
+        assert w.rule.universal == "no"
         assert "-1" in w.witness.class_description
         assert any("asserted by caller" in n for n in w.notes)
 
     def test_balanced_bidegree_principal(self):
         v = classify_segre(SegrePrime.poly("S0*T0 + S1*T1"))
-        assert (v.flat, v.universal, v.classical) == ("yes", "yes", "yes")
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
         assert v.witness.kind == "principal"
         assert v.witness.element == "X + U"
         assert v.notes == ("the prime is principal, so inverting powers of "
@@ -354,7 +354,7 @@ class TestClassify:
     def test_balanced_higher_degree(self):
         v = classify_segre(SegrePrime.poly("S0^2*T0^2 + S1^2*T1^2",
                                            irreducible=True))
-        assert v.classical == "yes"
+        assert v.rule.classical == "yes"
         assert v.witness.element == "X^2 + U^2"
         assert any("asserted by caller" in n for n in v.notes)
 
@@ -366,11 +366,11 @@ class TestClassify:
 
     def test_one_sided_nonlinear_unknown(self):
         v = classify_segre(SegrePrime.poly("S0^2 + S1^2"))
-        assert (v.flat, v.universal, v.classical) == \
+        assert (v.rule.flat, v.rule.universal, v.rule.classical) == \
             ("unknown", "unknown", "unknown")
         assert v.witness is None
-        assert v.citations == ()
-        assert not v.conclusive
+        assert v.rule.citations == ()
+        assert not v.rule.conclusive
         assert any("algebraically closed" in n for n in v.notes)
 
     def test_ring_id_override_and_json(self):

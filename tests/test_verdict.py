@@ -11,18 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 import uniloc
 from uniloc.errors import InputError
-from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE, UNDECIDED,
-                            CohomologyWitness, Denominators, HeightViolation,
+from uniloc import elliptic, lcohom, verdict
+from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, FLAT_ONLY, INFINITE,
+                            UNDECIDED, CohomologyWitness, Denominators, HeightViolation,
                             PrincipalElement, Rule, TorsionWitness, Verdict,
                             check_citations, read_number, render_rational)
 
 CITE = ("flat-universal-classical-hierarchy",)
 
 
-def make(flat, universal, classical, **kw):
-    kw.setdefault("citations", CITE)
-    return Verdict(ring_id="r", prime_description="p",
-                   flat=flat, universal=universal, classical=classical, **kw)
+def make(flat, universal, classical, citations=CITE, **kw):
+    return Rule(flat, universal, classical, citations)("r", "p", **kw)
 
 
 class TestHierarchy:
@@ -33,36 +32,36 @@ class TestHierarchy:
         make("yes", "yes", "no")
         make("yes", "unknown", "unknown")
         make("unknown", "unknown", "no")
-        Verdict("r", "p", "unknown", "unknown", "unknown")  # no citation needed
+        UNDECIDED("r", "p")  # no citation needed
 
     def test_violations(self):
         with pytest.raises(InputError):
-            make("no", "yes", "yes")
+            Rule("yes", "no", "yes", CITE)
         with pytest.raises(InputError):
-            make("yes", "no", "yes")
+            Rule("unknown", "yes", "yes", CITE)
         with pytest.raises(InputError):
-            make("unknown", "yes", "yes")
+            Rule("no", "unknown", "no", CITE)
         with pytest.raises(InputError):
-            make("no", "unknown", "no")
-        with pytest.raises(InputError):
-            make("yes", "no", "unknown")
+            Rule("yes", "no", "unknown", CITE)
 
     def test_bad_tristate(self):
         with pytest.raises(InputError):
-            make("maybe", "no", "no")
+            Rule("maybe", "no", "no", CITE)
         with pytest.raises(InputError):
-            make("yes", True, "no")
+            Rule("yes", True, "no", CITE)
 
     def test_definite_needs_citation(self):
-        with pytest.raises(InputError):
-            Verdict("r", "p", "yes", "yes", "yes")
-        with pytest.raises(InputError):
-            Verdict("r", "p", "unknown", "unknown", "no")
+        # an anchorless rule can be built, as a template for cite(), but not applied
+        for rule in (Rule("yes", "yes", "yes"), Rule("unknown", "unknown", "no"), FLAT_ONLY):
+            with pytest.raises(InputError, match="^definite answers require at least "
+                                                 "one citation anchor$"):
+                rule("r", "p")
+        assert FLAT_ONLY.cite(("mazur-bound",))("r", "p").rule.citations == ("mazur-bound",)
 
     def test_conclusive(self):
-        assert make("yes", "no", "no").conclusive
-        assert not make("yes", "unknown", "unknown").conclusive
-        assert not Verdict("r", "p", "unknown", "unknown", "unknown").conclusive
+        assert make("yes", "no", "no").rule.conclusive
+        assert not make("yes", "unknown", "unknown").rule.conclusive
+        assert not UNDECIDED.conclusive
 
 
 class TestCitations:
@@ -182,8 +181,7 @@ class TestSerialization:
         assert lines[8] == "citations: flat-universal-classical-hierarchy"
 
     def test_to_text_unknown_has_no_witness_line(self):
-        v = Verdict("r", "p", "unknown", "unknown", "unknown",
-                    notes=("outside the decision rules",))
+        v = UNDECIDED("r", "p", notes=("outside the decision rules",))
         text = v.to_text()
         assert "witness:" not in text
         assert "citations:" not in text
@@ -201,16 +199,38 @@ def all_rules():
 
 class TestRules:
     def test_answers_and_anchors(self):
-        v = COHOMOLOGY_VIA_QUOTIENT.cite(("segre-trichotomy",))("r", "p", notes=["n"])
-        assert (v.flat, v.universal, v.classical) == ("no", "no", "no")
-        assert v.citations == ("segre-trichotomy", "coherence-local-cohomology",
-                               "top-degree-right-exactness")
-        assert v.notes == ("n",)
-        assert not UNDECIDED("r", "p").conclusive
+        rule = COHOMOLOGY_VIA_QUOTIENT.cite(("segre-trichotomy",))
+        v = rule("r", "p", notes=["n"])
+        assert v == Verdict("r", "p", rule, notes=("n",))
+        assert (rule.flat, rule.universal, rule.classical) == ("no", "no", "no")
+        assert rule.citations == ("segre-trichotomy", "coherence-local-cohomology",
+                                  "top-degree-right-exactness")
+        assert not UNDECIDED("r", "p").rule.conclusive
+
+    def test_hierarchy_checked_when_built(self):
+        with pytest.raises(InputError, match="^universal=yes requires flat=yes$"):
+            Rule("no", "yes", "yes", CITE)
 
     def test_anchors_checked_when_built(self):
         with pytest.raises(InputError):
             UNDECIDED.cite(("no-such-fact",))
+
+    def test_which_rules_answer_unknown(self):
+        rules = set(all_rules())
+        assert len(rules) == 20
+        undecided = {rule for rule in rules
+                     if "unknown" in (rule.flat, rule.universal, rule.classical)}
+        assert undecided == {verdict.FLAT_ONLY, verdict.UNDECIDED,
+                             elliptic.TORSION_UNDECIDED, lcohom.TWOPLANES_VANISHING}
+
+    def test_every_rule_keeps_the_hierarchy(self):
+        for rule in set(all_rules()):
+            answers = (rule.flat, rule.universal, rule.classical)
+            assert set(answers) <= {"yes", "no", "unknown"}
+            assert rule.universal != "yes" or rule.flat == "yes"
+            assert rule.classical != "yes" or rule.universal == "yes"
+            assert rule.flat != "no" or rule.universal == "no"
+            assert rule.universal != "no" or rule.classical == "no"
 
     def test_anchors_match_the_registry(self):
         carried = {a for rule in all_rules() for a in rule.citations}
