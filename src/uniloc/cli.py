@@ -454,7 +454,10 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_spec_enumerate(args) -> int:
-    P = spectool.SpecPoset.from_text(_read_file(args.poset))
+    nodes, edges = spectool.parse_poset(_read_file(args.poset))
+    # before build, whose closure takes memory quadratic in the nodes of a chain
+    spectool.check_enumerable(len(set(nodes)))
+    P = spectool.SpecPoset.build(nodes, edges)
     closed = spectool.enumerate_closed(P)
     heights = P.heights()
     doc = {

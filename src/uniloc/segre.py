@@ -16,11 +16,18 @@ A prime is the record of f_p alone.  A linear pair (g(X,Y), g(V,U)) or
 and a linear f_p describes itself by that pair.
 
 Polynomials are sparse maps from exponent vectors to rationals.  The
-embedding and its inverse act on the exponent vectors; a linear pair and
-a coordinate change build their linear forms from the coefficients, and
-the change checks itself by multiplying out the quadric relation.  The
-H^2 certificate of a linear f_p is lcohom.quadric_certificate, the one
-that decides the coordinate primes of the hypersurface.
+embedding and its inverse act on the exponent vectors, and a linear pair
+builds its linear forms from the coefficients.  A linear prime becomes
+the coordinate pair (X, V) or (X, Y) under the change X', Y', U', V'
+that completes g = (p, q) to a matrix [[p, q], [r, t]] of nonzero
+determinant.  It preserves the quadric: X'U' - Y'V' multiplies out as
+
+    (pX + qY)(rV + tU) - (rX + tY)(pV + qU) = (pt - qr)(XU - YV)   (XY-VU)
+    (pX + qV)(rY + tU) - (pY + qU)(rX + tV) = (pt - qr)(XU - YV)   (XV-YU)
+
+for every p, q, r, t.  The H^2 certificate of the pair is
+lcohom.quadric_certificate, the one that decides the coordinate primes
+of the hypersurface.
 """
 
 from __future__ import annotations
@@ -49,10 +56,9 @@ ORIENT_XV_YU = "XV-YU"
 class Polynomial:
     """Sparse polynomial with Fraction coefficients on named variables.
 
-    Built by make (or parse_polynomial); it has coefficient, is_zero, +,
-    -, * and render, and a scalar is a constant polynomial.  terms is
-    kept sorted by descending exponent tuple, zero coefficients dropped,
-    so equal polynomials compare equal structurally.
+    Built by make (or parse_polynomial); it has coefficient, is_zero and
+    render.  terms is kept sorted by descending exponent tuple, zero
+    coefficients dropped, so equal polynomials compare equal structurally.
     """
 
     names: tuple
@@ -82,26 +88,6 @@ class Polynomial:
             if e == expo:
                 return c
         return Fraction(0)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial.make(self.names, out)
-
-    def __neg__(self):
-        return Polynomial.make(self.names, {e: -c for e, c in self.terms})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial.make(self.names, out)
 
     def render(self) -> str:
         if not self.terms:
@@ -271,10 +257,10 @@ def embed_xyuv(poly: Polynomial) -> BihomogPoly:
     X^x Y^y U^u V^v goes to S0^(x+v) S1^(y+u) T0^(x+y) T1^(u+v), and the
     coefficients of monomials with one image add up.
 
-    >>> X, Y, U, V = (parse_polynomial(n, XYUV_NAMES) for n in XYUV_NAMES)
-    >>> embed_xyuv(X * U) == embed_xyuv(Y * V)
+    >>> xu = parse_polynomial("X*U", XYUV_NAMES)
+    >>> embed_xyuv(xu) == embed_xyuv(parse_polynomial("Y*V", XYUV_NAMES))
     True
-    >>> embed_xyuv(X * U).render()
+    >>> embed_xyuv(xu).render()
     'S0*S1*T0*T1'
     """
     if poly.names != XYUV_NAMES:
@@ -307,7 +293,8 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
         beta = e0 - alpha
         gamma = f0 - alpha
         delta = e1 - gamma
-        assert min(alpha, beta, gamma, delta) >= 0
+        if min(alpha, beta, gamma, delta) < 0:
+            raise AssertionError("lift has a negative exponent")
         key = (alpha, gamma, delta, beta)  # X, Y, U, V
         out[key] = out.get(key, Fraction(0)) + c
     lifted = Polynomial.make(XYUV_NAMES, out)
@@ -419,66 +406,6 @@ def psi(p: SegrePrime):
     return p.f.bidegree()
 
 
-# case-1 coordinate normalization -------------------------------------------
-
-@record
-class CoordinateChange:
-    """Invertible 2x2 change taking the linear form g to a coordinate.
-
-    The rows act on (X,Y)/(V,U) or on (X,V)/(Y,U) according to the
-    orientation; verify() substitutes into the quadric relation and
-    checks X'U' - Y'V' = det * (XU - YV), so the transformed ring is the
-    same quadric cone and the prime becomes the coordinate pair in
-    `normalized`.
-    """
-
-    matrix: tuple  # ((p, q), (r, t)) with determinant != 0
-    det: Fraction
-    orientation: str
-    normalized: tuple  # ("X", "V") or ("X", "Y")
-
-    def substitution(self) -> dict:
-        (p, q), (r, t) = self.matrix
-        if self.orientation == ORIENT_XY_VU:
-            return {"X": _linear(X=p, Y=q), "Y": _linear(X=r, Y=t),
-                    "U": _linear(V=r, U=t), "V": _linear(V=p, U=q)}
-        return {"X": _linear(X=p, V=q), "Y": _linear(Y=p, U=q),
-                "U": _linear(Y=r, U=t), "V": _linear(X=r, V=t)}
-
-    def verify(self) -> bool:
-        sub = self.substitution()
-        transformed = sub["X"] * sub["U"] - sub["Y"] * sub["V"]
-        return transformed == Polynomial.make(
-            XYUV_NAMES, {(1, 0, 1, 0): self.det, (0, 1, 0, 1): -self.det})
-
-    def describe(self) -> str:
-        (p, q), (r, t) = self.matrix
-        return ("coordinate change [[%s, %s], [%s, %s]] with determinant %s; "
-                "the relation transforms as X'U' - Y'V' = %s * (XU - YV) and "
-                "the prime becomes (%s)"
-                % (render_rational(p), render_rational(q), render_rational(r),
-                   render_rational(t), render_rational(self.det),
-                   render_rational(self.det), ", ".join(self.normalized)))
-
-
-def case1_normal_form(p: SegrePrime) -> CoordinateChange:
-    """Complete g to an invertible change sending the prime to coordinates."""
-    pair = p.pair()
-    if pair is None:
-        raise InputError("normal form applies to linear pairs only")
-    (a, b), orientation = pair
-    if a != 0:
-        second = (Fraction(0), Fraction(1))
-    else:
-        second = (Fraction(1), Fraction(0))
-    det = a * second[1] - b * second[0]
-    normalized = ("X", "V") if orientation == ORIENT_XY_VU else ("X", "Y")
-    change = CoordinateChange(((a, b), second), det, orientation, normalized)
-    if not change.verify():
-        raise AssertionError("coordinate change failed its relation check")
-    return change
-
-
 # irreducibility in low degree ----------------------------------------------
 
 def _is_rational_square(q: Fraction) -> bool:
@@ -523,19 +450,26 @@ BALANCED = CLASSICAL.cite(("segre-trichotomy",))
 
 
 def _classify_linear(p: SegrePrime) -> Verdict:
-    change = case1_normal_form(p)
-    kill, quotient, out = lcohom.quadric_certificate(change.normalized)
-    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    (a, b), orientation = p.pair()
+    ideal = ("X", "V") if orientation == ORIENT_XY_VU else ("X", "Y")
+    kill, quotient, out = lcohom.quadric_certificate(ideal)
     steps = []
-    if change.matrix != identity:
-        steps.append(change.describe())
+    if (a, b) != (1, 0):
+        # complete g to [[a, b], [r, t]]; the module docstring multiplies it out
+        r, t = (0, 1) if a else (1, 0)
+        det = render_rational(a * t - b * r)
+        steps.append("coordinate change [[%s, %s], [%d, %d]] with determinant %s; "
+                     "the relation transforms as X'U' - Y'V' = %s * (XU - YV) and "
+                     "the prime becomes (%s)"
+                     % (render_rational(a), render_rational(b), r, t, det, det,
+                        ", ".join(ideal)))
     steps.append("kill %s: the quotient is the monomial ring %s and "
                  "top-degree right-exactness carries its H^2 class back"
                  % (kill, quotient.describe()))
     steps.append(out.note)
     witness = CohomologyWitness(
         algebra=quotient.describe(),
-        ideal=change.normalized,
+        ideal=ideal,
         degree=2,
         multidegree=out.witness,
         steps=tuple(steps),

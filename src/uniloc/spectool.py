@@ -65,30 +65,8 @@ class SpecPoset:
 
     @classmethod
     def from_text(cls, text: str) -> "SpecPoset":
-        """Lines "child < parent"; a bare label declares an isolated node.
-
-        Blank lines and lines starting with '#' are skipped.
-        """
-        nodes = []
-        edges = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "<" in line:
-                sides = [s.strip() for s in line.split("<")]
-                if len(sides) != 2 or not all(sides):
-                    raise InputError("cannot parse poset line %r" % (raw,))
-                child, parent = sides
-                nodes.extend([child, parent])
-                edges.append((child, parent))
-            else:
-                if any(ch.isspace() for ch in line):
-                    raise InputError("cannot parse poset line %r" % (raw,))
-                nodes.append(line)
-        if not nodes:
-            raise InputError("empty poset description")
-        return cls.build(nodes, edges)
+        """The poset of the lines that parse_poset reads."""
+        return cls.build(*parse_poset(text))
 
     # --- order queries
 
@@ -115,6 +93,41 @@ class SpecPoset:
 
     def heights(self) -> dict:
         return {n: self._order[n][1] for n in self.nodes}
+
+
+def parse_poset(text: str):
+    """(nodes, edges) from lines "child < parent"; a bare label declares
+    an isolated node.
+
+    Blank lines and lines starting with '#' are skipped.
+    """
+    nodes = []
+    edges = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "<" in line:
+            sides = [s.strip() for s in line.split("<")]
+            if len(sides) != 2 or not all(sides):
+                raise InputError("cannot parse poset line %r" % (raw,))
+            child, parent = sides
+            nodes.extend([child, parent])
+            edges.append((child, parent))
+        else:
+            if any(ch.isspace() for ch in line):
+                raise InputError("cannot parse poset line %r" % (raw,))
+            nodes.append(line)
+    if not nodes:
+        raise InputError("empty poset description")
+    return nodes, edges
+
+
+def check_enumerable(count: int) -> None:
+    """Refuse to enumerate the closed sets of more than ENUM_BOUND nodes."""
+    if count > ENUM_BOUND:
+        raise InputError("poset has %d nodes, enumeration is capped at %d"
+                         % (count, ENUM_BOUND))
 
 
 @record
@@ -154,10 +167,7 @@ def enumerate_closed(P: SpecPoset):
     work follows the output.  Sorting by (size, node positions) gives the
     order of a scan over combinations(P.nodes, k) for k = 0, 1, ...
     """
-    if len(P.nodes) > ENUM_BOUND:
-        raise InputError(
-            "poset has %d nodes, enumeration is capped at %d"
-            % (len(P.nodes), ENUM_BOUND))
+    check_enumerable(len(P.nodes))
     n = len(P.nodes)
     position = {node: j for j, node in enumerate(P.nodes)}
     below = [sum(1 << position[c] for c in P.below(node)) for node in P.nodes]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
-from uniloc import abgroup, elliptic, lcohom, quadorder, segre
+from uniloc import abgroup, elliptic, lcohom, quadorder, segre, spectool
 from uniloc.cli import FAMILIES, classify, main
 from uniloc.verdict import _json_text
 
@@ -79,9 +79,13 @@ class TestCatalog:
 
     def test_readme_table_follows_registry(self):
         section = README.read_text().split("## Ring catalog", 1)[1].split("\n## ", 1)[0]
-        first = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
-                 if line.startswith("| `")]
-        assert first == [f.spec for f in FAMILIES]
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert [row[0].strip("`") for row in rows] == [f.spec for f in FAMILIES]
+        # a family without a classify function (nagata) is the one refused
+        for row, family in zip(rows, FAMILIES):
+            assert (row[-1] == "refused (exit 3)") == (family.classify is None), row
+        assert rows[-1][0] == "`nagata`" and rows[-1][-1] == "refused (exit 3)"
 
 
 class TestClassifyQuad:
@@ -819,6 +823,22 @@ class TestSpecEnumerate:
         code, out, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
         assert (code, out) == (2, "")
         assert err == "input error: poset has 1200 nodes, enumeration is capped at 16\n"
+
+    def test_size_refused_before_the_order_is_built(self, capsys, tmp_path, monkeypatch):
+        # the order stores every node's closure: a chain of n nodes takes n^2/2
+        # entries, so a call that reached build would not finish
+        monkeypatch.setattr(spectool.SpecPoset, "build", None)
+        poset = tmp_path / "chain.txt"
+        poset.write_text("".join("n%d < n%d\n" % (i, i + 1) for i in range(100000)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "input error: poset has 100001 nodes, enumeration is capped at 16\n"
+        # the size comes first, before the cycle that building would find
+        poset.write_text("".join("n%d < n%d\n" % (i, (i + 1) % 17) for i in range(17)))
+        code, _, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
+        assert (code, err) == (2, "input error: poset has 17 nodes, enumeration is capped at 16\n")
 
 
 LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"])

@@ -1,18 +1,18 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from uniloc.errors import InputError
-from uniloc.segre import (BihomogPoly, CoordinateChange, ORIENT_XV_YU,
-                          ORIENT_XY_VU, Polynomial, SegrePrime, S_NAMES,
-                          XYUV_NAMES, case1_normal_form, classify_segre,
+from uniloc.segre import (BihomogPoly, ORIENT_XV_YU, ORIENT_XY_VU, Polynomial,
+                          SegrePrime, S_NAMES, XYUV_NAMES, classify_segre,
                           coordinate_prime, embed_xyuv, is_irreducible,
                           parse_polynomial, psi, to_xyuv)
 from uniloc.verdict import INFINITE
 
-from oracles import embed_by_substitution
+from oracles import _times_brute, embed_by_substitution
 
 
 def spoly(text):
@@ -29,9 +29,8 @@ class TestPolynomial:
         assert p.render() == "S0*T0 - S1*T1"
         q = Polynomial.make(S_NAMES, {(1, 0, 1, 0): 2, (1, 0, 1, 0): 2})
         assert q.coefficient((1, 0, 1, 0)) == 2  # dict keys merge upstream
-        z = Polynomial.make(S_NAMES, {(1, 0, 0, 0): 1}) - \
-            Polynomial.make(S_NAMES, {(1, 0, 0, 0): 1})
-        assert z.is_zero() and z.render() == "0"
+        z = Polynomial.make(S_NAMES, {(1, 0, 0, 0): 0, (0, 0, 0, 1): Fraction(0, 3)})
+        assert z.is_zero() and z.terms == () and z.render() == "0"
 
     def test_bad_exponents(self):
         with pytest.raises(InputError):
@@ -40,14 +39,6 @@ class TestPolynomial:
             Polynomial.make(S_NAMES, {(-1, 0, 0, 0): 1})
         with pytest.raises(InputError):
             spoly("W")
-
-    def test_algebra(self):
-        s0, t0 = spoly("S0"), spoly("T0")
-        assert (s0 + t0) - t0 == s0
-        assert (s0 * t0).coefficient((1, 0, 1, 0)) == 1
-        assert (spoly("2") * s0).render() == "2*S0"
-        assert (s0 * s0 * s0).render() == "S0^3"
-        assert (s0 * spoly("1/2")).render() == "1/2*S0"
 
 
 class TestParser:
@@ -214,34 +205,94 @@ class TestCoordinateTable:
             coordinate_prime(("X",))
 
 
+CHANGE_STEP = re.compile(
+    r"coordinate change \[\[(\S+), (\S+)\], \[(\S+), (\S+)\]\] with determinant (\S+); "
+    r"the relation transforms as X'U' - Y'V' = (\S+) \* \(XU - YV\) and "
+    r"the prime becomes \((X, [VY])\)$")
+
+
+def linear_form(**coefficients):
+    """{X,Y,U,V exponents: coefficient} of the linear form with these coefficients."""
+    return {tuple(int(n == name) for n in XYUV_NAMES): Fraction(c)
+            for name, c in coefficients.items() if c}
+
+
+def change_relation(matrix, orientation):
+    """X'U' - Y'V' for the change of a matrix [[p, q], [r, t]], multiplied out
+    term by term."""
+    (p, q), (r, t) = matrix
+    if orientation == ORIENT_XY_VU:
+        X, Y = linear_form(X=p, Y=q), linear_form(X=r, Y=t)
+        U, V = linear_form(V=r, U=t), linear_form(V=p, U=q)
+    else:
+        X, Y = linear_form(X=p, V=q), linear_form(Y=p, U=q)
+        U, V = linear_form(Y=r, U=t), linear_form(X=r, V=t)
+    out = _times_brute(X, U)
+    for e, c in _times_brute(Y, V).items():
+        out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def quadric_times(det):
+    return {(1, 0, 1, 0): det, (0, 1, 0, 1): -det}
+
+
+GRID = [Fraction(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-3/4", "7")]
+
+
 class TestNormalForm:
+    """A linear prime goes to a coordinate pair by the completion of g =
+    (p, q) to [[p, q], [0, 1]] (p != 0) or [[p, q], [1, 0]]; the witness
+    names the change, and multiplying it out gives det * (XU - YV)."""
+
+    def test_every_linear_prime_on_a_grid(self):
+        for orientation in (ORIENT_XY_VU, ORIENT_XV_YU):
+            ideal = ("X", "V") if orientation == ORIENT_XY_VU else ("X", "Y")
+            for p, q in product(GRID, repeat=2):
+                if p == 0 and q == 0:
+                    continue
+                case = (p, q, orientation)
+                v = classify_segre(SegrePrime.linear(p, q, orientation))
+                assert (v.rule.flat, v.rule.universal, v.rule.classical) == \
+                    ("no", "no", "no"), case
+                assert v.witness.ideal == ideal, case
+                steps = v.witness.steps
+                assert not any(CHANGE_STEP.match(step) for step in steps[1:]), case
+                change = CHANGE_STEP.match(steps[0])
+                if (p, q) == (1, 0):
+                    assert change is None and len(steps) == 2, case
+                    matrix, det = ((p, q), (0, 1)), Fraction(1)
+                else:
+                    assert change is not None and len(steps) == 3, case
+                    a, b, r, t, det, factor = map(Fraction, change.groups()[:6])
+                    assert (a, b) == (p, q) and (r, t) == ((0, 1) if p else (1, 0)), case
+                    assert det == factor == (p if p else -q), case
+                    assert change.group(7) == ", ".join(ideal), case
+                    matrix = ((a, b), (r, t))
+                relation = change_relation(matrix, orientation)
+                assert relation == quadric_times(det), case
+                # the expansion tells a wrong determinant apart
+                assert relation != quadric_times(det + 1), case
+
     def test_coordinate_g_is_identity(self):
-        c = case1_normal_form(SegrePrime.linear(1, 0, ORIENT_XY_VU))
-        assert c.matrix == ((1, 0), (0, 1))
-        assert c.det == 1
-        assert c.normalized == ("X", "V")
-        assert c.verify()
+        for orientation, ideal in ((ORIENT_XY_VU, ("X", "V")), (ORIENT_XV_YU, ("X", "Y"))):
+            v = classify_segre(SegrePrime.linear(1, 0, orientation))
+            assert v.witness.ideal == ideal
+            assert not any(CHANGE_STEP.match(step) for step in v.witness.steps)
 
     def test_unipotent_completion(self):
-        c = case1_normal_form(SegrePrime.linear(1, 1, ORIENT_XY_VU))
-        assert c.matrix == ((1, 1), (0, 1)) and c.det == 1
-        assert c.verify()
+        v = classify_segre(SegrePrime.linear(1, 1, ORIENT_XY_VU))
+        assert v.witness.steps[0] == (
+            "coordinate change [[1, 1], [0, 1]] with determinant 1; the relation "
+            "transforms as X'U' - Y'V' = 1 * (XU - YV) and the prime becomes (X, V)")
 
     def test_swap_completion(self):
-        c = case1_normal_form(SegrePrime.linear(0, 2, ORIENT_XV_YU))
-        assert c.matrix == ((0, 2), (1, 0)) and c.det == -2
-        assert c.normalized == ("X", "Y")
-        assert c.verify()
-        assert "determinant -2" in c.describe()
-
-    def test_tampered_change_fails_verify(self):
-        c = case1_normal_form(SegrePrime.linear(1, 1, ORIENT_XY_VU))
-        bad = CoordinateChange(c.matrix, Fraction(7), c.orientation, c.normalized)
-        assert not bad.verify()
-
-    def test_rejects_poly_primes(self):
-        with pytest.raises(InputError):
-            case1_normal_form(SegrePrime.poly("S0*T0 - S1*T1"))
+        v = classify_segre(SegrePrime.linear(0, 2, ORIENT_XV_YU))
+        assert v.witness.ideal == ("X", "Y")
+        assert v.witness.steps[0] == (
+            "coordinate change [[0, 2], [1, 0]] with determinant -2; the relation "
+            "transforms as X'U' - Y'V' = -2 * (XU - YV) and the prime becomes (X, Y)")
+        assert change_relation(((0, 2), (1, 0)), ORIENT_XV_YU) == quadric_times(-2)
 
 
 class TestIrreducibility:
