@@ -10,13 +10,16 @@ chords, tangents and verticals whose formal divisor telescopes to
 n(P) - n(O); they are checked by pure divisor accounting, never by
 polynomial division.
 
-The group law works on the integer numerators and denominators of the
-coordinates: a slope is kept as an integer pair, each new coordinate is
-built over a common denominator and normalised by one Fraction at the
-end, and membership on the curve compares two integer products.  Every
-check stays: each operation still verifies that its inputs lie on the
-curve, and the line-program checker re-derives each chord's third point
-through the group law.
+Points, curves and lines carry the integer numerators and denominators
+of their coordinates as a key computed once when they are built.
+Equality, hashing, membership on the curve, slopes, line incidence and
+printing read these integers: a slope is kept as an integer pair, each
+new coordinate is built over a common denominator and normalised by one
+Fraction at the end, and membership compares two integer products.
+Every check stays: each group law operation verifies that its inputs
+lie on the curve, and the line-program checker tests each distinct
+tagged point on the curve once per program, tests every tagged point on
+its line, and re-derives each chord's third point through the group law.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 
 from .errors import InconclusiveError, InputError, record
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
-                      TorsionWitness, Verdict, render_rational)
+                      TorsionWitness, Verdict, render_ratio)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
 MAZUR_ORDERS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -42,37 +45,45 @@ class ECPoint:
     y: object = None
 
     def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+        x, y = self.x, self.y
+        if (x is None) != (y is None):
             raise InputError("affine points need both coordinates")
-        if self.x is not None:
-            if type(self.x) is not Fraction:
-                object.__setattr__(self, "x", Fraction(self.x))
-            if type(self.y) is not Fraction:
-                object.__setattr__(self, "y", Fraction(self.y))
-
-    def _key(self):
-        # Fractions are normalised, so equal points have equal integer pairs
-        if self.x is None:
-            return None
-        return (self.x.numerator, self.x.denominator,
-                self.y.numerator, self.y.denominator)
+        if x is None:
+            object.__setattr__(self, "_k", None)
+            return
+        if type(x) is not Fraction:
+            x = Fraction(x)
+            object.__setattr__(self, "x", x)
+        if type(y) is not Fraction:
+            y = Fraction(y)
+            object.__setattr__(self, "y", y)
+        # Fractions are normalised, so equal points have equal keys
+        object.__setattr__(self, "_k", (x.numerator, x.denominator,
+                                        y.numerator, y.denominator))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._k == other._k
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._k)
+
+    def __neg__(self):
+        """The point (x, -y), without testing it on a curve."""
+        if self._k is None:
+            return self
+        return ECPoint(self.x, -self.y)
 
     @property
     def is_infinity(self) -> bool:
-        return self.x is None
+        return self._k is None
 
     def __repr__(self):
-        if self.is_infinity:
+        if self._k is None:
             return "O"
-        return "(%s, %s)" % (render_rational(self.x), render_rational(self.y))
+        xn, xd, yn, yd = self._k
+        return "(%s, %s)" % (render_ratio(xn, xd), render_ratio(yn, yd))
 
 
 O = ECPoint()
@@ -84,8 +95,11 @@ class WeierstrassCurve:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        a, b = Fraction(self.a), Fraction(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_k", (a.numerator, a.denominator,
+                                        b.numerator, b.denominator))
         if self.discriminant == 0:
             raise InputError("singular model: discriminant is zero")
 
@@ -95,25 +109,25 @@ class WeierstrassCurve:
 
     @property
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self._k[1] == 1 and self._k[3] == 1
 
     def contains(self, P: ECPoint) -> bool:
-        if P.is_infinity:
+        if P._k is None:
             return True
         # y^2 = x^3 + a*x + b, both sides times yd^2 * xd^3 * ad * bd
-        xn, xd = P.x.numerator, P.x.denominator
-        yn, yd = P.y.numerator, P.y.denominator
-        an, ad = self.a.numerator, self.a.denominator
-        bn, bd = self.b.numerator, self.b.denominator
+        xn, xd, yn, yd = P._k
+        an, ad, bn, bd = self._k
         xd3 = xd * xd * xd
         return yn * yn * xd3 * ad * bd == yd * yd * (
             (xn * xn * xn * ad + an * xn * xd * xd) * bd + bn * xd3 * ad)
 
     def spec(self) -> str:
-        return "ell:%s,%s" % (render_rational(self.a), render_rational(self.b))
+        an, ad, bn, bd = self._k
+        return "ell:%s,%s" % (render_ratio(an, ad), render_ratio(bn, bd))
 
     def __repr__(self):
-        return "y^2 = x^3 + (%s)x + (%s)" % (render_rational(self.a), render_rational(self.b))
+        an, ad, bn, bd = self._k
+        return "y^2 = x^3 + (%s)x + (%s)" % (render_ratio(an, ad), render_ratio(bn, bd))
 
 
 def _require_on_curve(E: WeierstrassCurve, P: ECPoint):
@@ -123,39 +137,41 @@ def _require_on_curve(E: WeierstrassCurve, P: ECPoint):
 
 def negate(E: WeierstrassCurve, P: ECPoint) -> ECPoint:
     _require_on_curve(E, P)
-    if P.is_infinity:
-        return P
-    return ECPoint(P.x, -P.y)
+    return -P
 
 
 def _slope(E: WeierstrassCurve, P: ECPoint, Q: ECPoint):
     """(num, den) with num/den the tangent slope at P if P == Q, else the
     chord slope through P and Q; both affine, and not Q = -P."""
-    x1n, x1d = P.x.numerator, P.x.denominator
-    y1n, y1d = P.y.numerator, P.y.denominator
-    if P == Q:
+    x1n, x1d, y1n, y1d = P._k
+    if P._k == Q._k:
         # (3*x^2 + a) / (2*y)
-        an, ad = E.a.numerator, E.a.denominator
+        an, ad = E._k[0], E._k[1]
         return (3 * x1n * x1n * ad + an * x1d * x1d) * y1d, 2 * y1n * x1d * x1d * ad
-    x2n, x2d = Q.x.numerator, Q.x.denominator
-    y2n, y2d = Q.y.numerator, Q.y.denominator
+    x2n, x2d, y2n, y2d = Q._k
     # (y2 - y1) / (x2 - x1)
     return (y2n * y1d - y1n * y2d) * x1d * x2d, (x2n * x1d - x1n * x2d) * y1d * y2d
+
+
+def _opposite(P: ECPoint, Q: ECPoint) -> bool:
+    """Q = -P, for affine P and Q."""
+    x1n, x1d, y1n, y1d = P._k
+    x2n, x2d, y2n, y2d = Q._k
+    return x1n == x2n and x1d == x2d and y1n == -y2n and y1d == y2d
 
 
 def add(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
-    if P.is_infinity:
+    if P._k is None:
         return Q
-    if Q.is_infinity:
+    if Q._k is None:
         return P
-    if P.x == Q.x and P.y == -Q.y:
+    if _opposite(P, Q):
         return O
     num, den = _slope(E, P, Q)
-    x1n, x1d = P.x.numerator, P.x.denominator
-    x2n, x2d = Q.x.numerator, Q.x.denominator
-    y1n, y1d = P.y.numerator, P.y.denominator
+    x1n, x1d, y1n, y1d = P._k
+    x2n, x2d = Q._k[0], Q._k[1]
     # x3 = lam^2 - x1 - x2 over den^2 * x1d * x2d
     x3 = Fraction(num * num * x1d * x2d - (x1n * x2d + x2n * x1d) * den * den,
                   den * den * x1d * x2d)
@@ -180,6 +196,30 @@ def mul(E: WeierstrassCurve, n: int, P: ECPoint) -> ECPoint:
     return acc
 
 
+def _multiples(E: WeierstrassCurve, P: ECPoint) -> list:
+    """[P, 2P, ..., kP], ending at the first multiple that is O or not
+    integral, or at 12P.
+
+    The list ends in O exactly when P is torsion, and then k is its order.
+    """
+    _require_on_curve(E, P)
+    if P.is_infinity:
+        return [P]
+    if not E.is_integral:
+        raise ModelNotIntegral(
+            "torsion test needs integer coefficients, got %r" % (E,))
+    out = [P]
+    Q = P
+    while len(out) < 12 and Q._k[1] == 1 and Q._k[3] == 1:
+        Q = add(E, Q, P)
+        out.append(Q)
+        if Q.is_infinity:
+            if len(out) not in MAZUR_ORDERS:
+                raise AssertionError("impossible rational torsion order %d" % len(out))
+            break
+    return out
+
+
 def torsion_order(E: WeierstrassCurve, P: ECPoint):
     """Least n with n*P = O, or INFINITE.
 
@@ -187,22 +227,8 @@ def torsion_order(E: WeierstrassCurve, P: ECPoint):
     and any non-integral multiple ends the search early, since torsion
     points on an integral model have integer coordinates.
     """
-    _require_on_curve(E, P)
-    if P.is_infinity:
-        return 1
-    if not E.is_integral:
-        raise ModelNotIntegral(
-            "torsion test needs integer coefficients, got %r" % (E,))
-    Q = P
-    for n in range(1, 13):
-        if Q.is_infinity:
-            if n not in MAZUR_ORDERS:
-                raise AssertionError("impossible rational torsion order %d" % n)
-            return n
-        if Q.x.denominator != 1 or Q.y.denominator != 1:
-            return INFINITE
-        Q = add(E, Q, P)
-    return INFINITE
+    multiples = _multiples(E, P)
+    return len(multiples) if multiples[-1].is_infinity else INFINITE
 
 
 # line programs for torsion certificates ------------------------------------
@@ -224,25 +250,37 @@ class Line:
     base: ECPoint
     other: ECPoint
 
-    def evaluate(self, P: ECPoint) -> Fraction:
-        if P.is_infinity:
-            return Fraction(self.b)  # value at (0 : 1 : 0)
+    def __post_init__(self):
+        a, b, c = self.a, self.b, self.c
+        object.__setattr__(self, "_k", (a.numerator, a.denominator, b.numerator,
+                                        b.denominator, c.numerator, c.denominator))
+
+    def _value(self, P: ECPoint):
+        """(num, den), den > 0, with num/den the value of the line at P."""
+        an, ad, bn, bd, cn, cd = self._k
+        if P._k is None:
+            return bn, bd  # value at (0 : 1 : 0)
+        xn, xd, yn, yd = P._k
         # a*x + b*y + c over (ad * xd) * (bd * yd) * cd
-        ax_d = self.a.denominator * P.x.denominator
-        by_d = self.b.denominator * P.y.denominator
-        cd = self.c.denominator
-        return Fraction((self.a.numerator * P.x.numerator * by_d
-                         + self.b.numerator * P.y.numerator * ax_d) * cd
-                        + self.c.numerator * ax_d * by_d, ax_d * by_d * cd)
+        ax_d, by_d = ad * xd, bd * yd
+        return (an * xn * by_d + bn * yn * ax_d) * cd + cn * ax_d * by_d, ax_d * by_d * cd
+
+    def evaluate(self, P: ECPoint) -> Fraction:
+        return Fraction(*self._value(P))
+
+    def _vanishes(self, P: ECPoint) -> bool:
+        """evaluate(P) == 0, decided on the numerator alone."""
+        return self._value(P)[0] == 0
 
     def form_str(self) -> str:
+        k = self._k
         parts = []
-        for coeff, var in ((self.a, "X"), (self.b, "Y"), (self.c, "Z")):
-            if coeff == 0:
+        for num, den, var in ((k[0], k[1], "X"), (k[2], k[3], "Y"), (k[4], k[5], "Z")):
+            if num == 0:
                 continue
-            s = render_rational(abs(coeff))
-            term = var if abs(coeff) == 1 else "%s*%s" % (s, var)
-            parts.append(("- " if coeff < 0 else ("+ " if parts else "")) + term)
+            mag = abs(num)
+            term = var if mag == den == 1 else "%s*%s" % (render_ratio(mag, den), var)
+            parts.append(("- " if num < 0 else ("+ " if parts else "")) + term)
         return " ".join(parts) if parts else "0"
 
     def to_json(self):
@@ -257,7 +295,7 @@ def vertical_at(E: WeierstrassCurve, P: ECPoint) -> Line:
     _require_on_curve(E, P)
     if P.is_infinity:
         raise InputError("no vertical line is taken at O")
-    return Line(Fraction(1), Fraction(0), -P.x, "vertical", P, negate(E, P))
+    return Line(Fraction(1), Fraction(0), -P.x, "vertical", P, -P)
 
 
 def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
@@ -266,25 +304,28 @@ def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
     _require_on_curve(E, Q)
     if P.is_infinity or Q.is_infinity:
         raise InputError("chords are drawn between affine points")
-    if P.x == Q.x and P.y == -Q.y:
+    if _opposite(P, Q):
         return vertical_at(E, P)
     num, den = _slope(E, P, Q)
-    xn, xd = P.x.numerator, P.x.denominator
-    yn, yd = P.y.numerator, P.y.denominator
+    xn, xd, yn, yd = P._k
     # c = y - lam * x over den * xd * yd
     return Line(Fraction(num, den), Fraction(-1),
                 Fraction(yn * den * xd - num * xn * yd, den * xd * yd), "chord", P, Q)
 
 
-def formal_line_divisor(E: WeierstrassCurve, line: Line) -> dict:
+def formal_line_divisor(E: WeierstrassCurve, line: Line, verified=None) -> dict:
     """Divisor of a tagged line by the accounting rules.
 
     vertical at P:      (P) + (-P) - 2(O)
     chord through P, Q: (P) + (Q) + (-(P+Q)) - 3(O)
 
     The tags are re-verified: every named point must lie on the curve
-    and on the line.
+    and on the line.  verified is a set of points already found on E;
+    the points tested here are added to it, so a caller checking several
+    lines tests each distinct point on the curve once.
     """
+    if verified is None:
+        verified = set()
     div = {}
 
     def bump(pt, n):
@@ -292,26 +333,31 @@ def formal_line_divisor(E: WeierstrassCurve, line: Line) -> dict:
         if div[pt] == 0:
             del div[pt]
 
+    def through(points):
+        for pt in points:
+            if pt not in verified:
+                if not E.contains(pt):
+                    raise InputError("line does not pass through its tagged points")
+                verified.add(pt)
+            if not line._vanishes(pt):
+                raise InputError("line does not pass through its tagged points")
+
     if line.kind == "vertical":
         if line.b != 0:
             raise InputError("vertical line with a Y coefficient")
-        if line.other != negate(E, line.base):
+        if line.other != -line.base:
             raise InputError("vertical tag must pair P with -P")
-        for pt in (line.base, line.other):
-            if not E.contains(pt) or line.evaluate(pt) != 0:
-                raise InputError("line does not pass through its tagged points")
+        through((line.base, line.other))
         bump(line.base, 1)
         bump(line.other, 1)
         bump(O, -2)
     elif line.kind == "chord":
-        third = negate(E, add(E, line.base, line.other))
+        third = -add(E, line.base, line.other)
         if third.is_infinity:
             raise InputError("degenerate chord: use a vertical tag instead")
-        if line.evaluate(O) == 0:
+        if line._vanishes(O):
             raise InputError("a chord must not pass through O")
-        for pt in (line.base, line.other, third):
-            if not E.contains(pt) or line.evaluate(pt) != 0:
-                raise InputError("line does not pass through its tagged points")
+        through((line.base, line.other, third))
         bump(line.base, 1)
         bump(line.other, 1)
         bump(third, 1)
@@ -324,9 +370,10 @@ def formal_line_divisor(E: WeierstrassCurve, line: Line) -> dict:
 def check_line_program(E: WeierstrassCurve, P: ECPoint, n: int, program) -> bool:
     """True iff the formal divisor of the program equals n(P) - n(O)."""
     total = {}
+    verified = set()
     try:
         for line, exp in program:
-            for pt, mult in formal_line_divisor(E, line).items():
+            for pt, mult in formal_line_divisor(E, line, verified).items():
                 total[pt] = total.get(pt, 0) + exp * mult
                 if total[pt] == 0:
                     del total[pt]
@@ -344,9 +391,11 @@ def miller_function(E: WeierstrassCurve, P: ECPoint, n: int):
     Double-and-add on the multiple m*P; a doubling squares the program
     and appends tangent/vertical lines, an addition appends chord and
     vertical.  Verticals at O are skipped, which is what makes the
-    divisor telescope once n*P = O.
+    divisor telescope once n*P = O.  The multiples m*P are read off the
+    walk that checks the precondition, not added again.
     """
-    if torsion_order(E, P) != n:
+    multiples = _multiples(E, P)
+    if not multiples[-1].is_infinity or len(multiples) != n:
         raise InputError("miller_function needs torsion_order(P) = n")
     if P.is_infinity:
         return ()  # n == 1, the constant function 1
@@ -355,21 +404,21 @@ def miller_function(E: WeierstrassCurve, P: ECPoint, n: int):
     def emit(line, e=1):
         prog.append([line, e])
 
-    R = P
+    m, R = 1, P
     for bit in bin(n)[3:]:
         for entry in prog:
             entry[1] *= 2
         emit(line_through(E, R, R))
-        R2 = add(E, R, R)
-        if not R2.is_infinity:
-            emit(vertical_at(E, R2), -1)
-        R = R2
+        m *= 2
+        R = multiples[m - 1]
+        if not R.is_infinity:
+            emit(vertical_at(E, R), -1)
         if bit == "1":
             emit(line_through(E, R, P))
-            R1 = add(E, R, P)
-            if not R1.is_infinity:
-                emit(vertical_at(E, R1), -1)
-            R = R1
+            m += 1
+            R = multiples[m - 1]
+            if not R.is_infinity:
+                emit(vertical_at(E, R), -1)
     if not R.is_infinity:
         raise AssertionError("program did not land on O")
     out = tuple((line, e) for line, e in prog if e != 0)

@@ -72,8 +72,13 @@ def read_number(text: str, what: str, kind=int):
 
 def render_rational(q) -> str:
     """Serialize an exact number: integers bare, fractions as "num/den"."""
-    q = Fraction(q)
-    num, den = q.numerator, q.denominator
+    if type(q) is not int and type(q) is not Fraction:
+        q = Fraction(q)
+    return render_ratio(q.numerator, q.denominator)
+
+
+def render_ratio(num: int, den: int) -> str:
+    """render_rational(num/den) for num/den in lowest terms with den > 0."""
     if not abs(num) < _PRINT_LIMIT > den:
         check_printable((num, den), "the answer")
     if den == 1:

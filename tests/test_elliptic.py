@@ -6,6 +6,7 @@ import pytest
 from oracles import (ELL_CURVES, ec_add_brute, ec_contains_brute, ec_line_brute,
                      ec_multiples_brute)
 
+from uniloc import cli, elliptic
 from uniloc.elliptic import (ECPoint, Line, ModelNotIntegral, O, WeierstrassCurve,
                              add, check_line_program, classify_point,
                              formal_line_divisor, line_through, miller_function,
@@ -18,6 +19,7 @@ E_PLUS_1 = WeierstrassCurve(0, 1)          # y^2 = x^3 + 1
 E_MINUS_4 = WeierstrassCurve(0, -4)        # y^2 = x^3 - 4
 E_PLUS_4 = WeierstrassCurve(0, 4)          # y^2 = x^3 + 4
 E_PLUS_4X = WeierstrassCurve(4, 0)         # y^2 = x^3 + 4x
+E_SEVEN = WeierstrassCurve(-43, 166)       # (-5, 16) has order 7
 
 
 def pt(x, y):
@@ -55,6 +57,37 @@ class TestPointsAndCurves:
             WeierstrassCurve(0, 0)
         with pytest.raises(InputError):
             WeierstrassCurve(-3, 2)  # 4*(-27) + 27*4 = 0
+
+    def test_equality_and_hash_follow_the_coordinates(self):
+        # the integer key is read once when a point is built; == and hash
+        # must still say what the Fraction coordinates say
+        coords = [(2, 3), (Fraction(4, 2), Fraction(-6, -2)), (2, -3), (3, 2),
+                  (Fraction(1, 2), -3), (Fraction(2, 4), Fraction(-9, 3)),
+                  (Fraction(-1, 2), -3), (0, 0), (Fraction(0, 5), 0), (-5, 16)]
+        points = []
+        for x, y in coords:
+            points += [ECPoint(x, y), ECPoint(Fraction(x), Fraction(y))]
+        points += [-P for P in points] + [O, ECPoint(), -O]
+        for P in points:
+            for Q in points:
+                same = (P.x, P.y) == (Q.x, Q.y)
+                assert (P == Q) == same and (P != Q) == (not same), (P, Q)
+                if same:
+                    assert hash(P) == hash(Q), (P, Q)
+        assert len(set(points)) == len({(P.x, P.y) for P in points})
+        assert pt(2, 3) != (2, 3) and O != "O"
+
+    def test_negation_keeps_the_key(self):
+        for E, P in ((E_PLUS_1, pt(2, 3)), (E_SEVEN, pt(-5, 16)),
+                     (E_MINUS_X, pt(0, 0)), (E_PLUS_1, O)):
+            N = negate(E, P)
+            assert N == -P and hash(N) == hash(-P)
+            assert -N == P and hash(-N) == hash(P)
+            if not P.is_infinity:
+                assert (N.x, N.y) == (P.x, -P.y) and N == ECPoint(P.x, -P.y)
+                assert hash(N) == hash(ECPoint(int(P.x), -int(P.y)))
+        assert negate(E_MINUS_X, pt(0, 0)) == pt(0, 0)
+        assert negate(E_PLUS_1, O) is O and -O is O
 
     def test_contains_and_spec(self):
         assert E_PLUS_1.contains(pt(2, 3))
@@ -338,6 +371,108 @@ class TestLinePrograms:
         with pytest.raises(InputError, match="needs torsion_order"):
             miller_function(E_MINUS_4, pt(2, 2), 5)
         assert miller_function(E_PLUS_1, O, 1) == ()
+
+
+def catalog_programs():
+    for E, P, n in TORSION_CASES + [(E_SEVEN, pt(-5, 16), 7)]:
+        yield E, P, n, miller_function(E, P, n)
+
+
+class TestCheckerTestsEachPoint:
+    """The checker tests each distinct tagged point on the curve once per
+    program; every tagged point is still tested, on the curve and on its line."""
+
+    P = pt(2, 3)
+
+    def program(self):
+        prog = miller_function(E_PLUS_1, self.P, 6)
+        assert check_line_program(E_PLUS_1, self.P, 6, prog)
+        return prog
+
+    def test_off_curve_point_tagged_in_two_lines(self):
+        # x - 2 vanishes at (2, 4) and (2, -4), which are off y^2 = x^3 + 1;
+        # the two lines cancel, so only the curve test can refuse them
+        off = Line(Fraction(1), Fraction(0), Fraction(-2), "vertical", pt(2, 4), pt(2, -4))
+        prog = self.program()
+        for extra in (((off, 1), (off, -1)), ((off, 2), (off, -2))):
+            assert not check_line_program(E_PLUS_1, self.P, 6, prog + extra)
+            assert not check_line_program(E_PLUS_1, self.P, 6, extra + prog)
+        verified = set()
+        with pytest.raises(InputError):
+            formal_line_divisor(E_PLUS_1, off, verified)
+        assert pt(2, 4) not in verified
+        with pytest.raises(InputError):  # the set does not remember a refusal
+            formal_line_divisor(E_PLUS_1, off, verified)
+
+    def test_on_curve_point_off_its_line(self):
+        # (2, +-3) lie on the curve, but x - 5 does not vanish there
+        vertical = Line(Fraction(1), Fraction(0), Fraction(-5), "vertical", pt(2, 3), pt(2, -3))
+        chord = Line(Fraction(1), Fraction(-1), Fraction(5), "chord", pt(2, 3), pt(0, 1))
+        prog = self.program()
+        for L in (vertical, chord):
+            with pytest.raises(InputError):  # already on the curve, still tested on the line
+                formal_line_divisor(E_PLUS_1, L, {pt(2, 3), pt(2, -3), pt(0, 1), pt(-1, 0)})
+            assert not check_line_program(E_PLUS_1, self.P, 6, prog + ((L, 1), (L, -1)))
+
+    def test_vertical_with_the_wrong_partner(self):
+        for other in (pt(2, 3), pt(0, 1), O):
+            L = Line(Fraction(1), Fraction(0), Fraction(-2), "vertical", pt(2, 3), other)
+            with pytest.raises(InputError, match="vertical tag must pair P with -P"):
+                formal_line_divisor(E_PLUS_1, L, {pt(2, 3), pt(2, -3)})
+            assert not check_line_program(E_PLUS_1, self.P, 6,
+                                          self.program() + ((L, 1), (L, -1)))
+
+    @pytest.mark.parametrize("shift", ["off the curve", "off the line"])
+    def test_chord_with_a_tampered_third_point(self, monkeypatch, shift):
+        # the checker re-derives each chord's third point through add; a
+        # wrong sum must be refused, whether or not it lies on the curve
+        prog = self.program()
+        honest = elliptic.add
+        calls = []
+
+        def tampered(E, P, Q):
+            calls.append((P, Q))
+            R = honest(E, P, Q)
+            if shift == "off the curve":
+                return ECPoint(R.x, R.y + 1)
+            return honest(E, R, self.P)
+
+        monkeypatch.setattr(elliptic, "add", tampered)
+        assert not check_line_program(E_PLUS_1, self.P, 6, prog)
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(elliptic, "add", lambda E, P, Q: calls.append(1) or honest(E, P, Q))
+        assert check_line_program(E_PLUS_1, self.P, 6, prog)
+        assert len(calls) == sum(line.kind == "chord" for line, _ in prog)
+
+    def test_vanishes_is_evaluate_equals_zero(self):
+        seen = {True: 0, False: 0}
+        for E, P, n, prog in catalog_programs():
+            points = [mul(E, k, P) for k in range(n)]
+            for line, _ in prog:
+                for Q in points + [line.base, line.other, -line.base, -line.other]:
+                    got = line._vanishes(Q)
+                    assert got == (line.evaluate(Q) == 0), (E, line, Q)
+                    seen[got] += 1
+        assert all(seen.values()), seen
+
+
+def test_classify_tests_points_on_the_curve_a_bounded_number_of_times(monkeypatch):
+    # order 7: the checker tests each distinct point of the program on the
+    # curve once, and the program is built from the precondition's walk of
+    # the multiples; 51 tests today, 81 when every use of a point tested it
+    # and the program added the multiples again
+    contains = WeierstrassCurve.contains
+    calls = []
+
+    def counted(self, P):
+        calls.append(P)
+        return contains(self, P)
+
+    monkeypatch.setattr(WeierstrassCurve, "contains", counted)
+    v = cli.classify("ell:-43,166", "-5,16")
+    assert v.witness.order == 7 and len(v.witness.line_program) == 7
+    assert 0 < len(calls) <= 60
 
 
 class TestClassifyPoint:

@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from uniloc import elliptic, lcohom, verdict
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, FLAT_ONLY, INFINITE,
                             UNDECIDED, CohomologyWitness, Denominators, HeightViolation,
                             PrincipalElement, Rule, TorsionWitness, Verdict,
-                            check_citations, read_number, render_rational)
+                            check_citations, read_number, render_ratio,
+                            render_rational)
 
 CITE = ("flat-universal-classical-hierarchy",)
 
@@ -93,6 +95,24 @@ class TestRendering:
         for q in (big, -big, Fraction(1, big), Fraction(big + 1, 2)):
             with pytest.raises(InputError, match="more than 4300 digits"):
                 render_rational(q)
+
+    def test_render_rational_int_and_fraction_paths(self):
+        # an int or a Fraction is read as it is; anything else goes through Fraction()
+        for q in (0, 1, -1, 12, -7 ** 40, Fraction(0), Fraction(5), Fraction(-7, 2),
+                  Fraction(10 ** 30, 3), Fraction(-1, 7 ** 40)):
+            f = Fraction(q)
+            want = str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator,
+                                                                           f.denominator)
+            assert render_rational(q) == want == render_ratio(f.numerator, f.denominator)
+        assert render_rational(True) == "1" and render_rational("6/4") == "3/2"
+        big = 10 ** 4300  # 4301 digits
+        for q in (big, -big, 3 * big + 1, Fraction(big, 7), Fraction(-big - 1, 3),
+                  Fraction(1, big), Fraction(-2, big + 1), Decimal(10) ** 4300):
+            with pytest.raises(InputError, match="more than 4300 digits"):
+                render_rational(q)
+        for num, den in ((big, 1), (-big, 3), (1, big), (big + 1, big)):
+            with pytest.raises(InputError, match="more than 4300 digits"):
+                render_ratio(num, den)
 
 
 class TestWitnesses:
