@@ -10,26 +10,28 @@ chords, tangents and verticals whose formal divisor telescopes to
 n(P) - n(O); they are checked by pure divisor accounting, never by
 polynomial division.
 
-Points, curves and lines carry the integer numerators and denominators
-of their coordinates as a key computed once when they are built.
-Equality, hashing, membership on the curve, slopes, line incidence and
-printing read these integers: a slope is kept as an integer pair, each
-new coordinate is built over a common denominator and normalised by one
-Fraction at the end, and membership compares two integer products.
-Every check stays: each group law operation verifies that its inputs
-lie on the curve, and the line-program checker tests each distinct
-tagged point on the curve once per program, tests every tagged point on
-its line, and re-derives each chord's third point through the group law.
+Points and lines are their integer keys: a point is (xn, xd, yn, yd),
+its coordinates in lowest terms with positive denominators, and a line
+the six such integers of its coefficients; a curve carries the key of
+its coefficients.  Equality, hashing, membership on the curve, slopes,
+line incidence and printing read these integers: a slope is kept as an
+integer pair, each new coordinate is built over a common denominator
+and reduced by one gcd, and membership compares two integer products.
+Fractions are made only when a caller reads x, y, a, b or c.  Every
+check stays: each group law operation verifies that its inputs lie on
+the curve, and the line-program checker tests each distinct tagged
+point on the curve once per program, tests every tagged point on its
+line, and re-derives each chord's third point through the group law.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InconclusiveError, InputError, record
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
-                      TorsionWitness, Verdict, render_ratio)
+                      TorsionWitness, Verdict, ratio, render_ratio)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
 MAZUR_ORDERS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -39,27 +41,29 @@ class ModelNotIntegral(InconclusiveError):
     """Torsion testing needs integer curve coefficients."""
 
 
+def _lowest(num: int, den: int):
+    """num/den in lowest terms with a positive denominator; den != 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
 @record
 class ECPoint:
-    x: object = None  # Fraction, or None for the point at infinity
-    y: object = None
+    """The point (x, y), or O when both are None.
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+    It holds only its key, (xn, xd, yn, yd) or None for O; x and y are
+    Fractions made from the key when they are read.
+    """
+
+    _k: tuple
+
+    def __init__(self, x=None, y=None):
         if (x is None) != (y is None):
             raise InputError("affine points need both coordinates")
-        if x is None:
-            object.__setattr__(self, "_k", None)
-            return
-        if type(x) is not Fraction:
-            x = Fraction(x)
-            object.__setattr__(self, "x", x)
-        if type(y) is not Fraction:
-            y = Fraction(y)
-            object.__setattr__(self, "y", y)
-        # Fractions are normalised, so equal points have equal keys
-        object.__setattr__(self, "_k", (x.numerator, x.denominator,
-                                        y.numerator, y.denominator))
+        object.__setattr__(self, "_k", None if x is None else ratio(x) + ratio(y))
+
+    x = property(lambda self: None if self._k is None else Fraction(self._k[0], self._k[1]))
+    y = property(lambda self: None if self._k is None else Fraction(self._k[2], self._k[3]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -71,9 +75,8 @@ class ECPoint:
 
     def __neg__(self):
         """The point (x, -y), without testing it on a curve."""
-        if self._k is None:
-            return self
-        return ECPoint(self.x, -self.y)
+        k = self._k
+        return self if k is None else _point((k[0], k[1], -k[2], k[3]))
 
     @property
     def is_infinity(self) -> bool:
@@ -86,6 +89,13 @@ class ECPoint:
         return "(%s, %s)" % (render_ratio(xn, xd), render_ratio(yn, yd))
 
 
+def _point(key) -> ECPoint:
+    """The point of a key already in lowest terms, built without a Fraction."""
+    P = object.__new__(ECPoint)
+    object.__setattr__(P, "_k", key)
+    return P
+
+
 O = ECPoint()
 
 
@@ -95,17 +105,14 @@ class WeierstrassCurve:
     b: Fraction
 
     def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_k", (a.numerator, a.denominator,
-                                        b.numerator, b.denominator))
-        if self.discriminant == 0:
+        for name in "ab":  # Fraction(q) copies a Fraction q
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+        an, ad, bn, bd = key = ratio(self.a) + ratio(self.b)
+        object.__setattr__(self, "_k", key)
+        # the discriminant -16 * (4a^3 + 27b^2), times ad^3 * bd^2 / -16
+        if 4 * an ** 3 * bd * bd + 27 * bn * bn * ad ** 3 == 0:
             raise InputError("singular model: discriminant is zero")
-
-    @property
-    def discriminant(self) -> Fraction:
-        return -16 * (4 * self.a ** 3 + 27 * self.b ** 2)
 
     @property
     def is_integral(self) -> bool:
@@ -173,13 +180,11 @@ def add(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     x1n, x1d, y1n, y1d = P._k
     x2n, x2d = Q._k[0], Q._k[1]
     # x3 = lam^2 - x1 - x2 over den^2 * x1d * x2d
-    x3 = Fraction(num * num * x1d * x2d - (x1n * x2d + x2n * x1d) * den * den,
-                  den * den * x1d * x2d)
+    x3n, x3d = _lowest(num * num * x1d * x2d - (x1n * x2d + x2n * x1d) * den * den,
+                       den * den * x1d * x2d)
     # y3 = lam * (x1 - x3) - y1 over den * x1d * x3d * y1d
-    x3n, x3d = x3.numerator, x3.denominator
-    y3 = Fraction(num * (x1n * x3d - x3n * x1d) * y1d - y1n * den * x1d * x3d,
-                  den * x1d * x3d * y1d)
-    return ECPoint(x3, y3)
+    return _point((x3n, x3d) + _lowest(num * (x1n * x3d - x3n * x1d) * y1d
+                                       - y1n * den * x1d * x3d, den * x1d * x3d * y1d))
 
 
 def mul(E: WeierstrassCurve, n: int, P: ECPoint) -> ECPoint:
@@ -220,15 +225,18 @@ def _multiples(E: WeierstrassCurve, P: ECPoint) -> list:
     return out
 
 
-def torsion_order(E: WeierstrassCurve, P: ECPoint):
+def torsion_order(E: WeierstrassCurve, P: ECPoint, multiples=None):
     """Least n with n*P = O, or INFINITE.
 
     Only multiples up to 12 are tested (no larger order occurs over Q),
     and any non-integral multiple ends the search early, since torsion
-    points on an integral model have integer coordinates.
+    points on an integral model have integer coordinates.  A list given
+    as multiples receives the walk [P, 2P, ...] for miller_function.
     """
-    multiples = _multiples(E, P)
-    return len(multiples) if multiples[-1].is_infinity else INFINITE
+    walk = _multiples(E, P)
+    if multiples is not None:
+        multiples += walk
+    return len(walk) if walk[-1].is_infinity else INFINITE
 
 
 # line programs for torsion certificates ------------------------------------
@@ -240,20 +248,21 @@ class Line:
     kind "vertical" runs through base, -base and O; kind "chord" (which
     includes tangents, base == other) runs through base, other and the
     negated sum.  The tags carry exactly the information the formal
-    divisor checker needs.
+    divisor checker needs.  It holds the key (an, ad, bn, bd, cn, cd) of
+    a, b and c, which are Fractions made when they are read.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    _k: tuple
     kind: str
     base: ECPoint
     other: ECPoint
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        object.__setattr__(self, "_k", (a.numerator, a.denominator, b.numerator,
-                                        b.denominator, c.numerator, c.denominator))
+    def __init__(self, a, b, c, kind: str, base: ECPoint, other: ECPoint):
+        _set_line(self, ratio(a) + ratio(b) + ratio(c), kind, base, other)
+
+    a = property(lambda self: Fraction(self._k[0], self._k[1]))
+    b = property(lambda self: Fraction(self._k[2], self._k[3]))
+    c = property(lambda self: Fraction(self._k[4], self._k[5]))
 
     def _value(self, P: ECPoint):
         """(num, den), den > 0, with num/den the value of the line at P."""
@@ -291,11 +300,18 @@ class Line:
         }
 
 
+def _set_line(line: Line, key, kind: str, base: ECPoint, other: ECPoint) -> Line:
+    for name, value in (("_k", key), ("kind", kind), ("base", base), ("other", other)):
+        object.__setattr__(line, name, value)
+    return line
+
+
 def vertical_at(E: WeierstrassCurve, P: ECPoint) -> Line:
     _require_on_curve(E, P)
     if P.is_infinity:
         raise InputError("no vertical line is taken at O")
-    return Line(Fraction(1), Fraction(0), -P.x, "vertical", P, -P)
+    xn, xd = P._k[0], P._k[1]
+    return _set_line(object.__new__(Line), (1, 1, 0, 1, -xn, xd), "vertical", P, -P)
 
 
 def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
@@ -309,8 +325,8 @@ def line_through(E: WeierstrassCurve, P: ECPoint, Q: ECPoint) -> Line:
     num, den = _slope(E, P, Q)
     xn, xd, yn, yd = P._k
     # c = y - lam * x over den * xd * yd
-    return Line(Fraction(num, den), Fraction(-1),
-                Fraction(yn * den * xd - num * xn * yd, den * xd * yd), "chord", P, Q)
+    key = _lowest(num, den) + (-1, 1) + _lowest(yn * den * xd - num * xn * yd, den * xd * yd)
+    return _set_line(object.__new__(Line), key, "chord", P, Q)
 
 
 def formal_line_divisor(E: WeierstrassCurve, line: Line, verified=None) -> dict:
@@ -326,45 +342,32 @@ def formal_line_divisor(E: WeierstrassCurve, line: Line, verified=None) -> dict:
     """
     if verified is None:
         verified = set()
-    div = {}
-
-    def bump(pt, n):
-        div[pt] = div.get(pt, 0) + n
-        if div[pt] == 0:
-            del div[pt]
-
-    def through(points):
-        for pt in points:
-            if pt not in verified:
-                if not E.contains(pt):
-                    raise InputError("line does not pass through its tagged points")
-                verified.add(pt)
-            if not line._vanishes(pt):
-                raise InputError("line does not pass through its tagged points")
-
     if line.kind == "vertical":
-        if line.b != 0:
+        if line._k[2] != 0:
             raise InputError("vertical line with a Y coefficient")
         if line.other != -line.base:
             raise InputError("vertical tag must pair P with -P")
-        through((line.base, line.other))
-        bump(line.base, 1)
-        bump(line.other, 1)
-        bump(O, -2)
+        points = (line.base, line.other)
     elif line.kind == "chord":
         third = -add(E, line.base, line.other)
         if third.is_infinity:
             raise InputError("degenerate chord: use a vertical tag instead")
         if line._vanishes(O):
             raise InputError("a chord must not pass through O")
-        through((line.base, line.other, third))
-        bump(line.base, 1)
-        bump(line.other, 1)
-        bump(third, 1)
-        bump(O, -3)
+        points = (line.base, line.other, third)
     else:
         raise InputError("unknown line kind %r" % (line.kind,))
-    return div
+    div = {}
+    for pt in points:
+        if pt not in verified:
+            if not E.contains(pt):
+                raise InputError("line does not pass through its tagged points")
+            verified.add(pt)
+        if not line._vanishes(pt):
+            raise InputError("line does not pass through its tagged points")
+        div[pt] = div.get(pt, 0) + 1
+    div[O] = div.get(O, 0) - len(points)
+    return {pt: mult for pt, mult in div.items() if mult}
 
 
 def check_line_program(E: WeierstrassCurve, P: ECPoint, n: int, program) -> bool:
@@ -375,50 +378,44 @@ def check_line_program(E: WeierstrassCurve, P: ECPoint, n: int, program) -> bool
         for line, exp in program:
             for pt, mult in formal_line_divisor(E, line, verified).items():
                 total[pt] = total.get(pt, 0) + exp * mult
-                if total[pt] == 0:
-                    del total[pt]
     except InputError:
         return False
-    expected = {}
-    if n != 0 and not P.is_infinity:
-        expected = {P: n, O: -n}
-    return total == expected
+    expected = {P: n, O: -n} if n != 0 and not P.is_infinity else {}
+    return {pt: mult for pt, mult in total.items() if mult} == expected
 
 
-def miller_function(E: WeierstrassCurve, P: ECPoint, n: int):
+def miller_function(E: WeierstrassCurve, P: ECPoint, n: int, multiples=None):
     """Straight-line program with formal divisor n(P) - n(O).
 
     Double-and-add on the multiple m*P; a doubling squares the program
     and appends tangent/vertical lines, an addition appends chord and
     vertical.  Verticals at O are skipped, which is what makes the
     divisor telescope once n*P = O.  The multiples m*P are read off the
-    walk that checks the precondition, not added again.
+    walk torsion_order filled, or one made here; a wrong list gives a
+    program that the closing check_line_program refuses.
     """
-    multiples = _multiples(E, P)
+    if multiples is None:
+        multiples = _multiples(E, P)
     if not multiples[-1].is_infinity or len(multiples) != n:
         raise InputError("miller_function needs torsion_order(P) = n")
     if P.is_infinity:
         return ()  # n == 1, the constant function 1
     prog = []
-
-    def emit(line, e=1):
-        prog.append([line, e])
-
     m, R = 1, P
     for bit in bin(n)[3:]:
         for entry in prog:
             entry[1] *= 2
-        emit(line_through(E, R, R))
+        prog.append([line_through(E, R, R), 1])
         m *= 2
         R = multiples[m - 1]
         if not R.is_infinity:
-            emit(vertical_at(E, R), -1)
+            prog.append([vertical_at(E, R), -1])
         if bit == "1":
-            emit(line_through(E, R, P))
+            prog.append([line_through(E, R, P), 1])
             m += 1
             R = multiples[m - 1]
             if not R.is_infinity:
-                emit(vertical_at(E, R), -1)
+                prog.append([vertical_at(E, R), -1])
     if not R.is_infinity:
         raise AssertionError("program did not land on O")
     out = tuple((line, e) for line, e in prog if e != 0)
@@ -448,8 +445,9 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
     # the image of the class of the prime in E(Q) x Z/3
     cls = "(point %r, degree 1 mod 3)" % (P,)
 
+    multiples = []
     try:
-        order = torsion_order(E, P)
+        order = torsion_order(E, P, multiples)
     except ModelNotIntegral:
         return TORSION_UNDECIDED(
             ring_id, prime_description,
@@ -463,7 +461,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
                    "hence non-torsion in the class group",),
             extra=(("torsion", INFINITE),))
 
-    program = miller_function(E, P, order)
+    program = miller_function(E, P, order, multiples)
     cl_order = lcm(order, 3)
     return TORSION_POINT(
         ring_id, prime_description, TorsionWitness(order, cls, program),

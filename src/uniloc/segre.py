@@ -15,12 +15,15 @@ A prime is the record of f_p alone.  A linear pair (g(X,Y), g(V,U)) or
 (g(X,V), g(Y,U)) is the prime of the linear f_p = g(S0,S1) or g(T0,T1),
 and a linear f_p describes itself by that pair.
 
-Polynomials are sparse maps from exponent vectors to rationals.  The
-embedding and its inverse act on the exponent vectors, and a linear pair
-builds its linear forms from the coefficients.  A linear prime becomes
-the coordinate pair (X, V) or (X, Y) under the change X', Y', U', V'
-that completes g = (p, q) to a matrix [[p, q], [r, t]] of nonzero
-determinant.  It preserves the quadric: X'U' - Y'V' multiplies out as
+Polynomials are sparse maps from exponent vectors to coefficients, each
+an int, or a Fraction only when its denominator is not 1, so an f with
+integer coefficients is read, embedded, lifted and printed without a
+Fraction.  The embedding and its inverse act on the exponent vectors,
+and a linear pair builds its linear forms from the coefficients.  A
+linear prime becomes the coordinate pair (X, V) or (X, Y) under the
+change X', Y', U', V' that completes g = (p, q) to a matrix
+[[p, q], [r, t]] of nonzero determinant.  It preserves the quadric:
+X'U' - Y'V' multiplies out as
 
     (pX + qY)(rV + tU) - (rX + tY)(pV + qU) = (pt - qr)(XU - YV)   (XY-VU)
     (pX + qV)(rY + tU) - (pY + qU)(rX + tV) = (pt - qr)(XU - YV)   (XV-YU)
@@ -54,11 +57,13 @@ ORIENT_XV_YU = "XV-YU"
 
 @record
 class Polynomial:
-    """Sparse polynomial with Fraction coefficients on named variables.
+    """Sparse polynomial with rational coefficients on named variables.
 
     Built by make (or parse_polynomial); it has coefficient, is_zero and
     render.  terms is kept sorted by descending exponent tuple, zero
-    coefficients dropped, so equal polynomials compare equal structurally.
+    coefficients dropped, and each coefficient is an int, or a Fraction
+    whose denominator is not 1, so equal polynomials compare equal
+    structurally.
     """
 
     names: tuple
@@ -72,22 +77,20 @@ class Polynomial:
             expo = tuple(int(x) for x in expo)
             if len(expo) != len(names) or any(x < 0 for x in expo):
                 raise InputError("bad exponent vector %r" % (expo,))
-            c = Fraction(c)
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
             if c:
-                clean[expo] = clean.get(expo, Fraction(0)) + c
-        terms = tuple(sorted(((e, c) for e, c in clean.items() if c),
-                             key=lambda t: t[0], reverse=True))
+                clean[expo] = clean.get(expo, 0) + c
+        # exponent vectors are distinct, so the pairs sort by them alone
+        terms = tuple(sorted(((e, c.numerator if c.denominator == 1 else c)
+                              for e, c in clean.items() if c), reverse=True))
         return cls(names, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, expo) -> Fraction:
-        expo = tuple(expo)
-        for e, c in self.terms:
-            if e == expo:
-                return c
-        return Fraction(0)
+    def coefficient(self, expo):
+        return dict(self.terms).get(tuple(expo), 0)
 
     def render(self) -> str:
         if not self.terms:
@@ -107,12 +110,9 @@ class Polynomial:
                 body = "*".join(factors)
             else:
                 body = "*".join([render_rational(mag)] + factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + body)
+        return " ".join(parts)
 
     def __repr__(self):
         return "Polynomial(%s)" % self.render()
@@ -159,7 +159,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
     total = {}
     zero = (0,) * len(names)
     for sign, toks in groups:
-        coeff = Fraction(sign)
+        coeff = sign
         expo = list(zero)
         i = 0
         expecting_factor = True
@@ -204,9 +204,8 @@ def parse_polynomial(text: str, names) -> Polynomial:
         if expecting_factor:
             raise InputError("term ends with '*' in %r" % (text,))
         key = tuple(expo)
-        total[key] = total.get(key, Fraction(0)) + coeff
-    poly = Polynomial.make(names, total)
-    return poly
+        total[key] = total.get(key, 0) + coeff
+    return Polynomial.make(names, total)
 
 
 # the Segre side ------------------------------------------------------------
@@ -268,7 +267,7 @@ def embed_xyuv(poly: Polynomial) -> BihomogPoly:
     out = {}
     for (x, y, u, v), c in poly.terms:
         key = (x + v, y + u, x + y, u + v)
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return BihomogPoly.from_terms(out)
 
 
@@ -296,7 +295,7 @@ def to_xyuv(f: BihomogPoly) -> Polynomial:
         if min(alpha, beta, gamma, delta) < 0:
             raise AssertionError("lift has a negative exponent")
         key = (alpha, gamma, delta, beta)  # X, Y, U, V
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     lifted = Polynomial.make(XYUV_NAMES, out)
     if embed_xyuv(lifted).poly != f.poly:
         raise AssertionError("lift failed the embedding round trip")
@@ -347,7 +346,6 @@ class SegrePrime:
         if orientation not in (ORIENT_XY_VU, ORIENT_XV_YU):
             raise InputError("orientation must be %s or %s"
                              % (ORIENT_XY_VU, ORIENT_XV_YU))
-        p, q = Fraction(p), Fraction(q)
         if p == 0 and q == 0:
             raise InputError("g must be a nonzero linear form")
         s, t = _LINEAR_MONOMIALS[orientation]
@@ -408,7 +406,7 @@ def psi(p: SegrePrime):
 
 # irreducibility in low degree ----------------------------------------------
 
-def _is_rational_square(q: Fraction) -> bool:
+def _is_rational_square(q) -> bool:
     if q < 0:
         return False
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
@@ -425,15 +423,10 @@ def is_irreducible(f: BihomogPoly):
         m = [[f.poly.coefficient((1, 0, 1, 0)), f.poly.coefficient((1, 0, 0, 1))],
              [f.poly.coefficient((0, 1, 1, 0)), f.poly.coefficient((0, 1, 0, 1))]]
         return m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0
-    if (d, e) == (2, 0):
-        a = f.poly.coefficient((2, 0, 0, 0))
-        b = f.poly.coefficient((1, 1, 0, 0))
-        c = f.poly.coefficient((0, 2, 0, 0))
-        return not _is_rational_square(b * b - 4 * a * c)
-    if (d, e) == (0, 2):
-        a = f.poly.coefficient((0, 0, 2, 0))
-        b = f.poly.coefficient((0, 0, 1, 1))
-        c = f.poly.coefficient((0, 0, 0, 2))
+    if (d, e) in ((2, 0), (0, 2)):
+        # a*u^2 + b*u*v + c*v^2 splits over Q exactly when b^2 - 4ac is a square
+        a, b, c = (f.poly.coefficient((i, 2 - i, 0, 0) if d else (0, 0, i, 2 - i))
+                   for i in (2, 1, 0))
         return not _is_rational_square(b * b - 4 * a * c)
     # a variable whose exponent is positive in every term splits off f = v*g,
     # and g has degree at least 2, so it is not a unit

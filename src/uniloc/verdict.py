@@ -70,11 +70,17 @@ def read_number(text: str, what: str, kind=int):
     return kind(text)
 
 
-def render_rational(q) -> str:
-    """Serialize an exact number: integers bare, fractions as "num/den"."""
+def ratio(q):
+    """(numerator, denominator) of q in lowest terms; Fraction(q) is built
+    only when q is neither an int nor a Fraction."""
     if type(q) is not int and type(q) is not Fraction:
         q = Fraction(q)
-    return render_ratio(q.numerator, q.denominator)
+    return q.numerator, q.denominator
+
+
+def render_rational(q) -> str:
+    """Serialize an exact number: integers bare, fractions as "num/den"."""
+    return render_ratio(*ratio(q))
 
 
 def render_ratio(num: int, den: int) -> str:

@@ -1,6 +1,10 @@
-"""Collects the acceptance results and prints one line per criterion, and
-registers the Hypothesis profile that CI selects."""
+"""Collects the acceptance results and prints one line per criterion,
+registers the Hypothesis profile that CI selects, and gives the tests a
+counter of Fraction constructions."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import settings
 
 # `--hypothesis-profile=ci`: the same examples on every run, and a failure
@@ -9,6 +13,27 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _DOCS = {}
 _RESULTS = {}
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """count_fractions(fn): how many Fractions fn() builds, counted as
+    calls of Fraction.__new__."""
+    new = Fraction.__new__
+
+    def count(fn):
+        built = []
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted)
+            fn()
+        return len(built)
+
+    return count
 
 
 def pytest_collection_modifyitems(config, items):

@@ -11,7 +11,7 @@ from uniloc.elliptic import (ECPoint, Line, ModelNotIntegral, O, WeierstrassCurv
                              add, check_line_program, classify_point,
                              formal_line_divisor, line_through, miller_function,
                              mul, negate, torsion_order, vertical_at)
-from uniloc.errors import InputError
+from uniloc.errors import FrozenInstanceError, InputError
 from uniloc.verdict import INFINITE
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
@@ -88,6 +88,32 @@ class TestPointsAndCurves:
                 assert hash(N) == hash(ECPoint(int(P.x), -int(P.y)))
         assert negate(E_MINUS_X, pt(0, 0)) == pt(0, 0)
         assert negate(E_PLUS_1, O) is O and -O is O
+
+    def test_points_from_add_match_points_from_fractions(self):
+        # add builds its key with a gcd and no Fraction: each sum must be the
+        # point ECPoint builds from the oracle's Fraction coordinates
+        scaled = WeierstrassCurve(Fraction(-43, 16), Fraction(166, 64))  # u = 2
+        for E, P, n in TORSION_CASES + [(E_SEVEN, pt(-5, 16), 7), (E_MINUS_4, pt(2, 2), 6),
+                                        (scaled, pt(Fraction(-5, 4), 2), 7)]:
+            Q, brute = P, (P.x, P.y)
+            for _ in range(1, n):
+                Q, brute = add(E, Q, P), ec_add_brute(E.a, E.b, brute, (P.x, P.y))
+                F = as_point(brute)
+                assert Q == F and hash(Q) == hash(F) and repr(Q) == repr(F), (E, Q, F)
+                if brute is not None:
+                    assert type(Q.x) is Fraction and type(Q.y) is Fraction
+                    assert (Q.x, Q.y) == brute and Q._k[1] > 0 and Q._k[3] > 0
+        assert add(E_PLUS_1, pt(2, 3), pt(0, 1))._k == (-1, 1, 0, 1)
+
+    def test_points_and_lines_are_frozen(self):
+        P = add(E_PLUS_1, pt(2, 3), pt(2, 3))
+        L = line_through(E_PLUS_1, pt(2, 3), pt(0, 1))
+        for obj, name in ((P, "x"), (P, "_k"), (O, "y"), (L, "a"), (L, "kind"), (L, "_k")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        assert P == pt(0, 1) and L == Line(1, -1, 1, "chord", pt(2, 3), pt(0, 1))
 
     def test_contains_and_spec(self):
         assert E_PLUS_1.contains(pt(2, 3))
@@ -459,9 +485,10 @@ class TestCheckerTestsEachPoint:
 
 def test_classify_tests_points_on_the_curve_a_bounded_number_of_times(monkeypatch):
     # order 7: the checker tests each distinct point of the program on the
-    # curve once, and the program is built from the precondition's walk of
-    # the multiples; 51 tests today, 81 when every use of a point tested it
-    # and the program added the multiples again
+    # curve once, and the program is built from torsion_order's walk of the
+    # multiples; 38 tests today, 51 when miller_function walked them again,
+    # 81 when every use of a point tested it and the program added the
+    # multiples again
     contains = WeierstrassCurve.contains
     calls = []
 
@@ -472,7 +499,67 @@ def test_classify_tests_points_on_the_curve_a_bounded_number_of_times(monkeypatc
     monkeypatch.setattr(WeierstrassCurve, "contains", counted)
     v = cli.classify("ell:-43,166", "-5,16")
     assert v.witness.order == 7 and len(v.witness.line_program) == 7
-    assert 0 < len(calls) <= 60
+    assert 0 < len(calls) <= 38
+
+
+def test_classify_builds_fractions_only_to_parse(count_fractions):
+    # the curve and the point are read as Fractions, one per number; the
+    # group law, the program, its check and both printers run on integer
+    # keys (70 Fractions when points were built from Fractions)
+    def run():
+        v = cli.classify("ell:-43,166", "-5,16")
+        assert "7-line program" in v.to_text() and '"form": "X' in v.to_json()
+
+    parsed = count_fractions(lambda: (cli._parse_curve("-43,166", ""),
+                                      cli._parse_point("-5,16")))
+    assert parsed == 4
+    assert count_fractions(run) <= parsed
+
+
+class TestHandedMultiples:
+    """classify_point walks P, 2P, ... once, in torsion_order, and hands the
+    walk to miller_function; a wrong walk must not give a certificate."""
+
+    def test_one_walk_per_verdict(self, monkeypatch):
+        walks = []
+        honest = elliptic._multiples
+        monkeypatch.setattr(elliptic, "_multiples", lambda E, P: walks.append(P) or honest(E, P))
+        for E, P, n in TORSION_CASES + [(E_SEVEN, pt(-5, 16), 7)]:
+            walks.clear()
+            assert classify_point(E, P).witness.order == n
+            assert walks == [P]
+        walks.clear()
+        multiples = []
+        assert torsion_order(E_SEVEN, pt(-5, 16), multiples) == 7
+        assert multiples == [mul(E_SEVEN, k, pt(-5, 16)) for k in range(1, 8)]
+        assert miller_function(E_SEVEN, pt(-5, 16), 7, multiples) == \
+            miller_function(E_SEVEN, pt(-5, 16), 7)
+        assert walks == [pt(-5, 16), pt(-5, 16)]  # the call without a list walks
+
+    def test_forged_multiples_give_no_certificate(self):
+        forged = 0
+        for E, P, n in TORSION_CASES + [(E_SEVEN, pt(-5, 16), 7)]:
+            honest = elliptic._multiples(E, P)
+            program = miller_function(E, P, n, honest)
+            on_curve = (set(honest) | {-Q for Q in honest}) - {O}
+            for i in range(1, n - 1):
+                for Q in on_curve - {honest[i]}:
+                    walk = honest[:i] + [Q] + honest[i + 1:]
+                    try:
+                        got = miller_function(E, P, n, walk)
+                    except AssertionError as exc:
+                        assert "failed its own checker" in str(exc)
+                        forged += 1
+                        continue
+                    assert got == program  # the program never read index i
+        assert forged > 20
+        # a non-torsion point with a walk that claims it has order 2 or 3
+        P = pt(2, 2)
+        for walk in ([P, O], [P, add(E_MINUS_4, P, P), O]):
+            with pytest.raises(AssertionError, match="failed its own checker"):
+                miller_function(E_MINUS_4, P, len(walk), walk)
+        with pytest.raises(InputError, match="needs torsion_order"):
+            miller_function(E_MINUS_4, P, 2, [P, add(E_MINUS_4, P, P)])
 
 
 class TestClassifyPoint:

@@ -27,7 +27,7 @@ def shapes():
         kind = "tag"
 
     class Rewritten:
-        """__post_init__ checks a field and rewrites one (ECPoint, Rule)."""
+        """__post_init__ checks a field and rewrites one (WeierstrassCurve, Rule)."""
         n: object
         items: object = ()
 

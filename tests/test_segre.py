@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from uniloc import cli
 from uniloc.errors import InputError
 from uniloc.segre import (BihomogPoly, ORIENT_XV_YU, ORIENT_XY_VU, Polynomial,
                           SegrePrime, S_NAMES, XYUV_NAMES, classify_segre,
@@ -32,6 +33,20 @@ class TestPolynomial:
         z = Polynomial.make(S_NAMES, {(1, 0, 0, 0): 0, (0, 0, 0, 1): Fraction(0, 3)})
         assert z.is_zero() and z.terms == () and z.render() == "0"
 
+    def test_int_and_fraction_coefficients_agree(self):
+        # a coefficient is stored as an int unless its denominator is not 1
+        polys = [Polynomial.make(S_NAMES, {(1, 0, 1, 0): c, (0, 1, 0, 1): -1})
+                 for c in (3, Fraction(3), Fraction(6, 2), "3", 3.0)]
+        for p in polys:
+            assert p == polys[0] and hash(p) == hash(polys[0])
+            assert p.render() == "3*S0*T0 - S1*T1"
+            assert [type(c) for _, c in p.terms] == [int, int]
+        half = Polynomial.make(S_NAMES, {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(4, 3)})
+        assert [type(c) for _, c in half.terms] == [Fraction, Fraction]
+        assert half.render() == "1/2*S0 + 4/3*S1"
+        assert type(Polynomial.make(S_NAMES, {(1, 0, 0, 0): Fraction(1, 2),
+                                              (0, 0, 0, 0): 0}).coefficient((0, 1, 0, 0))) is int
+
     def test_bad_exponents(self):
         with pytest.raises(InputError):
             Polynomial.make(S_NAMES, {(1, 0): 1})
@@ -50,6 +65,16 @@ class TestParser:
         assert spoly("S0^2*T1").coefficient((2, 0, 0, 1)) == 1
         assert spoly("S0 - S0").is_zero()
         assert spoly("2*S0*3").coefficient((1, 0, 0, 0)) == 6
+
+    def test_rational_coefficients_that_are_integers(self):
+        for text, plain in (("1/2*S0 + 1/2*S0", "S0"), ("4/2*S0*T0 + S1*T1", "2*S0*T0 + S1*T1"),
+                            ("2/3*S0*3 - 6/3*S1", "2*S0 - 2*S1"), ("1/3*S1 - 1/3*S1", "0")):
+            p = spoly(text)
+            assert p == spoly(plain) and hash(p) == hash(spoly(plain))
+            assert p.render() == plain and all(type(c) is int for _, c in p.terms)
+        assert spoly("S0 + 1/3*S1").render() == "S0 + 1/3*S1"
+        assert spoly("-1/2*S0 + 3*S1").render() == "-1/2*S0 + 3*S1"
+        assert SegrePrime.poly("1/2*S0 + 1/2*S0") == SegrePrime.linear(1, 0, ORIENT_XY_VU)
 
     def test_whitespace_insensitive(self):
         assert spoly(" S0 * T0-S1*T1 ") == spoly("S0*T0-S1*T1")
@@ -322,6 +347,19 @@ class TestIrreducibility:
                      "S0^2*T1^2 - S1^2*T1^2"):
             assert is_irreducible(BihomogPoly.from_string(text)) is False, text
         assert is_irreducible(BihomogPoly.from_string("S0^2*T0 + S1^2*T1")) is None
+
+
+def test_integer_f_builds_no_fraction(count_fractions):
+    # classify, to_text and to_json of an f with integer coefficients build
+    # no Fraction: bidegree (3, 2) built 23 when coefficients were Fractions,
+    # (2, 2) through the lift to X, Y, U, V built 37, (1, 1) 42 and (2, 0) 20
+    def run(fp):
+        v = cli.classify("segre", "", fp)
+        assert "bidegree" in v.to_text() and '"ring": "segre"' in v.to_json()
+
+    for fp in ("S0^3*T0^2 + 4*S1^3*T1^2 - 2*S0*S1^2*T0*T1", "S0^2*T0^2 - 2*S1^2*T1^2",
+               "S0*T0 + 2*S1*T1", "S0^2 + 2*S1^2"):
+        assert count_fractions(lambda: run(fp)) == 0, fp
 
 
 class TestClassify:
