@@ -11,10 +11,10 @@ from operator import mul
 
 from .errors import InputError, record
 
-# the most rows or columns `snf` takes.  In process on a shared 2-core host,
-# `snf` on the seeded n x n matrix (random.Random(n), randint(-9, 9) row by
-# row) answers in 0.76 s at n = 90 and 1.3 s at n = 100 (median of 5); 1 s
-# is the budget per call.  W alone has cols^2 entries, whatever M holds.
+# the most rows or columns `snf` takes: W alone has cols^2 entries.  In process
+# on a shared 2-core host, `snf` on the seeded n x n matrix (random.Random(n),
+# randint(-9, 9) row by row) answers in 0.53 s at n = 90 and 0.74 s at n = 100
+# (median of 5; runs spread 1.6x), so 90 stays inside the 1 s budget per call.
 SNF_DIM_BOUND = 90
 
 
@@ -97,13 +97,17 @@ def det(M: IntMatrix) -> int:
 
 
 def _min_abs_pivot(a, t, rows, cols):
-    # smallest nonzero |entry| in the trailing submatrix, ties by position
-    best = None
+    # smallest nonzero |entry| in the trailing submatrix, ties by position;
+    # no entry is smaller than a unit, so the first unit ends the scan
+    best, least = None, 0
     for i in range(t, rows):
+        row = a[i]
         for j in range(t, cols):
-            v = a[i][j]
-            if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                best = (i, j)
+            v = abs(row[j])
+            if v and (best is None or v < least):
+                if v == 1:
+                    return i, j
+                best, least = (i, j), v
     return best
 
 
@@ -125,7 +129,8 @@ def smith_normal_form(M: IntMatrix):
     diagonal with non-negative entries in a divisibility chain
     d1 | d2 | ... .
 
-    Two phases apply each operation to the one U and the one W:
+    Row i of M and of U is one list [M_i | U_i], so each row operation,
+    swap and negation runs once for both.  Two phases:
 
     1. Row Hermite normal form H (Kannan and Bachem, SIAM J. Comput. 8,
        1979; Cohen, GTM 138, sec. 2.4).  The rows of M join one at a time
@@ -134,11 +139,17 @@ def smith_normal_form(M: IntMatrix):
        form of k rows is unique, so its entries depend on those rows
        alone, not on the history of the elimination.  For nonsingular
        n x n M the row transform is then H*M^-1 = H*adj(M)/det(M), at
-       most n times the Hadamard bound of M.
+       most n times the Hadamard bound of M.  While row k joins, each
+       operation runs from the pivot column c it works on up to U's
+       column k only.  Every row it adds from is zero left of c: a
+       Hermite row with pivot c, or row k, cleared up to c.  Every row
+       so far is a combination of rows 0..k of M, so its U part is zero
+       past column k.
     2. The smallest |entry| of the trailing block is the pivot, ties
        broken by row-major position, which makes the output
        deterministic; row and column operations clear its row and column
-       until each pivot divides the block after it.
+       until each pivot divides the block after it.  A unit pivot ends
+       the scan for the smallest entry and divides every entry.
 
     On the seeded 40 x 40 matrix with entries in [-9, 9], |det M| has 180
     bits and U and W end with 176 and 180.  The second phase alone, run
@@ -149,29 +160,24 @@ def smith_normal_form(M: IntMatrix):
     [[2, 0], [0, 4]]
     """
     rows, cols = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
+    a = [r + [0] * i + [1] + [0] * (rows - 1 - i) for i, r in enumerate(M.to_rows())]
     w = IntMatrix.identity(cols).to_rows()
 
-    def row_op(i, k, q):
-        # row i -= q * row k
-        ai, ak, ui, uk = a[i], a[k], u[i], u[k]
-        for j in range(cols):
-            ai[j] -= q * ak[j]
-        for j in range(rows):
-            ui[j] -= q * uk[j]
+    def row_op(i, k, q, lo=0, hi=cols + rows):
+        # row i -= q * row k, over the columns [lo, hi) of [M | U]
+        a[i][lo:hi] = [x - q * y for x, y in zip(a[i][lo:hi], a[k][lo:hi])]
 
     def col_op(j, k, q):
         # col j -= q * col k
-        for i in range(rows):
-            a[i][j] -= q * a[i][k]
-        for i in range(cols):
-            w[i][j] -= q * w[i][k]
+        for m in (a, w):
+            for r in m:
+                r[j] -= q * r[k]
 
     # phase 1: the rows before row k are in Hermite form, the first
     # len(piv) of them with pivots in columns piv, the rest zero
     piv = []
     for k in range(rows):
+        hi = cols + k + 1
         i = 0
         for c in range(cols):
             e = a[k][c]
@@ -183,28 +189,25 @@ def smith_normal_form(M: IntMatrix):
                 # a new pivot: move row k to its place in the form
                 if e < 0:
                     a[k] = [-x for x in a[k]]
-                    u[k] = [-x for x in u[k]]
                 a.insert(i, a.pop(k))
-                u.insert(i, u.pop(k))
                 piv.insert(i, c)
                 break
             p = a[i][c]
             if e % p == 0:
-                row_op(k, i, e // p)
+                row_op(k, i, e // p, c, hi)
                 continue
             # [row i; row k] <- [[s, t], [-e/g, p/g]] [row i; row k]
             g, s, t = _xgcd(p, e)
             p, e = p // g, e // g
-            for m in (a, u):
-                x, y = m[i], m[k]
-                m[i] = [s * v + t * z for v, z in zip(x, y)]
-                m[k] = [p * z - e * v for v, z in zip(x, y)]
+            x, y = a[i][c:hi], a[k][c:hi]
+            a[i][c:hi] = [s * v + t * z for v, z in zip(x, y)]
+            a[k][c:hi] = [p * z - e * v for v, z in zip(x, y)]
         # reduce the entries above each pivot into [0, pivot)
         for j, c in enumerate(piv):
             p = a[j][c]
             for h in range(j):
                 if not 0 <= a[h][c] < p:
-                    row_op(h, j, a[h][c] // p)
+                    row_op(h, j, a[h][c] // p, c, hi)
 
     # phase 2
     t = 0
@@ -216,12 +219,10 @@ def smith_normal_form(M: IntMatrix):
             i, j = pos
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                u[t], u[i] = u[i], u[t]
             if j != t:
-                for r in range(rows):
-                    a[r][t], a[r][j] = a[r][j], a[r][t]
-                for r in range(cols):
-                    w[r][t], w[r][j] = w[r][j], w[r][t]
+                for m in (a, w):
+                    for r in m:
+                        r[t], r[j] = r[j], r[t]
             p = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -237,9 +238,9 @@ def smith_normal_form(M: IntMatrix):
             if dirty:
                 pos = _min_abs_pivot(a, t, rows, cols)
                 continue
-            # pivot must divide the whole trailing block for the chain
+            # pivot must divide the trailing block for the chain; a unit does
             fix = None
-            for i in range(t + 1, rows):
+            for i in range(t + 1, rows if abs(p) != 1 else 0):
                 for j in range(t + 1, cols):
                     if a[i][j] % p != 0:
                         fix = i
@@ -255,10 +256,9 @@ def smith_normal_form(M: IntMatrix):
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
 
-    D = IntMatrix(rows, cols, tuple(x for r in a for x in r))
-    U = IntMatrix(rows, rows, tuple(x for r in u for x in r))
+    D = IntMatrix(rows, cols, tuple(x for r in a for x in r[:cols]))
+    U = IntMatrix(rows, rows, tuple(x for r in a for x in r[cols:]))
     W = IntMatrix(cols, cols, tuple(x for r in w for x in r))
     return D, U, W
 

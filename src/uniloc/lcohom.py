@@ -28,8 +28,8 @@ at the end of the module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations, product
+from math import gcd
 
 from .errors import InputError, record
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
@@ -181,23 +181,22 @@ def _differential(A: MonomialAlgebra, gens, k, a):
 
 
 def _rank(mat) -> int:
-    rows = [[Fraction(x) for x in r] for r in mat if any(r)]
+    # integer elimination: each row r with r[c] != 0 becomes p*r - r[c]*top
+    # for the pivot p = top[c], divided by the gcd of its entries
+    rows = [r for r in mat if any(r)]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+    while rows:
+        top = rows.pop()
+        c = next(j for j, x in enumerate(top) if x)
+        p = top[c]
+        for i, r in enumerate(rows):
+            e = r[c]
+            if e:
+                r = [p * x - e * y for x, y in zip(r, top)]
+                g = gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+        rows = [r for r in rows if any(r)]
         rank += 1
-        col += 1
     return rank
 
 

@@ -99,7 +99,7 @@ def _json_text(value, indent: str = "") -> str:
     library indents through a generator per token, a few microseconds for
     each field of a verdict, each integer of a class group's forms or an
     SNF transform and each node of a closed set; here a list or dict is
-    one join over its items.
+    one join over its items, and an int or str item is written inline.
     """
     if isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
@@ -108,8 +108,9 @@ def _json_text(value, indent: str = "") -> str:
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
     if isinstance(value, dict) and value:
         inner = indent + "  "
-        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-                 + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + (repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
+                    else _json_text(v, inner)) for k, v in sorted(value.items())]
         return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
     if type(value) is int:
         return repr(value)

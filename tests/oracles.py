@@ -5,7 +5,10 @@ instead of Bareiss, Hermite form instead of Smith form, antichains
 instead of closed sets, the full scans that the package prunes, the
 group law in Fraction arithmetic instead of integer pairs, and the Segre
 embedding by substitution instead of a monomial map.
-Agreement between the two sides is the test.
+Agreement between the two sides is the test.  The Smith normal form
+reference is the exception: it is the package's own schedule in its
+earlier form, one list for M and one for U, each operation over whole
+rows, and the package must match its D, U and W entry for entry.
 """
 
 from fractions import Fraction
@@ -95,6 +98,162 @@ def lattice_member(rows, v) -> bool:
     both, _ = _cleared(list(rows) + [v])
     base = both[:-1]
     return hnf(base) == hnf(both)
+
+
+# Smith normal form, one list for M and one for U, whole rows -----------------
+
+def _min_abs_pivot(a, t, rows, cols):
+    # smallest nonzero |entry| in the trailing submatrix, ties by position
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            v = a[i][j]
+            if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def _xgcd(a, b):
+    # (g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for a > 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def smith_normal_form_reference(rows_of_m, cols):
+    """(D, U, W) as lists of rows for the rows x cols matrix rows_of_m,
+    U*M*W = D: reduced row Hermite form, then the smallest-pivot
+    diagonal loop, every operation applied to M, U and W separately."""
+    rows = len(rows_of_m)
+    a = [list(r) for r in rows_of_m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    w = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, k, q):
+        # row i -= q * row k
+        ai, ak, ui, uk = a[i], a[k], u[i], u[k]
+        for j in range(cols):
+            ai[j] -= q * ak[j]
+        for j in range(rows):
+            ui[j] -= q * uk[j]
+
+    def col_op(j, k, q):
+        # col j -= q * col k
+        for i in range(rows):
+            a[i][j] -= q * a[i][k]
+        for i in range(cols):
+            w[i][j] -= q * w[i][k]
+
+    # phase 1: the rows before row k are in Hermite form, the first
+    # len(piv) of them with pivots in columns piv, the rest zero
+    piv = []
+    for k in range(rows):
+        i = 0
+        for c in range(cols):
+            e = a[k][c]
+            if e == 0:
+                continue
+            while i < len(piv) and piv[i] < c:
+                i += 1
+            if i == len(piv) or piv[i] != c:
+                # a new pivot: move row k to its place in the form
+                if e < 0:
+                    a[k] = [-x for x in a[k]]
+                    u[k] = [-x for x in u[k]]
+                a.insert(i, a.pop(k))
+                u.insert(i, u.pop(k))
+                piv.insert(i, c)
+                break
+            p = a[i][c]
+            if e % p == 0:
+                row_op(k, i, e // p)
+                continue
+            # [row i; row k] <- [[s, t], [-e/g, p/g]] [row i; row k]
+            g, s, t = _xgcd(p, e)
+            p, e = p // g, e // g
+            for m in (a, u):
+                x, y = m[i], m[k]
+                m[i] = [s * v + t * z for v, z in zip(x, y)]
+                m[k] = [p * z - e * v for v, z in zip(x, y)]
+        # reduce the entries above each pivot into [0, pivot)
+        for j, c in enumerate(piv):
+            p = a[j][c]
+            for h in range(j):
+                if not 0 <= a[h][c] < p:
+                    row_op(h, j, a[h][c] // p)
+
+    # phase 2
+    t = 0
+    while t < min(rows, cols):
+        pos = _min_abs_pivot(a, t, rows, cols)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for r in range(rows):
+                    a[r][t], a[r][j] = a[r][j], a[r][t]
+                for r in range(cols):
+                    w[r][t], w[r][j] = w[r][j], w[r][t]
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    row_op(i, t, a[i][t] // p)
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    col_op(j, t, a[t][j] // p)
+                    if a[t][j] != 0:
+                        dirty = True
+            if dirty:
+                pos = _min_abs_pivot(a, t, rows, cols)
+                continue
+            # pivot must divide the whole trailing block for the chain
+            fix = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p != 0:
+                        fix = i
+                        break
+                if fix is not None:
+                    break
+            if fix is None:
+                break
+            row_op(t, fix, -1)  # add the offending row onto the pivot row
+            pos = _min_abs_pivot(a, t, rows, cols)
+        t += 1
+
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return a, u, w
+
+
+def rank_by_fractions(mat) -> int:
+    """Rank over Q by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(x) for x in r] for r in mat if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 # quadratic ideals as lattices over the standard basis (1, w) ----------------

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import det_cofactor, gcd_of_k_minors
+from oracles import det_cofactor, gcd_of_k_minors, smith_normal_form_reference
 from uniloc.abgroup import (GroupStructure, IntMatrix, cokernel_structure, det,
                             smith_normal_form)
 from uniloc.errors import InputError
@@ -146,6 +146,33 @@ def test_snf_transforms_stay_the_size_of_the_answer(n):
     bound = hadamard.bit_length() + abs(det(M)).bit_length()
     for T in (U, W):
         assert max(abs(x).bit_length() for x in T.entries) <= bound
+
+
+def same_as_reference(n, m, rows):
+    D, U, W = smith_normal_form(IntMatrix(n, m, tuple(x for r in rows for x in r)))
+    assert (D.to_rows(), U.to_rows(), W.to_rows()) == smith_normal_form_reference(rows, m)
+
+
+class TestSnfReferenceSchedule:
+    """Each operation over its nonzero span of [M | U] gives the D, U and W
+    of the same schedule run over whole rows of separate M and U."""
+
+    def test_small_degenerate_shapes(self):
+        rng = random.Random(4111)
+        for _ in range(400):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            rows = degenerate(rng, [[rng.randint(-12, 12) for _ in range(m)] for _ in range(n)])
+            same_as_reference(n, m, rows)
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40])
+    def test_seeded_square(self, n):
+        rng = random.Random(n)
+        same_as_reference(n, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_empty_shapes(self, m):
+        same_as_reference(0, m, [])
+        same_as_reference(m, 0, [[] for _ in range(m)])
 
 
 @settings(max_examples=150, deadline=None)

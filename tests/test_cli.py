@@ -1174,7 +1174,8 @@ class TestColdImports:
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
     max_leaves=20)
 
 
@@ -1188,6 +1189,13 @@ class TestJsonText:
 
     def test_non_string_keys(self):
         value = {2: [1], 10: {"b": (), "a": {}}, -1: "é"}
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_nested_dict_scalars(self):
+        # the dict branch writes int and str values inline, as the list one does
+        value = {"n": -12345678901234567890, "s": "é\n\"", "t": True, "f": False, "z": None,
+                 "x": 1.5, "e": [], "d": {}, "u": (), "i": {1: 0, -2: "a", 10: {"k": [{}]}},
+                 "l": [{"b": 1, "a": None}, {0: False}], "": {"": 0.0}}
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_parser_reused_across_calls(self, capsys):

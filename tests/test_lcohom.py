@@ -3,11 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import first_shell_witness, nonzero_patterns_brute
+from oracles import first_shell_witness, nonzero_patterns_brute, rank_by_fractions
 from uniloc import lcohom
 from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
-                           VariableIdeal, _differential, _nonzero_patterns,
+                           VariableIdeal, _differential, _nonzero_patterns, _rank,
                            cech_dim, cech_table, certify_nonvanishing,
                            classify_dim3hyper, classify_twoplanes,
                            is_variable_prime, kill_variable, prime_height)
@@ -186,6 +186,24 @@ class TestCechDim:
                 for j in range(n1_src):
                     acc = sum(m2[i][t] * m1[t][j] for t in range(n1_tgt))
                     assert acc == 0
+
+    def test_rank_matches_fraction_rank(self):
+        # integer elimination against Gauss-Jordan in Fractions, on dense and
+        # rank-deficient integer matrices and on the Cech differentials
+        rng = random.Random(1414)
+        for _ in range(300):
+            n, m = rng.randint(0, 7), rng.randint(1, 7)
+            mat = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            for _ in range(rng.randint(0, 3) if n else 0):
+                i, k, l = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                mat[i] = [rng.randint(-3, 3) * x + y for x, y in zip(mat[k], mat[l])]
+            assert _rank(mat) == rank_by_fractions(mat), mat
+        for _ in range(60):
+            A = random_algebra(rng)
+            gens = VariableIdeal.of(A, tuple(A.variables)).generators
+            a = tuple(rng.randint(-2, 2) for _ in A.variables)
+            mat = _differential(A, gens, rng.randint(0, len(gens) - 1), a)[0]
+            assert _rank(mat) == rank_by_fractions(mat), mat
 
     def test_euler_characteristic(self):
         # alternating sums of piece counts and cohomology ranks agree

@@ -362,6 +362,16 @@ def test_integer_f_builds_no_fraction(count_fractions):
         assert count_fractions(lambda: run(fp)) == 0, fp
 
 
+def test_linear_prime_builds_no_fraction(count_fractions):
+    # the quadric certificate's Cech ranks are taken by integer elimination;
+    # in Fractions they built 2 per linear prime
+    def run():
+        v = cli.classify("segre", "(X,V)", "")
+        assert "segre" in v.to_text() and '"ring": "segre"' in v.to_json()
+
+    assert count_fractions(run) == 0
+
+
 class TestClassify:
     def test_linear_pair_all_no(self):
         v = classify_segre(coordinate_prime(("X", "V")))
