@@ -21,6 +21,11 @@ generator has a positive coordinate (see _nonzero_patterns).  So the scan
 builds at most 2^m patterns, drops the non-faces, and computes ranks
 once per distinct complex.
 
+Sets of variables are int masks: an algebra gives variable j the bit
+1 << (m - 1 - j) and keeps one mask per relation, so a face test is
+r & f == r over the relation masks, and counting the masks up from 0
+runs through the candidate sign patterns in lexicographic order.
+
 The catalog families decided by this cohomology, the two planes
 k[X,Y,U]/(XU) and the hypersurface k[X,Y,U,V]/(XU-YV), are classified
 at the end of the module.
@@ -62,6 +67,23 @@ class MonomialAlgebra:
             for s in rels:
                 if r != s and r <= s:
                     raise InputError("relations must be pairwise incomparable")
+        # not fields: ==, hash and repr read only variables and relations
+        m = len(self.variables)
+        object.__setattr__(self, "bits", {v: 1 << (m - 1 - j)
+                                          for j, v in enumerate(self.variables)})
+        object.__setattr__(self, "relation_masks", tuple(map(self.mask, rels)))
+
+    def mask(self, names) -> int:
+        """The bits of the named variables; a name that is not a variable
+        adds none, as it lies in no relation."""
+        bits = self.bits
+        out = 0
+        for v in names:
+            out |= bits.get(v, 0)
+        return out
+
+    def is_face_mask(self, f: int) -> bool:
+        return not any(r & f == r for r in self.relation_masks)
 
     @classmethod
     def make(cls, variables, relations=()) -> "MonomialAlgebra":
@@ -76,19 +98,20 @@ class MonomialAlgebra:
             raise InputError("unknown variable %r" % (name,)) from None
 
     def is_face(self, names) -> bool:
-        s = set(names)
-        return not any(r <= s for r in self.relations)
+        return self.is_face_mask(self.mask(names))
 
     def facets(self):
         if len(self.variables) > ENUM_VARIABLE_BOUND:
             raise InputError("too many variables for facet enumeration")
-        faces = []
+        # largest first, so a face inside none of the facets so far is one
+        faces, masks = [], []
         for k in range(len(self.variables), -1, -1):
             for combo in combinations(self.variables, k):
-                if self.is_face(combo) and not any(set(combo) < set(f) for f in faces):
-                    faces.append(tuple(combo))
-        maximal = [f for f in faces if not any(set(f) < set(g) for g in faces)]
-        return sorted(maximal, key=lambda f: (-len(f), f))
+                f = self.mask(combo)
+                if self.is_face_mask(f) and not any(f & g == f for g in masks):
+                    faces.append(combo)
+                    masks.append(f)
+        return sorted(faces, key=lambda f: (-len(f), f))
 
     def describe(self) -> str:
         sep = "" if all(len(v) == 1 for v in self.variables) else "*"
@@ -153,30 +176,27 @@ def kill_variable(A: MonomialAlgebra, name: str) -> MonomialAlgebra:
 
 # the complex ---------------------------------------------------------------
 
-def _piece_nonzero(A: MonomialAlgebra, W, a) -> bool:
-    w = set(W)
-    for j, v in enumerate(A.variables):
-        if v not in w and a[j] < 0:
-            return False
-    positive = {v for j, v in enumerate(A.variables) if a[j] > 0}
-    return A.is_face(w | positive)
-
-
 def _differential(A: MonomialAlgebra, gens, k, a):
     """Matrix of C^k -> C^{k+1} in multidegree a (rows: targets)."""
-    sources = [c for c in combinations(gens, k) if _piece_nonzero(A, c, a)]
-    targets = {c: row for row, c in enumerate(
-        c for c in combinations(gens, k + 1) if _piece_nonzero(A, c, a))}
+    bits = [A.bits[g] for g in gens]
+    neg = A.mask(v for v, x in zip(A.variables, a) if x < 0)
+    pos = A.mask(v for v, x in zip(A.variables, a) if x > 0)
+
+    def pieces(k):
+        # the k-subsets W of the generators with (A_W)_a nonzero
+        return [w for w in map(sum, combinations(bits, k))
+                if neg & w == neg and A.is_face_mask(w | pos)] if k >= 0 else []
+
+    sources = pieces(k)
+    targets = {w: row for row, w in enumerate(pieces(k + 1))}
     mat = [[0] * len(sources) for _ in targets]
-    for col, W in enumerate(sources):
-        ws = set(W)
-        for g in gens:
-            if g in ws:
-                continue
-            W2 = tuple(sorted(ws | {g}, key=gens.index))
-            row = targets.get(W2)
-            if row is not None:
-                mat[row][col] = (-1) ** W2.index(g)
+    for col, w in enumerate(sources):
+        sign = 1  # W -> W + g has the sign (-1)^|{h in W : h before g}|
+        for b in bits:
+            if w & b:
+                sign = -sign
+            elif w | b in targets:
+                mat[targets[w | b]][col] = sign
     return mat, len(sources), len(targets)
 
 
@@ -208,13 +228,10 @@ def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
     if len(a) != len(A.variables):
         raise InputError("multidegree length mismatch")
     gens = VariableIdeal.of(A, I.generators).generators
-    g = len(gens)
-    if i > g:
+    if i > len(gens):
         return 0
-    pieces_i = sum(1 for c in combinations(gens, i) if _piece_nonzero(A, c, a))
-    dout, _, _ = _differential(A, gens, i, a) if i < g else ([], 0, 0)
-    din, _, _ = _differential(A, gens, i - 1, a) if i > 0 else ([], 0, 0)
-    return pieces_i - _rank(dout) - _rank(din)
+    dout, pieces, _ = _differential(A, gens, i, a)
+    return pieces - _rank(dout) - _rank(_differential(A, gens, i - 1, a)[0])
 
 
 @record
@@ -230,6 +247,28 @@ class NonvanishOutcome:
         return self.witness is not None
 
 
+def _keyed_candidates(A: MonomialAlgebra, I: VariableIdeal):
+    """Yield (key, N, P) for each candidate sign pattern in scan order, N
+    and P the masks of its negative and its positive coordinates.
+
+    A candidate is a face S = N | P with N inside the generators and P
+    outside them.  Its counter t sets the bit of variable j where a_j
+    takes the second of its two signs (0 for a generator, 1 otherwise):
+    t from 0 up runs through the patterns in lexicographic order, and t
+    = the generators is the zero pattern, which the scan takes first.
+    The key is N and the reduced relations r & ~S that lie inside the
+    generators, those r whose part outside the generators lies in P.
+    """
+    gens = A.mask(I.generators)
+    rels = [(r, r & ~gens) for r in A.relation_masks]
+    for t in chain((gens,), range(gens), range(gens + 1, 1 << len(A.variables))):
+        support = t ^ gens
+        if A.is_face_mask(support):
+            neg, pos = support & gens, t & ~gens
+            reduced = frozenset(r & ~support for r, rest in rels if rest & pos == rest)
+            yield (neg, reduced), neg, pos
+
+
 def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
     """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order.
 
@@ -240,20 +279,24 @@ def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
     of A_W is nonzero exactly when the piece of A_(W + g) is, since g lies
     in {j : a_j > 0} already; the differential part that adds g is plus or
     minus the identity between them, so the complex is the cone of an
-    isomorphism and is exact (Miller-Sturmfels, ch. 13).  The complex
-    depends only on which W have a nonzero piece, so cech_dim runs once
-    per such set.
+    isomorphism and is exact (Miller-Sturmfels, ch. 13).
+
+    The complex depends only on which W have a nonzero piece, and the key
+    of _keyed_candidates fixes that family.  With N, P and S the masks of
+    the negative coordinates, the positive ones and the support, the
+    piece of A_W, W inside the generators, is nonzero exactly when N lies
+    in W and no relation r lies in W | P.  Since N lies in W, that is: no
+    reduced relation r & ~S lies in W, and one with a bit outside the
+    generators lies in no W.  So cech_dim runs once per key, on the first
+    pattern with it, and the scan costs a few bit operations per
+    candidate.
     """
-    gens = set(I.generators)
-    subsets = [W for k in range(len(gens) + 1)
-               for W in combinations(I.generators, k)]
-    choices = [(-1, 0) if v in gens else (0, 1) for v in A.variables]
-    zero = (0,) * len(A.variables)
+    bits = tuple(A.bits.values())
     dims = {}
-    for s in chain((zero,), (s for s in product(*choices) if any(s))):
-        if not A.is_face(v for v, x in zip(A.variables, s) if x):
+    for key, neg, pos in _keyed_candidates(A, I):
+        if dims.get(key, 1) == 0:
             continue
-        key = tuple(_piece_nonzero(A, W, s) for W in subsets)
+        s = tuple((pos & b > 0) - (neg & b > 0) for b in bits)
         if key not in dims:
             dims[key] = cech_dim(A, I, i, s)
         if dims[key]:

@@ -1,7 +1,9 @@
 """Collects the acceptance results and prints one line per criterion,
-registers the Hypothesis profile that CI selects, and gives the tests a
-counter of Fraction constructions."""
+registers the Hypothesis profile that CI selects, gives the tests a
+counter of Fraction constructions, and fails a test that runs past
+TEST_TIME_LIMIT_S."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,11 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _DOCS = {}
 _RESULTS = {}
+
+# the slowest tier-1 test takes about 1.5 s on a shared 2-core host; a test
+# that runs 60 s is stuck, say in a loop that stopped making progress, and
+# fails with a traceback into that loop instead of hanging the suite
+TEST_TIME_LIMIT_S = 60
 
 
 @pytest.fixture
@@ -34,6 +41,41 @@ def count_fractions(monkeypatch):
         return len(built)
 
     return count
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so that Hypothesis does not catch it and rerun the
+    stuck example to shrink it."""
+
+
+def _expired(signum, frame):
+    raise TimeLimitExceeded("the test ran past %d s" % TEST_TIME_LIMIT_S)
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    if not hasattr(signal, "SIGALRM"):  # Windows has no alarm
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # the alarm can land on an instruction without a line number, whose
+    # traceback entry pytest cannot print: drop those entries
+    if call.excinfo is None or not call.excinfo.errisinstance(TimeLimitExceeded):
+        return
+    tb = call.excinfo.tb
+    while tb.tb_next is not None:
+        if tb.tb_next.tb_lineno is None:
+            tb.tb_next = tb.tb_next.tb_next
+        else:
+            tb = tb.tb_next
 
 
 def pytest_collection_modifyitems(config, items):

@@ -413,6 +413,19 @@ def nonzero_patterns_brute(dim, m):
     return [(s, d) for s, d in dims if d > 0]
 
 
+def piece_key_brute(A, gens, s):
+    """For each subset W of the generators, smallest first and then in
+    combinations order, whether the degree-s piece of A_W is nonzero: no
+    negative coordinate outside W, and no relation inside W together with
+    the positive support.  The sign-pattern scan once keyed its candidates
+    by this tuple, at 2^g piece tests per candidate."""
+    negative = {v for v, x in zip(A.variables, s) if x < 0}
+    positive = {v for v, x in zip(A.variables, s) if x > 0}
+    return tuple(negative <= set(W) and not any(set(r) <= set(W) | positive
+                                                for r in A.relations)
+                 for k in range(len(gens) + 1) for W in combinations(gens, k))
+
+
 # elliptic curves y^2 = x^3 + a*x + b ------------------------------------------
 # A point is None (the point at infinity) or a pair (x, y) of Fractions.
 

@@ -3,11 +3,13 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import first_shell_witness, nonzero_patterns_brute, rank_by_fractions
+from oracles import (first_shell_witness, nonzero_patterns_brute, piece_key_brute,
+                     rank_by_fractions)
 from uniloc import lcohom
 from uniloc.errors import InputError
 from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
-                           VariableIdeal, _differential, _nonzero_patterns, _rank,
+                           VariableIdeal, _differential, _keyed_candidates,
+                           _nonzero_patterns, _rank,
                            cech_dim, cech_table, certify_nonvanishing,
                            classify_dim3hyper, classify_twoplanes,
                            is_variable_prime, kill_variable, prime_height)
@@ -28,11 +30,11 @@ def piece_nonzero_local(A, W, a):
     return A.is_face(w | positive)
 
 
-def random_algebra(rng, max_vars=5):
+def random_algebra(rng, max_vars=5, max_relations=3):
     m = rng.randint(1, max_vars)
-    variables = tuple("abcdef"[:m])
+    variables = tuple("abcdefg"[:m])
     relations = []
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, max_relations)):
         size = rng.randint(2, max(2, m))
         r = frozenset(rng.sample(variables, min(size, m)))
         if len(r) < 2:
@@ -321,14 +323,55 @@ class TestCertify:
 
     def test_scan_builds_no_positive_generator(self, monkeypatch):
         calls = []
-        piece = lcohom._piece_nonzero
-        monkeypatch.setattr(lcohom, "_piece_nonzero",
-                            lambda *args: calls.append(args) or piece(*args))
-        A = MonomialAlgebra.make(["v%d" % j for j in range(6)], [{"v0", "v5"}])
-        out, table = cech_table(A, VariableIdeal.of(A, ["v0", "v1", "v2", "v3"]), 2, 1)
-        assert not out.found and list(table) == []
-        # 4080 calls when each generator also took the sign +1
-        assert len(calls) == 1392
+        cech_dim = lcohom.cech_dim
+        monkeypatch.setattr(lcohom, "cech_dim",
+                            lambda *args: calls.append(args[3]) or cech_dim(*args))
+        A = MonomialAlgebra.make(["v%d" % j for j in range(6)],
+                                 [{"v0", "v5"}, {"v1", "v2"}])
+        I = VariableIdeal.of(A, ["v0", "v1", "v2", "v3"])
+        out, table = cech_table(A, I, 2, 1)
+        assert out.witness == (0, -1, 0, -1, 0, 1) and len(list(table)) == 6
+        # v1 positive reduces the relation v1*v2 to the generator v2, a key
+        # that no pattern without positive generators has: a scan giving the
+        # generators the sign +1 hands cech_dim such a pattern
+        assert calls and not any(s[j] > 0 for s in calls for j in range(4))
+        candidates = list(_keyed_candidates(A, I))
+        gens = A.mask(I.generators)
+        assert not any(pos & gens for _, _, pos in candidates)
+        # 2^6 sign patterns without a positive generator, 36 of them faces,
+        # in 18 keys; 120 faces in 30 keys when generators also took the sign +1
+        assert (len(candidates), len(calls)) == (36, 18)
+
+    def test_key_fixes_the_pieces(self):
+        # candidates with one key have one 2^g piece key, so one cech_dim
+        # call per key is exact
+        rng = random.Random(2323)
+        seen = shared = 0
+        for _ in range(200):
+            A = random_algebra(rng, max_vars=7, max_relations=4)
+            m = len(A.variables)
+            gens = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            pieces = {}
+            candidates = list(_keyed_candidates(A, gens))
+            for key, neg, pos in candidates:
+                s = tuple((pos & b > 0) - (neg & b > 0) for b in A.bits.values())
+                brute = piece_key_brute(A, gens.generators, s)
+                assert pieces.setdefault(key, brute) == brute, (A, gens, s)
+            seen += len(candidates)
+            shared += len(candidates) - len(pieces)
+        assert seen > 6000 and shared > 3000
+
+    def test_fourteen_variable_scan_counts(self, monkeypatch):
+        # 2^14 candidates keyed by which of the 10 generators are negative:
+        # one cech_dim call per key, and H^1 vanishes (depth 10)
+        calls = []
+        cech_dim = lcohom.cech_dim
+        monkeypatch.setattr(lcohom, "cech_dim",
+                            lambda *args: calls.append(args) or cech_dim(*args))
+        A = MonomialAlgebra.make(["v%d" % j for j in range(14)])
+        I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
+        assert list(_nonzero_patterns(A, I, 1)) == []
+        assert len(calls) == 1024
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
