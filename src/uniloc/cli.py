@@ -401,7 +401,7 @@ def _cmd_cech(args) -> int:
     gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
     I = lcohom.VariableIdeal.of(A, gens)
     out, table = lcohom.cech_table(A, I, args.i, args.box)
-    dims = {",".join(str(x) for x in a): dim for a, dim in table}
+    dims = {",".join(a): dim for a, dim in table}
     doc = {
         "schema": 1,
         "algebra": A.describe(),

@@ -12,11 +12,12 @@ polynomial division.
 
 Points and lines are their integer keys: a point is (xn, xd, yn, yd),
 its coordinates in lowest terms with positive denominators, and a line
-the six such integers of its coefficients; a curve carries the key of
-its coefficients.  Equality, hashing, membership on the curve, slopes,
-line incidence and printing read these integers: a slope is kept as an
-integer pair, each new coordinate is built over a common denominator
-and reduced by one gcd, and membership compares two integer products.
+the six such integers of its coefficients; a curve holds the four such
+integers of its coefficients.  Equality, hashing, membership on the
+curve, slopes, line incidence and printing read these integers: a
+slope is kept as an integer pair, each new coordinate is built over a
+common denominator and reduced by one gcd, and membership compares two
+integer products.
 Fractions are made only when a caller reads x, y, a, b or c.  Every
 check stays: each group law operation verifies that its inputs lie on
 the curve, and the line-program checker tests each distinct tagged
@@ -101,18 +102,20 @@ O = ECPoint()
 
 @record
 class WeierstrassCurve:
-    a: Fraction
-    b: Fraction
+    """y^2 = x^3 + a*x + b, held as its key (an, ad, bn, bd); a and b are
+    Fractions made from the key when they are read."""
 
-    def __post_init__(self):
-        for name in "ab":  # Fraction(q) copies a Fraction q
-            if type(getattr(self, name)) is not Fraction:
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
-        an, ad, bn, bd = key = ratio(self.a) + ratio(self.b)
-        object.__setattr__(self, "_k", key)
+    _k: tuple
+
+    def __init__(self, a, b):
+        an, ad, bn, bd = key = ratio(a) + ratio(b)
         # the discriminant -16 * (4a^3 + 27b^2), times ad^3 * bd^2 / -16
         if 4 * an ** 3 * bd * bd + 27 * bn * bn * ad ** 3 == 0:
             raise InputError("singular model: discriminant is zero")
+        object.__setattr__(self, "_k", key)
+
+    a = property(lambda self: Fraction(self._k[0], self._k[1]))
+    b = property(lambda self: Fraction(self._k[2], self._k[3]))
 
     @property
     def is_integral(self) -> bool:

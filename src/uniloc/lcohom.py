@@ -323,7 +323,9 @@ def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
 def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
     """The certify_nonvanishing outcome and the (degree, dim) pairs of the
     nonzero dims of H^i_I(A) with |a_j| <= box, from one scan of the sign
-    patterns: each nonzero pattern is expanded over the box."""
+    patterns: each nonzero pattern is expanded over the box.  A degree is
+    the tuple of its coordinates' decimal strings, which `cech` joins into
+    its keys; each string is made once per call, not once per degree."""
     if box < 1:
         raise InputError("box must be >= 1")
     found = list(_nonzero_patterns(A, I, i))
@@ -332,6 +334,9 @@ def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
         raise InputError("the table for --box %d has more than lcohom.CECH_ROWS_BOUND = %d "
                          "rows" % (box, CECH_ROWS_BOUND))
     ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1)}
+    # only the signs that occur: a nonzero one bounds box by the row count
+    ranges = {x: tuple(map(str, r)) for x, r in ranges.items()
+              if any(x in s for s, _ in found)}
     table = ((a, d) for s, d in found for a in product(*(ranges[x] for x in s)))
     return _outcome(found[0] if found else None, A, i, box), table
 

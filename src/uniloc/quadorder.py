@@ -14,6 +14,10 @@ generator to be printed (PRINT_DIGITS).  The walk's state is the (a, b)
 of the reduced ideal and the element as two integers: it builds no
 QuadIdeal and no Fraction per step, and `ideal_mul` and the walk share
 one composition core, `_compose`.
+
+An ideal's scale and an element's coordinates are ints, or Fractions
+when their denominator is not 1; both are read through numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, log
 
 from .errors import InputError, record
-from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict,
+from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict, ratio,
                       render_rational)
 
 # a generator of p^n for the class order n is the denominator for p
@@ -111,8 +115,8 @@ class QuadElement:
     """x + y*w where w = sqrt(d), or (1+sqrt(d))/2 when d = 1 mod 4."""
 
     order: QuadOrder
-    x: Fraction
-    y: Fraction
+    x: object  # an int, or a Fraction whose denominator is not 1
+    y: object
 
     def norm(self) -> Fraction:
         x, y, d = Fraction(self.x), Fraction(self.y), self.order.d
@@ -125,7 +129,7 @@ class QuadElement:
 
 
 def render_element(e: QuadElement) -> str:
-    x, y = Fraction(e.x), Fraction(e.y)
+    x, y = e.x, e.y
     if y == 0:
         return render_rational(x)
     if e.order._parity:
@@ -133,7 +137,7 @@ def render_element(e: QuadElement) -> str:
         p, q = 2 * x + y, y
         if p.denominator == 1 and q.denominator == 1 \
                 and p.numerator % 2 == 0 and q.numerator % 2 == 0:
-            return _render_sqrt_form(p / 2, q / 2, e.order.d)
+            return _render_sqrt_form(p // 2, q // 2, e.order.d)
         return "(%s)/2" % _render_sqrt_form(p, q, e.order.d)
     return _render_sqrt_form(x, y, e.order.d)
 
@@ -153,7 +157,7 @@ class QuadIdeal:
     order: QuadOrder
     a: int
     b: int
-    scale: Fraction = Fraction(1)
+    scale: object = 1  # an int, or a Fraction whose denominator is not 1
     # True on the ideals decompose_prime returns, whose norm it has proven
     # prime, so is_prime_ideal need not trial-divide it again.  Not a
     # field: it takes no part in ==, hash or repr
@@ -177,7 +181,7 @@ class QuadIdeal:
     def second_generator(self) -> QuadElement:
         # (b + sqrt(D))/2 expressed in the 1, w basis
         shift = (self.b - self.order._parity) // 2
-        return QuadElement(self.order, Fraction(shift), Fraction(1))
+        return QuadElement(self.order, shift, 1)
 
 
 def _centred(b: int, a: int) -> int:
@@ -185,8 +189,15 @@ def _centred(b: int, a: int) -> int:
     return a - (a - b) % (2 * a)
 
 
-def make_ideal(order: QuadOrder, a: int, b: int, scale=Fraction(1)) -> QuadIdeal:
-    return QuadIdeal(order, a, _centred(b, a), Fraction(scale))
+def _quotient(num: int, den: int):
+    """num/den: an int when den divides it, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def make_ideal(order: QuadOrder, a: int, b: int, scale=1) -> QuadIdeal:
+    if type(scale) is not int:
+        scale = _quotient(*ratio(scale))
+    return QuadIdeal(order, a, _centred(b, a), scale)
 
 
 def unit_ideal(order: QuadOrder) -> QuadIdeal:
@@ -206,8 +217,8 @@ def contains(I: QuadIdeal, e: QuadElement) -> bool:
     return _in_ideal(x.numerator, y.numerator, I.a, I.b, I.order._parity)
 
 
-def ideal_norm(I: QuadIdeal) -> Fraction:
-    return Fraction(I.scale) ** 2 * I.a
+def ideal_norm(I: QuadIdeal):
+    return I.scale ** 2 * I.a
 
 
 def _xgcd(a: int, b: int):
@@ -239,7 +250,9 @@ def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     if I.order != J.order:
         raise InputError("ideals from different orders")
     a3, b3, e = _compose(I.a, I.b, J.a, J.b, I.order.discriminant)
-    return QuadIdeal(I.order, a3, b3, I.scale * J.scale * e)
+    return QuadIdeal(I.order, a3, b3,
+                     _quotient(I.scale.numerator * J.scale.numerator * e,
+                               I.scale.denominator * J.scale.denominator))
 
 
 def ideal_pow(I: QuadIdeal, n: int) -> QuadIdeal:
@@ -309,10 +322,11 @@ def _generator(I: QuadIdeal, n: int, x, y) -> QuadElement:
     For a prime I, the integral ideals of norm N(I)^n are I^i conj(I)^(n-i),
     and g outside conj(I) leaves only I^n.
 
-    x and y are integers, or Fractions when I has a fractional scale s; the
-    check runs on integers.  With g = (X + Y*w)/m and s = sn/sd, g/s has
-    the coordinates (u, v) = (X, Y)*sd/(m*sn), and g lies in I when those
-    are integers in the primitive part (a, (b + sqrt(D))/2).  Then
+    x and y are ints, or Fractions when I has a fractional scale s, and g
+    holds them as given; the check runs on integers.  With g = (X + Y*w)/m
+    and s = sn/sd, g/s has the coordinates (u, v) = (X, Y)*sd/(m*sn), and
+    g lies in I when those are integers in the primitive part
+    (a, (b + sqrt(D))/2).  Then
     4*N(g/s) = (2u + parity*v)^2 - D*v^2, and N(g) = N(I)^n = (s^2*a)^n
     reads 4*N(g/s)*sd^(2n-2) = 4*a^n*sn^(2n-2).
     """
@@ -327,7 +341,7 @@ def _generator(I: QuadIdeal, n: int, x, y) -> QuadElement:
     v, rv = divmod(y.numerator * (m // y.denominator) * sd, k)
     t = 2 * u + parity * v
     bc = _centred(-b, a)  # the conjugate's b
-    g = QuadElement(order, Fraction(x), Fraction(y))
+    g = QuadElement(order, x, y)
     if ru or rv or not _in_ideal(u, v, a, b, parity) \
             or (t * t - D * v * v) * sd ** (2 * n - 2) != 4 * a ** n * sn ** (2 * n - 2) \
             or (bc != b and _in_ideal(u, v, a, bc, parity)):
@@ -347,9 +361,10 @@ def is_principal(I: QuadIdeal):
     if _reduce_form(I.a, I.b, D, steps) != (1, parity):
         return None
     p, q, den = _times_taus(2, 1, steps, D)
-    # in the 1, w basis: x = (p - parity*q)/2, y = q
-    return _generator(I, 1, Fraction((p - parity * q) // 2, den) * I.scale,
-                      Fraction(q, den) * I.scale)
+    # in the 1, w basis: x = (p - parity*q)/2, y = q, each times I.scale
+    sn, sd = I.scale.numerator, I.scale.denominator
+    return _generator(I, 1, _quotient((p - parity * q) // 2 * sn, den * sd),
+                      _quotient(q * sn, den * sd))
 
 
 # prime decomposition ------------------------------------------------------
@@ -415,7 +430,7 @@ def _proven(I: QuadIdeal) -> QuadIdeal:
 
 
 def inert_ideal(order: QuadOrder, ell: int) -> QuadIdeal:
-    return make_ideal(order, 1, order._parity, Fraction(ell))
+    return make_ideal(order, 1, order._parity, ell)
 
 
 # class group --------------------------------------------------------------

@@ -56,17 +56,22 @@ def read_number(text: str, what: str, kind=int):
     exponent e with 10**|e| past PRINT_DIGITS digits (Fraction builds that
     power even when the value is small), is an input error.  Within the
     bounds kind(text) is cheap and reads every spelling as before; its
-    ValueError is left to the caller.
+    ValueError is left to the caller.  For Fraction, a sign and digits
+    without underscores or whitespace, which int reads alike, give an int.
     """
     if len(text) > PRINT_DIGITS and any(len(run) - run.count("_") > PRINT_DIGITS
                                         for run in _DIGIT_RUNS.findall(text)):
         raise InputError("%s has an integer of more than %d digits, too long to print"
                          % (what, PRINT_DIGITS))
-    if kind is not int:
-        exponent = _EXPONENT.search(text)
-        if exponent and int(exponent.group(1)) >= PRINT_DIGITS:
-            raise InputError("%s has an exponent of %d or more, too long to print"
-                             % (what, PRINT_DIGITS))
+    # a sign and decimal digits, which int() and Fraction() read alike on
+    # every Python from 3.10: Fraction reads no "_" before 3.11, and int
+    # strips no "\x1c" to "\x1f", which Fraction's regex takes for spaces
+    if kind is int or (text[1:] if text[:1] in "+-" else text).isdecimal():
+        return int(text)
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent.group(1)) >= PRINT_DIGITS:
+        raise InputError("%s has an exponent of %d or more, too long to print"
+                         % (what, PRINT_DIGITS))
     return kind(text)
 
 

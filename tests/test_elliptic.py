@@ -503,17 +503,18 @@ def test_classify_tests_points_on_the_curve_a_bounded_number_of_times(monkeypatc
 
 
 def test_classify_builds_fractions_only_to_parse(count_fractions):
-    # the curve and the point are read as Fractions, one per number; the
-    # group law, the program, its check and both printers run on integer
-    # keys (70 Fractions when points were built from Fractions)
-    def run():
-        v = cli.classify("ell:-43,166", "-5,16")
-        assert "7-line program" in v.to_text() and '"form": "X' in v.to_json()
+    # integers are read as ints; the group law, the program, its check and
+    # both printers run on integer keys (70 Fractions when points were built
+    # from Fractions, 4 when the parse made one per number)
+    def run(ring, prime, text):
+        v = cli.classify(ring, prime)
+        assert text in v.to_text() and '"ring": "%s"' % ring in v.to_json()
 
-    parsed = count_fractions(lambda: (cli._parse_curve("-43,166", ""),
-                                      cli._parse_point("-5,16")))
-    assert parsed == 4
-    assert count_fractions(run) <= parsed
+    assert count_fractions(lambda: run("ell:-43,166", "-5,16", "7-line program")) == 0
+    # a rational model is undecided: one Fraction per non-integer it reads
+    assert count_fractions(lambda: cli._parse_curve("0,1/64", "")) == 1
+    assert count_fractions(lambda: cli._parse_point("1/2,3/8")) == 2
+    assert count_fractions(lambda: run("ell:0,1/64", "1/2,3/8", "not integral")) == 3
 
 
 class TestHandedMultiples:

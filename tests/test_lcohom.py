@@ -286,7 +286,7 @@ class TestCertify:
                 empty += not out.found
                 table_out, table = cech_table(A, I, i, 2)
                 assert table_out == certify_nonvanishing(A, I, i, 2)
-                assert dict(table) == {a: d for a, d in dims.items() if d}
+                assert dict(table) == {tuple(map(str, a)): d for a, d in dims.items() if d}
         assert found and empty
 
     def test_pruned_scan_matches_full_scan(self):

@@ -9,7 +9,7 @@ from oracles import (first_hit_generator, lattice_member,
                      least_positive_root, quad_ideal_rows, quad_principal_rows,
                      quad_product_rows, reduced_forms_brute, same_rational_lattice,
                      squarefree_brute)
-from uniloc import quadorder
+from uniloc import cli, quadorder
 from uniloc.errors import InputError
 from uniloc.quadorder import (Inert, QuadElement, QuadIdeal, QuadOrder,
                               Ramified, Split, class_number, class_order,
@@ -153,6 +153,41 @@ def test_contains():
     two_o = inert_ideal(o, 2)  # scale-2 unit module
     assert contains(two_o, QuadElement(o, Fraction(2), Fraction(4)))
     assert not contains(two_o, QuadElement(o, Fraction(2), Fraction(1)))
+
+
+def test_integral_scales_are_ints():
+    # an integral scale is an int, equal to the Fraction it was, with the
+    # same hash and repr; a fractional scale stays a Fraction
+    for d, a, b in ((-5, 1, 0), (-5, 2, 2), (-7, 2, 1), (-47, 3, 1)):
+        o = QuadOrder(d)
+        I, F = make_ideal(o, a, b), QuadIdeal(o, a, b, Fraction(1))
+        assert type(I.scale) is int
+        assert I == F and hash(I) == hash(F) and repr(I) == repr(F)
+        for scale in (3, Fraction(6, 2), "3"):
+            J = make_ideal(o, a, b, scale)
+            assert type(J.scale) is int and J == QuadIdeal(o, a, b, Fraction(3))
+        J = make_ideal(o, a, b, Fraction(1, 3))
+        assert type(J.scale) is Fraction and J.scale == Fraction(1, 3)
+        assert type(ideal_norm(J)) is Fraction and ideal_norm(J) == Fraction(a, 9)
+        K = ideal_mul(J, make_ideal(o, 1, o._parity, 3))
+        assert type(K.scale) is int and K == make_ideal(o, a, b)
+        L = inert_ideal(o, 7)
+        assert type(L.scale) is int and type(ideal_norm(L)) is int and ideal_norm(L) == 49
+        assert QuadElement(o, 2, 3).norm() == QuadElement(o, Fraction(2), Fraction(3)).norm()
+
+
+@pytest.mark.parametrize("ring, primes", [("quad:-5", "p2"), ("quad:-47", "p2,p3bar"),
+                                          ("quad:-6681", "p29"), ("quad:-11095", "p2")])
+def test_classify_builds_no_fraction(count_fractions, ring, primes):
+    # a split prime of class order 2, two of order 5, an inert prime, and
+    # class order 22 at a d of the benchmark's plateau: parse, walk,
+    # generator check and both printers run on ints (10, 28, 9 and 13
+    # Fractions when scales and coordinates were Fractions)
+    def run():
+        v = cli.classify(ring, primes)
+        assert "classical localisation: yes" in v.to_text() and '"generator"' in v.to_json()
+
+    assert count_fractions(run) == 0
 
 
 def test_decompose_matches_brute_force_oracle():
@@ -517,11 +552,12 @@ def test_generator_check_rejects_non_generators():
         for I, x1, y1 in ((Pn, x + 1, y), (Pn, gbar.x, gbar.y), (P2, ell, 0),
                           (Pn, x * (1 + ell), y * (1 + ell)), (Pn, *eps),
                           (Pn, x + Fraction(1, 7), y)):
-            S = make_ideal(order, I.a, I.b, I.scale / 3)
+            S = make_ideal(order, I.a, I.b, Fraction(I.scale) / 3)
             with pytest.raises(AssertionError):
                 quadorder._generator(S, 1, Fraction(x1) / 3, Fraction(y1) / 3)
-        S = make_ideal(order, Pn.a, Pn.b, Pn.scale / 3)
-        assert quadorder._generator(S, 1, g.x / 3, g.y / 3) == is_principal(S)
+        S = make_ideal(order, Pn.a, Pn.b, Fraction(Pn.scale) / 3)
+        h = quadorder._generator(S, 1, Fraction(g.x) / 3, Fraction(g.y) / 3)
+        assert h == is_principal(S)
 
 
 def test_generator_is_canonical_over_the_units():
@@ -529,7 +565,7 @@ def test_generator_is_canonical_over_the_units():
     # from integers and from fractions over a scale; -1 and -3 have 4 and 6
     for P, n, g, _ in split_walks(small_primes(14)):
         J = ideal_pow(P, n)
-        I = make_ideal(P.order, J.a, J.b, J.scale / 3)
+        I = make_ideal(P.order, J.a, J.b, Fraction(J.scale) / 3)
         units = quadorder._unit_multiples(P.order, int(g.x), int(g.y))
         assert len(units) == {-1: 4, -3: 6}.get(P.order.d, 2)
         assert len(set(units)) == len(units)
@@ -537,7 +573,7 @@ def test_generator_is_canonical_over_the_units():
             assert quadorder._generator(P, n, x, y) == g
             assert quadorder._generator(J, 1, Fraction(x), Fraction(y)) == g
             h = quadorder._generator(I, 1, Fraction(x, 3), Fraction(y, 3))
-            assert (h.x, h.y) == (g.x / 3, g.y / 3)
+            assert (h.x, h.y) == (Fraction(g.x) / 3, Fraction(g.y) / 3)
 
 
 def test_class_walk_builds_no_ideal_per_step(monkeypatch):

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import check_read_number
 import uniloc
+from check_read_number import (ALPHABET, DIGITS as DIGIT_SPELLINGS, ENDS, SEPARATORS,
+                               SIGNS, outcome)
 from uniloc.errors import InputError
 from uniloc import elliptic, lcohom, verdict
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, FLAT_ONLY, INFINITE,
@@ -275,13 +278,10 @@ NUMBER_TEXT = st.one_of(
               st.sampled_from(["", " ", "e3", "x"])).map("".join),
     st.text(alphabet="0123456789_.eE+-/ x", max_size=12),
 )
-
-
-def outcome(read, text):
-    try:
-        return read(text)
-    except (InputError, ValueError, ZeroDivisionError) as exc:
-        return type(exc)
+# the spellings of tests/check_read_number.py and short ASCII runs: no
+# exponent reaches 4300
+SHORT_DIGITS = st.one_of(st.sampled_from(DIGIT_SPELLINGS),
+                         st.from_regex(r"[0-9]{1,2}(_[0-9])?", fullmatch=True))
 
 
 class TestReadNumber:
@@ -295,6 +295,24 @@ class TestReadNumber:
             assert int(exponent.group(1)) >= 4300
         else:  # the exponent is small, so Fraction(text) is cheap
             assert got == outcome(Fraction, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(
+        st.tuples(st.sampled_from(SIGNS), SHORT_DIGITS, st.sampled_from(SEPARATORS),
+                  SHORT_DIGITS, st.sampled_from(ENDS)).map("".join),
+        st.text(alphabet=ALPHABET, max_size=4)))
+    def test_fraction_kind_reads_integers_as_ints(self, text):
+        # the value, or the exception type, of Fraction(text); an int only
+        # where int(text) reads the same integer
+        got = outcome(lambda t: read_number(t, "x", Fraction), text)
+        want = outcome(Fraction, text)
+        assert got == want
+        assert type(got) is type(want) or type(got) is int and got == int(text)
+
+    def test_fraction_kind_grid(self, capsys):
+        # the grid tests/check_read_number.py runs under each Python
+        assert check_read_number.main() == 0
+        assert "80500 spellings read as Fraction reads them" in capsys.readouterr().out
 
     def test_digit_runs(self):
         assert read_number("9" * 4300, "x") == 10 ** 4300 - 1
