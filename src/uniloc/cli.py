@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import Verdict, _json_text, check_printable, read_number
+from .verdict import Verdict, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -317,9 +319,39 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 
 # subcommand handlers ---------------------------------------------------------
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), one string per value.
+
+    Every --format json document but a verdict, which writes its own
+    text, prints with it.  The standard library indents through a
+    generator per token, a few microseconds for each integer of a class
+    group's forms or an SNF transform and each node of a closed set; here
+    a list or dict is one join over its items, and an int or str item is
+    written inline.
+    """
+    if isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        items = [repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
+                 else _json_text(v, inner) for v in value]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + (repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
+                    else _json_text(v, inner)) for k, v in sorted(value.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    if type(value) is int:
+        return repr(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)  # bool, None, float, [] and {}
+
+
 def _emit(args, payload_json, payload_text) -> None:
-    if args.format == "json":
-        payload_text = _json_text(payload_json)
+    _print(_json_text(payload_json) if args.format == "json" else payload_text)
+
+
+def _print(payload_text) -> None:
     try:
         print(payload_text)
         sys.stdout.flush()
@@ -349,7 +381,7 @@ def _cmd_catalog_list(args) -> int:
 def _cmd_classify(args) -> int:
     verdict = classify(args.ring, args.prime or "", args.fp or "",
                        args.assert_irreducible)
-    _emit(args, verdict.to_json_dict(), verdict.to_text())
+    _print(verdict.to_json() if args.format == "json" else verdict.to_text())
     return 0 if verdict.rule.conclusive else 4
 
 

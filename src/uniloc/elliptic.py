@@ -295,13 +295,6 @@ class Line:
             parts.append(("- " if num < 0 else ("+ " if parts else "")) + term)
         return " ".join(parts) if parts else "0"
 
-    def to_json(self):
-        return {
-            "form": self.form_str(),
-            "kind": self.kind,
-            "through": [repr(self.base), repr(self.other)],
-        }
-
 
 def _set_line(line: Line, key, kind: str, base: ECPoint, other: ECPoint) -> Line:
     for name, value in (("_k", key), ("kind", kind), ("base", base), ("other", other)):

@@ -18,7 +18,6 @@ anchors.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -52,12 +51,13 @@ _EXPONENT = re.compile(r"[eE][-+]?(%s)" % _DIGIT_RUN)
 def read_number(text: str, what: str, kind=int):
     """kind(text) for kind int or Fraction, bounded before it is built.
 
-    A digit run of more than PRINT_DIGITS digits, and for Fraction an
-    exponent e with 10**|e| past PRINT_DIGITS digits (Fraction builds that
-    power even when the value is small), is an input error.  Within the
-    bounds kind(text) is cheap and reads every spelling as before; its
-    ValueError is left to the caller.  For Fraction, a sign and digits
-    without underscores or whitespace, which int reads alike, give an int.
+    A digit run of more than PRINT_DIGITS digits, and for Fraction text
+    that Fraction reads with an exponent e, 10**|e| past PRINT_DIGITS
+    digits (Fraction builds that power even when the value is small), is
+    an input error.  Within the bounds kind(text) is cheap and reads
+    every spelling as before; its ValueError is left to the caller.  For
+    Fraction, a sign and digits without underscores or whitespace, which
+    int reads alike, give an int.
     """
     if len(text) > PRINT_DIGITS and any(len(run) - run.count("_") > PRINT_DIGITS
                                         for run in _DIGIT_RUNS.findall(text)):
@@ -70,6 +70,12 @@ def read_number(text: str, what: str, kind=int):
         return int(text)
     exponent = _EXPONENT.search(text)
     if exponent and int(exponent.group(1)) >= PRINT_DIGITS:
+        # Fraction reads text exactly when it reads it with each exponent
+        # digit set to 0; that text is cheap to read, and a ValueError is
+        # the one Fraction(text) raises, before any power of 10 is built
+        start, end = exponent.span(1)
+        kind(text[:start] + "".join("_" if c == "_" else "0" for c in text[start:end])
+             + text[end:])
         raise InputError("%s has an exponent of %d or more, too long to print"
                          % (what, PRINT_DIGITS))
     return kind(text)
@@ -97,31 +103,23 @@ def render_ratio(num: int, den: int) -> str:
     return "%d/%d" % (num, den)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), one string per value.
+# Verdict JSON.  The schema is fixed, so each verdict, rule and witness
+# writes its text straight from its layout, as json.dumps(sort_keys=True,
+# indent=2) would: keys in sorted order, strings through
+# encode_basestring_ascii, ints through repr.
 
-    Verdict.to_json and every --format json print with it.  The standard
-    library indents through a generator per token, a few microseconds for
-    each field of a verdict, each integer of a class group's forms or an
-    SNF transform and each node of a closed set; here a list or dict is
-    one join over its items, and an int or str item is written inline.
-    """
-    if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        items = [repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
-                 else _json_text(v, inner) for v in value]
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
-                 + (repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
-                    else _json_text(v, inner)) for k, v in sorted(value.items())]
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
-    if type(value) is int:
-        return repr(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)  # bool, None, float, [] and {}
+
+def _json_list(items, indent: str, write=encode_basestring_ascii) -> str:
+    """The JSON of a list whose closing bracket sits at indent, each item
+    written by write: strs by default, ints with repr."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return "[%s%s\n%s]" % (inner, ("," + inner).join(map(write, items)), indent)
+
+
+def _json_scalar(value) -> str:
+    return repr(value) if type(value) is int else encode_basestring_ascii(value)
 
 
 # the order of a non-torsion element, as every answer prints it
@@ -129,7 +127,9 @@ INFINITE = "infinite"
 
 
 # ---------------------------------------------------------------------------
-# Witness payloads.  One per verdict branch; `kind` tags the JSON form.
+# Witness payloads.  One per verdict branch; `kind` tags the JSON form, and
+# json_text() writes the witness object as it sits under "witness" in a
+# verdict's JSON, its closing brace at indent 2.
 
 
 @record
@@ -144,15 +144,32 @@ class Denominators:
     details: tuple = ()
     kind = "denominators"
 
-    def to_json(self):
-        return {
-            "type": self.kind,
-            "elements": list(self.elements),
-            "details": [dict(d) for d in self.details],
-        }
+    def json_text(self) -> str:
+        return '{\n    "details": %s,\n    "elements": %s,\n    "type": "%s"\n  }' % (
+            _json_list(self.details, "    ", _json_detail), _json_list(self.elements, "    "),
+            self.kind)
 
     def describe(self):
         return "denominators {%s}" % ", ".join(self.elements)
+
+
+def _json_detail(pairs) -> str:
+    """One record of Denominators.details, as an item of "details"."""
+    if not pairs:
+        return "{}"
+    return "{\n        %s\n      }" % ",\n        ".join(
+        [encode_basestring_ascii(key) + ": " + _json_scalar(value)
+         for key, value in sorted(pairs)])
+
+
+def _json_step(step) -> str:
+    """One (line, exponent) step of a line program, as an item of "line_program"."""
+    line, exponent = step
+    return ('{\n        "exponent": %d,\n        "line": {\n          "form": %s,'
+            '\n          "kind": %s,\n          "through": [\n            %s,'
+            '\n            %s\n          ]\n        }\n      }') % (
+        exponent, encode_basestring_ascii(line.form_str()), encode_basestring_ascii(line.kind),
+        encode_basestring_ascii(repr(line.base)), encode_basestring_ascii(repr(line.other)))
 
 
 @record
@@ -169,15 +186,15 @@ class TorsionWitness:
     line_program: tuple = None
     kind = "torsion"
 
-    def to_json(self):
-        out = {"type": self.kind, "order": self.order}
+    def json_text(self) -> str:
+        text = "{\n    "
         if self.class_description:
-            out["class"] = self.class_description
+            text += '"class": %s,\n    ' % encode_basestring_ascii(self.class_description)
         if self.line_program is not None:
-            out["line_program"] = [
-                {"line": line.to_json(), "exponent": e} for line, e in self.line_program
-            ]
-        return out
+            text += '"line_program": %s,\n    ' % _json_list(self.line_program, "    ",
+                                                           _json_step)
+        return text + '"order": %s,\n    "type": "%s"\n  }' % (_json_scalar(self.order),
+                                                                self.kind)
 
     def describe(self):
         if self.order == INFINITE:
@@ -197,8 +214,9 @@ class PrincipalElement:
     element: str
     kind = "principal"
 
-    def to_json(self):
-        return {"type": self.kind, "element": self.element}
+    def json_text(self) -> str:
+        return '{\n    "element": %s,\n    "type": "%s"\n  }' % (
+            encode_basestring_ascii(self.element), self.kind)
 
     def describe(self):
         return "prime is principal, generated by %s" % self.element
@@ -222,16 +240,12 @@ class CohomologyWitness:
     kind = "cohomology"
     box = 3
 
-    def to_json(self):
-        return {
-            "type": self.kind,
-            "algebra": self.algebra,
-            "ideal": list(self.ideal),
-            "degree": self.degree,
-            "multidegree": list(self.multidegree),
-            "box": self.box,
-            "steps": list(self.steps),
-        }
+    def json_text(self) -> str:
+        return ('{\n    "algebra": %s,\n    "box": %d,\n    "degree": %d,\n    "ideal": %s,'
+                '\n    "multidegree": %s,\n    "steps": %s,\n    "type": "%s"\n  }') % (
+            encode_basestring_ascii(self.algebra), self.box, self.degree,
+            _json_list(self.ideal, "    "), _json_list(self.multidegree, "    ", repr),
+            _json_list(self.steps, "    "), self.kind)
 
     def describe(self):
         return "H^%d of (%s) over %s is nonzero in multidegree %s" % (
@@ -250,14 +264,20 @@ class HeightViolation:
     height: int
     kind = "height-violation"
 
-    def to_json(self):
-        return {"type": self.kind, "prime": self.prime, "height": self.height}
+    def json_text(self) -> str:
+        return '{\n    "height": %d,\n    "prime": %s,\n    "type": "%s"\n  }' % (
+            self.height, encode_basestring_ascii(self.prime), self.kind)
 
     def describe(self):
         return "minimal prime %s of V has height %d > 1" % (self.prime, self.height)
 
 
 # ---------------------------------------------------------------------------
+
+
+# the keys of every verdict's JSON, sorted
+VERDICT_KEYS = ("citations", "classical", "flat", "notes", "prime", "ring", "schema",
+                "universal", "witness")
 
 
 @record
@@ -275,26 +295,29 @@ class Verdict:
     notes: tuple = ()
     extra: tuple = ()  # ring-family JSON fields, e.g. ("torsion", 6)
 
-    def to_json_dict(self):
-        out = {
-            "schema": 1,
-            "ring": self.ring_id,
-            "prime": self.prime_description,
-            "flat": self.rule.flat,
-            "universal": self.rule.universal,
-            "classical": self.rule.classical,
-            "witness": self.witness.to_json() if self.witness is not None else None,
-            "citations": list(self.rule.citations),
-            "notes": list(self.notes),
-        }
-        for key, value in self.extra:
-            if key in out:
-                raise InputError("extra field %r collides with the schema" % (key,))
-            out[key] = value
-        return out
-
     def to_json(self) -> str:
-        return _json_text(self.to_json_dict())
+        """json.dumps(..., sort_keys=True, indent=2) of the verdict's fields.
+
+        The keys of VERDICT_KEYS in their sorted order, the rule's entries
+        written when it was built, and each extra field merged in at its
+        sorted place; an extra value is an int or a str.
+        """
+        rule, witness = self.rule, self.witness
+        entries = [*rule._json_answers,
+                   '"notes": ' + _json_list(self.notes, "  "),
+                   '"prime": ' + encode_basestring_ascii(self.prime_description),
+                   '"ring": ' + encode_basestring_ascii(self.ring_id),
+                   '"schema": 1', rule._json_universal,
+                   '"witness": ' + ("null" if witness is None else witness.json_text())]
+        if self.extra:
+            keys = list(VERDICT_KEYS)
+            for key, value in self.extra:
+                if key in keys:
+                    raise InputError("extra field %r collides with the schema" % (key,))
+                at = sum(k < key for k in keys)
+                keys.insert(at, key)
+                entries.insert(at, encode_basestring_ascii(key) + ": " + _json_scalar(value))
+        return "{\n  %s\n}" % ",\n  ".join(entries)
 
     def to_text(self) -> str:
         lines = [
@@ -423,6 +446,12 @@ class Rule:
         if self.universal == NO and self.classical != NO:
             raise InputError("universal=no requires classical=no")
         object.__setattr__(self, "citations", check_citations(self.citations))
+        # the verdict JSON entries the rule fixes, written once: every rule is
+        # built at import.  Attributes, not fields: equality reads the fields
+        object.__setattr__(self, "_json_answers", (
+            '"citations": ' + _json_list(self.citations, "  "),
+            '"classical": "%s"' % self.classical, '"flat": "%s"' % self.flat))
+        object.__setattr__(self, "_json_universal", '"universal": "%s"' % self.universal)
 
     @property
     def conclusive(self) -> bool:

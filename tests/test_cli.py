@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
 from uniloc import abgroup, elliptic, lcohom, quadorder, segre, spectool
-from uniloc.cli import FAMILIES, classify, main
-from uniloc.verdict import _json_text
+from uniloc.cli import FAMILIES, _json_text, classify, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.with_name("bench") / "tracing.py"
@@ -214,6 +213,13 @@ class TestInputBounds:
         (("classify", "--ring", "segre", "--fp", "S0^{0}*S0^{0}*T0 + S1^{0}*S1^{0}*T1"
           .format("9" * 4300)),
          "an S or T degree of f has an integer of more than 4300 digits, too long to print"),
+        (("classify", "--ring", "ell:1e7188,1", "--prime", "0,1"),
+         "a rational number has an exponent of 4300 or more, too long to print"),
+        # no mantissa: not a number Fraction reads, whatever the exponent
+        (("classify", "--ring", "ell:e7188,1", "--prime", "0,1"),
+         "cannot read 'e7188' as a rational number"),
+        (("classify", "--ring", "ell:e718,1", "--prime", "0,1"),
+         "cannot read 'e718' as a rational number"),
     ])
     def test_refused(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -12,7 +13,7 @@ from uniloc.elliptic import (ECPoint, Line, ModelNotIntegral, O, WeierstrassCurv
                              formal_line_divisor, line_through, miller_function,
                              mul, negate, torsion_order, vertical_at)
 from uniloc.errors import FrozenInstanceError, InputError
-from uniloc.verdict import INFINITE
+from uniloc.verdict import INFINITE, TorsionWitness
 
 E_MINUS_X = WeierstrassCurve(-1, 0)        # y^2 = x^3 - x
 E_PLUS_1 = WeierstrassCurve(0, 1)          # y^2 = x^3 + 1
@@ -294,9 +295,11 @@ class TestLines:
             line_through(E_PLUS_1, O, pt(2, 3))
 
     def test_to_json(self):
-        j = vertical_at(E_PLUS_1, pt(2, 3)).to_json()
-        assert j == {"form": "X - 2*Z", "kind": "vertical",
-                     "through": ["(2, 3)", "(2, -3)"]}
+        # a line is written by the torsion witness whose program holds it
+        step = TorsionWitness(2, "", ((vertical_at(E_PLUS_1, pt(2, 3)), 1),))
+        assert json.loads(step.json_text())["line_program"] == [
+            {"exponent": 1, "line": {"form": "X - 2*Z", "kind": "vertical",
+                                     "through": ["(2, 3)", "(2, -3)"]}}]
 
 
 class TestFormalDivisors:
@@ -601,7 +604,7 @@ class TestClassifyPoint:
     def test_overrides_and_json(self):
         # the ids come from the curve and the point: the classifier takes only those
         v = classify_point(E_PLUS_1, pt(2, 3))
-        d = v.to_json_dict()
+        d = json.loads(v.to_json())
         assert d["ring"] == "ell:0,1"
         assert d["prime"] == "(2, 3)"
         assert d["torsion"] == 6

@@ -1,7 +1,11 @@
 import ast
+import contextlib
 import importlib
+import io
+import itertools
 import json
 import pkgutil
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -12,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import check_read_number
 import uniloc
+from oracles import ELL_CURVES, ec_multiples_brute
 from check_read_number import (ALPHABET, DIGITS as DIGIT_SPELLINGS, ENDS, SEPARATORS,
                                SIGNS, outcome)
-from uniloc.errors import InputError
-from uniloc import elliptic, lcohom, verdict
+from uniloc.errors import InputError, UnilocError
+from uniloc import cli, elliptic, lcohom, quadorder, verdict
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, FLAT_ONLY, INFINITE,
-                            UNDECIDED, CohomologyWitness, Denominators, HeightViolation,
-                            PrincipalElement, Rule, TorsionWitness, Verdict,
+                            UNDECIDED, VERDICT_KEYS, CohomologyWitness, Denominators,
+                            HeightViolation, PrincipalElement, Rule, TorsionWitness, Verdict,
                             check_citations, read_number, render_ratio,
                             render_rational)
 
@@ -123,7 +128,7 @@ class TestWitnesses:
         w = Denominators(("2", "3"), ((("prime", "p2"), ("class_order", 2),
                                        ("generator", "2")),))
         assert w.describe() == "denominators {2, 3}"
-        j = w.to_json()
+        j = json.loads(w.json_text())
         assert j["type"] == "denominators"
         assert j["elements"] == ["2", "3"]
         assert j["details"] == [{"prime": "p2", "class_order": 2,
@@ -132,22 +137,22 @@ class TestWitnesses:
     def test_torsion(self):
         w = TorsionWitness(6, "(point (2, 3), degree 1 mod 3)")
         assert w.describe() == "class has order 6"
-        assert w.to_json() == {"type": "torsion", "order": 6,
-                               "class": "(point (2, 3), degree 1 mod 3)"}
+        assert json.loads(w.json_text()) == {"type": "torsion", "order": 6,
+                                             "class": "(point (2, 3), degree 1 mod 3)"}
         inf = TorsionWitness(INFINITE, "rho = +1")
         assert inf.describe() == "class is non-torsion (rho = +1)"
-        assert inf.to_json()["order"] == "infinite"
+        assert json.loads(inf.json_text())["order"] == "infinite"
 
     def test_principal(self):
         w = PrincipalElement("X + U")
         assert w.describe() == "prime is principal, generated by X + U"
-        assert w.to_json() == {"type": "principal", "element": "X + U"}
+        assert json.loads(w.json_text()) == {"type": "principal", "element": "X + U"}
 
     def test_cohomology(self):
         w = CohomologyWitness("k[X,Y,U]/(XU)", ("X", "Y"), 2, (-1, -1, 0),
                               ("step one",))
         assert "H^2 of (X, Y) over k[X,Y,U]/(XU)" in w.describe()
-        j = w.to_json()
+        j = json.loads(w.json_text())
         assert j["multidegree"] == [-1, -1, 0]
         assert j["steps"] == ["step one"]
         assert j["box"] == 3
@@ -155,15 +160,15 @@ class TestWitnesses:
     def test_height_violation(self):
         w = HeightViolation("(X, Y, U)", 2)
         assert w.describe() == "minimal prime (X, Y, U) of V has height 2 > 1"
-        assert w.to_json() == {"type": "height-violation",
-                               "prime": "(X, Y, U)", "height": 2}
+        assert json.loads(w.json_text()) == {"type": "height-violation",
+                                             "prime": "(X, Y, U)", "height": 2}
 
 
 class TestSerialization:
     def test_json_schema(self):
         v = make("yes", "yes", "yes", witness=PrincipalElement("t"),
                  notes=("a note",))
-        d = v.to_json_dict()
+        d = json.loads(v.to_json())
         assert d == {
             "schema": 1, "ring": "r", "prime": "p",
             "flat": "yes", "universal": "yes", "classical": "yes",
@@ -171,8 +176,6 @@ class TestSerialization:
             "citations": ["flat-universal-classical-hierarchy"],
             "notes": ["a note"],
         }
-        parsed = json.loads(v.to_json())
-        assert parsed == d
 
     def test_json_is_sorted_and_indented(self):
         text = make("yes", "yes", "yes").to_json()
@@ -182,10 +185,10 @@ class TestSerialization:
 
     def test_extra_fields(self):
         v = make("yes", "yes", "yes", extra=(("torsion", 6),))
-        assert v.to_json_dict()["torsion"] == 6
+        assert json.loads(v.to_json())["torsion"] == 6
         clash = make("yes", "yes", "yes", extra=(("ring", "x"),))
         with pytest.raises(InputError):
-            clash.to_json_dict()
+            clash.to_json()
 
     def test_to_text(self):
         v = make("yes", "yes", "yes",
@@ -209,6 +212,171 @@ class TestSerialization:
         assert "witness:" not in text
         assert "citations:" not in text
         assert "note: outside the decision rules" in text
+
+
+def canonical(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+
+GOLDEN = json.loads((Path(__file__).with_name("golden_verdicts.json")).read_text())
+
+# integral short Weierstrass models with a point of order 4, 5, 7, 8, 9, 10
+# and 12: Tate's normal form at a small parameter, moved to y^2 = x^3 + Ax + B
+# with integer A, B; the multiples of these points and of oracles.ELL_CURVES
+# (orders 2, 6, 7 and infinite) reach every order of Mazur's list
+TORSION_CURVES = (
+    (-11, 6, (-1, -4)),
+    (-432, 8208, (-12, -108)),
+    (-43, 166, (-5, -16)),
+    (-44091, 3304854, (-141, -2592)),
+    (-219, 1654, (-13, -48)),
+    (-5806107, -1176975306, (-357, -29160)),
+    (-33339627, 73697852646, (3027, -22680)),
+)
+
+
+def ell_draws():
+    """(ring, prime) for O and the first 12 multiples of each stock point,
+    on its integral model and on the models scaled by u = 2 and 3."""
+    for a, b, P in TORSION_CURVES + ELL_CURVES:
+        for Q in ec_multiples_brute(a, b, (Fraction(P[0]), Fraction(P[1])), 12):
+            for u in (1, 2, 3):
+                prime = "O" if Q is None else "%s,%s" % (Q[0] / u ** 2, Q[1] / u ** 3)
+                yield "ell:%s,%s" % (Fraction(a, u ** 4), Fraction(b, u ** 6)), prime
+
+
+def quad_draws(rng, count=60):
+    """quad:d with one prime, two primes or a conjugate, and the inert p29
+    of quad:-6681."""
+    yield "quad:-6681", "p29"
+    for _ in range(count):
+        d = -rng.randint(1, 3000)
+        ells = rng.sample((2, 3, 5, 7, 11, 13, 17, 19, 23), 2)
+        yield "quad:%d" % d, rng.choice(("p%d" % ells[0], "p%d,p%d" % tuple(ells),
+                                         "p%d,p%dbar" % (ells[0], ells[0])))
+
+
+def segre_draws(rng, per_bidegree=4):
+    """segre: every coordinate subset, linear pairs, and f of every bidegree up
+    to (3, 3) with small random coefficients."""
+    names = ("X", "Y", "U", "V")
+    for size in range(1, 5):
+        for subset in itertools.combinations(names, size):
+            yield "segre", "(%s)" % ",".join(subset), "", False
+    for d in range(4):
+        for e in range(4):
+            for _ in range(per_bidegree if d or e else 0):
+                terms = ["%d*S0^%d*S1^%d*T0^%d*T1^%d" % (rng.choice((-3, -1, 1, 2, 5)), i,
+                                                         d - i, j, e - j)
+                         for i in range(d + 1) for j in range(e + 1) if rng.random() < 0.6]
+                yield "segre", "", " + ".join(terms) or "S0", d + e > 2
+
+
+class TestJsonLayout:
+    """A verdict writes its JSON straight from its layout: the bytes that
+    json.dumps(sort_keys=True, indent=2) gives for the same document."""
+
+    def check(self, ring, prime="", fp="", asserted=False):
+        try:
+            v = cli.classify(ring, prime, fp, asserted)
+        except UnilocError:
+            return None
+        text = v.to_json()
+        assert text == canonical(text), (ring, prime, fp)
+        return v
+
+    def test_golden_corpus(self):
+        argvs = {tuple(c["argv"]) for c in GOLDEN if c["argv"][0] == "classify"}
+        parser = cli.build_parser()
+        verdicts = 0
+        for argv in sorted(argvs):
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    args = parser.parse_args(list(argv))
+            except SystemExit:  # the recorded argparse refusals
+                continue
+            verdicts += self.check(args.ring, args.prime or "", args.fp or "",
+                                   args.assert_irreducible) is not None
+        assert verdicts == 84  # 152 classify calls, text and JSON
+
+    def test_seeded_draws(self):
+        rng = random.Random(25)
+        kinds, orders = set(), set()
+        draws = [(ring, prime, "", False) for ring, prime in itertools.chain(
+            ell_draws(), quad_draws(rng))]
+        draws += segre_draws(rng)
+        for ring in ("twoplanes", "dim3hyper"):
+            names = ("X", "Y", "U") if ring == "twoplanes" else ("X", "Y", "U", "V")
+            draws += [(ring, ",".join(subset), "", False) for size in range(1, len(names) + 1)
+                      for subset in itertools.combinations(names, size)]
+        for draw in draws:
+            v = self.check(*draw)
+            if v is not None:
+                kinds.add(v.witness and v.witness.kind)
+                if v.witness and v.witness.kind == "torsion":
+                    orders.add(v.witness.order)
+        assert kinds == {None, "denominators", "torsion", "principal", "cohomology",
+                         "height-violation"}
+        assert orders == set(range(1, 11)) | {12, INFINITE}
+
+    def test_edge_cases(self):
+        rich = ("é\n\"\\  ", "", "tab\there")
+        verdicts = [
+            UNDECIDED("r", "p"),  # no witness, no notes, no citations
+            make("yes", "yes", "yes", witness=Denominators(("X",))),  # no details
+            make("yes", "yes", "yes", witness=Denominators((), ())),
+            make("yes", "yes", "yes",
+                 witness=Denominators(rich, ((), (("z", -1), ("a", "é"))))),
+            make("yes", "no", "no", witness=TorsionWitness(INFINITE)),  # no class
+            make("yes", "yes", "yes", witness=TorsionWitness(1, "c", ()), notes=rich),
+            make("no", "no", "no", witness=CohomologyWitness("A", (), 0, (), ())),
+            make("no", "no", "no", witness=HeightViolation(rich[0], 10 ** 40)),
+            make("yes", "yes", "yes", witness=PrincipalElement(rich[0]), notes=("",)),
+            # extra fields go to their sorted place, before, between and after
+            make("yes", "yes", "yes", extra=(("torsion", 6), ("a", "x"), ("zz", -1),
+                                             ("flat2", INFINITE), ("", 0))),
+            Rule("no", "no", "no", tuple(CITATIONS))(rich[0], rich[2]),
+            quadorder.classify_dedekind(quadorder.QuadOrder(-5), []),  # V empty
+        ]
+        for v in verdicts:
+            assert v.to_json() == canonical(v.to_json()), v
+        keys = list(json.loads(verdicts[-3].to_json()))
+        assert keys == ["", "a", "citations", "classical", "flat", "flat2", "notes", "prime",
+                        "ring", "schema", "torsion", "universal", "witness", "zz"]
+        for key in VERDICT_KEYS + ("torsion",):
+            with pytest.raises(InputError, match="collides with the schema"):
+                make("yes", "yes", "yes", extra=(("torsion", 1), (key, 1))).to_json()
+
+    @pytest.mark.parametrize("ring, prime, fp, kind", [
+        ("quad:-5", "p2,p3", "", "denominators"),
+        ("twoplanes", "X", "", "denominators"),
+        ("ell:0,1", "2,3", "", "torsion"),
+        ("ell:0,-4", "2,2", "", "torsion"),
+        ("segre", "", "S0*T0^2 + S1*T1^2", "torsion"),
+        ("segre", "", "S0*T0 + S1*T1", "principal"),
+        ("twoplanes", "X,Y", "", "cohomology"),
+        ("dim3hyper", "X,Y,U,V", "", "height-violation"),
+        ("ell:0,1/64", "1/2,3/8", "", None),
+    ])
+    def test_generic_printer_not_called(self, monkeypatch, ring, prime, fp, kind):
+        # classify, both printers and both CLI formats: 0 calls of the
+        # generic document printer, which every other --format json uses
+        calls = []
+        printer = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or printer(*a))
+        v = cli.classify(ring, prime, fp)
+        assert (v.witness and v.witness.kind) == kind
+        v.to_text(), v.to_json()
+        argv = ["classify", "--ring", ring] + (["--prime=" + prime] if prime else []) + \
+            (["--fp", fp] if fp else [])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            for fmt in ("text", "json"):
+                cli.main(argv + ["--format", fmt])
+        assert v.to_json() + "\n" in out.getvalue()
+        assert calls == []
+        with contextlib.redirect_stdout(io.StringIO()):  # the counter counts
+            cli.main(["catalog", "list", "--format", "json"])
+        assert calls
 
 
 def all_rules():
@@ -312,7 +480,10 @@ class TestReadNumber:
     def test_fraction_kind_grid(self, capsys):
         # the grid tests/check_read_number.py runs under each Python
         assert check_read_number.main() == 0
-        assert "80500 spellings read as Fraction reads them" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "80500 spellings read as Fraction reads them" in out
+        assert "3250 spellings with an exponent of 4300 or more: refused exactly " \
+               "where Fraction reads them" in out
 
     def test_digit_runs(self):
         assert read_number("9" * 4300, "x") == 10 ** 4300 - 1
@@ -333,3 +504,7 @@ class TestReadNumber:
                 read_number(text, "x", Fraction)
         with pytest.raises(ValueError):  # int() reads no exponent
             read_number("1e99999", "x")
+        # the bound falls only on text Fraction reads: a mantissa before the "e"
+        for text in ("e7188", "x1e7188", "1/2e7188", "1e7188x", ".e7188"):
+            with pytest.raises(ValueError):
+                read_number(text, "x", Fraction)
