@@ -17,9 +17,12 @@ depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
 of the sign patterns finds a witness degree or proves H^i = 0.  Every
 piece is zero unless the negative coordinates are generators of I and
 the support {j : a_j != 0} is a face, and every dim is zero when a
-generator has a positive coordinate (see _nonzero_patterns).  So the scan
-builds at most 2^m patterns, drops the non-faces, and computes ranks
-once per distinct complex.
+generator has a positive coordinate (see _scan).  A free variable, in
+no relation and not a generator, splits off as a flat tensor factor:
+its sign -1 gives zero and its signs 0 and +1 give the same dim (see
+_templates).  So for f free variables the scan builds at most 2^(m - f)
+patterns, drops the non-faces, and computes ranks once per distinct
+complex.
 
 Sets of variables are int masks: an algebra gives variable j the bit
 1 << (m - 1 - j) and keeps one mask per relation, so a face test is
@@ -33,8 +36,8 @@ at the end of the module.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
-from math import gcd
+from itertools import chain, combinations, compress, product
+from math import gcd, prod
 
 from .errors import InputError, record
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
@@ -46,6 +49,12 @@ ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable cou
 # a table of 200 000 rows takes 0.64-0.68 s and one of 300 000 rows 0.87-1.04 s,
 # in text and in JSON (median of 3); 1 s is the budget per call.
 CECH_ROWS_BOUND = 200_000
+# the most variables the sign-pattern scan takes once the free variables
+# are split off.  The scan builds up to 2^m candidates for m of them, each
+# its own complex when every variable is a generator: with --i 1, as a
+# fresh process on a shared 2-core host (median of 3), 12, 14, 15 and 16
+# such variables take 0.13, 0.31, 0.44 and 0.98 s; 1 s is the budget.
+CECH_SCAN_BOUND = 15
 
 
 @record
@@ -176,28 +185,57 @@ def kill_variable(A: MonomialAlgebra, name: str) -> MonomialAlgebra:
 
 # the complex ---------------------------------------------------------------
 
-def _differential(A: MonomialAlgebra, gens, k, a):
-    """Matrix of C^k -> C^{k+1} in multidegree a (rows: targets)."""
-    bits = [A.bits[g] for g in gens]
-    neg = A.mask(v for v, x in zip(A.variables, a) if x < 0)
-    pos = A.mask(v for v, x in zip(A.variables, a) if x > 0)
+def _pieces(A: MonomialAlgebra, gens, a):
+    """(bits, pieces) in multidegree a: the bits of the generators in
+    variable order, and pieces(k), the masks of the k-subsets W of the
+    generators with (A_W)_a nonzero.
+
+    With N and P the masks of the negative and the positive coordinates,
+    W must hold N, and no relation r may lie in W | P, that is no r & ~P
+    in W.  So W is N with a set C of the other generators, and the test
+    is that no reduced relation r & ~(N | P) lies in C; a relation with a
+    bit outside the generators and P lies in no W.
+    """
+    try:
+        bits = sorted(map(A.bits.__getitem__, gens), reverse=True)  # variable order
+    except KeyError as missing:
+        raise InputError("unknown variable %r" % missing.args) from None
+    # the bits of the j with 0 > a_j and of those with 0 < a_j
+    neg = sum(compress(A.bits.values(), map((0).__gt__, a)))
+    pos = sum(compress(A.bits.values(), map((0).__lt__, a)))
+    span = sum(bits)
+    rels = [r & ~(neg | pos) for r in A.relation_masks if not r & ~(span | pos)]
+    if neg & ~span or 0 in rels:
+        return bits, lambda k: []  # no W holds N, or every W | P holds a relation
+    rest = [b for b in bits if not b & neg]
+    n = len(bits) - len(rest)
 
     def pieces(k):
-        # the k-subsets W of the generators with (A_W)_a nonzero
-        return [w for w in map(sum, combinations(bits, k))
-                if neg & w == neg and A.is_face_mask(w | pos)] if k >= 0 else []
+        return [neg | c for c in map(sum, combinations(rest, k - n))
+                if not any(r & c == r for r in rels)] if k >= n else []
+    return bits, pieces
 
-    sources = pieces(k)
-    targets = {w: row for row, w in enumerate(pieces(k + 1))}
+
+def _matrix(bits, sources, targets):
+    """Matrix of the differential from the pieces sources to the pieces
+    targets one degree up (rows: targets)."""
+    rows = {w: row for row, w in enumerate(targets)}
     mat = [[0] * len(sources) for _ in targets]
     for col, w in enumerate(sources):
         sign = 1  # W -> W + g has the sign (-1)^|{h in W : h before g}|
         for b in bits:
             if w & b:
                 sign = -sign
-            elif w | b in targets:
-                mat[targets[w | b]][col] = sign
-    return mat, len(sources), len(targets)
+            elif w | b in rows:
+                mat[rows[w | b]][col] = sign
+    return mat
+
+
+def _differential(A: MonomialAlgebra, gens, k, a):
+    """Matrix of C^k -> C^{k+1} in multidegree a (rows: targets)."""
+    bits, pieces = _pieces(A, gens, a)
+    sources, targets = pieces(k), pieces(k + 1)
+    return _matrix(bits, sources, targets), len(sources), len(targets)
 
 
 def _rank(mat) -> int:
@@ -224,14 +262,16 @@ def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
     """Dimension over Q of the degree-a piece of H^i_I(A)."""
     if i < 0:
         raise InputError("cohomological degree must be >= 0")
-    a = tuple(int(x) for x in a)
+    a = tuple(map(int, a))
     if len(a) != len(A.variables):
         raise InputError("multidegree length mismatch")
-    gens = VariableIdeal.of(A, I.generators).generators
-    if i > len(gens):
+    bits, pieces = _pieces(A, I.generators, a)
+    here = pieces(i)
+    if not here:
         return 0
-    dout, pieces, _ = _differential(A, gens, i, a)
-    return pieces - _rank(dout) - _rank(_differential(A, gens, i - 1, a)[0])
+    up, down = pieces(i + 1), pieces(i - 1)
+    return (len(here) - (_rank(_matrix(bits, here, up)) if up else 0)
+            - (_rank(_matrix(bits, down, here)) if down else 0))
 
 
 @record
@@ -269,7 +309,7 @@ def _keyed_candidates(A: MonomialAlgebra, I: VariableIdeal):
             yield (neg, reduced), neg, pos
 
 
-def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
+def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order.
 
     The scan order is the zero vector, then the rest of {-1,0,1}^m in
@@ -303,11 +343,59 @@ def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
             yield s, dims[key]
 
 
+def _templates(A: MonomialAlgebra, I: VariableIdeal, i: int):
+    """Yield (template, dim) for each nonzero pattern of A', A without its
+    free variables, in the scan order of A': the pattern with None at
+    each free position of A.
+
+    A variable is free when it lies in no relation and is not a generator.
+    Then A = A' (x) k[free variables] with I extended from A', a flat
+    extension, so H^i_I(A) = H^i_I(A') (x) k[free variables]
+    (Brodmann-Sharp, Local Cohomology, 4.3.2).  In a free coordinate the
+    sign -1 gives zero and the signs 0 and +1 give the dim of A' at the
+    other coordinates, so the scan takes 2^(m - f) candidates for f free
+    variables, not 2^m.  Raises InputError when A' has more than
+    CECH_SCAN_BOUND variables, before any candidate is built.
+    """
+    used = A.mask(I.generators)
+    for r in A.relation_masks:
+        used |= r
+    free = [j for j, b in enumerate(A.bits.values()) if not b & used]
+    if free:
+        A = MonomialAlgebra(tuple(v for v, b in A.bits.items() if b & used), A.relations)
+    if len(A.variables) > CECH_SCAN_BOUND:
+        raise InputError("the sign-pattern scan over %d variables in a relation or the "
+                         "ideal is past lcohom.CECH_SCAN_BOUND = %d"
+                         % (len(A.variables), CECH_SCAN_BOUND))
+    for s, d in _scan(A, I, i):
+        for j in free:
+            s = s[:j] + (None,) + s[j:]
+        yield s, d
+
+
+def _expand(template, ranges):
+    """The degrees of a template, each coordinate running over ranges[sign]."""
+    return product(*(ranges[x] for x in template))
+
+
+def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
+    """The (sign pattern, dim) pairs with cech_dim > 0, in the scan order
+    of all 3^m patterns: the zero vector first, then the rest in
+    lexicographic order.  Each template of A' expands over the signs 0
+    and +1 of every free coordinate."""
+    signs = {-1: (-1,), 0: (0,), 1: (1,), None: (0, 1)}
+    found = [(s, d) for t, d in _templates(A, I, i) for s in _expand(t, signs)]
+    return sorted(found, key=lambda p: (any(p[0]), p[0]))
+
+
 def _outcome(first, A: MonomialAlgebra, i: int, box: int) -> NonvanishOutcome:
     if first is None:
         return NonvanishOutcome(None, 0, "all %d sign patterns of the multidegree give "
                                 "zero: H^%d is identically zero" % (3 ** len(A.variables), i))
-    return NonvanishOutcome(*first, "witness found inside box %d" % box)
+    # the first nonzero pattern is 0 at each free position: +1 comes later
+    template, dim = first
+    witness = tuple(0 if x is None else x for x in template)
+    return NonvanishOutcome(witness, dim, "witness found inside box %d" % box)
 
 
 def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
@@ -317,27 +405,29 @@ def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
     it lies in every box, and box only appears in the note."""
     if box < 1:
         raise InputError("box must be >= 1")
-    return _outcome(next(_nonzero_patterns(A, I, i), None), A, i, box)
+    return _outcome(next(_templates(A, I, i), None), A, i, box)
 
 
 def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
     """The certify_nonvanishing outcome and the (degree, dim) pairs of the
     nonzero dims of H^i_I(A) with |a_j| <= box, from one scan of the sign
-    patterns: each nonzero pattern is expanded over the box.  A degree is
+    patterns: each nonzero template is expanded over the box.  A degree is
     the tuple of its coordinates' decimal strings, which `cech` joins into
     its keys; each string is made once per call, not once per degree."""
     if box < 1:
         raise InputError("box must be >= 1")
-    found = list(_nonzero_patterns(A, I, i))
-    # a pattern with k nonzero signs expands to box^k degrees
-    if sum(box ** sum(map(abs, s)) for s, _ in found) > CECH_ROWS_BOUND:
+    found = list(_templates(A, I, i))
+    # a template with k nonzero signs and f free ones expands to
+    # box^k (1 + box)^f degrees; the rows are counted before any is built
+    size = {-1: box, 0: 1, 1: box, None: 1 + box}
+    if sum(prod(size[x] for x in t) for t, _ in found) > CECH_ROWS_BOUND:
         raise InputError("the table for --box %d has more than lcohom.CECH_ROWS_BOUND = %d "
                          "rows" % (box, CECH_ROWS_BOUND))
-    ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1)}
+    ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1), None: range(box + 1)}
     # only the signs that occur: a nonzero one bounds box by the row count
     ranges = {x: tuple(map(str, r)) for x, r in ranges.items()
-              if any(x in s for s, _ in found)}
-    table = ((a, d) for s, d in found for a in product(*(ranges[x] for x in s)))
+              if any(x in t for t, _ in found)}
+    table = ((a, d) for t, d in found for a in _expand(t, ranges))
     return _outcome(found[0] if found else None, A, i, box), table
 
 

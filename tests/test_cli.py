@@ -678,6 +678,17 @@ class TestCech:
         # shapes (which of X, Y are negative): one cech_dim call per shape
         assert len(calls) == 4
 
+    def test_scan_bound_refused(self, capsys):
+        # the free variable w does not count; the generators do
+        names = ["v%d" % j for j in range(lcohom.CECH_SCAN_BOUND + 1)]
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "cech", "--vars", ",".join(names + ["w"]), "--ideal",
+                                 ",".join(names), "--i", "1", "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == ("input error: the sign-pattern scan over %d variables in a relation "
+                           "or the ideal is past lcohom.CECH_SCAN_BOUND = %d\n"
+                           % (len(names), lcohom.CECH_SCAN_BOUND))
+
 
 class TestSnf:
     def test_small_matrix(self, capsys, tmp_path):
@@ -977,13 +988,15 @@ class TestFuzz:
         assert main_quietly(["spec", "enumerate", "--poset", str(poset)]) in (0, 2, 3, 4)
 
     @settings(max_examples=150, deadline=None)
-    @given(variables=st.lists(NAMES, max_size=4),
+    @given(variables=st.lists(NAMES, max_size=4), free=st.integers(0, 20),
            rel=st.lists(st.lists(NAMES, max_size=3), max_size=3),
            ideal=st.lists(NAMES, max_size=4),
            i=st.integers(-2, 5),
            box=st.integers(-1, 3) | st.sampled_from([10 ** 6, 10 ** 11, 2 ** 64]),
            star=st.booleans(), fmt=st.sampled_from(["text", "json"]))
-    def test_cech(self, variables, rel, ideal, i, box, star, fmt):
+    def test_cech(self, variables, free, rel, ideal, i, box, star, fmt):
+        # up to 24 variables, most of them free: in no relation and no generator
+        variables = variables + ["W%d" % k for k in range(free)]
         argv = ["cech", "--vars=" + ",".join(variables),
                 "--rel=" + ",".join(("*" if star else "").join(r) for r in rel),
                 "--ideal=" + ",".join(ideal), "--i=%d" % i, "--box=%d" % box,

@@ -7,9 +7,9 @@ from oracles import (first_shell_witness, nonzero_patterns_brute, piece_key_brut
                      rank_by_fractions)
 from uniloc import lcohom
 from uniloc.errors import InputError
-from uniloc.lcohom import (ENUM_VARIABLE_BOUND, MonomialAlgebra,
-                           VariableIdeal, _differential, _keyed_candidates,
-                           _nonzero_patterns, _rank,
+from uniloc.lcohom import (CECH_ROWS_BOUND, CECH_SCAN_BOUND, ENUM_VARIABLE_BOUND,
+                           MonomialAlgebra, VariableIdeal, _differential,
+                           _keyed_candidates, _nonzero_patterns, _pieces, _rank,
                            cech_dim, cech_table, certify_nonvanishing,
                            classify_dim3hyper, classify_twoplanes,
                            is_variable_prime, kill_variable, prime_height)
@@ -43,6 +43,22 @@ def random_algebra(rng, max_vars=5, max_relations=3):
             continue
         relations.append(r)
     return MonomialAlgebra.make(variables, relations)
+
+
+def with_free_variables(rng, A, count):
+    """A with count new variables, in no relation, at random positions."""
+    variables = list(A.variables)
+    for k in range(count):
+        variables.insert(rng.randint(0, len(variables)), "y%d" % k)
+    return MonomialAlgebra.make(variables, A.relations)
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call of the module-global lcohom.<name>."""
+    calls = []
+    real = getattr(lcohom, name)
+    monkeypatch.setattr(lcohom, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 class TestAlgebra:
@@ -172,6 +188,20 @@ class TestCechDim:
                 assert cech_dim(A, I, m, a) == expected, (m, a)
                 for i in range(m):
                     assert cech_dim(A, I, i, a) == 0, (m, i, a)
+
+    def test_pieces_match_the_piece_rule(self):
+        # the masks of pieces(k) are the k-subsets W with (A_W)_a nonzero
+        rng = random.Random(1515)
+        for _ in range(150):
+            A = random_algebra(rng, max_vars=6, max_relations=4)
+            gens = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, len(A.variables))))
+            a = tuple(rng.randint(-2, 2) for _ in A.variables)
+            bits, pieces = _pieces(A, gens.generators, a)
+            assert bits == [A.bits[g] for g in gens.generators]
+            for k in range(-1, len(gens.generators) + 2):
+                want = {A.mask(W) for W in combinations(gens.generators, k)
+                        if piece_nonzero_local(A, W, a)} if k >= 0 else set()
+                assert sorted(pieces(k)) == sorted(want), (A, gens, a, k)
 
     def test_differential_squares_to_zero(self):
         rng = random.Random(1212)
@@ -372,6 +402,77 @@ class TestCertify:
         I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
         assert list(_nonzero_patterns(A, I, 1)) == []
         assert len(calls) == 1024
+
+    def test_free_variables_match_full_scan(self):
+        # free variables, in no relation and not generators, added at random
+        # positions: the scan of the rest expands to the 3^m oracle scan
+        rng = random.Random(6161)
+        found = empty = 0
+        for _ in range(30):
+            A = with_free_variables(rng, random_algebra(rng, max_vars=4), rng.randint(1, 3))
+            m = len(A.variables)
+            core = [v for v in A.variables if not v.startswith("y")]
+            I = VariableIdeal.of(A, rng.sample(core, rng.randint(1, len(core))))
+            free = [j for j, v in enumerate(A.variables) if v.startswith("y")]
+            for i in range(len(I.generators) + 1):
+                brute = nonzero_patterns_brute(lambda s: cech_dim(A, I, i, s), m)
+                assert list(_nonzero_patterns(A, I, i)) == brute, (A, I, i)
+                out = certify_nonvanishing(A, I, i, 1)
+                assert (out.witness, out.dim) == (brute[0] if brute else (None, 0))
+                assert out.found == bool(brute)
+                if out.found:
+                    assert all(out.witness[j] == 0 for j in free), (A, I, i, out.witness)
+                    found += 1
+                else:
+                    assert out.note.startswith("all %d sign patterns" % 3 ** m)
+                    empty += 1
+                table_out, table = cech_table(A, I, i, 1)
+                assert table_out == out
+                assert dict(table) == {tuple(map(str, s)): d for s, d in brute}
+        assert found and empty
+
+    def test_twenty_four_variable_scan_counts(self, monkeypatch):
+        # 14 free variables cost nothing: 2^10 candidates of k[v0..v9], one
+        # cech_dim call per set of negative generators
+        calls = counting(monkeypatch, "cech_dim")
+        candidates = counting(monkeypatch, "_keyed_candidates")
+        A = MonomialAlgebra.make(["v%d" % j for j in range(24)])
+        I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
+        out = certify_nonvanishing(A, I, 1, 1)
+        assert not out.found and out.note.startswith("all %d sign patterns" % 3 ** 24)
+        assert len(calls) == 1024 and len(candidates) == 1
+        assert all(len(args[3]) == 10 for args in calls)
+
+    def test_refused_table_expands_nothing(self, monkeypatch):
+        # H^1 of k[X] is one class; 19 free variables make it 2^19 rows in
+        # box 1, counted from the one template of k[X] before any is expanded
+        calls = counting(monkeypatch, "cech_dim")
+        expanded = counting(monkeypatch, "_expand")
+        A = MonomialAlgebra.make(["X"] + ["v%d" % j for j in range(1, 20)])
+        with pytest.raises(InputError, match="CECH_ROWS_BOUND"):
+            cech_table(A, VariableIdeal.of(A, ["X"]), 1, 1)
+        assert (len(calls), expanded) == (2, [])
+        # 10 free variables: 2^10 rows from one expansion
+        B = MonomialAlgebra.make(["X"] + ["v%d" % j for j in range(1, 11)])
+        out, table = cech_table(B, VariableIdeal.of(B, ["X"]), 1, 1)
+        assert sum(1 for _ in table) == 2 ** 10 <= CECH_ROWS_BOUND
+        assert out.witness == (-1,) + (0,) * 10 and len(expanded) == 1
+
+    def test_scan_bound_counts_variables_after_the_split(self, monkeypatch):
+        candidates = counting(monkeypatch, "_keyed_candidates")
+        names = ["v%d" % j for j in range(CECH_SCAN_BOUND + 1)]
+        over = MonomialAlgebra.make(names)
+        with pytest.raises(InputError, match="CECH_SCAN_BOUND = %d" % CECH_SCAN_BOUND):
+            certify_nonvanishing(over, VariableIdeal.of(over, names), 1, 1)
+        # a variable in a relation counts, a free one does not
+        related = MonomialAlgebra.make(names, [names[-2:]])
+        with pytest.raises(InputError, match="CECH_SCAN_BOUND"):
+            cech_table(related, VariableIdeal.of(related, names[:-2]), 1, 1)
+        assert candidates == []
+        # the last name and the eight w are free: CECH_SCAN_BOUND are left
+        free = MonomialAlgebra.make(names + ["w%d" % j for j in range(8)], [names[9:-1]])
+        assert not certify_nonvanishing(free, VariableIdeal.of(free, names[:10]), 1, 1).found
+        assert len(candidates) == 1 and len(candidates[0][0].variables) == CECH_SCAN_BOUND
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
