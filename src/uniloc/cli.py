@@ -487,7 +487,7 @@ def _cmd_snf(args) -> int:
 
 def _cmd_spec_enumerate(args) -> int:
     nodes, edges = spectool.parse_poset(_read_file(args.poset))
-    # before build, whose closure takes memory quadratic in the nodes of a chain
+    # before build, so an oversize file with a cycle gets the size message
     spectool.check_enumerable(len(set(nodes)))
     P = spectool.SpecPoset.build(nodes, edges)
     closed = spectool.enumerate_closed(P)

@@ -23,7 +23,9 @@ ENUM_BOUND = 16
 @record
 class SpecPoset:
     nodes: tuple
-    _order: dict  # node -> (frozenset of strictly smaller nodes, height)
+    # node -> (tuple of the nodes directly below it, height), in topological
+    # order; queries walk these edges, as a chain's closure is quadratic in size
+    _order: dict
 
     @classmethod
     def build(cls, nodes, edges) -> "SpecPoset":
@@ -48,8 +50,8 @@ class SpecPoset:
         order = {}
         while ready:
             n = ready.pop()
-            below = frozenset(direct[n]).union(*(order[c][0] for c in direct[n]))
-            order[n] = (below, 1 + max((order[c][1] for c in direct[n]), default=-1))
+            order[n] = (tuple(direct[n]),
+                        1 + max((order[c][1] for c in direct[n]), default=-1))
             for parent in parents[n]:
                 waiting[parent] -= 1
                 if not waiting[parent]:
@@ -77,13 +79,20 @@ class SpecPoset:
             raise InputError("unknown prime %r" % (node,)) from None
 
     def below(self, node) -> frozenset:
-        return self._lookup(node)[0]
+        """Every node strictly below node, walked down the direct edges."""
+        seen = set()
+        stack = list(self._lookup(node)[0])
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(self._order[n][0])
+        return frozenset(seen)
 
     def check_members(self, S):
-        known = set(self.nodes)
         S = list(S)
         for s in S:
-            if s not in known:
+            if s not in self._order:
                 raise InputError("unknown prime %r" % (s,))
         return frozenset(S)
 
@@ -140,8 +149,10 @@ class SpecClosedSet:
     def __post_init__(self):
         members = self.poset.check_members(self.members)
         object.__setattr__(self, "members", members)
+        # a chain from a member up to a node outside crosses out along one edge
+        order = self.poset._order
         for n in self.poset.nodes:
-            if n not in members and self.poset.below(n) & members:
+            if n not in members and not members.isdisjoint(order[n][0]):
                 raise InputError(
                     "%r contains a member but is missing: not upward closed" % (n,))
 
@@ -155,7 +166,9 @@ def check_height_condition(P: SpecPoset, V) -> bool:
     Necessary for a flat epimorphism with support V; never sufficient.
     """
     members = SpecClosedSet(P, frozenset(V)).members
-    return all(P.height(n) <= 1 for n in members if not (P.below(n) & members))
+    # in a closed V, a member with a member below it has one directly below it
+    return all(P.height(n) <= 1 for n in members
+               if members.isdisjoint(P._order[n][0]))
 
 
 def enumerate_closed(P: SpecPoset):

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -103,6 +105,22 @@ class TestBuild:
         assert P.heights() == {n: i for i, n in enumerate(nodes)}
         assert P.below("n39") == set(nodes[:39])
 
+    def test_long_chain_memory(self):
+        # only direct edges are stored: with every node's closure this chain
+        # peaked at 348 MB
+        nodes = ["n%d" % i for i in range(4000)]
+        tracemalloc.start()
+        try:
+            P = SpecPoset.build(nodes, list(zip(nodes, nodes[1:])))
+            assert P.heights()["n3999"] == 3999
+            assert P.below("n3999") == set(nodes[:3999])
+            V = SpecClosedSet(P, frozenset(nodes[2000:]))
+            assert not check_height_condition(P, V.members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+
 
 class TestClosedSets:
     def test_validation(self):
@@ -115,6 +133,34 @@ class TestClosedSets:
             SpecClosedSet(P, frozenset({"(0)"}))
         with pytest.raises(InputError):
             SpecClosedSet(P, frozenset({"q"}))
+
+    def test_every_subset_on_random_posets(self):
+        # accepted iff closed by the power-set filter; a refusal names the
+        # first node outside with a member directly below it; the height
+        # condition as defined through below
+        rng = random.Random(2525)
+        for _ in range(80):
+            nodes, edges = random_order(rng)
+            rng.shuffle(nodes)  # node positions need not follow the order
+            P = SpecPoset.build(nodes, edges)
+            closed = set(closed_sets_brute(P))
+            for k in range(len(nodes) + 1):
+                for S in map(frozenset, combinations(nodes, k)):
+                    crossing = [n for n in P.nodes if n not in S
+                                and any(c in S for c, parent in edges if parent == n)]
+                    if S in closed:
+                        assert not crossing
+                        assert SpecClosedSet(P, S).members == S
+                        minimal = [n for n in S if not P.below(n) & S]
+                        assert check_height_condition(P, S) == \
+                            all(P.height(n) <= 1 for n in minimal)
+                        continue
+                    for check in (SpecClosedSet, check_height_condition):
+                        with pytest.raises(InputError) as refused:
+                            check(P, S)
+                        assert str(refused.value) == (
+                            "%r contains a member but is missing: not upward closed"
+                            % (crossing[0],))
 
     def test_protocols(self):
         P = chain_poset()
