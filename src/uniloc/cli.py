@@ -147,7 +147,7 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
 
 
 def _parse_relations(text: str, variables):
-    rels = []
+    rels, known = [], set(variables)
     for token in (t.strip() for t in text.split(",")):
         if not token:
             continue
@@ -158,7 +158,7 @@ def _parse_relations(text: str, variables):
         else:
             raise InputError("relation %r needs '*' between variables" % (token,))
         for p in parts:
-            if p not in variables:
+            if p not in known:
                 raise InputError("relation %r uses unknown variable %r" % (token, p))
         if len(set(parts)) != len(parts):
             raise InputError("relation %r is not squarefree" % (token,))
@@ -428,9 +428,11 @@ def _cmd_ell_torsion(args) -> int:
 
 def _cmd_cech(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    A = lcohom.MonomialAlgebra.make(variables,
-                                    _parse_relations(args.rel or "", variables))
+    rels = _parse_relations(args.rel or "", variables)
     gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
+    # before the algebra is built: its relation test is quadratic in the relations
+    lcohom.check_scannable(len(set(variables).intersection(gens).union(*rels)))
+    A = lcohom.MonomialAlgebra.make(variables, rels)
     I = lcohom.VariableIdeal.of(A, gens)
     out, table = lcohom.cech_table(A, I, args.i, args.box)
     dims = {",".join(a): dim for a, dim in table}

@@ -16,13 +16,13 @@ depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
 (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  A scan
 of the sign patterns finds a witness degree or proves H^i = 0.  Every
 piece is zero unless the negative coordinates are generators of I and
-the support {j : a_j != 0} is a face, and every dim is zero when a
-generator has a positive coordinate (see _scan).  A free variable, in
-no relation and not a generator, splits off as a flat tensor factor:
-its sign -1 gives zero and its signs 0 and +1 give the same dim (see
-_templates).  So for f free variables the scan builds at most 2^(m - f)
-patterns, drops the non-faces, and computes ranks once per distinct
-complex.
+the support {j : a_j != 0} is a face, and every dim is zero when the
+complex is a cone, as when a generator has a positive coordinate (see
+_complex).  A free variable, in no relation and not a generator, splits
+off as a flat tensor factor: its sign -1 gives zero and its signs 0 and
++1 give the same dim.  So for f free variables the scan builds at most
+2^(m - f) patterns, drops the non-faces, and computes ranks once per
+distinct complex (see _scan).
 
 Sets of variables are int masks: an algebra gives variable j the bit
 1 << (m - 1 - j) and keeps one mask per relation, so a face test is
@@ -72,15 +72,19 @@ class MonomialAlgebra:
                 raise InputError("empty relation monomial")
             if not r <= known:
                 raise InputError("relation uses unknown variables")
-        for r in rels:
-            for s in rels:
-                if r != s and r <= s:
-                    raise InputError("relations must be pairwise incomparable")
         # not fields: ==, hash and repr read only variables and relations
         m = len(self.variables)
         object.__setattr__(self, "bits", {v: 1 << (m - 1 - j)
                                           for j, v in enumerate(self.variables)})
         object.__setattr__(self, "relation_masks", tuple(map(self.mask, rels)))
+        # a relation can lie only in a larger one
+        by_size = {}
+        for r, mask in zip(rels, self.relation_masks):
+            by_size.setdefault(len(r), []).append(mask)
+        for k, group in by_size.items():
+            larger = [s for j, masks in by_size.items() if j > k for s in masks]
+            if any(r & s == r for r in group for s in larger):
+                raise InputError("relations must be pairwise incomparable")
 
     def mask(self, names) -> int:
         """The bits of the named variables; a name that is not a variable
@@ -185,16 +189,31 @@ def kill_variable(A: MonomialAlgebra, name: str) -> MonomialAlgebra:
 
 # the complex ---------------------------------------------------------------
 
-def _pieces(A: MonomialAlgebra, gens, a):
-    """(bits, pieces) in multidegree a: the bits of the generators in
-    variable order, and pieces(k), the masks of the k-subsets W of the
-    generators with (A_W)_a nonzero.
+def _key(rels, neg, pos) -> frozenset:
+    """The reduced relations r & ~(N | P) for the masks N and P of the
+    negative and the positive coordinates, rels holding the pairs (r, r &
+    ~generators) of the relation masks.  A relation with a bit outside the
+    generators and P is left out: it lies in no W | P."""
+    support = neg | pos
+    return frozenset(r & ~support for r, rest in rels if rest & pos == rest)
+
+
+def _complex(A: MonomialAlgebra, gens, a):
+    """(bits, pieces, cone) in multidegree a: the bits of the generators in
+    variable order; pieces(k), the masks of the k-subsets W of the
+    generators with (A_W)_a nonzero; and whether the complex is a cone.
 
     With N and P the masks of the negative and the positive coordinates,
     W must hold N, and no relation r may lie in W | P, that is no r & ~P
     in W.  So W is N with a set C of the other generators, and the test
-    is that no reduced relation r & ~(N | P) lies in C; a relation with a
-    bit outside the generators and P lies in no W.
+    is that no reduced relation of _key lies in C.
+
+    A generator g outside N in no reduced relation makes the complex a
+    cone: for W without g the pieces of A_W and A_(W + g) are nonzero
+    together, the part of the differential that adds g is plus or minus
+    the identity between them, so the complex is the cone of an
+    isomorphism and is exact (Miller-Sturmfels, ch. 13).  A positive
+    generator is such a g.
     """
     try:
         bits = sorted(map(A.bits.__getitem__, gens), reverse=True)  # variable order
@@ -204,16 +223,21 @@ def _pieces(A: MonomialAlgebra, gens, a):
     neg = sum(compress(A.bits.values(), map((0).__gt__, a)))
     pos = sum(compress(A.bits.values(), map((0).__lt__, a)))
     span = sum(bits)
-    rels = [r & ~(neg | pos) for r in A.relation_masks if not r & ~(span | pos)]
+    rels = _key([(r, r & ~span) for r in A.relation_masks], neg, pos)
     if neg & ~span or 0 in rels:
-        return bits, lambda k: []  # no W holds N, or every W | P holds a relation
+        return bits, lambda k: [], False  # no W holds N, or every W | P holds a relation
     rest = [b for b in bits if not b & neg]
     n = len(bits) - len(rest)
 
     def pieces(k):
         return [neg | c for c in map(sum, combinations(rest, k - n))
                 if not any(r & c == r for r in rels)] if k >= n else []
-    return bits, pieces
+    return bits, pieces, not all(any(b & r for r in rels) for b in rest)
+
+
+def _pieces(A: MonomialAlgebra, gens, a):
+    """(bits, pieces) of _complex."""
+    return _complex(A, gens, a)[:2]
 
 
 def _matrix(bits, sources, targets):
@@ -259,14 +283,15 @@ def _rank(mat) -> int:
 
 
 def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
-    """Dimension over Q of the degree-a piece of H^i_I(A)."""
+    """Dimension over Q of the degree-a piece of H^i_I(A): zero for a cone
+    (see _complex), ranked otherwise."""
     if i < 0:
         raise InputError("cohomological degree must be >= 0")
     a = tuple(map(int, a))
     if len(a) != len(A.variables):
         raise InputError("multidegree length mismatch")
-    bits, pieces = _pieces(A, I.generators, a)
-    here = pieces(i)
+    bits, pieces, cone = _complex(A, I.generators, a)
+    here = [] if cone else pieces(i)
     if not here:
         return 0
     up, down = pieces(i + 1), pieces(i - 1)
@@ -287,105 +312,69 @@ class NonvanishOutcome:
         return self.witness is not None
 
 
-def _keyed_candidates(A: MonomialAlgebra, I: VariableIdeal):
-    """Yield (key, N, P) for each candidate sign pattern in scan order, N
-    and P the masks of its negative and its positive coordinates.
-
-    A candidate is a face S = N | P with N inside the generators and P
-    outside them.  Its counter t sets the bit of variable j where a_j
-    takes the second of its two signs (0 for a generator, 1 otherwise):
-    t from 0 up runs through the patterns in lexicographic order, and t
-    = the generators is the zero pattern, which the scan takes first.
-    The key is N and the reduced relations r & ~S that lie inside the
-    generators, those r whose part outside the generators lies in P.
-    """
-    gens = A.mask(I.generators)
-    rels = [(r, r & ~gens) for r in A.relation_masks]
-    for t in chain((gens,), range(gens), range(gens + 1, 1 << len(A.variables))):
-        support = t ^ gens
-        if A.is_face_mask(support):
-            neg, pos = support & gens, t & ~gens
-            reduced = frozenset(r & ~support for r, rest in rels if rest & pos == rest)
-            yield (neg, reduced), neg, pos
+def check_scannable(count: int) -> None:
+    """Refuse a sign-pattern scan over more than CECH_SCAN_BOUND variables
+    in a relation or the ideal."""
+    if count > CECH_SCAN_BOUND:
+        raise InputError("the sign-pattern scan over %d variables in a relation or the "
+                         "ideal is past lcohom.CECH_SCAN_BOUND = %d" % (count, CECH_SCAN_BOUND))
 
 
 def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
-    """Yield (sign pattern, dim) for each pattern with cech_dim > 0, in scan order.
-
-    The scan order is the zero vector, then the rest of {-1,0,1}^m in
-    lexicographic order.  Only patterns that can carry a nonzero dim are
-    built: a negative coordinate must be a generator, the support a face,
-    and no generator g positive.  For a_g > 0 and W without g, the piece
-    of A_W is nonzero exactly when the piece of A_(W + g) is, since g lies
-    in {j : a_j > 0} already; the differential part that adds g is plus or
-    minus the identity between them, so the complex is the cone of an
-    isomorphism and is exact (Miller-Sturmfels, ch. 13).
-
-    The complex depends only on which W have a nonzero piece, and the key
-    of _keyed_candidates fixes that family.  With N, P and S the masks of
-    the negative coordinates, the positive ones and the support, the
-    piece of A_W, W inside the generators, is nonzero exactly when N lies
-    in W and no relation r lies in W | P.  Since N lies in W, that is: no
-    reduced relation r & ~S lies in W, and one with a bit outside the
-    generators lies in no W.  So cech_dim runs once per key, on the first
-    pattern with it, and the scan costs a few bit operations per
-    candidate.
-    """
-    bits = tuple(A.bits.values())
-    dims = {}
-    for key, neg, pos in _keyed_candidates(A, I):
-        if dims.get(key, 1) == 0:
-            continue
-        s = tuple((pos & b > 0) - (neg & b > 0) for b in bits)
-        if key not in dims:
-            dims[key] = cech_dim(A, I, i, s)
-        if dims[key]:
-            yield s, dims[key]
-
-
-def _templates(A: MonomialAlgebra, I: VariableIdeal, i: int):
-    """Yield (template, dim) for each nonzero pattern of A', A without its
-    free variables, in the scan order of A': the pattern with None at
-    each free position of A.
+    """Yield (template, dim) for each sign pattern with cech_dim > 0, in scan
+    order: the pattern with None at each free position.
 
     A variable is free when it lies in no relation and is not a generator.
     Then A = A' (x) k[free variables] with I extended from A', a flat
     extension, so H^i_I(A) = H^i_I(A') (x) k[free variables]
     (Brodmann-Sharp, Local Cohomology, 4.3.2).  In a free coordinate the
     sign -1 gives zero and the signs 0 and +1 give the dim of A' at the
-    other coordinates, so the scan takes 2^(m - f) candidates for f free
-    variables, not 2^m.  Raises InputError when A' has more than
-    CECH_SCAN_BOUND variables, before any candidate is built.
+    other coordinates, so the scan runs over the m' variables of A', 2^m'
+    candidates, and refuses past CECH_SCAN_BOUND before it builds any.
+
+    The scan order is the zero vector, then the rest of {-1,0,1}^m' in
+    lexicographic order.  A candidate is a face S = N | P with N inside
+    the generators and P outside them: a negative coordinate must be a
+    generator and the support a face, and a positive generator makes the
+    complex a cone (see _complex).  Its counter t sets the bit of variable
+    j where a_j takes the second of its two signs (0 for a generator, 1
+    otherwise): t from 0 up runs through the patterns in lexicographic
+    order, and t = the generators is the zero pattern, which comes first.
+
+    The complex depends only on which W have a nonzero piece, and N with
+    the reduced relations of _key fixes that family.  So cech_dim runs
+    once per key, on the first pattern with it, and the scan costs a few
+    bit operations per candidate and relation.
     """
     used = A.mask(I.generators)
     for r in A.relation_masks:
         used |= r
-    free = [j for j, b in enumerate(A.bits.values()) if not b & used]
-    if free:
+    check_scannable(used.bit_count())
+    names = A.variables
+    if used != (1 << len(names)) - 1:
         A = MonomialAlgebra(tuple(v for v, b in A.bits.items() if b & used), A.relations)
-    if len(A.variables) > CECH_SCAN_BOUND:
-        raise InputError("the sign-pattern scan over %d variables in a relation or the "
-                         "ideal is past lcohom.CECH_SCAN_BOUND = %d"
-                         % (len(A.variables), CECH_SCAN_BOUND))
-    for s, d in _scan(A, I, i):
-        for j in free:
-            s = s[:j] + (None,) + s[j:]
-        yield s, d
+    bits, slots = tuple(A.bits.values()), tuple(map(A.bits.get, names))
+
+    def pattern(positions, neg, pos):
+        return tuple(None if b is None else (pos & b > 0) - (neg & b > 0) for b in positions)
+
+    gens = A.mask(I.generators)
+    rels = [(r, r & ~gens) for r in A.relation_masks]
+    dims = {}
+    for t in chain((gens,), range(gens), range(gens + 1, 1 << len(bits))):
+        support = t ^ gens
+        if A.is_face_mask(support):
+            neg, pos = support & gens, t & ~gens
+            key = neg, _key(rels, neg, pos)
+            if key not in dims:
+                dims[key] = cech_dim(A, I, i, pattern(bits, neg, pos))
+            if dims[key]:
+                yield pattern(slots, neg, pos), dims[key]
 
 
 def _expand(template, ranges):
     """The degrees of a template, each coordinate running over ranges[sign]."""
     return product(*(ranges[x] for x in template))
-
-
-def _nonzero_patterns(A: MonomialAlgebra, I: VariableIdeal, i: int):
-    """The (sign pattern, dim) pairs with cech_dim > 0, in the scan order
-    of all 3^m patterns: the zero vector first, then the rest in
-    lexicographic order.  Each template of A' expands over the signs 0
-    and +1 of every free coordinate."""
-    signs = {-1: (-1,), 0: (0,), 1: (1,), None: (0, 1)}
-    found = [(s, d) for t, d in _templates(A, I, i) for s in _expand(t, signs)]
-    return sorted(found, key=lambda p: (any(p[0]), p[0]))
 
 
 def _outcome(first, A: MonomialAlgebra, i: int, box: int) -> NonvanishOutcome:
@@ -405,7 +394,7 @@ def certify_nonvanishing(A: MonomialAlgebra, I: VariableIdeal, i: int,
     it lies in every box, and box only appears in the note."""
     if box < 1:
         raise InputError("box must be >= 1")
-    return _outcome(next(_templates(A, I, i), None), A, i, box)
+    return _outcome(next(_scan(A, I, i), None), A, i, box)
 
 
 def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
@@ -416,7 +405,7 @@ def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
     its keys; each string is made once per call, not once per degree."""
     if box < 1:
         raise InputError("box must be >= 1")
-    found = list(_templates(A, I, i))
+    found = list(_scan(A, I, i))
     # a template with k nonzero signs and f free ones expands to
     # box^k (1 + box)^f degrees; the rows are counted before any is built
     size = {-1: box, 0: 1, 1: box, None: 1 + box}

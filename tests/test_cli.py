@@ -689,6 +689,19 @@ class TestCech:
                            "or the ideal is past lcohom.CECH_SCAN_BOUND = %d\n"
                            % (len(names), lcohom.CECH_SCAN_BOUND))
 
+    def test_many_relations_refused_before_the_algebra(self, capsys, monkeypatch):
+        # the 4950 pairs of 100 variables name 100 variables in a relation:
+        # refused before the algebra compares its relations pairwise
+        monkeypatch.setattr(lcohom.MonomialAlgebra, "make", None)
+        names = ["v%d" % j for j in range(100)]
+        rels = ",".join("%s*%s" % (r, s) for j, r in enumerate(names) for s in names[j + 1:])
+        code, out, err = run(capsys, "cech", "--vars", ",".join(names), "--ideal", "v0",
+                             "--rel", rels, "--i", "1")
+        assert (code, out) == (2, "")
+        assert err == ("input error: the sign-pattern scan over 100 variables in a relation "
+                       "or the ideal is past lcohom.CECH_SCAN_BOUND = %d\n"
+                       % lcohom.CECH_SCAN_BOUND)
+
 
 class TestSnf:
     def test_small_matrix(self, capsys, tmp_path):

@@ -8,11 +8,11 @@ from oracles import (first_shell_witness, nonzero_patterns_brute, piece_key_brut
 from uniloc import lcohom
 from uniloc.errors import InputError
 from uniloc.lcohom import (CECH_ROWS_BOUND, CECH_SCAN_BOUND, ENUM_VARIABLE_BOUND,
-                           MonomialAlgebra, VariableIdeal, _differential,
-                           _keyed_candidates, _nonzero_patterns, _pieces, _rank,
-                           cech_dim, cech_table, certify_nonvanishing,
-                           classify_dim3hyper, classify_twoplanes,
-                           is_variable_prime, kill_variable, prime_height)
+                           MonomialAlgebra, VariableIdeal, _differential, _key,
+                           _pieces, _rank, _scan, cech_dim, cech_table,
+                           certify_nonvanishing, classify_dim3hyper,
+                           classify_twoplanes, is_variable_prime, kill_variable,
+                           prime_height)
 
 TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 THREE_VARS = MonomialAlgebra.make(("X", "U", "V"), [{"X", "U"}])
@@ -71,6 +71,24 @@ class TestAlgebra:
             MonomialAlgebra.make(("X",), [{"Z"}])
         with pytest.raises(InputError):
             MonomialAlgebra(("X", "Y"), (frozenset({"X"}), frozenset({"X", "Y"})))
+
+    def test_incomparable_relations(self):
+        # the relation masks, compared only across sizes, against frozensets
+        rng = random.Random(1717)
+        refused = 0
+        for _ in range(300):
+            variables = tuple("abcdef")
+            rels = {frozenset(rng.sample(variables, rng.randint(1, 5)))
+                    for _ in range(rng.randint(1, 6))}
+            comparable = any(r < s for r in rels for s in rels)
+            try:
+                MonomialAlgebra.make(variables, rels)
+            except InputError as exc:
+                assert comparable and str(exc) == "relations must be pairwise incomparable"
+                refused += 1
+            else:
+                assert not comparable, rels
+        assert 50 < refused < 250
 
     def test_make_dedupes_relations(self):
         A = MonomialAlgebra.make(("X", "Y"), [{"X", "Y"}, {"Y", "X"}])
@@ -203,6 +221,32 @@ class TestCechDim:
                         if piece_nonzero_local(A, W, a)} if k >= 0 else set()
                 assert sorted(pieces(k)) == sorted(want), (A, gens, a, k)
 
+    def test_dim_matches_independent_ranks(self):
+        # |pieces(i)| less the ranks of d_i and d_(i-1), by Gauss-Jordan in
+        # Fractions, on every sign pattern: a cone cech_dim skips ranks 0
+        rng = random.Random(1616)
+        nonzero = 0
+        for _ in range(60):
+            A = random_algebra(rng, max_vars=4)
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, len(A.variables))))
+            for a in product((-1, 0, 1), repeat=len(A.variables)):
+                for i in range(len(I.generators) + 2):
+                    out, size, _ = _differential(A, I.generators, i, a)
+                    into = _differential(A, I.generators, i - 1, a)[0]
+                    want = size - rank_by_fractions(out) - rank_by_fractions(into)
+                    assert cech_dim(A, I, i, a) == want, (A, I, i, a)
+                    nonzero += want > 0
+        assert nonzero > 100
+
+    def test_cone_ranks_nothing(self, monkeypatch):
+        # k[v0..v11] with every variable a generator: a key with a generator
+        # outside N is a cone, and N = all has no piece in degree 6
+        ranks = counting(monkeypatch, "_rank")
+        calls = counting(monkeypatch, "cech_dim")
+        A = MonomialAlgebra.make(["v%d" % j for j in range(12)])
+        out = certify_nonvanishing(A, VariableIdeal.of(A, A.variables), 6, 1)
+        assert not out.found and len(calls) == 2 ** 12 and ranks == []
+
     def test_differential_squares_to_zero(self):
         rng = random.Random(1212)
         for _ in range(80):
@@ -320,15 +364,17 @@ class TestCertify:
         assert found and empty
 
     def test_pruned_scan_matches_full_scan(self):
-        # the same nonzero patterns in the same order as all 3^m patterns
+        # the same nonzero patterns in the same order as all 3^m patterns;
+        # every variable in no relation is a generator, so none is free
         rng = random.Random(4747)
         found = empty = 0
         for _ in range(20):
             A = random_algebra(rng, max_vars=6)
             m = len(A.variables)
-            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            bare = [v for v in A.variables if not any(v in r for r in A.relations)]
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)) + bare)
             for i in range(len(I.generators) + 1):
-                got = list(_nonzero_patterns(A, I, i))
+                got = list(_scan(A, I, i))
                 assert got == nonzero_patterns_brute(
                     lambda s: cech_dim(A, I, i, s), m), (A, I, i)
                 found += bool(got)
@@ -364,16 +410,14 @@ class TestCertify:
         # v1 positive reduces the relation v1*v2 to the generator v2, a key
         # that no pattern without positive generators has: a scan giving the
         # generators the sign +1 hands cech_dim such a pattern
-        assert calls and not any(s[j] > 0 for s in calls for j in range(4))
-        candidates = list(_keyed_candidates(A, I))
-        gens = A.mask(I.generators)
-        assert not any(pos & gens for _, _, pos in candidates)
+        assert not any(s[j] > 0 for s in calls for j in range(4))
         # 2^6 sign patterns without a positive generator, 36 of them faces,
         # in 18 keys; 120 faces in 30 keys when generators also took the sign +1
-        assert (len(candidates), len(calls)) == (36, 18)
+        assert len(calls) == 18
 
     def test_key_fixes_the_pieces(self):
-        # candidates with one key have one 2^g piece key, so one cech_dim
+        # the scan's candidates (negative generators, positive others, a face
+        # as support) with one key have one 2^g piece key, so one cech_dim
         # call per key is exact
         rng = random.Random(2323)
         seen = shared = 0
@@ -381,11 +425,17 @@ class TestCertify:
             A = random_algebra(rng, max_vars=7, max_relations=4)
             m = len(A.variables)
             gens = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, m)))
+            g = A.mask(gens.generators)
+            rels = [(r, r & ~g) for r in A.relation_masks]
             pieces = {}
-            candidates = list(_keyed_candidates(A, gens))
-            for key, neg, pos in candidates:
-                s = tuple((pos & b > 0) - (neg & b > 0) for b in A.bits.values())
+            candidates = [s for s in product(*((0, -1) if v in gens.generators else (0, 1)
+                                               for v in A.variables))
+                          if A.is_face(v for v, x in zip(A.variables, s) if x)]
+            for s in candidates:
+                neg = A.mask(v for v, x in zip(A.variables, s) if x < 0)
+                pos = A.mask(v for v, x in zip(A.variables, s) if x > 0)
                 brute = piece_key_brute(A, gens.generators, s)
+                key = neg, _key(rels, neg, pos)
                 assert pieces.setdefault(key, brute) == brute, (A, gens, s)
             seen += len(candidates)
             shared += len(candidates) - len(pieces)
@@ -400,12 +450,13 @@ class TestCertify:
                             lambda *args: calls.append(args) or cech_dim(*args))
         A = MonomialAlgebra.make(["v%d" % j for j in range(14)])
         I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
-        assert list(_nonzero_patterns(A, I, 1)) == []
+        assert list(_scan(A, I, 1)) == []
         assert len(calls) == 1024
 
     def test_free_variables_match_full_scan(self):
         # free variables, in no relation and not generators, added at random
-        # positions: the scan of the rest expands to the 3^m oracle scan
+        # positions: the scan of the rest expands to the 3^m oracle scan, whose
+        # patterns are the degrees of box 1
         rng = random.Random(6161)
         found = empty = 0
         for _ in range(30):
@@ -416,7 +467,6 @@ class TestCertify:
             free = [j for j, v in enumerate(A.variables) if v.startswith("y")]
             for i in range(len(I.generators) + 1):
                 brute = nonzero_patterns_brute(lambda s: cech_dim(A, I, i, s), m)
-                assert list(_nonzero_patterns(A, I, i)) == brute, (A, I, i)
                 out = certify_nonvanishing(A, I, i, 1)
                 assert (out.witness, out.dim) == (brute[0] if brute else (None, 0))
                 assert out.found == bool(brute)
@@ -427,20 +477,21 @@ class TestCertify:
                     assert out.note.startswith("all %d sign patterns" % 3 ** m)
                     empty += 1
                 table_out, table = cech_table(A, I, i, 1)
-                assert table_out == out
-                assert dict(table) == {tuple(map(str, s)): d for s, d in brute}
+                rows = list(table)
+                assert table_out == out and len(rows) == len(brute)
+                assert dict(rows) == {tuple(map(str, s)): d for s, d in brute}, (A, I, i)
         assert found and empty
 
     def test_twenty_four_variable_scan_counts(self, monkeypatch):
         # 14 free variables cost nothing: 2^10 candidates of k[v0..v9], one
         # cech_dim call per set of negative generators
         calls = counting(monkeypatch, "cech_dim")
-        candidates = counting(monkeypatch, "_keyed_candidates")
+        scans = counting(monkeypatch, "_scan")
         A = MonomialAlgebra.make(["v%d" % j for j in range(24)])
         I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
         out = certify_nonvanishing(A, I, 1, 1)
         assert not out.found and out.note.startswith("all %d sign patterns" % 3 ** 24)
-        assert len(calls) == 1024 and len(candidates) == 1
+        assert len(calls) == 1024 and len(scans) == 1
         assert all(len(args[3]) == 10 for args in calls)
 
     def test_refused_table_expands_nothing(self, monkeypatch):
@@ -459,7 +510,7 @@ class TestCertify:
         assert out.witness == (-1,) + (0,) * 10 and len(expanded) == 1
 
     def test_scan_bound_counts_variables_after_the_split(self, monkeypatch):
-        candidates = counting(monkeypatch, "_keyed_candidates")
+        calls = counting(monkeypatch, "cech_dim")
         names = ["v%d" % j for j in range(CECH_SCAN_BOUND + 1)]
         over = MonomialAlgebra.make(names)
         with pytest.raises(InputError, match="CECH_SCAN_BOUND = %d" % CECH_SCAN_BOUND):
@@ -468,11 +519,11 @@ class TestCertify:
         related = MonomialAlgebra.make(names, [names[-2:]])
         with pytest.raises(InputError, match="CECH_SCAN_BOUND"):
             cech_table(related, VariableIdeal.of(related, names[:-2]), 1, 1)
-        assert candidates == []
+        assert calls == []
         # the last name and the eight w are free: CECH_SCAN_BOUND are left
         free = MonomialAlgebra.make(names + ["w%d" % j for j in range(8)], [names[9:-1]])
         assert not certify_nonvanishing(free, VariableIdeal.of(free, names[:10]), 1, 1).found
-        assert len(candidates) == 1 and len(candidates[0][0].variables) == CECH_SCAN_BOUND
+        assert calls and all(len(args[0].variables) == CECH_SCAN_BOUND for args in calls)
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
