@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import Verdict, check_printable, read_number
+from .verdict import Verdict, _json_list, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -322,10 +322,10 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), one string per value.
 
-    Every --format json document but a verdict, which writes its own
-    text, prints with it.  The standard library indents through a
-    generator per token, a few microseconds for each integer of a class
-    group's forms or an SNF transform and each node of a closed set; here
+    Every --format json document prints with it but a verdict, a class
+    group and a list of closed sets, which write their fixed layouts
+    themselves.  The standard library indents through a generator per
+    token, a few microseconds for each integer of an SNF transform; here
     a list or dict is one join over its items, and an int or str item is
     written inline.
     """
@@ -399,16 +399,13 @@ def _cmd_classgroup(args) -> int:
             "%d is not a fundamental discriminant (the maximal order of "
             "Q(sqrt(%d)) has discriminant %d)" % (D, d, order.discriminant))
     forms = quadorder.reduced_forms(order)
-    doc = {
-        "schema": 1,
-        "discriminant": D,
-        "class_number": len(forms),
-        "reduced_forms": [list(f) for f in forms],
-    }
-    lines = ["discriminant: %d" % D, "class number: %d" % len(forms)]
-    if args.format == "text":  # the forms can be many: spell them out only to print them
-        lines += ["form: %d %d %d" % f for f in forms]
-    _emit(args, doc, "\n".join(lines))
+    if args.format == "json":  # one format per form: the forms can be many
+        form = "[\n      %d,\n      %d,\n      %d\n    ]".__mod__
+        _print('{\n  "class_number": %d,\n  "discriminant": %d,\n  "reduced_forms": %s,'
+               '\n  "schema": 1\n}' % (len(forms), D, _json_list(forms, "  ", form)))
+    else:
+        _print("\n".join(["discriminant: %d" % D, "class number: %d" % len(forms)]
+                         + ["form: %d %d %d" % f for f in forms]))
     return 0
 
 
@@ -494,19 +491,19 @@ def _cmd_spec_enumerate(args) -> int:
     P = spectool.SpecPoset.build(nodes, edges)
     closed = spectool.enumerate_closed(P)
     heights = P.heights()
-    doc = {
-        "schema": 1,
-        "nodes": list(P.nodes),
-        "heights": heights,
-        "count": len(closed),
-        "closed_sets": [c.sorted_members() for c in closed],
-    }
-    lines = ["nodes: %s" % ", ".join(P.nodes),
-             "heights: %s" % ", ".join("%s:%d" % (n, heights[n]) for n in P.nodes),
-             "count: %d" % len(closed)]
-    if args.format == "text":  # the closed sets can be many: spell them out only to print them
-        lines.extend("closed: {%s}" % ", ".join(c.sorted_members()) for c in closed)
-    _emit(args, doc, "\n".join(lines))
+    if args.format == "json":  # one join of pre-encoded labels per closed set
+        quoted = {n: encode_basestring_ascii(n) for n in P.nodes}.__getitem__
+        _print('{\n  "closed_sets": %s,\n  "count": %d,\n  "heights": {\n    %s\n  },'
+               '\n  "nodes": %s,\n  "schema": 1\n}' % (
+                   _json_list([_json_list(c, "    ", quoted) for c in closed], "  ", str),
+                   len(closed), ",\n    ".join("%s: %d" % (quoted(n), heights[n])
+                                               for n in sorted(P.nodes)),
+                   _json_list(P.nodes, "  ", quoted)))
+    else:
+        _print("\n".join(["nodes: %s" % ", ".join(P.nodes),
+                          "heights: %s" % ", ".join("%s:%d" % (n, heights[n]) for n in P.nodes),
+                          "count: %d" % len(closed)]
+                         + ["closed: {%s}" % ", ".join(c) for c in closed]))
     return 0
 
 

@@ -72,11 +72,7 @@ class MonomialAlgebra:
                 raise InputError("empty relation monomial")
             if not r <= known:
                 raise InputError("relation uses unknown variables")
-        # not fields: ==, hash and repr read only variables and relations
-        m = len(self.variables)
-        object.__setattr__(self, "bits", {v: 1 << (m - 1 - j)
-                                          for j, v in enumerate(self.variables)})
-        object.__setattr__(self, "relation_masks", tuple(map(self.mask, rels)))
+        self._index()
         # a relation can lie only in a larger one
         by_size = {}
         for r, mask in zip(rels, self.relation_masks):
@@ -85,6 +81,24 @@ class MonomialAlgebra:
             larger = [s for j, masks in by_size.items() if j > k for s in masks]
             if any(r & s == r for r in group for s in larger):
                 raise InputError("relations must be pairwise incomparable")
+
+    def _index(self):
+        # not fields: ==, hash and repr read only variables and relations
+        m = len(self.variables)
+        object.__setattr__(self, "bits", {v: 1 << (m - 1 - j)
+                                          for j, v in enumerate(self.variables)})
+        object.__setattr__(self, "relation_masks", tuple(map(self.mask, self.relations)))
+
+    def restrict(self, used: int) -> "MonomialAlgebra":
+        """The algebra on the variables in the mask used, which holds every
+        relation.  The relations passed __post_init__ when self was built
+        and stay valid, so they are not compared again: on a shared 2-core
+        host 6006 relations take 0.7 s to compare pairwise."""
+        A = object.__new__(MonomialAlgebra)
+        object.__setattr__(A, "variables", tuple(v for v, b in self.bits.items() if b & used))
+        object.__setattr__(A, "relations", self.relations)
+        A._index()
+        return A
 
     def mask(self, names) -> int:
         """The bits of the named variables; a name that is not a variable
@@ -352,7 +366,7 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     check_scannable(used.bit_count())
     names = A.variables
     if used != (1 << len(names)) - 1:
-        A = MonomialAlgebra(tuple(v for v, b in A.bits.items() if b & used), A.relations)
+        A = A.restrict(used)
     bits, slots = tuple(A.bits.values()), tuple(map(A.bits.get, names))
 
     def pattern(positions, neg, pos):

@@ -156,9 +156,6 @@ class SpecClosedSet:
                 raise InputError(
                     "%r contains a member but is missing: not upward closed" % (n,))
 
-    def sorted_members(self):
-        return sorted(self.members)
-
 
 def check_height_condition(P: SpecPoset, V) -> bool:
     """Every minimal prime of V has height at most one.
@@ -171,34 +168,68 @@ def check_height_condition(P: SpecPoset, V) -> bool:
                if members.isdisjoint(P._order[n][0]))
 
 
-def enumerate_closed(P: SpecPoset):
-    """All upward closed subsets, smallest first; refuses large posets.
+def _subset_tables(items, join, empty):
+    """Tables lo, hi for a mask m whose bit k carries items[k]:
+    join(hi[m >> 8], lo[m & 255]) joins the items of the set bits of m,
+    the item of the higher bit first."""
+    tables = []
+    for part in (items[:8], items[8:]):
+        table = [empty]
+        for item in part:
+            table += [join(item, t) for t in table]
+        tables.append(table)
+    return tables
 
-    Each undecided node, in P.nodes order, is either included together
-    with every node above it or excluded together with every node below
-    it, so every leaf of the branching is a distinct closed set and the
-    work follows the output.  Sorting by (size, node positions) gives the
-    order of a scan over combinations(P.nodes, k) for k = 0, 1, ...
+
+def enumerate_closed(P: SpecPoset):
+    """All upward closed subsets, smallest first, each the tuple of its
+    labels in label order; refuses large posets.
+
+    Node j of P.nodes sits at bit n-1-j of a mask.  The undecided node of
+    least position is either included together with every node above it
+    or excluded together with every node below it, so every leaf of the
+    branching is a distinct closed set and the work follows the output.
+    Sorting the leaves by (size, -mask) gives the order of a scan over
+    combinations(P.nodes, k) for k = 0, 1, ...
     """
     check_enumerable(len(P.nodes))
     n = len(P.nodes)
-    position = {node: j for j, node in enumerate(P.nodes)}
-    below = [sum(1 << position[c] for c in P.below(node)) for node in P.nodes]
-    above = [sum(1 << k for k in range(n) if below[k] >> j & 1) for j in range(n)]
+    bit = {node: 1 << (n - 1 - j) for j, node in enumerate(P.nodes)}
+    up, down = dict(bit), dict(bit)  # each node with every node above / below it
+    for node in P.nodes:
+        for c in P.below(node):
+            up[c] |= bit[node]
+            down[node] |= bit[c]
+    ups, downs = [up[node] for node in P.nodes], [down[node] for node in P.nodes]
+    full = (1 << n) - 1
     leaves = []
-    stack = [(0, 0, 0)]  # (next position, included mask, decided mask)
+    stack = [(0, 0)]  # (included mask, decided mask)
     while stack:
-        j, included, decided = stack.pop()
-        while j < n and decided >> j & 1:
-            j += 1
-        if j == n:
-            leaves.append([k for k in range(n) if included >> k & 1])
+        included, decided = stack.pop()
+        if decided == full:
+            leaves.append(included)
             continue
-        up, down = 1 << j | above[j], 1 << j | below[j]
-        stack.append((j + 1, included | up, decided | up))
-        stack.append((j + 1, included, decided | down))
-    leaves.sort(key=lambda ks: (len(ks), ks))
-    return [SpecClosedSet(P, frozenset(P.nodes[k] for k in ks)) for ks in leaves]
+        j = n - (full ^ decided).bit_length()
+        stack.append((included | ups[j], decided | ups[j]))
+        stack.append((included, decided | downs[j]))
+    leaves.sort(key=lambda m: (m.bit_count(), -m))
+
+    # a mask's labels and the union of its members' up-sets, read per byte:
+    # a set costs a few lookups, not a walk over its members.  A rank mask
+    # has the k-th label from the end at bit k.
+    at_bit, labels = P.nodes[::-1], sorted(P.nodes, reverse=True)
+    rank = {node: 1 << k for k, node in enumerate(labels)}
+    up_lo, up_hi = _subset_tables([up[node] for node in at_bit], int.__or__, 0)
+    rank_lo, rank_hi = _subset_tables([rank[node] for node in at_bit], int.__or__, 0)
+    name_lo, name_hi = _subset_tables([(node,) for node in labels], tuple.__add__, ())
+    out = []
+    for m in leaves:
+        lo, hi = m & 255, m >> 8
+        r = rank_lo[lo] | rank_hi[hi]
+        out.append(name_hi[r >> 8] + name_lo[r & 255])
+        if (up_lo[lo] | up_hi[hi]) & ~m:  # self-check of the branching
+            raise AssertionError("enumerated set %r is not upward closed" % (out[-1],))
+    return out
 
 
 def truncated_spec_z(primes=(2, 3, 5)) -> SpecPoset:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -140,11 +141,12 @@ class TestClassifyQuad:
         assert doc["witness"]["elements"] == ["2"]
 
     def test_class_group_too_large_to_list(self, capsys):
-        # D = -(10^12 + 4) is past what reduced_forms lists
-        code, out, err = run(capsys, "classgroup", "--disc", "-1000000000004")
+        # the fundamental discriminant after -29999999999, the largest that
+        # quadorder.FORMS_BOUND accepts
+        code, out, err = run(capsys, "classgroup", "--disc", "-30000000003")
         assert (code, out) == (2, "")
         assert err == ("input error: cannot list the reduced forms of "
-                       "discriminant -1000000000004: |D| is above 1000000000000\n")
+                       "discriminant -30000000003: |D| is above 30000000000\n")
 
     def test_classify_past_the_forms_bound(self, capsys):
         # p2 is ramified and not principal: the class walk needs no class
@@ -287,6 +289,25 @@ class TestClassgroup:
         assert code == 0
         assert doc["class_number"] == 2
         assert doc["reduced_forms"] == [[1, 0, 5], [2, 2, 3]]
+
+    def test_json_layout_on_seeded_discriminants(self, capsys):
+        # the fixed layout is what json.dumps(sort_keys=True, indent=2) prints,
+        # and it lists the forms of the text output
+        rng = random.Random(2929)
+        listed = 0
+        for _ in range(60):
+            d = -rng.randint(1, 10 ** rng.randint(2, 6))
+            D = d if d % 4 == 1 else 4 * d  # fundamental when d is squarefree
+            code, out, _ = run(capsys, "classgroup", "--disc", str(D), "--format", "json")
+            if code:
+                continue
+            doc = json.loads(out)
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", D
+            text = run(capsys, "classgroup", "--disc", str(D))[1].splitlines()
+            assert [line.split()[1:] for line in text[2:]] == \
+                [list(map(str, f)) for f in doc["reduced_forms"]], D
+            listed += 1
+        assert listed > 20
 
     def test_class_number_one(self, capsys):
         code, doc, _ = run_json(capsys, "classgroup", "--disc", "-19")
@@ -837,6 +858,25 @@ class TestSpecEnumerate:
         assert code == 0
         assert "count: 3" in out
         assert "closed: {b}" in out
+
+    def test_json_layout_on_random_posets(self, capsys, tmp_path):
+        # the fixed layout is what json.dumps(sort_keys=True, indent=2) prints,
+        # escapes included, and it lists the closed sets of the text output
+        rng = random.Random(3030)
+        poset = tmp_path / "p.txt"
+        for _ in range(40):
+            labels = rng.sample(["p%d" % k for k in range(20)] + ["\u00e9", 'q"', "b\\"],
+                                rng.randint(1, 12))
+            lines = ["%s < %s" % (labels[i], labels[j]) for i in range(len(labels))
+                     for j in range(i + 1, len(labels)) if rng.random() < 0.25]
+            poset.write_text("\n".join(lines + labels) + "\n")
+            code, out, _ = run(capsys, "spec", "enumerate", "--poset", str(poset),
+                               "--format", "json")
+            doc = json.loads(out)
+            assert code == 0 and out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            text = run(capsys, "spec", "enumerate", "--poset", str(poset))[1].splitlines()
+            assert [line[len("closed: {"):-1] for line in text[3:]] == \
+                [", ".join(c) for c in doc["closed_sets"]]
 
     def test_errors(self, capsys, tmp_path):
         cycle = tmp_path / "c.txt"

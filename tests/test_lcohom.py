@@ -94,6 +94,16 @@ class TestAlgebra:
         A = MonomialAlgebra.make(("X", "Y"), [{"X", "Y"}, {"Y", "X"}])
         assert len(A.relations) == 1
 
+    def test_restrict_compares_no_relations(self, monkeypatch):
+        # the scan restricts to the variables in a relation or the ideal: the
+        # same algebra as one built on them, without the checks of __post_init__
+        A = MonomialAlgebra.make(("X", "Z", "Y", "U"), [{"X", "U"}, {"Y", "U"}])
+        want = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}, {"Y", "U"}])
+        monkeypatch.setattr(MonomialAlgebra, "__post_init__",
+                            lambda self: pytest.fail("relations checked again"))
+        B = A.restrict(A.mask(("X", "Y", "U")))
+        assert (B, B.bits, B.relation_masks) == (want, want.bits, want.relation_masks)
+
     def test_describe(self):
         assert TWOPLANES.describe() == "k[X,Y,U]/(XU)"
         assert PLANE.describe() == "k[X,Y]"

@@ -166,11 +166,10 @@ class TestClosedSets:
         P = chain_poset()
         V = SpecClosedSet(P, frozenset({"p", "m"}))
         assert V.members == frozenset({"p", "m"})
-        assert V.sorted_members() == ["m", "p"]
 
     def test_closure(self):
         P = truncated_spec_z()
-        closed = {v.members for v in enumerate_closed(P)}
+        closed = set(map(frozenset, enumerate_closed(P)))
         assert frozenset({"(0)", "(2)", "(3)", "(5)"}) in closed
         assert frozenset({"(2)", "(3)"}) in closed
         assert frozenset({"(0)"}) not in closed
@@ -195,20 +194,31 @@ class TestEnumeration:
         closed = enumerate_closed(P)
         assert len(closed) == 9
         assert count_antichains(P) == 9
-        members = {tuple(v.sorted_members()) for v in closed}
+        members = set(closed)
         assert () in members
         assert ("(0)", "(2)", "(3)", "(5)") in members
 
     def test_matches_brute_force_on_random_posets(self):
-        # the same closed sets in the same order as the power-set filter
+        # the same closed sets in the same order as the power-set filter,
+        # each the tuple of its labels in label order
         rng = random.Random(2323)
         for _ in range(200):
             nodes, edges = random_order(rng, max_nodes=10)
             rng.shuffle(nodes)  # node positions need not follow the order
             P = SpecPoset.build(nodes, edges)
-            got = [v.members for v in enumerate_closed(P)]
+            closed = enumerate_closed(P)
+            assert all(list(c) == sorted(c) for c in closed), P.nodes
+            got = list(map(frozenset, closed))
             assert got == closed_sets_brute(P), P.nodes
             assert len(got) == count_antichains(P)
+
+    def test_sixteen_node_antichain(self):
+        # ENUM_BOUND nodes and no order: every subset, each a label-ordered tuple
+        P = SpecPoset.build(["n%d" % i for i in range(ENUM_BOUND)], [])
+        closed = enumerate_closed(P)
+        assert len(closed) == len(set(closed)) == 2 ** ENUM_BOUND
+        assert all(type(c) is tuple and list(c) == sorted(c) for c in closed)
+        assert closed[-1] == tuple(sorted(P.nodes))
 
     def test_enumeration_bound(self):
         P = SpecPoset.build(["n%d" % i for i in range(ENUM_BOUND + 1)], [])
