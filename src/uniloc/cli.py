@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
@@ -399,13 +400,18 @@ def _cmd_classgroup(args) -> int:
             "%d is not a fundamental discriminant (the maximal order of "
             "Q(sqrt(%d)) has discriminant %d)" % (D, d, order.discriminant))
     forms = quadorder.reduced_forms(order)
-    if args.format == "json":  # one format per form: the forms can be many
-        form = "[\n      %d,\n      %d,\n      %d\n    ]".__mod__
-        _print('{\n  "class_number": %d,\n  "discriminant": %d,\n  "reduced_forms": %s,'
-               '\n  "schema": 1\n}' % (len(forms), D, _json_list(forms, "  ", form)))
+    # one format for the whole listing: the forms can be many, and the unit
+    # form makes the list non-empty
+    h = len(forms)
+    if args.format == "json":
+        layout = ('{\n  "class_number": %d,\n  "discriminant": %d,\n  "reduced_forms": ['
+                  + (",\n    [\n      %d,\n      %d,\n      %d\n    ]" * h)[1:]
+                  + '\n  ],\n  "schema": 1\n}')
+        head = (h, D)
     else:
-        _print("\n".join(["discriminant: %d" % D, "class number: %d" % len(forms)]
-                         + ["form: %d %d %d" % f for f in forms]))
+        layout = "discriminant: %d\nclass number: %d" + "\nform: %d %d %d" * h
+        head = (D, h)
+    _print(layout % (head + tuple(chain.from_iterable(forms))))
     return 0
 
 
@@ -491,13 +497,16 @@ def _cmd_spec_enumerate(args) -> int:
     P = spectool.SpecPoset.build(nodes, edges)
     closed = spectool.enumerate_closed(P)
     heights = P.heights()
-    if args.format == "json":  # one join of pre-encoded labels per closed set
+    if args.format == "json":  # labels encoded once, one join per closed set
         quoted = {n: encode_basestring_ascii(n) for n in P.nodes}.__getitem__
-        _print('{\n  "closed_sets": %s,\n  "count": %d,\n  "heights": {\n    %s\n  },'
-               '\n  "nodes": %s,\n  "schema": 1\n}' % (
-                   _json_list([_json_list(c, "    ", quoted) for c in closed], "  ", str),
-                   len(closed), ",\n    ".join("%s: %d" % (quoted(n), heights[n])
-                                               for n in sorted(P.nodes)),
+        # the empty set comes first and prints as []; a poset has a node, so
+        # at least one non-empty closed set follows
+        rest = "\n    ],\n    [\n      ".join([",\n      ".join(map(quoted, c))
+                                             for c in closed[1:]])
+        _print('{\n  "closed_sets": [\n    [],\n    [\n      %s\n    ]\n  ],\n  "count": %d,'
+               '\n  "heights": {\n    %s\n  },\n  "nodes": %s,\n  "schema": 1\n}' % (
+                   rest, len(closed),
+                   ",\n    ".join("%s: %d" % (quoted(n), heights[n]) for n in sorted(P.nodes)),
                    _json_list(P.nodes, "  ", quoted)))
     else:
         _print("\n".join(["nodes: %s" % ", ".join(P.nodes),

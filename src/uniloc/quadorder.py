@@ -23,7 +23,7 @@ denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log
+from math import isqrt, lcm, log
 
 from .errors import InputError, record
 from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict, ratio,
@@ -54,10 +54,18 @@ def _is_prime(n: int) -> bool:
 
 
 def _sqrt_mod(n: int, ell: int) -> int:
-    """A square root of n, a square modulo the prime ell (Tonelli-Shanks)."""
+    """A square root of n, a square modulo the prime ell: one power when
+    ell = 3 mod 4, Atkin's formula when ell = 5 mod 8, else Tonelli-Shanks.
+    For ell other than 1 mod 8 any n gets a result, so squaring it decides
+    whether n is a square."""
     n %= ell
     if n == 0 or ell == 2:
         return n
+    if ell & 3 == 3:
+        return pow(n, (ell + 1) >> 2, ell)
+    if ell & 7 == 5:
+        v = pow(2 * n, ell >> 3, ell)  # (2n)^((ell - 5)/8)
+        return n * v * (2 * n * v * v - 1) % ell
     s = ((ell - 1) & (1 - ell)).bit_length() - 1  # ell - 1 = 2^s * q, q odd
     q = (ell - 1) >> s
     z = next(z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) == ell - 1)
@@ -436,26 +444,39 @@ def inert_ideal(order: QuadOrder, ell: int) -> QuadIdeal:
 # class group --------------------------------------------------------------
 
 # the largest |D| whose reduced forms `classgroup` lists.  In process on a
-# shared 2-core host, reduced_forms alone takes 0.18-0.26 s at |D| near 10^10,
-# 0.36-0.57 s at 3*10^10, 0.39-0.61 s at 5*10^10, 0.91-1.27 s at 10^11 and
-# 3.7 s at 10^12 (four discriminants per rung; the class number moves the
-# time).  The whole call, text or JSON, took a median of 0.48 s and at most
-# 0.89 s at 3*10^10 (eight discriminants), against 0.81 s and 1.03 s at
-# 5*10^10, so 3*10^10 stays inside the 1 s budget per call.
+# shared 2-core host, reduced_forms alone takes 0.05-0.13 s at |D| near
+# 10^10, 0.10-0.17 s at 3*10^10, 0.14-0.34 s at 5*10^10, 0.23-0.29 s at
+# 10^11 and 0.8-1.3 s at 10^12 (four discriminants per rung, two runs; the
+# class number moves the time).  The whole call, text or JSON, took a median
+# of 0.18-0.20 s and at most 0.29 s at 3*10^10 (eight discriminants), and
+# 0.19-0.20 s and at most 0.27 s at 5*10^10: 3*10^10 keeps a wide margin
+# inside the 1 s budget per call.
 FORMS_BOUND = 3 * 10 ** 10
 
 
 def reduced_forms(order: QuadOrder):
-    """All reduced primitive forms (a, b, c) of the discriminant, sorted.
+    """All reduced forms (a, b, c) of the discriminant D, sorted.
 
-    For each a <= sqrt(|D|/3) only the b with b^2 = D mod 4a are built,
-    as residues mod 2a: at an odd prime a from +-sqrt(D) mod a
-    (Tonelli-Shanks) and the parity b = D mod 2; at any other a by
-    lifting each root r for a/p, p the least prime factor of a, to the p
-    candidates r + 2(a/p)t.  With the least-prime-factor sieve that is
-    about sqrt|D| log|D| steps, where trying every b in (-a, a] would take
-    |D|/3 (Cohen, GTM 138, sec. 1.5 and 5.3).  |D| above FORMS_BOUND is
-    an InputError.
+    Method: for each a <= sqrt(|D|/3) only the b in (-a, a] with
+    b^2 = D mod 4a are built, sorted, as roots[a].  At an odd prime a
+    they are +-r, r = _sqrt_mod(D, a) taken with the parity of D and
+    kept iff r^2 = D mod a: one power D^((a+1)/4) when a = 3 mod 4,
+    Atkin's formula when a = 5 mod 8, Euler's criterion and then
+    Tonelli-Shanks when a = 1 mod 8.  At any other a = p*q, p the least
+    prime factor, each root r for q lifts to the p candidates r + 2qt,
+    and a is passed over when q or p has no root.  As a grows and each
+    a's b are sorted, the forms come out sorted.  c >= a holds wherever
+    4a^2 <= |D|, so it is tested only above that.
+
+    Every form is primitive, so no gcd is taken: g dividing a, b and c
+    gives g^2 | D, and D is fundamental (d is squarefree, the order
+    maximal), so g <= 2; g = 2 would give D/4 = (b/2)^2 - ac = 0 or 1
+    mod 4, where a fundamental D/4 is 2 or 3 mod 4.
+
+    Cost: the least-prime-factor sieve and the a-loop take about
+    sqrt|D| log|D| steps, and each of the h forms one step more, where
+    trying every b in (-a, a] would take |D|/3 (Cohen, GTM 138, sec. 1.5
+    and 5.3).  |D| above FORMS_BOUND is an InputError.
 
     >>> reduced_forms(QuadOrder(-5))
     [(1, 0, 5), (2, 2, 3)]
@@ -465,29 +486,40 @@ def reduced_forms(order: QuadOrder):
         raise InputError("cannot list the reduced forms of discriminant %d: "
                          "|D| is above %d" % (D, FORMS_BOUND))
     amax = isqrt(-D // 3)
+    alow = isqrt(-D // 4)  # 4a^2 <= |D|, so c >= a, for every a <= alow
     spf = list(range(amax + 1))  # least prime factor
     for p in range(isqrt(amax), 1, -1):  # the least p writes last
         spf[p * p::p] = [p] * len(range(p * p, amax + 1, p))
-    roots = [[]] * (amax + 1)  # roots[a]: the b mod 2a with b^2 = D mod 4a
-    roots[1] = [D % 2]
-    out = []
-    for a in range(1, amax + 1):
-        p = spf[a]
+    parity = D % 2  # the parity of every b
+    roots = [()] * (amax + 1)
+    roots[1] = (parity,)
+    out = [(1, parity, (parity - D) // 4)]
+    for a in range(2, amax + 1):
+        p, m = spf[a], 4 * a
         if p == a > 2:
-            if _symbol(D, p) != -1:
-                r = _sqrt_mod(D, p)
-                roots[a] = [x + p * ((x - D) % 2) for x in {r, -r % p}]
-        elif a > 1:
-            q = a // p
-            roots[a] = [b for r in roots[q] for b in range(r, 2 * a, 2 * q)
-                        if (b * b - D) % (4 * a) == 0]
-        for b in roots[a]:
-            b = _centred(b, a)
-            c = (b * b - D) // (4 * a)
-            if c < a or (a == c and b < 0) or gcd(gcd(a, abs(b)), c) != 1:
+            n = D % p
+            if p & 7 == 1 and n and pow(n, p >> 1, p) != 1:  # Euler's criterion
                 continue
-            out.append((a, b, c))
-    return sorted(out)
+            r = _sqrt_mod(n, p)
+            if r * r % p != n:
+                continue
+            if r & 1 != parity:
+                r = p - r
+            rs = roots[a] = (-r, r) if n else (r,)
+        else:
+            q = a // p
+            if not roots[q] or q > 1 and not roots[p]:
+                continue
+            rs = roots[a] = sorted([b if b <= a else b - 2 * a for r in roots[q]
+                                    for b in range(r, r + 2 * a, 2 * q) if (b * b - D) % m == 0])
+        if a <= alow:
+            out += [(a, b, (b * b - D) // m) for b in rs]
+        else:
+            for b in rs:
+                c = (b * b - D) // m
+                if c > a or c == a and b >= 0:
+                    out.append((a, b, c))
+    return out
 
 
 def class_number(order: QuadOrder) -> int:

@@ -342,16 +342,17 @@ def least_positive_root(D, ell):
     return hit
 
 
-def reduced_forms_brute(D):
-    """Reduced primitive forms of discriminant D < 0 by testing every
-    b in (-a, a] for every a <= sqrt(|D|/3)."""
+def reduced_forms_brute(D, primitive=True):
+    """Reduced forms of discriminant D < 0, primitive ones only unless
+    primitive is False, by testing every b in (-a, a] for every
+    a <= sqrt(|D|/3)."""
     out = []
     for a in range(1, isqrt(abs(D) // 3) + 1):
         for b in range(-a + 1, a + 1):
             if (b * b - D) % (4 * a) != 0:
                 continue
             c = (b * b - D) // (4 * a)
-            if c < a or (a == c and b < 0) or gcd(gcd(a, abs(b)), c) != 1:
+            if c < a or (a == c and b < 0) or primitive and gcd(gcd(a, abs(b)), c) != 1:
                 continue
             out.append((a, b, c))
     return sorted(out)

@@ -292,22 +292,26 @@ class TestClassgroup:
 
     def test_json_layout_on_seeded_discriminants(self, capsys):
         # the fixed layout is what json.dumps(sort_keys=True, indent=2) prints,
-        # and it lists the forms of the text output
+        # and it lists the forms of the text output; -3010279 has h = 1661
         rng = random.Random(2929)
-        listed = 0
+        discs = []
         for _ in range(60):
             d = -rng.randint(1, 10 ** rng.randint(2, 6))
-            D = d if d % 4 == 1 else 4 * d  # fundamental when d is squarefree
+            discs.append(d if d % 4 == 1 else 4 * d)  # fundamental when d is squarefree
+        listed = []
+        for D in discs + [-3010279]:
             code, out, _ = run(capsys, "classgroup", "--disc", str(D), "--format", "json")
             if code:
                 continue
             doc = json.loads(out)
             assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", D
             text = run(capsys, "classgroup", "--disc", str(D))[1].splitlines()
+            assert text[:2] == ["discriminant: %d" % D, "class number: %d" % doc["class_number"]]
             assert [line.split()[1:] for line in text[2:]] == \
                 [list(map(str, f)) for f in doc["reduced_forms"]], D
-            listed += 1
-        assert listed > 20
+            assert all(line.startswith("form: ") for line in text[2:]), D
+            listed.append(doc["class_number"])
+        assert len(listed) > 20 and listed[-1] == 1661
 
     def test_class_number_one(self, capsys):
         code, doc, _ = run_json(capsys, "classgroup", "--disc", "-19")

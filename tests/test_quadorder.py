@@ -290,6 +290,22 @@ def test_reduced_forms_match_brute_force():
         order = QuadOrder(d)
         assert reduced_forms(order) == reduced_forms_brute(order.discriminant), d
         tested += 1
+    # class numbers of the size the kernel-sweep rungs list: h = 1661, 1344, 783
+    for d, h in ((-3010279, 1661), (-3004359, 1344), (-1006879, 783)):
+        forms = reduced_forms(QuadOrder(d))
+        assert len(forms) == h and forms == reduced_forms_brute(d), d
+
+
+def test_fundamental_forms_are_primitive():
+    # reduced_forms takes no gcd: for a fundamental D the brute force lists
+    # the same forms with or without its primitivity filter
+    for d in range(-1, -6000, -1):
+        if squarefree_brute(-d):
+            D = QuadOrder(d).discriminant
+            assert reduced_forms_brute(D, primitive=False) == reduced_forms_brute(D), d
+    # the filter does act on a non-fundamental D: 2*(1, 1, 1) has D = -12
+    assert reduced_forms_brute(-12, primitive=False) == [(1, 0, 3), (2, 2, 2)]
+    assert reduced_forms_brute(-12) == [(1, 0, 3)]
 
 
 def test_reduced_forms_genus_count_near_1e8():
@@ -664,6 +680,9 @@ def test_sqrt_mod_matches_brute_force():
             roots.setdefault(x * x % ell, set()).add(x)
         for n, rs in roots.items():
             assert quadorder._sqrt_mod(n, ell) in rs, (n, ell)
+        if ell % 8 != 1:  # reduced_forms squares the result to test n
+            for n in set(range(ell)).difference(roots):
+                assert quadorder._sqrt_mod(n, ell) ** 2 % ell != n, (n, ell)
 
 
 def test_decompose_root_matches_linear_search():
