@@ -16,6 +16,19 @@ from .errors import InputError, record
 # randint(-9, 9) row by row) answers in 0.53 s at n = 90 and 0.74 s at n = 100
 # (median of 5; runs spread 1.6x), so 90 stays inside the 1 s budget per call.
 SNF_DIM_BOUND = 90
+# the most n^2 * h^(3/2) `snf` takes, n = max(rows, cols) and h the bits of
+# the Hadamard bound of the rows, which bounds every minor (see cli).  D, U
+# and W have entries of up to about h and 2h bits, so the time grows with
+# n and faster than linearly with h.  On seeded n x n matrices with d-digit
+# entries, in process on a shared 2-core host (median of 3), a whole `snf`
+# call takes 0.48-0.60 s at n = 80, d = 3 and at n = 90, d = 2 (2.0*10^8),
+# and 0.62-0.71 s as a fresh process at n = 90 with entries in [-132, 132]
+# (2.1*10^8).  Past the bound: 0.50-0.60 s at n = 70, d = 5 (2.4*10^8),
+# 0.88-0.93 s at n = 90, d = 3 (3.0*10^8), 0.64-0.72 s at n = 60, d = 10
+# (3.5*10^8), 1.5 s at n = 40, d = 50 (8.8*10^8) and 0.82 s at n = 5,
+# d = 4299 (4.8*10^8, refused at print).  A 1 x 90 row of 1000-digit
+# entries takes 0.74 s (1.5*10^9), of 4299-digit ones more than 8 s.
+SNF_COST_BOUND = 21 * 10 ** 7
 
 
 @record

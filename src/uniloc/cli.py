@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import isqrt
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
 from .verdict import Verdict, _json_list, check_printable, read_number
@@ -144,6 +145,16 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
             entries.append([read_number(t, "matrix row %d" % number) for t in row])
         except ValueError:
             raise InputError("non-integer entry in row %r" % (ln,)) from None
+    # h bounds the bits of the product of the min(rows, cols) longest row
+    # norms, the Hadamard bound of every minor: O(rows * cols), before any
+    # elimination
+    h = (sum(sorted((sum(x * x for x in row).bit_length() for row in entries),
+                    reverse=True)[:min(rows, cols)]) + 1) // 2
+    n = max(rows, cols)
+    if n ** 4 * h ** 3 > abgroup.SNF_COST_BOUND ** 2:
+        raise InputError("a %d x %d matrix with a Hadamard bound of %d bits has n^2 * h^1.5 = "
+                         "%d, past abgroup.SNF_COST_BOUND = %d"
+                         % (rows, cols, h, isqrt(n ** 4 * h ** 3), abgroup.SNF_COST_BOUND))
     return abgroup.IntMatrix(rows, cols, tuple(x for row in entries for x in row))
 
 
@@ -434,7 +445,8 @@ def _cmd_cech(args) -> int:
     rels = _parse_relations(args.rel or "", variables)
     gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
     # before the algebra is built: its relation test is quadratic in the relations
-    lcohom.check_scannable(len(set(variables).intersection(gens).union(*rels)))
+    lcohom.check_scannable(len(set(variables).intersection(gens).union(*rels)),
+                           len(set(map(frozenset, rels))))
     A = lcohom.MonomialAlgebra.make(variables, rels)
     I = lcohom.VariableIdeal.of(A, gens)
     out, table = lcohom.cech_table(A, I, args.i, args.box)

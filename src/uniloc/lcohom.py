@@ -44,7 +44,9 @@ from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT
                       FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
                       HeightViolation, Verdict)
 
-ENUM_VARIABLE_BOUND = 16  # facet enumeration is exponential in the variable count
+# facet enumeration is exponential in the variable count: the facets of
+# k[v0..v15] take 0.14 s as a fresh process on a shared 2-core host
+ENUM_VARIABLE_BOUND = 16
 # the most rows `cech` prints.  As a fresh process on a shared 2-core host,
 # a table of 200 000 rows takes 0.64-0.68 s and one of 300 000 rows 0.87-1.04 s,
 # in text and in JSON (median of 3); 1 s is the budget per call.
@@ -55,6 +57,14 @@ CECH_ROWS_BOUND = 200_000
 # fresh process on a shared 2-core host (median of 3), 12, 14, 15 and 16
 # such variables take 0.13, 0.31, 0.44 and 0.98 s; 1 s is the budget.
 CECH_SCAN_BOUND = 15
+# the most relation tests the scan makes, 2^m for its m variables times the
+# relations: each candidate is tested against every relation, and a face
+# again in _key.  In process on a shared 2-core host, 2^22 such tests take
+# 0.26-0.46 s with 13, 14 or 15 variables and relations of 5 to 7 of them
+# (one to seven generators at --i 1), 2^23 take 0.26-0.80 s, and 15
+# variables with their 3003 relations of size 5 (2^26.6) take 1.8 s.  The
+# ranks are not counted: one complex over many generators can cost more.
+CECH_RELATION_TESTS_BOUND = 2 ** 22
 
 
 @record
@@ -129,7 +139,9 @@ class MonomialAlgebra:
 
     def facets(self):
         if len(self.variables) > ENUM_VARIABLE_BOUND:
-            raise InputError("too many variables for facet enumeration")
+            raise InputError("facet enumeration over %d variables is past "
+                             "lcohom.ENUM_VARIABLE_BOUND = %d"
+                             % (len(self.variables), ENUM_VARIABLE_BOUND))
         # largest first, so a face inside none of the facets so far is one
         faces, masks = [], []
         for k in range(len(self.variables), -1, -1):
@@ -326,12 +338,17 @@ class NonvanishOutcome:
         return self.witness is not None
 
 
-def check_scannable(count: int) -> None:
+def check_scannable(count: int, relations: int) -> None:
     """Refuse a sign-pattern scan over more than CECH_SCAN_BOUND variables
-    in a relation or the ideal."""
+    in a relation or the ideal, then one of more than
+    CECH_RELATION_TESTS_BOUND relation tests."""
     if count > CECH_SCAN_BOUND:
         raise InputError("the sign-pattern scan over %d variables in a relation or the "
                          "ideal is past lcohom.CECH_SCAN_BOUND = %d" % (count, CECH_SCAN_BOUND))
+    if relations << count > CECH_RELATION_TESTS_BOUND:
+        raise InputError("the sign-pattern scan tests %d relations at each of 2^%d candidates, "
+                         "past lcohom.CECH_RELATION_TESTS_BOUND = %d"
+                         % (relations, count, CECH_RELATION_TESTS_BOUND))
 
 
 def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
@@ -344,7 +361,8 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     (Brodmann-Sharp, Local Cohomology, 4.3.2).  In a free coordinate the
     sign -1 gives zero and the signs 0 and +1 give the dim of A' at the
     other coordinates, so the scan runs over the m' variables of A', 2^m'
-    candidates, and refuses past CECH_SCAN_BOUND before it builds any.
+    candidates, and refuses past CECH_SCAN_BOUND or
+    CECH_RELATION_TESTS_BOUND before it builds any.
 
     The scan order is the zero vector, then the rest of {-1,0,1}^m' in
     lexicographic order.  A candidate is a face S = N | P with N inside
@@ -363,7 +381,7 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     used = A.mask(I.generators)
     for r in A.relation_masks:
         used |= r
-    check_scannable(used.bit_count())
+    check_scannable(used.bit_count(), len(A.relation_masks))
     names = A.variables
     if used != (1 << len(names)) - 1:
         A = A.restrict(used)

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from .errors import InputError, record
 
-# an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each
+# an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each.
+# In process on a shared 2-core host (median of 5), `spec enumerate --format
+# json` on an antichain takes 0.005-0.006 s at 12 nodes, 0.024 s at 14 and
+# 0.10-0.12 s at 16, a factor of 4 per two nodes; 1 s is the budget per call
 ENUM_BOUND = 16
 
 
@@ -135,7 +138,7 @@ def parse_poset(text: str):
 def check_enumerable(count: int) -> None:
     """Refuse to enumerate the closed sets of more than ENUM_BOUND nodes."""
     if count > ENUM_BOUND:
-        raise InputError("poset has %d nodes, enumeration is capped at %d"
+        raise InputError("poset has %d nodes, enumeration is capped at spectool.ENUM_BOUND = %d"
                          % (count, ENUM_BOUND))
 
 

@@ -37,10 +37,14 @@ PRINT_DIGITS = 4300
 _PRINT_LIMIT = 10 ** PRINT_DIGITS
 
 
+def _too_long(what: str, has: str) -> InputError:
+    return InputError("%s has %s, too long to print (verdict.PRINT_DIGITS = %d)"
+                      % (what, has, PRINT_DIGITS))
+
+
 def check_printable(numbers, what: str) -> None:
     if any(abs(n) >= _PRINT_LIMIT for n in numbers):
-        raise InputError("%s has an integer of more than %d digits, too long to print"
-                         % (what, PRINT_DIGITS))
+        raise _too_long(what, "an integer of more than %d digits" % PRINT_DIGITS)
 
 
 _DIGIT_RUN = r"\d(?:_?\d)*"  # as int() and Fraction() read digits, underscores between
@@ -61,8 +65,7 @@ def read_number(text: str, what: str, kind=int):
     """
     if len(text) > PRINT_DIGITS and any(len(run) - run.count("_") > PRINT_DIGITS
                                         for run in _DIGIT_RUNS.findall(text)):
-        raise InputError("%s has an integer of more than %d digits, too long to print"
-                         % (what, PRINT_DIGITS))
+        raise _too_long(what, "an integer of more than %d digits" % PRINT_DIGITS)
     # a sign and decimal digits, which int() and Fraction() read alike on
     # every Python from 3.10: Fraction reads no "_" before 3.11, and int
     # strips no "\x1c" to "\x1f", which Fraction's regex takes for spaces
@@ -76,8 +79,7 @@ def read_number(text: str, what: str, kind=int):
         start, end = exponent.span(1)
         kind(text[:start] + "".join("_" if c == "_" else "0" for c in text[start:end])
              + text[end:])
-        raise InputError("%s has an exponent of %d or more, too long to print"
-                         % (what, PRINT_DIGITS))
+        raise _too_long(what, "an exponent of %d or more" % PRINT_DIGITS)
     return kind(text)
 
 

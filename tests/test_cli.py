@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -140,14 +141,6 @@ class TestClassifyQuad:
         assert doc["ring"] == "quad:-1000000000000000003"
         assert doc["witness"]["elements"] == ["2"]
 
-    def test_class_group_too_large_to_list(self, capsys):
-        # the fundamental discriminant after -29999999999, the largest that
-        # quadorder.FORMS_BOUND accepts
-        code, out, err = run(capsys, "classgroup", "--disc", "-30000000003")
-        assert (code, out) == (2, "")
-        assert err == ("input error: cannot list the reduced forms of "
-                       "discriminant -30000000003: |D| is above 30000000000\n")
-
     def test_classify_past_the_forms_bound(self, capsys):
         # p2 is ramified and not principal: the class walk needs no class
         # number, so the class group's size does not bound classify
@@ -167,7 +160,7 @@ class TestClassifyQuad:
             assert (code, out) == (2, ""), ring
             assert err == ("input error: the class order of %s is above %d, so a "
                            "generator of its power has more than 4300 digits, too "
-                           "long to print\n" % (ideal, bound))
+                           "long to print%s\n" % (ideal, bound, TOO_LONG))
 
     def test_input_errors(self, capsys):
         cases = [
@@ -192,31 +185,36 @@ class TestClassifyQuad:
             assert err == "input error: %s does not apply to quad:-5\n" % option
 
 
+TOO_LONG = " (verdict.PRINT_DIGITS = 4300)"
+
+
 class TestInputBounds:
     """A number past the print bound is refused before it is built, with one line."""
 
     @pytest.mark.parametrize("argv, message", [
         (("classify", "--ring", "ell:0,1", "--prime", "1e10000000,1"),
-         "a rational number has an exponent of 4300 or more, too long to print"),
+         "a rational number has an exponent of 4300 or more, too long to print" + TOO_LONG),
         (("classify", "--ring", "ell:0,1", "--prime", "2,3e-4300"),
-         "a rational number has an exponent of 4300 or more, too long to print"),
+         "a rational number has an exponent of 4300 or more, too long to print" + TOO_LONG),
         (("ell", "torsion", "--curve", "0,1_0e1_000_000", "--point", "O"),
-         "a rational number has an exponent of 4300 or more, too long to print"),
+         "a rational number has an exponent of 4300 or more, too long to print" + TOO_LONG),
         (("classify", "--ring", "ell:0,%s" % ("7" * 5000), "--prime", "O"),
-         "a rational number has an integer of more than 4300 digits, too long to print"),
+         "a rational number has an integer of more than 4300 digits, too long to print"
+         + TOO_LONG),
         (("classify", "--ring", "quad:-5", "--prime", "p" + "7" * 5000),
-         "--prime has an integer of more than 4300 digits, too long to print"),
+         "--prime has an integer of more than 4300 digits, too long to print" + TOO_LONG),
         (("classify", "--ring", "quad:-" + "7" * 5000, "--prime", "p2"),
-         "the ring id has an integer of more than 4300 digits, too long to print"),
+         "the ring id has an integer of more than 4300 digits, too long to print" + TOO_LONG),
         (("classify", "--ring", "segre", "--fp", "%s*S0*T0 + S1*T1" % ("7" * 5000)),
-         "the polynomial has an integer of more than 4300 digits, too long to print"),
+         "the polynomial has an integer of more than 4300 digits, too long to print" + TOO_LONG),
         (("classify", "--ring", "segre", "--fp", "S0^" + "7" * 5000),
-         "the polynomial has an integer of more than 4300 digits, too long to print"),
+         "the polynomial has an integer of more than 4300 digits, too long to print" + TOO_LONG),
         (("classify", "--ring", "segre", "--fp", "S0^{0}*S0^{0}*T0 + S1^{0}*S1^{0}*T1"
           .format("9" * 4300)),
-         "an S or T degree of f has an integer of more than 4300 digits, too long to print"),
+         "an S or T degree of f has an integer of more than 4300 digits, too long to print"
+         + TOO_LONG),
         (("classify", "--ring", "ell:1e7188,1", "--prime", "0,1"),
-         "a rational number has an exponent of 4300 or more, too long to print"),
+         "a rational number has an exponent of 4300 or more, too long to print" + TOO_LONG),
         # no mantissa: not a number Fraction reads, whatever the exponent
         (("classify", "--ring", "ell:e7188,1", "--prime", "0,1"),
          "cannot read 'e7188' as a rational number"),
@@ -238,9 +236,9 @@ class TestInputBounds:
 
 
 PRIME_BOUND = ("cannot test primality past the trial division bound: "
-               "the square root is above 1000000")
+               "the square root is above quadorder.TRIAL_STEPS = 1000000")
 SQUAREFREE_BOUND = ("cannot test squarefreeness past the trial division bound: "
-                    "the cube root of |d| is above 1000000")
+                    "the cube root of |d| is above quadorder.TRIAL_STEPS = 1000000")
 
 
 class TestTrialDivisionBound:
@@ -703,16 +701,18 @@ class TestCech:
         # shapes (which of X, Y are negative): one cech_dim call per shape
         assert len(calls) == 4
 
-    def test_scan_bound_refused(self, capsys):
-        # the free variable w does not count; the generators do
-        names = ["v%d" % j for j in range(lcohom.CECH_SCAN_BOUND + 1)]
-        for fmt in ("text", "json"):
-            code, out, err = run(capsys, "cech", "--vars", ",".join(names + ["w"]), "--ideal",
-                                 ",".join(names), "--i", "1", "--format", fmt)
-            assert (code, out) == (2, "")
-            assert err == ("input error: the sign-pattern scan over %d variables in a relation "
-                           "or the ideal is past lcohom.CECH_SCAN_BOUND = %d\n"
-                           % (len(names), lcohom.CECH_SCAN_BOUND))
+    def test_relation_tests_refused_before_the_algebra(self, capsys, monkeypatch):
+        # the 3003 relations of size 5 over 15 variables make a 1.8 s scan; a
+        # relation named twice counts once
+        monkeypatch.setattr(lcohom.MonomialAlgebra, "make", None)
+        names = ["v%d" % j for j in range(15)]
+        rels = ["*".join(r) for r in combinations(names, 5)]
+        code, out, err = run(capsys, "cech", "--vars", ",".join(names), "--ideal", "v0",
+                             "--rel", ",".join(rels + rels[:10]), "--i", "1")
+        assert (code, out) == (2, "")
+        assert err == ("input error: the sign-pattern scan tests 3003 relations at each of "
+                       "2^15 candidates, past lcohom.CECH_RELATION_TESTS_BOUND = %d\n"
+                       % lcohom.CECH_RELATION_TESTS_BOUND)
 
     def test_many_relations_refused_before_the_algebra(self, capsys, monkeypatch):
         # the 4950 pairs of 100 variables name 100 variables in a relation:
@@ -762,19 +762,20 @@ class TestSnf:
             assert (code, out) == (2, ""), text
             assert err == 'input error: first line must be "rows cols"\n'
 
-    def test_dimension_bound(self, capsys, tmp_path):
-        # W alone has cols^2 entries, so the header is checked before any row
-        bound = abgroup.SNF_DIM_BOUND
+    def test_cost_refused_before_elimination(self, capsys, tmp_path, monkeypatch):
+        # eliminating a 5 x 5 matrix of 4299-digit entries takes 0.8 s, only to
+        # reach the print refusal; the Hadamard bound of its rows refuses it
+        monkeypatch.setattr(abgroup, "smith_normal_form", None)
+        r = random.Random(5)
         mat = tmp_path / "m.txt"
-        wide = "1 %d\n%s\n" % (bound + 1, "1 " * (bound + 1))
-        for text in ("0 2000\n", "%d 1\n" % (bound + 1), wide):
-            mat.write_text(text)
-            code, out, err = run(capsys, "snf", "--matrix", str(mat))
-            assert (code, out) == (2, ""), text
-            assert "above abgroup.SNF_DIM_BOUND = %d rows or columns" % bound in err
-        mat.write_text("1 %d\n%s\n" % (bound, "2 " * bound))
-        code, doc, _ = run_json(capsys, "snf", "--matrix", str(mat))
-        assert (code, doc["diagonal"]) == (0, [2])
+        mat.write_text("5 5\n" + "".join(
+            " ".join(str(r.randint(-10 ** 4299 + 1, 10 ** 4299 - 1)) for _ in range(5)) + "\n"
+            for _ in range(5)))
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == ("input error: a 5 x 5 matrix with a Hadamard bound of 71408 bits has "
+                       "n^2 * h^1.5 = 477046059, past abgroup.SNF_COST_BOUND = %d\n"
+                       % abgroup.SNF_COST_BOUND)
 
     def test_one_smith_normal_form_call(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -804,7 +805,8 @@ class TestSnf:
                               capture_output=True, text=True)
             assert (proc.returncode, proc.stdout) == (2, ""), fmt
             assert proc.stderr == ("input error: the Smith normal form has an integer "
-                                   "of more than 4300 digits, too long to print\n")
+                                   "of more than 4300 digits, too long to print%s\n"
+                                   % TOO_LONG)
 
     def test_overlong_entry(self, capsys, tmp_path):
         # int() would refuse 10^4400 as if it were not a number
@@ -813,12 +815,12 @@ class TestSnf:
         code, out, err = run(capsys, "snf", "--matrix", str(mat))
         assert (code, out) == (2, "")
         assert err == ("input error: matrix row 2 has an integer of more than "
-                       "4300 digits, too long to print\n")
+                       "4300 digits, too long to print%s\n" % TOO_LONG)
         mat.write_text("%s 1\n3\n" % ("7" * 5000))
         code, out, err = run(capsys, "snf", "--matrix", str(mat))
         assert (code, out) == (2, "")
         assert err == ("input error: the matrix header has an integer of more than "
-                       "4300 digits, too long to print\n")
+                       "4300 digits, too long to print%s\n" % TOO_LONG)
 
     def test_text_output(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
@@ -896,7 +898,8 @@ class TestSpecEnumerate:
         poset.write_text("".join("n%d < n%d\n" % (i - 1, i) for i in range(1199, 0, -1)))
         code, out, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
         assert (code, out) == (2, "")
-        assert err == "input error: poset has 1200 nodes, enumeration is capped at 16\n"
+        assert err == ("input error: poset has 1200 nodes, enumeration is capped at "
+                       "spectool.ENUM_BOUND = 16\n")
 
     def test_size_refused_before_the_order_is_built(self, capsys, tmp_path, monkeypatch):
         # the order stores every node's closure: a chain of n nodes takes n^2/2
@@ -908,11 +911,13 @@ class TestSpecEnumerate:
         code, out, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == "input error: poset has 100001 nodes, enumeration is capped at 16\n"
+        assert err == ("input error: poset has 100001 nodes, enumeration is capped at "
+                       "spectool.ENUM_BOUND = 16\n")
         # the size comes first, before the cycle that building would find
         poset.write_text("".join("n%d < n%d\n" % (i, (i + 1) % 17) for i in range(17)))
         code, _, err = run(capsys, "spec", "enumerate", "--poset", str(poset))
-        assert (code, err) == (2, "input error: poset has 17 nodes, enumeration is capped at 16\n")
+        assert (code, err) == (2, "input error: poset has 17 nodes, enumeration is capped "
+                                  "at spectool.ENUM_BOUND = 16\n")
 
 
 LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"])

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -7,9 +7,9 @@ from oracles import (first_shell_witness, nonzero_patterns_brute, piece_key_brut
                      rank_by_fractions)
 from uniloc import lcohom
 from uniloc.errors import InputError
-from uniloc.lcohom import (CECH_ROWS_BOUND, CECH_SCAN_BOUND, ENUM_VARIABLE_BOUND,
-                           MonomialAlgebra, VariableIdeal, _differential, _key,
-                           _pieces, _rank, _scan, cech_dim, cech_table,
+from uniloc.lcohom import (CECH_RELATION_TESTS_BOUND, CECH_ROWS_BOUND, CECH_SCAN_BOUND,
+                           ENUM_VARIABLE_BOUND, MonomialAlgebra, VariableIdeal,
+                           _differential, _key, _pieces, _rank, _scan, cech_dim, cech_table,
                            certify_nonvanishing, classify_dim3hyper,
                            classify_twoplanes, is_variable_prime, kill_variable,
                            prime_height)
@@ -534,6 +534,18 @@ class TestCertify:
         free = MonomialAlgebra.make(names + ["w%d" % j for j in range(8)], [names[9:-1]])
         assert not certify_nonvanishing(free, VariableIdeal.of(free, names[:10]), 1, 1).found
         assert calls and all(len(args[0].variables) == CECH_SCAN_BOUND for args in calls)
+
+    def test_relation_tests_bound(self, monkeypatch):
+        # 2^13 candidates times 512 relations is the bound: one relation more
+        # is refused before any candidate is built
+        calls = counting(monkeypatch, "cech_dim")
+        names = ["v%d" % j for j in range(13)]
+        assert 512 << 13 == CECH_RELATION_TESTS_BOUND
+        over = MonomialAlgebra.make(names, islice(combinations(names, 6), 513))
+        with pytest.raises(InputError, match="CECH_RELATION_TESTS_BOUND = %d"
+                                             % CECH_RELATION_TESTS_BOUND):
+            certify_nonvanishing(over, VariableIdeal.of(over, ["v0"]), 1, 1)
+        assert calls == []
 
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))

@@ -93,10 +93,11 @@ class TestOrderValidation:
         # trial division makes at most about TRIAL_STEPS divisions
         past = quadorder.TRIAL_STEPS + 1
         assert not quadorder._is_prime(past ** 2 - 1)
-        with pytest.raises(InputError, match="square root is above 1000000"):
+        with pytest.raises(InputError, match="square root is above quadorder.TRIAL_STEPS = 1000000"):
             quadorder._is_prime(past ** 2)
         assert not quadorder._is_squarefree(past ** 3 - 1)
-        with pytest.raises(InputError, match="cube root of \\|d\\| is above 1000000"):
+        with pytest.raises(InputError,
+                           match="cube root of \\|d\\| is above quadorder.TRIAL_STEPS = 1000000"):
             quadorder._is_squarefree(-past ** 3)
         with pytest.raises(InputError):
             QuadOrder(-10 ** 30 - 3)
