@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import Verdict, _json_list, check_printable, read_number
+from .verdict import PRINT_DIGITS, Verdict, _json_list, check_printable, read_number
 
 
 def _lazy(name: str):
@@ -122,6 +122,44 @@ def _read_file(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 
+def _reads_as_int(token: str) -> bool:
+    """Whether read_number reads token as an int: a sign, then at most
+    PRINT_DIGITS decimal digits with single underscores between them.
+    ASCII digits are tested as bytes, an order of magnitude faster than
+    str.isdecimal."""
+    body = token[1:] if token[:1] in "+-" else token
+    digits = body.replace("_", "")
+    return ((digits.encode().isdigit() if digits.isascii() else digits.isdecimal())
+            and len(digits) <= PRINT_DIGITS and "__" not in body and body[:1] != "_" != body[-1:])
+
+
+def _square_bits_floor(token: str) -> int:
+    """A floor on the bits of x * x for the int x that token spells, from
+    its d significant digits alone: x * x >= 10 ** (2 * (d - 1)), of at
+    least 2 * (d - 1) * log2(10) bits, and 3.321928 < log2(10).  A token
+    with a digit other than ASCII counts for none."""
+    digits = token.lstrip("+-").replace("_", "").lstrip("0")
+    d = len(digits) if digits.isascii() else 0
+    return 2 * (d - 1) * 3321928 // 10 ** 6 + 1 if d else 0
+
+
+def _past_cost_bound(rows: int, cols: int, row_bits, floor: bool = False):
+    """The InputError for a matrix past abgroup.SNF_COST_BOUND, else None.
+
+    h bounds the bits of the product of the min(rows, cols) longest row
+    norms, the Hadamard bound of every minor; row_bits holds the bits of
+    each row's squared norm, or a floor on them, and then h is a floor.
+    """
+    h = (sum(sorted(row_bits, reverse=True)[:min(rows, cols)]) + 1) // 2
+    n = max(rows, cols)
+    if n ** 4 * h ** 3 <= abgroup.SNF_COST_BOUND ** 2:
+        return None
+    return InputError("a %d x %d matrix with a Hadamard bound of %s%d bits has n^2 * h^1.5 "
+                      "%s %d, past abgroup.SNF_COST_BOUND = %d"
+                      % (rows, cols, "at least " if floor else "", h, ">=" if floor else "=",
+                         isqrt(n ** 4 * h ** 3), abgroup.SNF_COST_BOUND))
+
+
 def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     text = _read_file(path)
     lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
@@ -136,25 +174,27 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
                          % (rows, cols, abgroup.SNF_DIM_BOUND))
     if len(lines) - 1 != rows:
         raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
+    tokens = [ln.split() for ln in lines[1:]]
+    # a floor on h from each row's longest token, before any int is built:
+    # a file past the bound on it is past it on h too, and when every
+    # token reads, it is refused unread; otherwise the read below gives
+    # the error of the first bad row
+    error = _past_cost_bound(rows, cols, [_square_bits_floor(max(row, key=len))
+                                          for row in tokens], floor=True)
+    if error and all(len(row) == cols and all(map(_reads_as_int, row)) for row in tokens):
+        raise error
     entries = []
-    for number, ln in enumerate(lines[1:], 1):
-        row = ln.split()
+    for number, (ln, row) in enumerate(zip(lines[1:], tokens), 1):
         if len(row) != cols:
             raise InputError("row %r does not have %d entries" % (ln, cols))
         try:
             entries.append([read_number(t, "matrix row %d" % number) for t in row])
         except ValueError:
             raise InputError("non-integer entry in row %r" % (ln,)) from None
-    # h bounds the bits of the product of the min(rows, cols) longest row
-    # norms, the Hadamard bound of every minor: O(rows * cols), before any
-    # elimination
-    h = (sum(sorted((sum(x * x for x in row).bit_length() for row in entries),
-                    reverse=True)[:min(rows, cols)]) + 1) // 2
-    n = max(rows, cols)
-    if n ** 4 * h ** 3 > abgroup.SNF_COST_BOUND ** 2:
-        raise InputError("a %d x %d matrix with a Hadamard bound of %d bits has n^2 * h^1.5 = "
-                         "%d, past abgroup.SNF_COST_BOUND = %d"
-                         % (rows, cols, h, isqrt(n ** 4 * h ** 3), abgroup.SNF_COST_BOUND))
+    # O(rows * cols), before any elimination
+    error = _past_cost_bound(rows, cols, [sum(x * x for x in row).bit_length() for row in entries])
+    if error:
+        raise error
     return abgroup.IntMatrix(rows, cols, tuple(x for row in entries for x in row))
 
 
@@ -364,13 +404,23 @@ def _emit(args, payload_json, payload_text) -> None:
 
 
 def _print(payload_text) -> None:
+    _flush(sys.stdout, payload_text)
+
+
+def _flush(stream, payload_text=None) -> None:
+    """Print payload_text to stream, when given, then flush the stream.
+
+    When the reader has left (a closed pipe), the stream's descriptor is
+    pointed at devnull: what is still buffered goes there on a later
+    flush, and the call keeps its exit code.
+    """
     try:
-        print(payload_text)
-        sys.stdout.flush()
+        if payload_text is not None:
+            print(payload_text, file=stream)
+        stream.flush()
     except BrokenPipeError:
-        # the reader left: send the flush at exit to devnull, keep the exit code
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -626,5 +676,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The `uniloc` command, for `python -m uniloc.cli` and the console script.
+
+    main() answers from sys.argv.  Once it returns, the answer is out:
+    stdout and stderr are flushed and os._exit ends the process with
+    main()'s code, skipping the interpreter's teardown (clearing modules
+    and freeing every object, several ms of a short call).  So atexit
+    handlers and finalizers do not run; wrap main(argv) to profile or
+    measure a call.  An exception out of main() is not caught: the
+    interpreter prints its traceback and exits 1.
+    """
+    code = main()
+    _flush(sys.stdout)
+    _flush(sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

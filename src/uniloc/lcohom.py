@@ -376,7 +376,9 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     The complex depends only on which W have a nonzero piece, and N with
     the reduced relations of _key fixes that family.  So cech_dim runs
     once per key, on the first pattern with it, and the scan costs a few
-    bit operations per candidate and relation.
+    bit operations per candidate and relation.  A key with more than i
+    negative generators is 0 without a call: every W holds N, so the
+    complex has no piece in degree i.
     """
     used = A.mask(I.generators)
     for r in A.relation_masks:
@@ -398,8 +400,9 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
         if A.is_face_mask(support):
             neg, pos = support & gens, t & ~gens
             key = neg, _key(rels, neg, pos)
-            if key not in dims:
-                dims[key] = cech_dim(A, I, i, pattern(bits, neg, pos))
+            if key not in dims:  # a negative i goes on to cech_dim's refusal
+                dims[key] = (0 if 0 <= i < neg.bit_count()
+                             else cech_dim(A, I, i, pattern(bits, neg, pos)))
             if dims[key]:
                 yield pattern(slots, neg, pos), dims[key]
 

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
-from uniloc import abgroup, elliptic, lcohom, quadorder, segre, spectool
+from uniloc import abgroup, cli, elliptic, lcohom, quadorder, segre, spectool
 from uniloc.cli import FAMILIES, _json_text, classify, main
+from uniloc.errors import InputError
+from uniloc.verdict import read_number
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.with_name("bench") / "tracing.py"
@@ -43,11 +45,10 @@ def assert_box_refused(capsys, *argv):
         assert err.splitlines()[-1] == "uniloc: error: unrecognized arguments: --box=" + box
 
 
-def run_python(*args, **kwargs):
+def run_python(*args, env=os.environ, **kwargs):
     """Run a fresh interpreter that finds uniloc on its path."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+    path = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=dict(env, PYTHONPATH=path), **kwargs)
 
 
 def run_module(*argv, **kwargs):
@@ -699,7 +700,8 @@ class TestCech:
         assert code == 0 and doc["witness"] is None
         # 2^5 = 32 candidate patterns, and the complex takes one of 4
         # shapes (which of X, Y are negative): one cech_dim call per shape
-        assert len(calls) == 4
+        # but X and Y both negative, which is zero in degree 1 without one
+        assert len(calls) == 3
 
     def test_relation_tests_refused_before_the_algebra(self, capsys, monkeypatch):
         # the 3003 relations of size 5 over 15 variables make a 1.8 s scan; a
@@ -764,7 +766,8 @@ class TestSnf:
 
     def test_cost_refused_before_elimination(self, capsys, tmp_path, monkeypatch):
         # eliminating a 5 x 5 matrix of 4299-digit entries takes 0.8 s, only to
-        # reach the print refusal; the Hadamard bound of its rows refuses it
+        # reach the print refusal; the digits of its rows' longest entries
+        # give a floor on their Hadamard bound that refuses it unread
         monkeypatch.setattr(abgroup, "smith_normal_form", None)
         r = random.Random(5)
         mat = tmp_path / "m.txt"
@@ -773,9 +776,77 @@ class TestSnf:
             for _ in range(5)))
         code, out, err = run(capsys, "snf", "--matrix", str(mat))
         assert (code, out) == (2, "")
-        assert err == ("input error: a 5 x 5 matrix with a Hadamard bound of 71408 bits has "
-                       "n^2 * h^1.5 = 477046059, past abgroup.SNF_COST_BOUND = %d\n"
+        assert err == ("input error: a 5 x 5 matrix with a Hadamard bound of at least 71390 bits "
+                       "has n^2 * h^1.5 >= 476865695, past abgroup.SNF_COST_BOUND = %d\n"
                        % abgroup.SNF_COST_BOUND)
+
+    def test_cost_floor_reads_no_entry(self, capsys, tmp_path, monkeypatch):
+        # a 90 x 90 file of 4300-digit entries, 35 MB: reading its entries
+        # took 1.3 s on a shared 2-core host before the exact bound refused
+        # it; the floor refuses it before any int is built
+        read = []
+        monkeypatch.setattr(cli, "read_number",
+                            lambda text, what, *kind: read.append(what) or read_number(text, what))
+        mat = tmp_path / "m.txt"
+        mat.write_text("90 90\n" + (" ".join(["9" * 4300] * 90) + "\n") * 90)
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: a 90 x 90 matrix with a Hadamard bound of at least ")
+        assert "past abgroup.SNF_COST_BOUND = %d" % abgroup.SNF_COST_BOUND in err
+        assert read == ["the matrix header"] * 2
+
+    def test_cost_floor_passed_reads_exactly(self, capsys, tmp_path):
+        # entries in [-133, 133]: three digits give a floor of 630 bits on h,
+        # under the bound; the entries read give 877 bits, past it
+        r = random.Random(90)
+        mat = tmp_path / "m.txt"
+        mat.write_text("90 90\n" + "".join(
+            " ".join(str(r.randint(-133, 133)) for _ in range(90)) + "\n" for _ in range(90)))
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == ("input error: a 90 x 90 matrix with a Hadamard bound of 877 bits has "
+                       "n^2 * h^1.5 = 210370291, past abgroup.SNF_COST_BOUND = %d\n"
+                       % abgroup.SNF_COST_BOUND)
+
+    def test_cost_floor_keeps_read_errors(self, capsys, tmp_path):
+        # past the floor, a file that does not read gets the error of its
+        # first bad row, as without the floor
+        big = "-0_0" + "9" * 4298
+        rows = [" ".join([big] * 5)] * 5
+        mat = tmp_path / "m.txt"
+        for bad, message in (("x", "non-integer entry in row"), ("9" * 4301, "PRINT_DIGITS"),
+                             ("1__0", "non-integer entry in row"),
+                             (big + " 1", "does not have 5 entries")):
+            mat.write_text("5 5\n" + "\n".join(rows[:3] + [" ".join([big] * 4 + [bad])] + rows[4:]))
+            code, out, err = run(capsys, "snf", "--matrix", str(mat))
+            assert (code, out) == (2, "") and message in err, (bad[:8], err[:100])
+        # all read, the same rows are refused on the floor
+        mat.write_text("5 5\n" + "\n".join(rows))
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "") and "Hadamard bound of at least" in err
+
+    def test_cost_floor_is_a_floor(self):
+        # every spelling read_number reads as an int passes _reads_as_int and
+        # no other; the floor never passes the bits of x * x
+        rng = random.Random(2)
+        alphabet = "0123456789_+-x\u0663\uff17"
+        spellings = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+                     for _ in range(3000)]
+        spellings += [sign + "0" * zeros + "_".join(str(rng.randint(1, 10 ** 40))
+                                                    for _ in range(rng.randint(1, 3)))
+                      for sign in ("", "+", "-") for zeros in (0, 1, 5) for _ in range(50)]
+        spellings += ["9" * 4300, "9" * 4301, "-" + "1" * 4300, "1_" * 4300 + "1"]
+        reads = 0
+        for t in spellings:
+            try:
+                x = read_number(t, "x")
+            except (ValueError, InputError):
+                assert not cli._reads_as_int(t), t
+                continue
+            assert cli._reads_as_int(t), t
+            assert cli._square_bits_floor(t) <= (x * x).bit_length(), t
+            reads += 1
+        assert reads > 500
 
     def test_one_smith_normal_form_call(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -1144,16 +1215,144 @@ class TestHarness:
         assert err == "internal error: constructed program failed its own checker\n"
 
     def test_closed_stdout_is_not_a_traceback(self):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = run_module("catalog", "list", stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, timeout=60)
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 0
-        assert "Traceback" not in proc.stderr
+        # help is written through argparse, the listing through _print: the
+        # final flush of cli.run finds the reader gone either way
+        for argv in (("--help",), ("catalog", "list")):
+            for buffered in (True, False):
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    proc = fresh(*argv, buffered=buffered, stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True)
+                finally:
+                    os.close(write_end)
+                assert (proc.returncode, proc.stderr) == (0, ""), (argv, buffered)
 
+
+
+def fresh(*argv, buffered, **kwargs):
+    """Run `python -m uniloc.cli`, its stdout block buffered unless
+    PYTHONUNBUFFERED is set, as it may be in the caller's environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return run_module(*argv, env=env, timeout=60, **kwargs)
+
+
+ENDINGS = [  # (argv, the code main returns), one for each exit code that ends a call
+    (("--help",), 0),
+    (("catalog", "list"), 0),
+    (("classify", "--ring", "quad:-5", "--prime", "p2"), 0),
+    (("classify",), 2),
+    (("classify", "--ring", "quad:-5"), 2),
+    (("classify", "--ring", "segre", "--fp", "S0^2 + S1^2", "--prime", "(X,V)"), 2),
+    (("classify", "--ring", "nagata"), 3),
+    (("classify", "--ring", "segre", "--fp", "S0^2 + S1^2"), 4),
+    (("ell", "torsion", "--curve", "1/4,0", "--point", "1/2,1/2"), 4),
+]
+
+
+class TestFreshProcess:
+    """`python -m uniloc.cli` and the console script end through cli.run,
+    which flushes and leaves by os._exit: what a fresh process writes
+    and returns must be what main() writes and returns in process."""
+
+    @pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("argv, code", ENDINGS, ids=[" ".join(a) for a, _ in ENDINGS])
+    def test_same_as_main(self, capsys, argv, code, fmt, buffered):
+        want = run(capsys, *argv, "--format", fmt)
+        assert want[0] == code
+        proc = fresh(*argv, "--format", fmt, buffered=buffered, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """(argv, stdout of main) for the two large outputs."""
+        files = tmp_path_factory.mktemp("large")
+        poset, mat = files / "antichain.txt", files / "m.txt"
+        poset.write_text("".join("n%d\n" % j for j in range(16)))
+        r = random.Random(90)
+        mat.write_text("90 90\n" + "".join(
+            " ".join(str(r.randint(-9, 9)) for _ in range(90)) + "\n" for _ in range(90)))
+        out = []
+        for argv in (("spec", "enumerate", "--poset", str(poset), "--format", "json"),
+                     ("snf", "--matrix", str(mat), "--format", "text")):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(list(argv)) == 0
+            out.append((argv, stdout.getvalue().encode()))
+        return out
+
+    @pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+    def test_large_output_arrives_whole(self, large, tmp_path, buffered):
+        # 7.3 MB of closed sets and a 1.2 MB Smith normal form, through a
+        # pipe and into a file
+        (enum_argv, enum_out), (snf_argv, snf_out) = large
+        assert len(enum_out) > 7 * 10 ** 6 and len(snf_out) > 10 ** 6
+        proc = fresh(*enum_argv, buffered=buffered, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"") and proc.stdout == enum_out
+        with open(tmp_path / "out", "wb") as f:
+            proc = fresh(*snf_argv, buffered=buffered, stdout=f, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (tmp_path / "out").read_bytes() == snf_out
+
+    def test_main_returns_in_process(self, capsys, monkeypatch):
+        def leave(code):
+            raise AssertionError("os._exit(%r) in process" % (code,))
+
+        monkeypatch.setattr(os, "_exit", leave)
+        for argv, code in ENDINGS:
+            assert main(list(argv)) == code
+        capsys.readouterr()
+
+    def test_run_flushes_then_exits_with_the_code(self, capsys, monkeypatch):
+        class Left(Exception):
+            pass
+
+        def leave(code):
+            raise Left(code)
+
+        def final(stream, payload_text=None):
+            if payload_text is None:
+                flushed.append(stream)
+            flush(stream, payload_text)
+
+        flushed, flush = [], cli._flush
+        monkeypatch.setattr(os, "_exit", leave)
+        monkeypatch.setattr(cli, "_flush", final)
+        for argv, code in ENDINGS:
+            monkeypatch.setattr(sys, "argv", ["uniloc", *argv])
+            flushed.clear()
+            with pytest.raises(Left) as left:
+                cli.run()
+            assert left.value.args == (code,)
+            assert flushed == [sys.stdout, sys.stderr]
+        capsys.readouterr()
+
+    def test_escaping_exception_is_a_traceback(self):
+        proc = run_python("-c", "import uniloc.cli as c\n"
+                                "c.main = lambda: 1 / 0\n"
+                                "c.run()", capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback") and "ZeroDivisionError" in proc.stderr
+
+    def test_console_script_runs_run(self):
+        # the console script that pip writes for [project.scripts]: it
+        # imports the named function and exits with what it returns
+        pyproject = README.with_name("pyproject.toml").read_text()
+        assert 'uniloc = "uniloc.cli:run"' in pyproject.split("[project.scripts]")[1]
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block = [node for node in tree.body if isinstance(node, ast.If)][-1]
+        assert ast.unparse(block) == "if __name__ == '__main__':\n    run()"
+        proc = run_python("-c", "import sys\n"
+                                "from uniloc.cli import run\n"
+                                "sys.argv[0] = 'uniloc'\n"
+                                "sys.exit(run())", "classify", "--ring", "quad:-5",
+                          "--prime", "p2", "--format", "json",
+                          capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["ring"] == "quad:-5"
 
 # Prints which uniloc modules ran (module code executed, from the "exec" audit
 # event) by `import uniloc.cli` and by the whole call, and which were in

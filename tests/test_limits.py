@@ -170,8 +170,11 @@ ROWS = [
     Row("abgroup.SNF_COST_BOUND",
         accepted=(cli("the seeded 90 x 90 matrix, entries in [-132, 132]", "snf",
                       "--matrix", "{m}", m=seeded_matrix(90, 132)),),
+        # the second is weighed by its digits and refused before any entry is read
         refused=(cli("the seeded 90 x 90 matrix, entries in [-133, 133]", "snf",
-                     "--matrix", "{m}", m=seeded_matrix(90, 133)),)),
+                     "--matrix", "{m}", m=seeded_matrix(90, 133)),
+                 cli("a 90 x 90 matrix of 4300-digit entries, 35 MB", "snf", "--matrix", "{m}",
+                     m="90 90\n" + (" ".join(["9" * 4300] * 90) + "\n") * 90))),
 ]
 
 CALLS = [(row.constant, code, call) for row in ROWS
