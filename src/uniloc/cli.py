@@ -160,6 +160,13 @@ def _past_cost_bound(rows: int, cols: int, row_bits, floor: bool = False):
                          isqrt(n ** 4 * h ** 3), abgroup.SNF_COST_BOUND))
 
 
+def _quote_row(line: str) -> str:
+    """repr of a matrix row for a row error, cut to its first 40
+    characters and "...": a row of 4300-digit entries would put hundreds
+    of KB on one line of stderr."""
+    return repr(line) if len(line) <= 40 else "%r..." % line[:40]
+
+
 def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     text = _read_file(path)
     lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
@@ -186,11 +193,11 @@ def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
     entries = []
     for number, (ln, row) in enumerate(zip(lines[1:], tokens), 1):
         if len(row) != cols:
-            raise InputError("row %r does not have %d entries" % (ln, cols))
+            raise InputError("row %s does not have %d entries" % (_quote_row(ln), cols))
         try:
             entries.append([read_number(t, "matrix row %d" % number) for t in row])
         except ValueError:
-            raise InputError("non-integer entry in row %r" % (ln,)) from None
+            raise InputError("non-integer entry in row %s" % _quote_row(ln)) from None
     # O(rows * cols), before any elimination
     error = _past_cost_bound(rows, cols, [sum(x * x for x in row).bit_length() for row in entries])
     if error:

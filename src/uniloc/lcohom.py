@@ -16,12 +16,20 @@ depends only on sign(a) in {-1,0,1}^m, the multigraded Hochster formula
 (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  A scan
 of the sign patterns finds a witness degree or proves H^i = 0.  Every
 piece is zero unless the negative coordinates are generators of I and
-the support {j : a_j != 0} is a face, and every dim is zero when the
-complex is a cone, as when a generator has a positive coordinate (see
-_complex).  A free variable, in no relation and not a generator, splits
+the support {j : a_j != 0} is a face.  Then, for N the negative
+generators and V the other generators, the complex shifted by |N| + 1
+is the augmented cochain complex of the simplicial complex K on V that
+the relations reduced by the support cut out, so dim H^i_I(A)_a =
+dim H~^(j-1)(K) for j = i - |N| (ch. 1 and 13).  Every dim is zero when
+K is a cone, as when a generator has a positive coordinate.  By
+Alexander duality (Thm. 5.6) and the nerve lemma, that dim is also
+dim H~_(|V|-j-2) of the nerve of the r reduced relations, the sets of
+them that do not cover V: at most 2^r faces, whatever |V|.  Each dim is
+ranked on whichever of K and the nerve has fewer candidate cells (see
+_key_dim).  A free variable, in no relation and not a generator, splits
 off as a flat tensor factor: its sign -1 gives zero and its signs 0 and
 +1 give the same dim.  So for f free variables the scan builds at most
-2^(m - f) patterns, drops the non-faces, and computes ranks once per
+2^(m - f) patterns, drops the non-faces, and computes one dim per
 distinct complex (see _scan).
 
 Sets of variables are int masks: an algebra gives variable j the bit
@@ -37,7 +45,7 @@ at the end of the module.
 from __future__ import annotations
 
 from itertools import chain, combinations, compress, product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .errors import InputError, record
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
@@ -53,17 +61,22 @@ ENUM_VARIABLE_BOUND = 16
 CECH_ROWS_BOUND = 200_000
 # the most variables the sign-pattern scan takes once the free variables
 # are split off.  The scan builds up to 2^m candidates for m of them, each
-# its own complex when every variable is a generator: with --i 1, as a
-# fresh process on a shared 2-core host (median of 3), 12, 14, 15 and 16
-# such variables take 0.13, 0.31, 0.44 and 0.98 s; 1 s is the budget.
+# its own key when every variable is a generator.  As fresh processes on a
+# shared 2-core host (median of 5, the bound set to 16), m generators at
+# --i 1 take 0.17, 0.11, 0.16 and 0.21 s for m = 12, 14, 15 and 16, and one
+# relation over m generators at --i m/2, each key ranked on its nerve of
+# one vertex, 0.16, 0.16, 0.26 and 0.52 s for m = 12, 13, 15 and 16; 1 s is
+# the budget.  What one key costs is not bounded: see the next comment.
 CECH_SCAN_BOUND = 15
 # the most relation tests the scan makes, 2^m for its m variables times the
 # relations: each candidate is tested against every relation, and a face
 # again in _key.  In process on a shared 2-core host, 2^22 such tests take
-# 0.26-0.46 s with 13, 14 or 15 variables and relations of 5 to 7 of them
-# (one to seven generators at --i 1), 2^23 take 0.26-0.80 s, and 15
-# variables with their 3003 relations of size 5 (2^26.6) take 1.8 s.  The
-# ranks are not counted: one complex over many generators can cost more.
+# 0.21-0.48 s with 13, 14 or 15 variables and relations of 5 to 7 of them
+# (one or seven generators at --i 1), 2^23 take 0.85-1.0 s, and 15
+# variables with their 3003 relations of size 5 (2^26.6) take 1.9 s.  The
+# ranks are not counted.  A key is ranked on the smaller of its link and
+# its nerve, and with 15 generators and 128 relations of 6 both are large:
+# as a fresh process that call takes 0.9 s at --i 1 and 13 s at --i 4.
 CECH_RELATION_TESTS_BOUND = 2 ** 22
 
 
@@ -224,23 +237,10 @@ def _key(rels, neg, pos) -> frozenset:
     return frozenset(r & ~support for r, rest in rels if rest & pos == rest)
 
 
-def _complex(A: MonomialAlgebra, gens, a):
-    """(bits, pieces, cone) in multidegree a: the bits of the generators in
-    variable order; pieces(k), the masks of the k-subsets W of the
-    generators with (A_W)_a nonzero; and whether the complex is a cone.
-
-    With N and P the masks of the negative and the positive coordinates,
-    W must hold N, and no relation r may lie in W | P, that is no r & ~P
-    in W.  So W is N with a set C of the other generators, and the test
-    is that no reduced relation of _key lies in C.
-
-    A generator g outside N in no reduced relation makes the complex a
-    cone: for W without g the pieces of A_W and A_(W + g) are nonzero
-    together, the part of the differential that adds g is plus or minus
-    the identity between them, so the complex is the cone of an
-    isomorphism and is exact (Miller-Sturmfels, ch. 13).  A positive
-    generator is such a g.
-    """
+def _degree_key(A: MonomialAlgebra, gens, a):
+    """(bits, neg, rels) for multidegree a: the bits of the generators in
+    variable order, the mask N of the negative coordinates, and the
+    reduced relations of _key."""
     try:
         bits = sorted(map(A.bits.__getitem__, gens), reverse=True)  # variable order
     except KeyError as missing:
@@ -249,21 +249,31 @@ def _complex(A: MonomialAlgebra, gens, a):
     neg = sum(compress(A.bits.values(), map((0).__gt__, a)))
     pos = sum(compress(A.bits.values(), map((0).__lt__, a)))
     span = sum(bits)
-    rels = _key([(r, r & ~span) for r in A.relation_masks], neg, pos)
-    if neg & ~span or 0 in rels:
-        return bits, lambda k: [], False  # no W holds N, or every W | P holds a relation
-    rest = [b for b in bits if not b & neg]
-    n = len(bits) - len(rest)
+    return bits, neg, _key([(r, r & ~span) for r in A.relation_masks], neg, pos)
 
-    def pieces(k):
-        return [neg | c for c in map(sum, combinations(rest, k - n))
-                if not any(r & c == r for r in rels)] if k >= n else []
-    return bits, pieces, not all(any(b & r for r in rels) for b in rest)
+
+def _cells(bits, rels, k):
+    """The masks of the k-subsets of bits in which no mask of rels lies."""
+    return [c for c in map(sum, combinations(bits, k))
+            if not any(r & c == r for r in rels)] if k >= 0 else []
 
 
 def _pieces(A: MonomialAlgebra, gens, a):
-    """(bits, pieces) of _complex."""
-    return _complex(A, gens, a)[:2]
+    """(bits, pieces) in multidegree a: the bits of the generators in
+    variable order, and pieces(k), the masks of the k-subsets W of the
+    generators with (A_W)_a nonzero.
+
+    With N and P the masks of the negative and the positive coordinates,
+    W must hold N, and no relation r may lie in W | P, that is no r & ~P
+    in W.  So W is N with a set C of the other generators, and the test
+    is that no reduced relation of _key lies in C.
+    """
+    bits, neg, rels = _degree_key(A, gens, a)
+    if neg & ~sum(bits) or 0 in rels:
+        return bits, lambda k: []  # no W holds N, or every W | P holds a relation
+    rest = [b for b in bits if not b & neg]
+    n = len(bits) - len(rest)
+    return bits, lambda k: [neg | c for c in _cells(rest, rels, k - n)]
 
 
 def _matrix(bits, sources, targets):
@@ -308,21 +318,103 @@ def _rank(mat) -> int:
     return rank
 
 
+def _cohomology(bits, cells, k) -> int:
+    """dim over Q in degree k of the complex with basis cells(k), a list
+    of masks over bits, and the differential of _matrix."""
+    here = cells(k)
+    if not here:
+        return 0
+    up, down = cells(k + 1), cells(k - 1)
+    return (len(here) - (_rank(_matrix(bits, here, up)) if up else 0)
+            - (_rank(_matrix(bits, down, here)) if down else 0))
+
+
+def _link_dim(vertices, rels, j) -> int:
+    """dim H~^(j-1)(K) for K = {C within vertices : no mask of rels lies
+    in C}, ranked over the cells of K: the (j-1)-cells of K are its
+    j-subsets, the empty one included."""
+    return _cohomology(vertices, lambda k: _cells(vertices, rels, k), j)
+
+
+def _nerve_dim(vertices, rels, j) -> int:
+    """The dim of _link_dim, as dim H~_(m-j-2)(N) for the m vertices and
+    the nerve N = {S : the masks F_t of rels with t in S do not cover the
+    vertices}, when rels is not empty, holds no 0 and covers them (see
+    _key_dim).  The (e-1)-cells of N are its e-subsets S, as masks of the
+    positions t in rels."""
+    full = sum(vertices)
+    nodes = [(1 << t, f) for t, f in enumerate(rels)]
+
+    def cells(k):
+        out = []
+        for S in combinations(nodes, k) if k >= 0 else ():
+            s = u = 0
+            for b, f in S:
+                s |= b
+                u |= f
+            if u != full:
+                out.append(s)
+        return out
+    return _cohomology([b for b, _ in nodes], cells, len(vertices) - j - 1)
+
+
+def _candidates(n, k) -> int:
+    """The number of (k-1)-, k- and (k+1)-subsets of n things."""
+    return sum(comb(n, d) for d in (k - 1, k, k + 1) if d >= 0)
+
+
+def _key_dim(span: int, neg: int, rels, i: int) -> int:
+    """dim H^i_I(A)_a from the key of a: span the mask of the generators,
+    neg the mask N of the negative ones inside it, and rels the reduced
+    relations F_t of _key, each inside V = span & ~N.
+
+    The pieces are N | C for the C in K = {C in V : no F_t in C} (see
+    _pieces), so with m = |V| and j = i - |N| the dim is dim H~^(j-1)(K)
+    (see the module docstring).  It is zero for j < 0, when some F_t is
+    empty (K is void), and when a generator of V lies in no F_t: K is then
+    a cone, the part of the differential that adds that generator is plus
+    or minus the identity, and the complex is exact.  A positive generator
+    is such a generator.  For m = 0, K = {empty set} and the dim is 1
+    exactly when j = 0.  Otherwise the F_t cover V: the Alexander dual of
+    K is the union of the simplices on the V - F_t, whose intersections
+    are simplices or empty, so dim H~^(j-1)(K) = dim H~_(m-j-2)(N) for
+    the nerve N = {S in [r] : the F_t with t in S do not cover V}
+    (Miller-Sturmfels, Thm. 5.6, and the nerve lemma).  Both are ranked by
+    _cohomology, K on its j-1, j and j+1 subsets of V and N on its m-j-2,
+    m-j-1 and m-j subsets of [r]; the one with fewer such candidates is
+    taken.
+    """
+    j = i - neg.bit_count()
+    V = span & ~neg
+    cover = 0
+    for f in rels:
+        cover |= f
+    if j < 0 or 0 in rels or cover != V:
+        return 0
+    vertices = [1 << p for p in range(V.bit_length() - 1, -1, -1) if V >> p & 1]
+    m = len(vertices)
+    if not m or _candidates(m, j) <= _candidates(len(rels), m - j - 1):
+        return _link_dim(vertices, rels, j)
+    return _nerve_dim(vertices, rels, j)
+
+
 def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
-    """Dimension over Q of the degree-a piece of H^i_I(A): zero for a cone
-    (see _complex), ranked otherwise."""
+    """Dimension over Q of the degree-a piece of H^i_I(A), from the key of
+    a (_key_dim).
+
+    >>> A = MonomialAlgebra.make(("v0", "v1", "v2", "v3"), [("v0", "v1", "v2", "v3")])
+    >>> I = VariableIdeal.of(A, A.variables)
+    >>> cech_dim(A, I, 3, (0, 0, 0, 0)), cech_dim(A, I, 2, (0, 0, 0, 0))
+    (1, 0)
+    """
     if i < 0:
         raise InputError("cohomological degree must be >= 0")
     a = tuple(map(int, a))
     if len(a) != len(A.variables):
         raise InputError("multidegree length mismatch")
-    bits, pieces, cone = _complex(A, I.generators, a)
-    here = [] if cone else pieces(i)
-    if not here:
-        return 0
-    up, down = pieces(i + 1), pieces(i - 1)
-    return (len(here) - (_rank(_matrix(bits, here, up)) if up else 0)
-            - (_rank(_matrix(bits, down, here)) if down else 0))
+    bits, neg, rels = _degree_key(A, I.generators, a)
+    span = sum(bits)
+    return 0 if neg & ~span else _key_dim(span, neg, rels, i)  # no W holds N
 
 
 @record
@@ -352,7 +444,7 @@ def check_scannable(count: int, relations: int) -> None:
 
 
 def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
-    """Yield (template, dim) for each sign pattern with cech_dim > 0, in scan
+    """Yield (template, dim) for each sign pattern with a nonzero dim, in scan
     order: the pattern with None at each free position.
 
     A variable is free when it lies in no relation and is not a generator.
@@ -368,13 +460,13 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     lexicographic order.  A candidate is a face S = N | P with N inside
     the generators and P outside them: a negative coordinate must be a
     generator and the support a face, and a positive generator makes the
-    complex a cone (see _complex).  Its counter t sets the bit of variable
+    complex a cone (see _key_dim).  Its counter t sets the bit of variable
     j where a_j takes the second of its two signs (0 for a generator, 1
     otherwise): t from 0 up runs through the patterns in lexicographic
     order, and t = the generators is the zero pattern, which comes first.
 
     The complex depends only on which W have a nonzero piece, and N with
-    the reduced relations of _key fixes that family.  So cech_dim runs
+    the reduced relations of _key fixes that family.  So _key_dim runs
     once per key, on the first pattern with it, and the scan costs a few
     bit operations per candidate and relation.  A key with more than i
     negative generators is 0 without a call: every W holds N, so the
@@ -384,27 +476,25 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     for r in A.relation_masks:
         used |= r
     check_scannable(used.bit_count(), len(A.relation_masks))
+    if i < 0:
+        raise InputError("cohomological degree must be >= 0")
     names = A.variables
     if used != (1 << len(names)) - 1:
         A = A.restrict(used)
-    bits, slots = tuple(A.bits.values()), tuple(map(A.bits.get, names))
-
-    def pattern(positions, neg, pos):
-        return tuple(None if b is None else (pos & b > 0) - (neg & b > 0) for b in positions)
-
+    slots = tuple(map(A.bits.get, names))
     gens = A.mask(I.generators)
     rels = [(r, r & ~gens) for r in A.relation_masks]
     dims = {}
-    for t in chain((gens,), range(gens), range(gens + 1, 1 << len(bits))):
+    for t in chain((gens,), range(gens), range(gens + 1, 1 << len(A.bits))):
         support = t ^ gens
         if A.is_face_mask(support):
             neg, pos = support & gens, t & ~gens
             key = neg, _key(rels, neg, pos)
-            if key not in dims:  # a negative i goes on to cech_dim's refusal
-                dims[key] = (0 if 0 <= i < neg.bit_count()
-                             else cech_dim(A, I, i, pattern(bits, neg, pos)))
+            if key not in dims:
+                dims[key] = 0 if i < neg.bit_count() else _key_dim(gens, *key, i)
             if dims[key]:
-                yield pattern(slots, neg, pos), dims[key]
+                yield (tuple(None if b is None else (pos & b > 0) - (neg & b > 0) for b in slots),
+                       dims[key])
 
 
 def _expand(template, ranges):

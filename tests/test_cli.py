@@ -688,18 +688,18 @@ class TestCech:
 
     def test_one_sign_pattern_scan(self, capsys, monkeypatch):
         calls = []
-        cech_dim = lcohom.cech_dim
+        key_dim = lcohom._key_dim
 
         def counted(*args):
             calls.append(args)
-            return cech_dim(*args)
+            return key_dim(*args)
 
-        monkeypatch.setattr(lcohom, "cech_dim", counted)
+        monkeypatch.setattr(lcohom, "_key_dim", counted)
         code, doc, _ = run_json(capsys, "cech", "--vars", "X,Y,U,V,W",
                                 "--ideal", "X,Y", "--i", "1")
         assert code == 0 and doc["witness"] is None
         # 2^5 = 32 candidate patterns, and the complex takes one of 4
-        # shapes (which of X, Y are negative): one cech_dim call per shape
+        # shapes (which of X, Y are negative): one _key_dim call per shape
         # but X and Y both negative, which is zero in degree 1 without one
         assert len(calls) == 3
 
@@ -794,6 +794,25 @@ class TestSnf:
         assert err.startswith("input error: a 90 x 90 matrix with a Hadamard bound of at least ")
         assert "past abgroup.SNF_COST_BOUND = %d" % abgroup.SNF_COST_BOUND in err
         assert read == ["the matrix header"] * 2
+
+    def test_row_errors_quote_a_prefix(self, capsys, tmp_path):
+        # the 35 MB file of 4300-digit entries with its last entry spelled
+        # "...x", and a row of them an entry short: each error quotes 40
+        # characters of the row, not all 387 KB of it
+        row = " ".join(["9" * 4300] * 90)
+        mat = tmp_path / "m.txt"
+        for text, message in (("90 90\n" + (row + "\n") * 89 + row[:-1] + "x\n",
+                               "non-integer entry in row %r...\n"),
+                              ("1 90\n" + row[:-4301] + "\n",
+                               "row %r... does not have 90 entries\n")):
+            mat.write_text(text)
+            code, out, err = run(capsys, "snf", "--matrix", str(mat))
+            assert (code, out, err) == (2, "", "input error: " + message % ("9" * 40))
+            assert len(err) < 1024
+        # a short row is quoted whole
+        mat.write_text("2 2\n1 2\n3\n")
+        assert run(capsys, "snf", "--matrix", str(mat)) == (
+            2, "", "input error: row '3' does not have 2 entries\n")
 
     def test_cost_floor_passed_reads_exactly(self, capsys, tmp_path):
         # entries in [-133, 133]: three digits give a floor of 630 bits on h,

@@ -10,7 +10,8 @@ from uniloc import lcohom
 from uniloc.errors import InputError
 from uniloc.lcohom import (CECH_RELATION_TESTS_BOUND, CECH_ROWS_BOUND, CECH_SCAN_BOUND,
                            ENUM_VARIABLE_BOUND, MonomialAlgebra, VariableIdeal,
-                           _differential, _key, _pieces, _rank, _scan, cech_dim, cech_table,
+                           _degree_key, _differential, _key, _link_dim, _nerve_dim, _pieces,
+                           _rank, _scan, cech_dim, cech_table,
                            certify_nonvanishing, classify_dim3hyper,
                            classify_twoplanes, is_variable_prime, kill_variable,
                            prime_height)
@@ -249,13 +250,49 @@ class TestCechDim:
                     nonzero += want > 0
         assert nonzero > 100
 
+    def test_link_and_nerve_agree_with_fraction_ranks(self):
+        # each side forced on every key of every sign pattern, for every i,
+        # against Gauss-Jordan in Fractions on the Cech complex of a pattern
+        # with that key: the link K on all of them, the nerve of the reduced
+        # relations where K is neither a cone nor void and V is not empty
+        rng = random.Random(1818)
+        nerves = nonzero = 0
+        for _ in range(40):
+            A = random_algebra(rng, max_vars=6, max_relations=4)
+            I = VariableIdeal.of(A, rng.sample(A.variables, rng.randint(1, len(A.variables))))
+            keys = set()
+            for a in product((-1, 0, 1), repeat=len(A.variables)):
+                bits, neg, rels = _degree_key(A, I.generators, a)
+                if (neg, rels) in keys:
+                    continue
+                keys.add((neg, rels))
+                vertices = [b for b in bits if not b & neg]
+                cover = 0
+                for f in rels:
+                    cover |= f
+                for i in range(len(I.generators) + 2):
+                    out, size, _ = _differential(A, I.generators, i, a)
+                    into = _differential(A, I.generators, i - 1, a)[0]
+                    want = size - rank_by_fractions(out) - rank_by_fractions(into)
+                    assert cech_dim(A, I, i, a) == want, (A, I, i, a)
+                    if neg & ~sum(bits):
+                        assert want == 0
+                        continue
+                    j = i - neg.bit_count()
+                    assert _link_dim(vertices, rels, j) == want, (A, I, i, a)
+                    if vertices and 0 not in rels and cover == sum(vertices):
+                        assert _nerve_dim(vertices, rels, j) == want, (A, I, i, a)
+                        nerves += 1
+                    nonzero += want > 0
+        assert nerves > 900 and nonzero > 150
+
     def test_cone_ranks_nothing(self, monkeypatch):
         # k[v0..v11] with every variable a generator: a key with a generator
         # outside N is a cone, and N = all has no piece in degree 6; the
-        # 2510 keys with at most 6 negative generators reach cech_dim, the
+        # 2510 keys with at most 6 negative generators reach _key_dim, the
         # others are zero without a call
         ranks = counting(monkeypatch, "_rank")
-        calls = counting(monkeypatch, "cech_dim")
+        calls = counting(monkeypatch, "_key_dim")
         A = MonomialAlgebra.make(["v%d" % j for j in range(12)])
         out = certify_nonvanishing(A, VariableIdeal.of(A, A.variables), 6, 1)
         assert not out.found and ranks == []
@@ -395,6 +432,55 @@ class TestCertify:
                 empty += not got
         assert found and empty
 
+    def test_one_relation_matches_full_scan(self):
+        # k[v0..v(g-1)]/(v0...v(g-1)) with every variable a generator is a
+        # hypersurface of dimension g - 1, and each key is the boundary of a
+        # simplex: H^(g-1) is one-dimensional at every pattern in {-1, 0}^g
+        # but all -1, and every other H^i is zero
+        for g in range(1, 9):
+            names = ["v%d" % j for j in range(g)]
+            A = MonomialAlgebra.make(names, [names])
+            I = VariableIdeal.of(A, names)
+            for i in range(g + 1):
+                got = list(_scan(A, I, i))
+                assert got == nonzero_patterns_brute(
+                    lambda s: int(i == g - 1 and max(s) == 0), g), (g, i)
+                assert len(got) == (2 ** g - 1 if i == g - 1 else 0)
+
+    def test_blocks_match_kunneth(self):
+        # A = A1 (x) A2 on disjoint variables, in shuffled order, and I = I1 +
+        # I2: dim H^i_I(A) at (s1, s2) is the sum over p + q = i of dim
+        # H^p_I1(A1) at s1 times dim H^q_I2(A2) at s2 (Kunneth over k).
+        # Every variable in no relation is a generator, so none is free
+        rng = random.Random(2929)
+        found = empty = 0
+        for _ in range(25):
+            blocks = []
+            for letters in ("abc", "xyz"):
+                B = random_algebra(rng, max_vars=3)
+                rename = dict(zip(B.variables, letters))
+                B = MonomialAlgebra.make([rename[v] for v in B.variables],
+                                         [{rename[v] for v in r} for r in B.relations])
+                bare = [v for v in B.variables if not any(v in r for r in B.relations)]
+                gens = rng.sample(B.variables, rng.randint(1, len(B.variables))) + bare
+                blocks.append((B, VariableIdeal.of(B, gens)))
+            (A1, I1), (A2, I2) = blocks
+            variables = list(A1.variables + A2.variables)
+            rng.shuffle(variables)
+            A = MonomialAlgebra.make(variables, A1.relations + A2.relations)
+            I = VariableIdeal.of(A, I1.generators + I2.generators)
+            cut = [[A.index(v) for v in B.variables] for B in (A1, A2)]
+            for i in range(len(I.generators) + 1):
+                def dim(s):
+                    s1, s2 = ([s[j] for j in c] for c in cut)
+                    return sum(cech_dim(A1, I1, p, s1) * cech_dim(A2, I2, i - p, s2)
+                               for p in range(i + 1))
+                got = list(_scan(A, I, i))
+                assert got == nonzero_patterns_brute(dim, len(variables)), (A, I, i)
+                found += bool(got)
+                empty += not got
+        assert found > 20 and empty > 20
+
     def test_positive_generator_gives_zero(self):
         # a_g > 0 for a generator g makes the complex a cone: the scan skips a
         rng = random.Random(5151)
@@ -412,10 +498,7 @@ class TestCertify:
         assert checked > 1000
 
     def test_scan_builds_no_positive_generator(self, monkeypatch):
-        calls = []
-        cech_dim = lcohom.cech_dim
-        monkeypatch.setattr(lcohom, "cech_dim",
-                            lambda *args: calls.append(args[3]) or cech_dim(*args))
+        calls = counting(monkeypatch, "_key_dim")
         A = MonomialAlgebra.make(["v%d" % j for j in range(6)],
                                  [{"v0", "v5"}, {"v1", "v2"}])
         I = VariableIdeal.of(A, ["v0", "v1", "v2", "v3"])
@@ -423,12 +506,28 @@ class TestCertify:
         assert out.witness == (0, -1, 0, -1, 0, 1) and len(list(table)) == 6
         # v1 positive reduces the relation v1*v2 to the generator v2, a key
         # that no pattern without positive generators has: a scan giving the
-        # generators the sign +1 hands cech_dim such a pattern
-        assert not any(s[j] > 0 for s in calls for j in range(4))
-        # 2^6 sign patterns without a positive generator, 36 of them faces,
-        # in 18 keys; 120 faces in 30 keys when generators also took the sign
+        # generators the sign +1 hands _key_dim such a key.  The keys are
+        # masks of the algebra without the free v4, on which the scan runs
+        B = A.restrict(A.mask(["v0", "v1", "v2", "v3", "v5"]))
+        g = B.mask(I.generators)
+        rels = [(r, r & ~g) for r in B.relation_masks]
+
+        def keys(generator_signs):
+            found = set()
+            for s in product(*(generator_signs if v in I.generators else (0, 1)
+                               for v in B.variables)):
+                if B.is_face(v for v, x in zip(B.variables, s) if x):
+                    neg = B.mask(v for v, x in zip(B.variables, s) if x < 0)
+                    pos = B.mask(v for v, x in zip(B.variables, s) if x > 0)
+                    found.add((neg, _key(rels, neg, pos)))
+            return found
+        scanned, wider = keys((0, -1)), keys((-1, 0, 1))
+        assert {args[1:3] for args in calls} <= scanned
+        # 2^5 sign patterns without a positive generator, 18 of them faces,
+        # in 18 keys; 60 faces in 30 keys when generators also took the sign
         # +1.  The 2 keys with more than 2 negative generators are zero in
         # degree 2 without a call
+        assert (len(scanned), len(wider)) == (18, 30)
         assert len(calls) == 16
 
     def test_key_fixes_the_pieces(self):
@@ -460,12 +559,9 @@ class TestCertify:
     def test_fourteen_variable_scan_counts(self, monkeypatch):
         # 2^14 candidates keyed by which of the 10 generators are negative:
         # a key with two or more is zero in degree 1 without a call, so
-        # cech_dim runs for the 11 keys with at most one, and H^1 vanishes
+        # _key_dim runs for the 11 keys with at most one, and H^1 vanishes
         # (depth 10)
-        calls = []
-        cech_dim = lcohom.cech_dim
-        monkeypatch.setattr(lcohom, "cech_dim",
-                            lambda *args: calls.append(args) or cech_dim(*args))
+        calls = counting(monkeypatch, "_key_dim")
         A = MonomialAlgebra.make(["v%d" % j for j in range(14)])
         I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
         assert list(_scan(A, I, 1)) == []
@@ -502,20 +598,21 @@ class TestCertify:
 
     def test_twenty_four_variable_scan_counts(self, monkeypatch):
         # 14 free variables cost nothing: 2^10 candidates of k[v0..v9], one
-        # cech_dim call per set of at most one negative generator
-        calls = counting(monkeypatch, "cech_dim")
+        # _key_dim call per set of at most one negative generator, each with
+        # the generators of k[v0..v9] as its 10 bits
+        calls = counting(monkeypatch, "_key_dim")
         scans = counting(monkeypatch, "_scan")
         A = MonomialAlgebra.make(["v%d" % j for j in range(24)])
         I = VariableIdeal.of(A, ["v%d" % j for j in range(10)])
         out = certify_nonvanishing(A, I, 1, 1)
         assert not out.found and out.note.startswith("all %d sign patterns" % 3 ** 24)
         assert len(calls) == 11 and len(scans) == 1
-        assert all(len(args[3]) == 10 for args in calls)
+        assert all(args[0] == (1 << 10) - 1 for args in calls)
 
     def test_refused_table_expands_nothing(self, monkeypatch):
         # H^1 of k[X] is one class; 19 free variables make it 2^19 rows in
         # box 1, counted from the one template of k[X] before any is expanded
-        calls = counting(monkeypatch, "cech_dim")
+        calls = counting(monkeypatch, "_key_dim")
         expanded = counting(monkeypatch, "_expand")
         A = MonomialAlgebra.make(["X"] + ["v%d" % j for j in range(1, 20)])
         with pytest.raises(InputError, match="CECH_ROWS_BOUND"):
@@ -528,7 +625,7 @@ class TestCertify:
         assert out.witness == (-1,) + (0,) * 10 and len(expanded) == 1
 
     def test_scan_bound_counts_variables_after_the_split(self, monkeypatch):
-        calls = counting(monkeypatch, "cech_dim")
+        calls = counting(monkeypatch, "_key_dim")
         names = ["v%d" % j for j in range(CECH_SCAN_BOUND + 1)]
         over = MonomialAlgebra.make(names)
         with pytest.raises(InputError, match="CECH_SCAN_BOUND = %d" % CECH_SCAN_BOUND):
@@ -538,15 +635,16 @@ class TestCertify:
         with pytest.raises(InputError, match="CECH_SCAN_BOUND"):
             cech_table(related, VariableIdeal.of(related, names[:-2]), 1, 1)
         assert calls == []
-        # the last name and the eight w are free: CECH_SCAN_BOUND are left
+        # the last name and the eight w are free: CECH_SCAN_BOUND are left,
+        # and v0, a generator, is the top bit of the algebra on them
         free = MonomialAlgebra.make(names + ["w%d" % j for j in range(8)], [names[9:-1]])
         assert not certify_nonvanishing(free, VariableIdeal.of(free, names[:10]), 1, 1).found
-        assert calls and all(len(args[0].variables) == CECH_SCAN_BOUND for args in calls)
+        assert calls and all(args[0].bit_length() == CECH_SCAN_BOUND for args in calls)
 
     def test_relation_tests_bound(self, monkeypatch):
         # 2^13 candidates times 512 relations is the bound: one relation more
         # is refused before any candidate is built
-        calls = counting(monkeypatch, "cech_dim")
+        calls = counting(monkeypatch, "_key_dim")
         names = ["v%d" % j for j in range(13)]
         assert 512 << 13 == CECH_RELATION_TESTS_BOUND
         over = MonomialAlgebra.make(names, islice(combinations(names, 6), 513))

@@ -135,7 +135,10 @@ ROWS = [
                   cli("24 variables, 10 generators", "cech", "--vars", names(24),
                       "--ideal", names(10), "--i", "1", "--box", "1"),
                   cli("12 generators at --i 6", "cech", "--vars", names(12),
-                      "--ideal", names(12), "--i", "6", "--box", "1")),
+                      "--ideal", names(12), "--i", "6", "--box", "1"),
+                  cli("one relation over 15 generators at --i 7", "cech", "--vars", names(15),
+                      "--ideal", names(15), "--rel", names(15).replace(",", "*"),
+                      "--i", "7", "--box", "1")),
         refused=(cli("16 generators", "cech", "--vars", names(16), "--ideal", names(16),
                      "--i", "1", "--box", "1"),
                  cli("21 833 relations over 260 variables", "cech", "--vars", ",".join(PAIRS),
