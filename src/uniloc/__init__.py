@@ -8,5 +8,3 @@ answer ships with a machine-checkable witness.
 """
 
 __version__ = "0.1.0"
-
-from .verdict import Verdict, CITATIONS  # noqa: F401

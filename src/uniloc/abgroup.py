@@ -2,14 +2,17 @@
 
 All arithmetic is exact on Python ints; there are no modular shortcuts.
 The Smith normal form backs the `snf` command and the cokernel of a
-relation matrix, whose group structure is read off the diagonal.
+relation matrix, whose group structure is read off the diagonal.  The
+`snf` matrix file is read and weighed here too (snf_report).
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import mul
 
 from .errors import InputError, record
+from .verdict import PRINT_DIGITS, check_printable, read_number
 
 # the most rows or columns `snf` takes: W alone has cols^2 entries.  In process
 # on a shared 2-core host, `snf` on the seeded n x n matrix (random.Random(n),
@@ -17,7 +20,8 @@ from .errors import InputError, record
 # (median of 5; runs spread 1.6x), so 90 stays inside the 1 s budget per call.
 SNF_DIM_BOUND = 90
 # the most n^2 * h^(3/2) `snf` takes, n = max(rows, cols) and h the bits of
-# the Hadamard bound of the rows, which bounds every minor (see cli).  D, U
+# the Hadamard bound of the rows, which bounds every minor (see
+# _past_cost_bound).  D, U
 # and W have entries of up to about h and 2h bits, so the time grows with
 # n and faster than linearly with h.  On seeded n x n matrices with d-digit
 # entries, in process on a shared 2-core host (median of 3), a whole `snf`
@@ -315,3 +319,127 @@ def diagonal_structure(D: IntMatrix) -> GroupStructure:
     diag = D.diagonal()
     rank = sum(1 for d in diag if d != 0)
     return GroupStructure(D.cols - rank, tuple(d for d in diag if d > 1))
+
+
+# the command line ------------------------------------------------------------
+
+def _reads_as_int(token: str) -> bool:
+    """Whether read_number reads token as an int: a sign, then at most
+    PRINT_DIGITS decimal digits with single underscores between them.
+    ASCII digits are tested as bytes, an order of magnitude faster than
+    str.isdecimal."""
+    body = token[1:] if token[:1] in "+-" else token
+    digits = body.replace("_", "")
+    return ((digits.encode().isdigit() if digits.isascii() else digits.isdecimal())
+            and len(digits) <= PRINT_DIGITS and "__" not in body and body[:1] != "_" != body[-1:])
+
+
+def _square_bits_floor(token: str) -> int:
+    """A floor on the bits of x * x for the int x that token spells, from
+    its d significant digits alone: x * x >= 10 ** (2 * (d - 1)), of at
+    least 2 * (d - 1) * log2(10) bits, and 3.321928 < log2(10).  A token
+    with a digit other than ASCII counts for none."""
+    digits = token.lstrip("+-").replace("_", "").lstrip("0")
+    d = len(digits) if digits.isascii() else 0
+    return 2 * (d - 1) * 3321928 // 10 ** 6 + 1 if d else 0
+
+
+def _past_cost_bound(rows: int, cols: int, row_bits, floor: bool = False):
+    """The InputError for a matrix past SNF_COST_BOUND, else None.
+
+    h bounds the bits of the product of the min(rows, cols) longest row
+    norms, the Hadamard bound of every minor; row_bits holds the bits of
+    each row's squared norm, or a floor on them, and then h is a floor.
+    """
+    h = (sum(sorted(row_bits, reverse=True)[:min(rows, cols)]) + 1) // 2
+    n = max(rows, cols)
+    if n ** 4 * h ** 3 <= SNF_COST_BOUND ** 2:
+        return None
+    return InputError("a %d x %d matrix with a Hadamard bound of %s%d bits has n^2 * h^1.5 "
+                      "%s %d, past abgroup.SNF_COST_BOUND = %d"
+                      % (rows, cols, "at least " if floor else "", h, ">=" if floor else "=",
+                         isqrt(n ** 4 * h ** 3), SNF_COST_BOUND))
+
+
+def _quote_row(line: str) -> str:
+    """repr of a matrix row for a row error, cut to its first 40
+    characters and "...": a row of 4300-digit entries would put hundreds
+    of KB on one line of stderr."""
+    return repr(line) if len(line) <= 40 else "%r..." % line[:40]
+
+
+def _read_row(number: int, line: str, row, cols: int) -> list:
+    """The entries of row, the tokens of matrix row number (line)."""
+    if len(row) != cols:
+        raise InputError("row %s does not have %d entries" % (_quote_row(line), cols))
+    try:
+        return [read_number(t, "matrix row %d" % number) for t in row]
+    except ValueError:
+        raise InputError("non-integer entry in row %s" % _quote_row(line)) from None
+
+
+def _parse_matrix(text: str, path: str) -> IntMatrix:
+    """The matrix of an `snf` file: a "rows cols" line, then the rows."""
+    lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
+    if not lines:
+        raise InputError("empty matrix file %s" % (path,))
+    head = lines[0].split()
+    if len(head) != 2 or not all(t.isdecimal() for t in head):
+        raise InputError('first line must be "rows cols"')
+    rows, cols = (read_number(t, "the matrix header") for t in head)
+    if max(rows, cols) > SNF_DIM_BOUND:
+        raise InputError("a %d x %d matrix is above abgroup.SNF_DIM_BOUND = %d rows or columns"
+                         % (rows, cols, SNF_DIM_BOUND))
+    if len(lines) - 1 != rows:
+        raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
+    tokens = [ln.split() for ln in lines[1:]]
+    # a floor on h from each row's longest token, before any int is built:
+    # a file past the bound on it is past it on h too.  When every token
+    # reads, it is refused unread; otherwise the first row that does not
+    # read is read alone, for the error the full read below would give
+    error = _past_cost_bound(rows, cols, [_square_bits_floor(max(row, key=len))
+                                          for row in tokens], floor=True)
+    if error:
+        bad = next((k for k, row in enumerate(tokens)
+                    if len(row) != cols or not all(map(_reads_as_int, row))), None)
+        if bad is None:
+            raise error
+        _read_row(bad + 1, lines[bad + 1], tokens[bad], cols)
+    entries = [_read_row(number, ln, row, cols)
+               for number, (ln, row) in enumerate(zip(lines[1:], tokens), 1)]
+    # O(rows * cols), before any elimination
+    error = _past_cost_bound(rows, cols, [sum(x * x for x in row).bit_length() for row in entries])
+    if error:
+        raise error
+    return IntMatrix(rows, cols, tuple(x for row in entries for x in row))
+
+
+def snf_report(text: str, path: str, as_text: bool):
+    """(JSON document, text) of `snf` on the matrix file text read from
+    path; the text spells out D, U and W only when as_text."""
+    M = _parse_matrix(text, path)
+    D, U, W = smith_normal_form(M)
+    if (U @ M) @ W != D:
+        raise AssertionError("transform identity U*M*W = D failed")
+    check_printable((x for T in (D, U, W) for x in T.entries), "the Smith normal form")
+    structure = diagonal_structure(D)
+    doc = {
+        "schema": 1,
+        "D": D.to_rows(),
+        "U": U.to_rows(),
+        "W": W.to_rows(),
+        "diagonal": D.diagonal(),
+        "cokernel": {
+            "free_rank": structure.free_rank,
+            "invariant_factors": list(structure.invariant_factors),
+        },
+    }
+    lines = ["D = U * M * W with"]
+    if as_text:  # U and W can be large: spell them out only to print them
+        for tag, mat in (("D", D), ("U", U), ("W", W)):
+            lines.append("%s:" % tag)
+            lines.extend("  " + " ".join(str(x) for x in row) for row in mat.to_rows())
+    lines.append("diagonal: %s" % (D.diagonal(),))
+    lines.append("cokernel: free rank %d, invariant factors %s"
+                 % (structure.free_rank, list(structure.invariant_factors)))
+    return doc, "\n".join(lines)

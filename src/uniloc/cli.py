@@ -2,6 +2,10 @@
 arithmetic subcommands (class groups, torsion, Cech dimensions, Smith
 normal form, poset enumeration).
 
+The CLI parses the command line and prints.  Each subcommand reads its
+input and lays out its answer in the module that computes it, so a call
+compiles and runs only that module (see _lazy).
+
 Exit codes: 0 success, 2 input error, 3 ring not representable,
 4 inconclusive: an unknown classify answer, or a torsion order that
 `ell torsion` cannot test on a model without integer coefficients.
@@ -12,24 +16,19 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
-import json
 import os
-import re
 import sys
-from fractions import Fraction
-from itertools import chain
-from json.encoder import encode_basestring_ascii
-from math import isqrt
+from math import isinf
 
-from .errors import InconclusiveError, InputError, NotRepresentableError, record
-from .verdict import PRINT_DIGITS, Verdict, _json_list, check_printable, read_number
+from .errors import (InconclusiveError, InputError, NotRepresentableError,
+                     encode_basestring_ascii, record)
 
 
 def _lazy(name: str):
     """The module uniloc.<name>, registered now and run on first attribute access.
 
     It sits in sys.modules and on the package at once, as after an import,
-    so a call compiles and runs only the family modules its subcommand uses.
+    so a call compiles and runs only the modules its subcommand uses.
     """
     fullname = "%s.%s" % (__package__, name)
     if fullname in sys.modules:
@@ -43,228 +42,11 @@ def _lazy(name: str):
     return module
 
 
-abgroup, elliptic, lcohom, quadorder, segre, spectool = map(
-    _lazy, ("abgroup", "elliptic", "lcohom", "quadorder", "segre", "spectool"))
-
-
-# input parsing ---------------------------------------------------------------
-
-def _required(value: str, message: str) -> str:
-    if not value:
-        raise InputError(message)
-    return value
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return read_number(text.strip(), "a rational number", Fraction)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("cannot read %r as a rational number" % (text,)) from None
-
-
-def _parse_curve(text: str, message: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError(message)
-    return elliptic.WeierstrassCurve(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
-
-
-def _parse_point(text: str):
-    text = text.strip()
-    if text in ("O", "o", "inf", "infinity"):
-        return elliptic.O
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError('point must be "x,y" or "O", got %r' % (text,))
-    return elliptic.ECPoint(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
-
-
-def _parse_variable_set(text: str):
-    inner = text.strip()
-    if inner.startswith("(") and inner.endswith(")"):
-        inner = inner[1:-1]
-    names = [t.strip() for t in inner.split(",") if t.strip()]
-    if not names:
-        raise InputError("empty prime %r" % (text,))
-    return tuple(names)
-
-
-def _parse_quad_primes(order, text: str):
-    ideals, labels = [], []
-    for token in text.split(","):
-        token = token.strip()
-        m = re.fullmatch(r"p(\d+)(bar)?", token)
-        if not m:
-            raise InputError('prime spec must look like "p2" or "p3bar", got %r'
-                             % (token,))
-        ell = read_number(m.group(1), "--prime")
-        conjugate = bool(m.group(2))
-        dec = quadorder.decompose_prime(order, ell)
-        if isinstance(dec, quadorder.Split):
-            ideal = dec.pbar if conjugate else dec.p
-        elif conjugate and isinstance(dec, quadorder.Inert):
-            raise InputError("%d is inert, p%d has no distinct conjugate"
-                             % (ell, ell))
-        else:
-            # the ramified prime equals its conjugate, accept both spellings
-            ideal = dec.p
-        if ideal not in ideals:  # a prime named twice keeps its first label
-            ideals.append(ideal)
-            labels.append(token)
-    return ideals, labels
-
-
-def _read_file(path: str) -> str:
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from None
-
-
-def _reads_as_int(token: str) -> bool:
-    """Whether read_number reads token as an int: a sign, then at most
-    PRINT_DIGITS decimal digits with single underscores between them.
-    ASCII digits are tested as bytes, an order of magnitude faster than
-    str.isdecimal."""
-    body = token[1:] if token[:1] in "+-" else token
-    digits = body.replace("_", "")
-    return ((digits.encode().isdigit() if digits.isascii() else digits.isdecimal())
-            and len(digits) <= PRINT_DIGITS and "__" not in body and body[:1] != "_" != body[-1:])
-
-
-def _square_bits_floor(token: str) -> int:
-    """A floor on the bits of x * x for the int x that token spells, from
-    its d significant digits alone: x * x >= 10 ** (2 * (d - 1)), of at
-    least 2 * (d - 1) * log2(10) bits, and 3.321928 < log2(10).  A token
-    with a digit other than ASCII counts for none."""
-    digits = token.lstrip("+-").replace("_", "").lstrip("0")
-    d = len(digits) if digits.isascii() else 0
-    return 2 * (d - 1) * 3321928 // 10 ** 6 + 1 if d else 0
-
-
-def _past_cost_bound(rows: int, cols: int, row_bits, floor: bool = False):
-    """The InputError for a matrix past abgroup.SNF_COST_BOUND, else None.
-
-    h bounds the bits of the product of the min(rows, cols) longest row
-    norms, the Hadamard bound of every minor; row_bits holds the bits of
-    each row's squared norm, or a floor on them, and then h is a floor.
-    """
-    h = (sum(sorted(row_bits, reverse=True)[:min(rows, cols)]) + 1) // 2
-    n = max(rows, cols)
-    if n ** 4 * h ** 3 <= abgroup.SNF_COST_BOUND ** 2:
-        return None
-    return InputError("a %d x %d matrix with a Hadamard bound of %s%d bits has n^2 * h^1.5 "
-                      "%s %d, past abgroup.SNF_COST_BOUND = %d"
-                      % (rows, cols, "at least " if floor else "", h, ">=" if floor else "=",
-                         isqrt(n ** 4 * h ** 3), abgroup.SNF_COST_BOUND))
-
-
-def _quote_row(line: str) -> str:
-    """repr of a matrix row for a row error, cut to its first 40
-    characters and "...": a row of 4300-digit entries would put hundreds
-    of KB on one line of stderr."""
-    return repr(line) if len(line) <= 40 else "%r..." % line[:40]
-
-
-def _parse_matrix_file(path: str) -> abgroup.IntMatrix:
-    text = _read_file(path)
-    lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
-    if not lines:
-        raise InputError("empty matrix file %s" % (path,))
-    head = lines[0].split()
-    if len(head) != 2 or not all(t.isdecimal() for t in head):
-        raise InputError('first line must be "rows cols"')
-    rows, cols = (read_number(t, "the matrix header") for t in head)
-    if max(rows, cols) > abgroup.SNF_DIM_BOUND:
-        raise InputError("a %d x %d matrix is above abgroup.SNF_DIM_BOUND = %d rows or columns"
-                         % (rows, cols, abgroup.SNF_DIM_BOUND))
-    if len(lines) - 1 != rows:
-        raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
-    tokens = [ln.split() for ln in lines[1:]]
-    # a floor on h from each row's longest token, before any int is built:
-    # a file past the bound on it is past it on h too, and when every
-    # token reads, it is refused unread; otherwise the read below gives
-    # the error of the first bad row
-    error = _past_cost_bound(rows, cols, [_square_bits_floor(max(row, key=len))
-                                          for row in tokens], floor=True)
-    if error and all(len(row) == cols and all(map(_reads_as_int, row)) for row in tokens):
-        raise error
-    entries = []
-    for number, (ln, row) in enumerate(zip(lines[1:], tokens), 1):
-        if len(row) != cols:
-            raise InputError("row %s does not have %d entries" % (_quote_row(ln), cols))
-        try:
-            entries.append([read_number(t, "matrix row %d" % number) for t in row])
-        except ValueError:
-            raise InputError("non-integer entry in row %s" % _quote_row(ln)) from None
-    # O(rows * cols), before any elimination
-    error = _past_cost_bound(rows, cols, [sum(x * x for x in row).bit_length() for row in entries])
-    if error:
-        raise error
-    return abgroup.IntMatrix(rows, cols, tuple(x for row in entries for x in row))
-
-
-def _parse_relations(text: str, variables):
-    rels, known = [], set(variables)
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            continue
-        if "*" in token:
-            parts = [p.strip() for p in token.split("*")]
-        elif all(len(v) == 1 for v in variables):
-            parts = list(token)
-        else:
-            raise InputError("relation %r needs '*' between variables" % (token,))
-        for p in parts:
-            if p not in known:
-                raise InputError("relation %r uses unknown variable %r" % (token, p))
-        if len(set(parts)) != len(parts):
-            raise InputError("relation %r is not squarefree" % (token,))
-        rels.append(set(parts))
-    return rels
+abgroup, elliptic, lcohom, quadorder, segre, spectool, verdict = map(
+    _lazy, ("abgroup", "elliptic", "lcohom", "quadorder", "segre", "spectool", "verdict"))
 
 
 # ring families ---------------------------------------------------------------
-
-def _classify_quad(ring, prime_spec, fp, asserted):
-    body = ring.split(":", 1)[1]
-    try:
-        d = read_number(body, "the ring id")
-    except ValueError:
-        raise InputError("cannot read %r as an integer" % (body,)) from None
-    order = quadorder.QuadOrder(d)
-    ideals, labels = _parse_quad_primes(
-        order, _required(prime_spec, "quad rings need --prime"))
-    return quadorder.classify_dedekind(order, ideals, labels)
-
-
-def _classify_ell(ring, prime_spec, fp, asserted):
-    E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
-    P = _parse_point(_required(prime_spec, "elliptic rings need --prime with a point"))
-    return elliptic.classify_point(E, P)
-
-
-def _classify_segre(ring, prime_spec, fp, asserted):
-    if fp and prime_spec:
-        raise InputError("give either --prime or --fp, not both")
-    if fp:
-        return segre.classify_segre(segre.SegrePrime.poly(fp, irreducible=asserted))
-    names = _parse_variable_set(_required(prime_spec, "segre needs --prime or --fp"))
-    if asserted:
-        raise InputError("--assert-irreducible applies to --fp only")
-    return segre.classify_segre(segre.coordinate_prime(names))
-
-
-def _classify_twoplanes(ring, prime_spec, fp, asserted):
-    return lcohom.classify_twoplanes(_parse_variable_set(
-        _required(prime_spec, "twoplanes needs --prime with a variable subset")))
-
-
-def _classify_dim3hyper(ring, prime_spec, fp, asserted):
-    return lcohom.classify_dim3hyper(_parse_variable_set(
-        _required(prime_spec, "dim3hyper needs --prime")))
-
 
 @record
 class Row:
@@ -282,12 +64,13 @@ class Family:
 
     spec is the ring id, or "<name>:<parameters>" for ids that carry
     parameters.  reads lists the classify options the family uses besides
-    --prime.  classify(ring, prime_spec, fp, asserted) parses the prime and
-    calls the family classifier, read off its module on each call so that a
-    rebinding of the module attribute applies; it is None for a family that
-    is catalogued but not representable.  The family modules load on first
-    use (see _lazy): holding one here runs none of its code, and only the
-    family a call classifies is compiled.
+    --prime.  classify(ring, prime_spec, fp, asserted) calls the family
+    module's reader, which parses the ring and the prime and calls the
+    family classifier; it is None for a family that is catalogued but not
+    representable.  Each reader is looked up on its module at call time:
+    the family modules load on first use (see _lazy), so holding a reader
+    here would run its module, and a module attribute rebound after import
+    applies.
     """
 
     spec: str
@@ -307,7 +90,7 @@ FAMILIES = (
              "Z[sqrt(-5)], the maximal imaginary quadratic order of discriminant -20",
              '--prime "p<l>" or "p<l>bar" for the conjugate, comma separated',
              ("any squarefree d < 0 works as quad:<d>",)),),
-        classify=_classify_quad,
+        classify=lambda *spec: quadorder.classify_ring(*spec),
     ),
     Family(
         "ell:a,b",
@@ -320,7 +103,7 @@ FAMILIES = (
          Row("ell:0,1",
              "cone over y^2 = x^3 + 1; rational points form a cyclic group of order 6",
              '--prime "x,y" or "O"')),
-        classify=_classify_ell,
+        classify=lambda *spec: elliptic.classify_ring(*spec),
     ),
     Family(
         "segre",
@@ -329,7 +112,7 @@ FAMILIES = (
              "presented by bihomogeneous polynomials in S0,S1,T0,T1",
              '--prime "(X,V)" for a coordinate pair, or --fp "S0*T0^2 + S1*T1^2"'),),
         reads=("--fp", "--assert-irreducible"),
-        classify=_classify_segre,
+        classify=lambda *spec: segre.classify_ring(*spec),
     ),
     Family(
         "twoplanes",
@@ -337,7 +120,7 @@ FAMILIES = (
              '--prime "(X,Y)": any variable subset generating a prime',
              ("polynomial model standing in for the power series ring; the "
               "graded pieces and the (non)vanishing verdicts agree degreewise",)),),
-        classify=_classify_twoplanes,
+        classify=lambda *spec: lcohom.classify_twoplanes_ring(*spec),
     ),
     Family(
         "dim3hyper",
@@ -346,7 +129,7 @@ FAMILIES = (
              '--prime one of "(X,Y)", "(X,V)", "(Y,U)", "(U,V)", or "(X,Y,U,V)"',
              ("certificates run on the monomial surrogate k[X,Y,U,V]/(XU): "
               "killing Y or V gives the same quotient for both rings",)),),
-        classify=_classify_dim3hyper,
+        classify=lambda *spec: lcohom.classify_dim3hyper_ring(*spec),
     ),
     Family(
         "nagata",
@@ -359,7 +142,7 @@ FAMILIES = (
 
 
 def classify(ring: str, prime_spec: str = "", fp: str = "",
-             asserted: bool = False) -> Verdict:
+             asserted: bool = False) -> verdict.Verdict:
     """Parse the prime for the ring's family and run the family classifier,
     which takes only the parsed ring and prime."""
     ring = ring.strip()
@@ -378,6 +161,32 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
 
 # subcommand handlers ---------------------------------------------------------
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _json_atom(value) -> str:
+    """json.dumps(value) for None, a bool, an int, a float, a str, or an
+    empty list, tuple or dict, without importing json."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):  # json writes float.__repr__, or these three
+        if value != value:
+            return "NaN"
+        return ("Infinity" if value > 0 else "-Infinity") if isinf(value) else float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple, dict)) and not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), one string per value.
 
@@ -395,7 +204,7 @@ def _json_text(value, indent: str = "") -> str:
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
     if isinstance(value, dict) and value:
         inner = indent + "  "
-        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
+        items = [encode_basestring_ascii(k if isinstance(k, str) else _json_atom(k)) + ": "
                  + (repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
                     else _json_text(v, inner)) for k, v in sorted(value.items())]
         return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
@@ -403,7 +212,7 @@ def _json_text(value, indent: str = "") -> str:
         return repr(value)
     if type(value) is str:
         return encode_basestring_ascii(value)
-    return json.dumps(value)  # bool, None, float, [] and {}
+    return _json_atom(value)
 
 
 def _emit(args, payload_json, payload_text) -> None:
@@ -448,140 +257,35 @@ def _cmd_catalog_list(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    verdict = classify(args.ring, args.prime or "", args.fp or "",
-                       args.assert_irreducible)
-    _print(verdict.to_json() if args.format == "json" else verdict.to_text())
-    return 0 if verdict.rule.conclusive else 4
+    answer = classify(args.ring, args.prime or "", args.fp or "", args.assert_irreducible)
+    _print(answer.to_json() if args.format == "json" else answer.to_text())
+    return 0 if answer.rule.conclusive else 4
 
 
 def _cmd_classgroup(args) -> int:
-    D = args.disc
-    if D % 4 == 0:
-        d = D // 4
-    elif D % 4 == 1:
-        d = D
-    else:
-        raise InputError("%d is not a discriminant (need 0 or 1 mod 4)" % (D,))
-    order = quadorder.QuadOrder(d)
-    if order.discriminant != D:
-        raise InputError(
-            "%d is not a fundamental discriminant (the maximal order of "
-            "Q(sqrt(%d)) has discriminant %d)" % (D, d, order.discriminant))
-    forms = quadorder.reduced_forms(order)
-    # one format for the whole listing: the forms can be many, and the unit
-    # form makes the list non-empty
-    h = len(forms)
-    if args.format == "json":
-        layout = ('{\n  "class_number": %d,\n  "discriminant": %d,\n  "reduced_forms": ['
-                  + (",\n    [\n      %d,\n      %d,\n      %d\n    ]" * h)[1:]
-                  + '\n  ],\n  "schema": 1\n}')
-        head = (h, D)
-    else:
-        layout = "discriminant: %d\nclass number: %d" + "\nform: %d %d %d" * h
-        head = (D, h)
-    _print(layout % (head + tuple(chain.from_iterable(forms))))
+    _print(quadorder.classgroup_text(args.disc, args.format == "json"))
     return 0
 
 
 def _cmd_ell_torsion(args) -> int:
-    E = _parse_curve(args.curve, '--curve must look like "a,b"')
-    P = _parse_point(args.point)
-    order = elliptic.torsion_order(E, P)  # ModelNotIntegral exits 4
-    doc = {
-        "schema": 1,
-        "curve": E.spec(),
-        "point": "O" if P.is_infinity else "%s,%s" % (P.x, P.y),
-        "torsion": order,
-    }
-    _emit(args, doc, "torsion: %s" % order)
+    _emit(args, *elliptic.torsion_report(args.curve, args.point))
     return 0
 
 
 def _cmd_cech(args) -> int:
-    variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    rels = _parse_relations(args.rel or "", variables)
-    gens = tuple(g.strip() for g in args.ideal.split(",") if g.strip())
-    # before the algebra is built: its relation test is quadratic in the relations
-    lcohom.check_scannable(len(set(variables).intersection(gens).union(*rels)),
-                           len(set(map(frozenset, rels))))
-    A = lcohom.MonomialAlgebra.make(variables, rels)
-    I = lcohom.VariableIdeal.of(A, gens)
-    out, table = lcohom.cech_table(A, I, args.i, args.box)
-    dims = {",".join(a): dim for a, dim in table}
-    doc = {
-        "schema": 1,
-        "algebra": A.describe(),
-        "ideal": list(I.generators),
-        "i": args.i,
-        "box": args.box,
-        "dim_by_degree": dims,
-        "witness": list(out.witness) if out.found else None,
-        "note": out.note,
-    }
-    lines = ["algebra: %s" % A.describe(),
-             "ideal: (%s)" % ", ".join(I.generators)]
-    if args.format == "text":  # the table can be large: spell it out only to print it
-        lines += ["H^%d dim %d at (%s)" % (args.i, dim, key)
-                  for key, dim in sorted(dims.items())]
-    lines.append("witness: %s" % (list(out.witness) if out.found else "none"))
-    lines.append("note: %s" % out.note)
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, *lcohom.cech_report(args.vars, args.rel, args.ideal, args.i, args.box,
+                                    args.format == "text"))
     return 0
 
 
 def _cmd_snf(args) -> int:
-    M = _parse_matrix_file(args.matrix)
-    D, U, W = abgroup.smith_normal_form(M)
-    if (U @ M) @ W != D:
-        raise AssertionError("transform identity U*M*W = D failed")
-    check_printable((x for T in (D, U, W) for x in T.entries), "the Smith normal form")
-    structure = abgroup.diagonal_structure(D)
-    doc = {
-        "schema": 1,
-        "D": D.to_rows(),
-        "U": U.to_rows(),
-        "W": W.to_rows(),
-        "diagonal": D.diagonal(),
-        "cokernel": {
-            "free_rank": structure.free_rank,
-            "invariant_factors": list(structure.invariant_factors),
-        },
-    }
-    lines = ["D = U * M * W with"]
-    if args.format == "text":  # U and W can be large: spell them out only to print them
-        for tag, mat in (("D", D), ("U", U), ("W", W)):
-            lines.append("%s:" % tag)
-            lines.extend("  " + " ".join(str(x) for x in row) for row in mat.to_rows())
-    lines.append("diagonal: %s" % (D.diagonal(),))
-    lines.append("cokernel: free rank %d, invariant factors %s"
-                 % (structure.free_rank, list(structure.invariant_factors)))
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, *abgroup.snf_report(_read_file(args.matrix), args.matrix,
+                                    args.format == "text"))
     return 0
 
 
 def _cmd_spec_enumerate(args) -> int:
-    nodes, edges = spectool.parse_poset(_read_file(args.poset))
-    # before build, so an oversize file with a cycle gets the size message
-    spectool.check_enumerable(len(set(nodes)))
-    P = spectool.SpecPoset.build(nodes, edges)
-    closed = spectool.enumerate_closed(P)
-    heights = P.heights()
-    if args.format == "json":  # labels encoded once, one join per closed set
-        quoted = {n: encode_basestring_ascii(n) for n in P.nodes}.__getitem__
-        # the empty set comes first and prints as []; a poset has a node, so
-        # at least one non-empty closed set follows
-        rest = "\n    ],\n    [\n      ".join([",\n      ".join(map(quoted, c))
-                                             for c in closed[1:]])
-        _print('{\n  "closed_sets": [\n    [],\n    [\n      %s\n    ]\n  ],\n  "count": %d,'
-               '\n  "heights": {\n    %s\n  },\n  "nodes": %s,\n  "schema": 1\n}' % (
-                   rest, len(closed),
-                   ",\n    ".join("%s: %d" % (quoted(n), heights[n]) for n in sorted(P.nodes)),
-                   _json_list(P.nodes, "  ", quoted)))
-    else:
-        _print("\n".join(["nodes: %s" % ", ".join(P.nodes),
-                          "heights: %s" % ", ".join("%s:%d" % (n, heights[n]) for n in P.nodes),
-                          "count: %d" % len(closed)]
-                         + ["closed: {%s}" % ", ".join(c) for c in closed]))
+    _print(spectool.enumerate_text(_read_file(args.poset), args.format == "json"))
     return 0
 
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InconclusiveError, InputError, record
+from .errors import InconclusiveError, InputError, record, required
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
-                      TorsionWitness, Verdict, ratio, render_ratio)
+                      TorsionWitness, Verdict, ratio, read_number, render_ratio)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
 MAZUR_ORDERS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -466,3 +466,51 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
                "the line program certifies a function with divisor "
                "%d(P) - %d(O)" % (order, order)),
         extra=(("torsion", order),))
+
+
+# the command line ------------------------------------------------------------
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return read_number(text.strip(), "a rational number", Fraction)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("cannot read %r as a rational number" % (text,)) from None
+
+
+def _parse_curve(text: str, message: str) -> WeierstrassCurve:
+    """The curve of "a,b", or an InputError with message."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError(message)
+    return WeierstrassCurve(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+
+
+def _parse_point(text: str) -> ECPoint:
+    text = text.strip()
+    if text in ("O", "o", "inf", "infinity"):
+        return O
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError('point must be "x,y" or "O", got %r' % (text,))
+    return ECPoint(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+
+
+def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
+    """`classify --ring ell:a,b --prime x,y`: fp and asserted are unused."""
+    E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
+    P = _parse_point(required(prime_spec, "elliptic rings need --prime with a point"))
+    return classify_point(E, P)
+
+
+def torsion_report(curve: str, point: str):
+    """(JSON document, text) of `ell torsion --curve a,b --point x,y`."""
+    E = _parse_curve(curve, '--curve must look like "a,b"')
+    P = _parse_point(point)
+    order = torsion_order(E, P)  # ModelNotIntegral exits 4
+    doc = {
+        "schema": 1,
+        "curve": E.spec(),
+        "point": "O" if P.is_infinity else "%s,%s" % (P.x, P.y),
+        "torsion": order,
+    }
+    return doc, "torsion: %s" % order

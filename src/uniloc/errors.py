@@ -1,10 +1,17 @@
-"""Typed errors shared across the package.
+"""Typed errors, and the record decorator and JSON string encoder,
+shared across the package.
 
 The command line maps these to exit codes (see cli.py): input errors
 exit with 2, non-representable catalog entries with 3, inconclusive
 computations with 4.  A failed internal self-check raises AssertionError
 and exits with 1; it is a bug, never an answer.
 """
+
+# the string encoder of json.dumps, without importing the json package
+try:
+    from _json import encode_basestring_ascii  # noqa: F401
+except ImportError:  # an interpreter without the json accelerator
+    from json.encoder import encode_basestring_ascii  # noqa: F401
 
 
 class UnilocError(Exception):
@@ -40,6 +47,13 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError("cannot delete field %r" % (name,))
 
 
+def required(value, message: str):
+    """value, or an InputError with message when it is empty: a missing option."""
+    if not value:
+        raise InputError(message)
+    return value
+
+
 def record(cls):
     """Make cls a frozen record with the methods @dataclass(frozen=True) gives it.
 
@@ -52,9 +66,12 @@ def record(cls):
     method the class defines itself is kept, except that a class defining
     __eq__ without __hash__ still gets the generated __hash__.  Assigning
     or deleting an attribute raises FrozenInstanceError, so __post_init__
-    sets a field with object.__setattr__.  The methods are compiled in one
-    exec per class: importing the standard dataclass module and letting it
-    generate the methods cost a fresh `uniloc` process about 13 ms.
+    sets a field with object.__setattr__.  Each generated method is
+    compiled on its first call, which installs it on the class in place of
+    the stand-in that made the call: a fresh `uniloc` process calls few of
+    them, and compiling all four for every record cost it about 3 ms
+    (importing the standard dataclass module and letting it generate the
+    methods cost about 13 ms).
 
     >>> @record
     ... class Pair:
@@ -67,41 +84,54 @@ def record(cls):
     ...
     uniloc.errors.FrozenInstanceError: cannot assign to field 'left'
     """
-    names = tuple(cls.__annotations__)
     own = cls.__dict__
-    scope = {"_set": object.__setattr__}
-    params = ["self"]
-    for name in names:
-        if name in own:
-            scope["_default_" + name] = own[name]
-            params.append("%s=_default_%s" % (name, name))
-        else:
-            params.append(name)
-    body = ["    _set(self, %r, %s)" % (name, name) for name in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    mine = "(%s)" % "".join("self.%s, " % name for name in names)
-    theirs = mine.replace("self.", "other.")
-    methods = {
-        "__init__": ["def __init__(%s):" % ", ".join(params)] + body,
-        "__eq__": ["def __eq__(self, other):",
-                   "    if other.__class__ is self.__class__:",
-                   "        return %s == %s" % (mine, theirs),
-                   "    return NotImplemented"],
-        "__hash__": ["def __hash__(self):",
-                     "    return hash(%s)" % (mine,)],
-        "__repr__": ["def __repr__(self):",
-                     '    return self.__class__.__qualname__ + f"(%s)"'
-                     % ", ".join("%s={self.%s!r}" % (name, name) for name in names)],
-    }
-    # defining __eq__ alone leaves __hash__ = None in the class dict
-    wanted = [name for name in methods
-              if (own.get(name) is None if name == "__hash__" else name not in own)]
-    exec("\n".join(line for name in wanted for line in methods[name]), scope)
-    for name in wanted:
-        method = scope[name]
-        method.__qualname__ = "%s.%s" % (cls.__qualname__, name)  # TypeErrors name it
-        setattr(cls, name, method)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        # defining __eq__ alone leaves __hash__ = None in the class dict
+        if own.get(name) is None if name == "__hash__" else name not in own:
+            setattr(cls, name, _on_first_call(cls, name))
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls
+
+
+def _on_first_call(cls, name):
+    """The stand-in for the generated method name of record cls."""
+    def first_call(self, *args, **kwargs):
+        return _generate(cls, name)(self, *args, **kwargs)
+    return first_call
+
+
+def _generate(cls, name):
+    """Compile the method name of record cls, install it on cls and return it."""
+    names = tuple(cls.__annotations__)
+    scope = {"_set": object.__setattr__}
+    mine = "(%s)" % "".join("self.%s, " % field for field in names)
+    if name == "__init__":
+        params = ["self"]
+        for field in names:
+            if field in cls.__dict__:
+                scope["_default_" + field] = cls.__dict__[field]
+                params.append("%s=_default_%s" % (field, field))
+            else:
+                params.append(field)
+        lines = ["def __init__(%s):" % ", ".join(params)]
+        lines += ["    _set(self, %r, %s)" % (field, field) for field in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+    elif name == "__eq__":
+        lines = ["def __eq__(self, other):",
+                 "    if other.__class__ is self.__class__:",
+                 "        return %s == %s" % (mine, mine.replace("self.", "other.")),
+                 "    return NotImplemented"]
+    elif name == "__hash__":
+        lines = ["def __hash__(self):",
+                 "    return hash(%s)" % (mine,)]
+    else:
+        lines = ["def __repr__(self):",
+                 '    return self.__class__.__qualname__ + f"(%s)"'
+                 % ", ".join("%s={self.%s!r}" % (field, field) for field in names)]
+    exec("\n".join(lines), scope)
+    method = scope[name]
+    method.__qualname__ = "%s.%s" % (cls.__qualname__, name)  # TypeErrors name it
+    setattr(cls, name, method)
+    return method

@@ -47,7 +47,7 @@ from __future__ import annotations
 from itertools import chain, combinations, compress, product
 from math import comb, gcd, prod
 
-from .errors import InputError, record
+from .errors import InputError, record, required
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
                       FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
                       HeightViolation, Verdict)
@@ -66,7 +66,7 @@ CECH_ROWS_BOUND = 200_000
 # --i 1 take 0.17, 0.11, 0.16 and 0.21 s for m = 12, 14, 15 and 16, and one
 # relation over m generators at --i m/2, each key ranked on its nerve of
 # one vertex, 0.16, 0.16, 0.26 and 0.52 s for m = 12, 13, 15 and 16; 1 s is
-# the budget.  What one key costs is not bounded: see the next comment.
+# the budget.  What the keys cost is bounded by CECH_CELLS_BOUND.
 CECH_SCAN_BOUND = 15
 # the most relation tests the scan makes, 2^m for its m variables times the
 # relations: each candidate is tested against every relation, and a face
@@ -74,10 +74,21 @@ CECH_SCAN_BOUND = 15
 # 0.21-0.48 s with 13, 14 or 15 variables and relations of 5 to 7 of them
 # (one or seven generators at --i 1), 2^23 take 0.85-1.0 s, and 15
 # variables with their 3003 relations of size 5 (2^26.6) take 1.9 s.  The
-# ranks are not counted.  A key is ranked on the smaller of its link and
-# its nerve, and with 15 generators and 128 relations of 6 both are large:
-# as a fresh process that call takes 0.9 s at --i 1 and 13 s at --i 4.
+# ranks are counted by the next bound.
 CECH_RELATION_TESTS_BOUND = 2 ** 22
+# the most candidate cells the scan ranks: each key is ranked on its link
+# or its nerve, whichever has fewer candidates in the three degrees of
+# _cohomology, and the scan sums that number over its keys.  A key's dense
+# elimination grows faster than its cells: in process on a shared 2-core
+# host, with 15 generators and the first 128 relations of 6 (median of 3),
+# one key of 575 cells takes 0.02 s, of 1079 cells 0.10 s, 1456 0.20 s,
+# 1925 0.37 s, 2211 0.63 s, 2288 0.70 s, 3367 1.8 s and 4823 4.7 s.  One
+# key may take the whole bound, and its time has to fit in the 1 s budget
+# beside the relation tests (see above).  That call ranks 346 cells at
+# --i 1 (0.80 s as a fresh process, median of 5), 3635 at --i 2, 24 535
+# at --i 3 (2 s) and 118 573 at --i 4 (13 s); with 12 generators it ranks
+# 1828 cells at --i 2 in 0.16 s, and with 13 generators 2340.
+CECH_CELLS_BOUND = 2 ** 11
 
 
 @record
@@ -363,7 +374,7 @@ def _candidates(n, k) -> int:
     return sum(comb(n, d) for d in (k - 1, k, k + 1) if d >= 0)
 
 
-def _key_dim(span: int, neg: int, rels, i: int) -> int:
+def _key_dim(span: int, neg: int, rels, i: int, spend=None) -> int:
     """dim H^i_I(A)_a from the key of a: span the mask of the generators,
     neg the mask N of the negative ones inside it, and rels the reduced
     relations F_t of _key, each inside V = span & ~N.
@@ -382,7 +393,7 @@ def _key_dim(span: int, neg: int, rels, i: int) -> int:
     (Miller-Sturmfels, Thm. 5.6, and the nerve lemma).  Both are ranked by
     _cohomology, K on its j-1, j and j+1 subsets of V and N on its m-j-2,
     m-j-1 and m-j subsets of [r]; the one with fewer such candidates is
-    taken.
+    taken, and spend, when given, is called with that number first.
     """
     j = i - neg.bit_count()
     V = span & ~neg
@@ -393,9 +404,11 @@ def _key_dim(span: int, neg: int, rels, i: int) -> int:
         return 0
     vertices = [1 << p for p in range(V.bit_length() - 1, -1, -1) if V >> p & 1]
     m = len(vertices)
-    if not m or _candidates(m, j) <= _candidates(len(rels), m - j - 1):
-        return _link_dim(vertices, rels, j)
-    return _nerve_dim(vertices, rels, j)
+    link, nerve = _candidates(m, j), _candidates(len(rels), m - j - 1)
+    on_link = not m or link <= nerve
+    if spend is not None:
+        spend(link if on_link else nerve)
+    return _link_dim(vertices, rels, j) if on_link else _nerve_dim(vertices, rels, j)
 
 
 def cech_dim(A: MonomialAlgebra, I: VariableIdeal, i: int, a) -> int:
@@ -454,7 +467,8 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     sign -1 gives zero and the signs 0 and +1 give the dim of A' at the
     other coordinates, so the scan runs over the m' variables of A', 2^m'
     candidates, and refuses past CECH_SCAN_BOUND or
-    CECH_RELATION_TESTS_BOUND before it builds any.
+    CECH_RELATION_TESTS_BOUND before it builds any, and before the key
+    whose ranking would take it past CECH_CELLS_BOUND candidate cells.
 
     The scan order is the zero vector, then the rest of {-1,0,1}^m' in
     lexicographic order.  A candidate is a face S = N | P with N inside
@@ -485,13 +499,22 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     gens = A.mask(I.generators)
     rels = [(r, r & ~gens) for r in A.relation_masks]
     dims = {}
+    ranked = 0
+
+    def spend(cells):
+        nonlocal ranked
+        ranked += cells
+        if ranked > CECH_CELLS_BOUND:
+            raise InputError("the sign-pattern scan would rank %d candidate cells, past "
+                             "lcohom.CECH_CELLS_BOUND = %d" % (ranked, CECH_CELLS_BOUND))
+
     for t in chain((gens,), range(gens), range(gens + 1, 1 << len(A.bits))):
         support = t ^ gens
         if A.is_face_mask(support):
             neg, pos = support & gens, t & ~gens
             key = neg, _key(rels, neg, pos)
             if key not in dims:
-                dims[key] = 0 if i < neg.bit_count() else _key_dim(gens, *key, i)
+                dims[key] = 0 if i < neg.bit_count() else _key_dim(gens, *key, i, spend)
             if dims[key]:
                 yield (tuple(None if b is None else (pos & b > 0) - (neg & b > 0) for b in slots),
                        dims[key])
@@ -640,3 +663,82 @@ def classify_dim3hyper(names) -> Verdict:
         algebra=quotient.describe(), ideal=names, degree=2,
         multidegree=out.witness, steps=steps)
     return DIM3_OBSTRUCTION("dim3hyper", desc, witness)
+
+
+# the command line ------------------------------------------------------------
+
+def parse_variable_set(text: str) -> tuple:
+    """The names of a prime spelled "(X,Y)" or "X,Y"."""
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    names = [t.strip() for t in inner.split(",") if t.strip()]
+    if not names:
+        raise InputError("empty prime %r" % (text,))
+    return tuple(names)
+
+
+def classify_twoplanes_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
+    """`classify --ring twoplanes --prime "(X,Y)"`: fp and asserted are unused."""
+    return classify_twoplanes(parse_variable_set(
+        required(prime_spec, "twoplanes needs --prime with a variable subset")))
+
+
+def classify_dim3hyper_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
+    """`classify --ring dim3hyper --prime "(X,Y)"`: fp and asserted are unused."""
+    return classify_dim3hyper(parse_variable_set(
+        required(prime_spec, "dim3hyper needs --prime")))
+
+
+def _parse_relations(text: str, variables):
+    """The relations of --rel, such as "XU,YV" or "x1*x2", as sets of names."""
+    rels, known = [], set(variables)
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            continue
+        if "*" in token:
+            parts = [p.strip() for p in token.split("*")]
+        elif all(len(v) == 1 for v in variables):
+            parts = list(token)
+        else:
+            raise InputError("relation %r needs '*' between variables" % (token,))
+        for p in parts:
+            if p not in known:
+                raise InputError("relation %r uses unknown variable %r" % (token, p))
+        if len(set(parts)) != len(parts):
+            raise InputError("relation %r is not squarefree" % (token,))
+        rels.append(set(parts))
+    return rels
+
+
+def cech_report(variables: str, relations: str, ideal: str, i: int, box: int,
+                as_text: bool):
+    """(JSON document, text) of `cech --vars ... --rel ... --ideal ... --i
+    i --box box`; the text spells out the table only when as_text."""
+    names = tuple(v.strip() for v in variables.split(",") if v.strip())
+    rels = _parse_relations(relations, names)
+    gens = tuple(g.strip() for g in ideal.split(",") if g.strip())
+    # before the algebra is built: its relation test is quadratic in the relations
+    check_scannable(len(set(names).intersection(gens).union(*rels)),
+                    len(set(map(frozenset, rels))))
+    A = MonomialAlgebra.make(names, rels)
+    I = VariableIdeal.of(A, gens)
+    out, table = cech_table(A, I, i, box)
+    dims = {",".join(a): dim for a, dim in table}
+    doc = {
+        "schema": 1,
+        "algebra": A.describe(),
+        "ideal": list(I.generators),
+        "i": i,
+        "box": box,
+        "dim_by_degree": dims,
+        "witness": list(out.witness) if out.found else None,
+        "note": out.note,
+    }
+    lines = ["algebra: %s" % A.describe(),
+             "ideal: (%s)" % ", ".join(I.generators)]
+    if as_text:  # the table can be large: spell it out only to print it
+        lines += ["H^%d dim %d at (%s)" % (i, dim, key) for key, dim in sorted(dims.items())]
+    lines.append("witness: %s" % (list(out.witness) if out.found else "none"))
+    lines.append("note: %s" % out.note)
+    return doc, "\n".join(lines)

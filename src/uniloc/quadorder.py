@@ -17,17 +17,19 @@ one composition core, `_compose`.
 
 An ideal's scale and an element's coordinates are ints, or Fractions
 when their denominator is not 1; both are read through numerator and
-denominator.
+denominator.  No classify or classgroup call builds a Fraction, so the
+fractions module is imported on the first one built (_fraction).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+from itertools import chain
 from math import isqrt, lcm, log
 
-from .errors import InputError, record
+from .errors import InputError, record, required
 from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict, ratio,
-                      render_rational)
+                      read_number, render_rational)
 
 # a generator of p^n for the class order n is the denominator for p
 DEDEKIND = DIMENSION_LE_ONE.cite(after=("dedekind-classical-generator",
@@ -130,9 +132,9 @@ class QuadElement:
     y: object
 
     def norm(self) -> Fraction:
-        x, y, d = Fraction(self.x), Fraction(self.y), self.order.d
+        x, y, d = _fraction(self.x), _fraction(self.y), self.order.d
         if self.order._parity:
-            return x * x + x * y + y * y * Fraction(1 - d, 4)
+            return x * x + x * y + y * y * _fraction(1 - d, 4)
         return x * x - d * y * y
 
     def __repr__(self):
@@ -200,9 +202,17 @@ def _centred(b: int, a: int) -> int:
     return a - (a - b) % (2 * a)
 
 
+def _fraction(*args):
+    """Fraction(*args), imported on the first call, which rebinds
+    _fraction to Fraction itself."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(*args)
+
+
 def _quotient(num: int, den: int):
     """num/den: an int when den divides it, else a Fraction."""
-    return num // den if num % den == 0 else Fraction(num, den)
+    return num // den if num % den == 0 else _fraction(num, den)
 
 
 def make_ideal(order: QuadOrder, a: int, b: int, scale=1) -> QuadIdeal:
@@ -222,7 +232,7 @@ def _in_ideal(x: int, y: int, a: int, b: int, parity: int) -> bool:
 
 def contains(I: QuadIdeal, e: QuadElement) -> bool:
     """Exact membership test against the standard basis of I."""
-    x, y = Fraction(e.x) / I.scale, Fraction(e.y) / I.scale
+    x, y = _fraction(e.x) / I.scale, _fraction(e.y) / I.scale
     if x.denominator != 1 or y.denominator != 1:
         return False
     return _in_ideal(x.numerator, y.numerator, I.a, I.b, I.order._parity)
@@ -637,3 +647,72 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
                  "classical localisations all coincide here")
     return DEDEKIND("quad:%d" % order.d, "{%s}" % desc,
                     Denominators(tuple(elements), tuple(details)), notes)
+
+
+# the command line ------------------------------------------------------------
+
+def _parse_primes(order: QuadOrder, text: str):
+    """(ideals, labels) for a --prime list such as "p2,p3bar"."""
+    ideals, labels = [], []
+    for token in text.split(","):
+        token = token.strip()
+        m = re.fullmatch(r"p(\d+)(bar)?", token)
+        if not m:
+            raise InputError('prime spec must look like "p2" or "p3bar", got %r'
+                             % (token,))
+        ell = read_number(m.group(1), "--prime")
+        conjugate = bool(m.group(2))
+        dec = decompose_prime(order, ell)
+        if isinstance(dec, Split):
+            ideal = dec.pbar if conjugate else dec.p
+        elif conjugate and isinstance(dec, Inert):
+            raise InputError("%d is inert, p%d has no distinct conjugate"
+                             % (ell, ell))
+        else:
+            # the ramified prime equals its conjugate, accept both spellings
+            ideal = dec.p
+        if ideal not in ideals:  # a prime named twice keeps its first label
+            ideals.append(ideal)
+            labels.append(token)
+    return ideals, labels
+
+
+def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
+    """`classify --ring quad:<d> --prime <spec>`: fp and asserted are unused."""
+    body = ring.split(":", 1)[1]
+    try:
+        d = read_number(body, "the ring id")
+    except ValueError:
+        raise InputError("cannot read %r as an integer" % (body,)) from None
+    order = QuadOrder(d)
+    ideals, labels = _parse_primes(order, required(prime_spec, "quad rings need --prime"))
+    return classify_dedekind(order, ideals, labels)
+
+
+def classgroup_text(D: int, as_json: bool) -> str:
+    """What `classgroup --disc D` prints: the reduced forms of the
+    fundamental discriminant D, in JSON or in text."""
+    if D % 4 == 0:
+        d = D // 4
+    elif D % 4 == 1:
+        d = D
+    else:
+        raise InputError("%d is not a discriminant (need 0 or 1 mod 4)" % (D,))
+    order = QuadOrder(d)
+    if order.discriminant != D:
+        raise InputError(
+            "%d is not a fundamental discriminant (the maximal order of "
+            "Q(sqrt(%d)) has discriminant %d)" % (D, d, order.discriminant))
+    forms = reduced_forms(order)
+    # one format for the whole listing: the forms can be many, and the unit
+    # form makes the list non-empty
+    h = len(forms)
+    if as_json:
+        layout = ('{\n  "class_number": %d,\n  "discriminant": %d,\n  "reduced_forms": ['
+                  + (",\n    [\n      %d,\n      %d,\n      %d\n    ]" * h)[1:]
+                  + '\n  ],\n  "schema": 1\n}')
+        head = (h, D)
+    else:
+        layout = "discriminant: %d\nclass number: %d" + "\nform: %d %d %d" * h
+        head = (D, h)
+    return layout % (head + tuple(chain.from_iterable(forms)))

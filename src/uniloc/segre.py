@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import lcohom
-from .errors import InputError, record
+from .errors import InputError, record, required
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
                       INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
                       TorsionWitness, Verdict, check_printable, read_number,
@@ -519,3 +519,16 @@ def classify_segre(p: SegrePrime) -> Verdict:
         notes=tuple(notes) + (
             "the prime is principal, so inverting powers of the generator "
             "gives the classical ring of fractions",))
+
+
+def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
+    """`classify --ring segre` with --prime "(X,V)" or --fp f, which
+    --assert-irreducible asserts irreducible."""
+    if fp and prime_spec:
+        raise InputError("give either --prime or --fp, not both")
+    if fp:
+        return classify_segre(SegrePrime.poly(fp, irreducible=asserted))
+    names = lcohom.parse_variable_set(required(prime_spec, "segre needs --prime or --fp"))
+    if asserted:
+        raise InputError("--assert-irreducible applies to --fp only")
+    return classify_segre(coordinate_prime(names))

@@ -13,8 +13,7 @@ verdict is quantified over the represented fragment only.
 
 from __future__ import annotations
 
-
-from .errors import InputError, record
+from .errors import InputError, encode_basestring_ascii, record
 
 # an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each.
 # In process on a shared 2-core host (median of 5), `spec enumerate --format
@@ -240,3 +239,30 @@ def truncated_spec_z(primes=(2, 3, 5)) -> SpecPoset:
     labels = ["(0)"] + ["(%d)" % p for p in primes]
     edges = [("(0)", "(%d)" % p) for p in primes]
     return SpecPoset.build(labels, edges)
+
+
+def enumerate_text(text: str, as_json: bool) -> str:
+    """What `spec enumerate` prints for the poset file text, in JSON or
+    in text."""
+    nodes, edges = parse_poset(text)
+    # before build, so an oversize file with a cycle gets the size message
+    check_enumerable(len(set(nodes)))
+    P = SpecPoset.build(nodes, edges)
+    closed = enumerate_closed(P)
+    heights = P.heights()
+    if not as_json:
+        return "\n".join(["nodes: %s" % ", ".join(P.nodes),
+                          "heights: %s" % ", ".join("%s:%d" % (n, heights[n]) for n in P.nodes),
+                          "count: %d" % len(closed)]
+                         + ["closed: {%s}" % ", ".join(c) for c in closed])
+    quoted = {n: encode_basestring_ascii(n) for n in P.nodes}.__getitem__  # each label once
+    # the empty set comes first and prints as []; a poset has a node, so
+    # at least one non-empty closed set follows, each written by one join,
+    # and the node list is not empty
+    rest = "\n    ],\n    [\n      ".join([",\n      ".join(map(quoted, c))
+                                         for c in closed[1:]])
+    return ('{\n  "closed_sets": [\n    [],\n    [\n      %s\n    ]\n  ],\n  "count": %d,'
+            '\n  "heights": {\n    %s\n  },\n  "nodes": [\n    %s\n  ],\n  "schema": 1\n}' % (
+                rest, len(closed),
+                ",\n    ".join("%s: %d" % (quoted(n), heights[n]) for n in sorted(P.nodes)),
+                ",\n    ".join(map(quoted, P.nodes))))

@@ -19,10 +19,8 @@ anchors.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from .errors import InputError, record
+from .errors import InputError, encode_basestring_ascii, record
 
 YES = "yes"
 NO = "no"
@@ -84,11 +82,15 @@ def read_number(text: str, what: str, kind=int):
 
 
 def ratio(q):
-    """(numerator, denominator) of q in lowest terms; Fraction(q) is built
-    only when q is neither an int nor a Fraction."""
-    if type(q) is not int and type(q) is not Fraction:
+    """(numerator, denominator) of q in lowest terms: its own for an int or
+    a Fraction, which both have them; Fraction(q) is built for a q
+    without them, such as a str or a float."""
+    try:
+        return q.numerator, q.denominator
+    except AttributeError:
+        from fractions import Fraction
         q = Fraction(q)
-    return q.numerator, q.denominator
+        return q.numerator, q.denominator
 
 
 def render_rational(q) -> str:

@@ -785,7 +785,7 @@ class TestSnf:
         # took 1.3 s on a shared 2-core host before the exact bound refused
         # it; the floor refuses it before any int is built
         read = []
-        monkeypatch.setattr(cli, "read_number",
+        monkeypatch.setattr(abgroup, "read_number",
                             lambda text, what, *kind: read.append(what) or read_number(text, what))
         mat = tmp_path / "m.txt"
         mat.write_text("90 90\n" + (" ".join(["9" * 4300] * 90) + "\n") * 90)
@@ -844,6 +844,48 @@ class TestSnf:
         code, out, err = run(capsys, "snf", "--matrix", str(mat))
         assert (code, out) == (2, "") and "Hadamard bound of at least" in err
 
+    def test_cost_floor_reads_only_the_bad_row(self, capsys, tmp_path, monkeypatch):
+        # the 35 MB file of 4300-digit entries with its last entry spelled
+        # "...x": its first row that does not read is found from its tokens
+        # and read alone (0.9 s on a shared 2-core host when every row
+        # before it was read)
+        read = []
+        monkeypatch.setattr(abgroup, "read_number",
+                            lambda text, what, *kind: read.append(what) or read_number(text, what))
+        row = " ".join(["9" * 4300] * 90)
+        mat = tmp_path / "m.txt"
+        mat.write_text("90 90\n" + (row + "\n") * 89 + row[:-1] + "x\n")
+        assert run(capsys, "snf", "--matrix", str(mat)) == (
+            2, "", "input error: non-integer entry in row %r...\n" % ("9" * 40))
+        assert read == ["the matrix header"] * 2 + ["matrix row 90"] * 90
+
+    def test_cost_floor_errors_match_the_full_read(self, capsys, tmp_path, monkeypatch):
+        # with the bound patched to 0 every file with a nonzero digit is past
+        # the floor: a file with a row that does not read gets the error of
+        # the full read, which the real bound takes on these small files
+        rng = random.Random(34)
+        good = ["7", "-12", "+3", "1_0", "0", "-0_0", "00", "\u0663", "9" * 30]
+        bad = ["x", "1__0", "_1", "1_", "++1", "1.5", "0x1", "9" * 4301]
+        mat = tmp_path / "m.txt"
+        floored = 0
+        for _ in range(300):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            lines = []
+            for _ in range(rows):
+                n = cols + (rng.random() < 0.1) * rng.choice((-1, 1))
+                lines.append(" ".join(rng.choice(bad if rng.random() < 0.05 else good)
+                                      for _ in range(n)))
+            mat.write_text("%d %d\n%s\n" % (rows, cols, "\n".join(lines)))
+            full = run(capsys, "snf", "--matrix", str(mat))
+            with monkeypatch.context() as m:
+                m.setattr(abgroup, "SNF_COST_BOUND", 0)
+                floor = run(capsys, "snf", "--matrix", str(mat))
+            if floor != full:  # only a file whose rows all read is refused on the cost
+                assert full[0] == 0 and floor[:2] == (2, ""), (lines, full, floor)
+                assert floor[2].endswith("past abgroup.SNF_COST_BOUND = 0\n")
+                floored += "at least" in floor[2]
+        assert floored > 50
+
     def test_cost_floor_is_a_floor(self):
         # every spelling read_number reads as an int passes _reads_as_int and
         # no other; the floor never passes the bits of x * x
@@ -860,10 +902,10 @@ class TestSnf:
             try:
                 x = read_number(t, "x")
             except (ValueError, InputError):
-                assert not cli._reads_as_int(t), t
+                assert not abgroup._reads_as_int(t), t
                 continue
-            assert cli._reads_as_int(t), t
-            assert cli._square_bits_floor(t) <= (x * x).bit_length(), t
+            assert abgroup._reads_as_int(t), t
+            assert abgroup._square_bits_floor(t) <= (x * x).bit_length(), t
             reads += 1
         assert reads > 500
 
@@ -1423,7 +1465,7 @@ class TestLazyFamilies:
 
     def test_import_runs_no_family_module(self):
         doc = audit("catalog", "list")
-        assert doc["import"] == ["__init__", "cli", "errors", "verdict"]
+        assert doc["import"] == ["__init__", "cli", "errors"]
         assert doc["exit"] == 0 and doc["ran"] == doc["import"]
 
     def test_import_registers_every_traced_module(self):
@@ -1468,6 +1510,95 @@ class TestColdImports:
         files["poset"].write_text("a < b\n")
         doc = audit(*(arg.format(**files) for arg in argv))
         assert (doc["exit"], doc["stdlib"]) == (0, [])
+
+
+# Runs the CLI as `python -m uniloc.cli` does, then prints to stderr, as
+# it ends, which uniloc files the call compiled, in order, and which of
+# decimal, fractions and json it loaded.
+COMPILE = """
+import os, runpy, sys
+compiled = []
+
+def hook(event, args):
+    if event == "compile" and os.path.basename(os.path.dirname(str(args[1]))) == "uniloc":
+        compiled.append(os.path.basename(args[1])[:-3])
+
+sys.addaudithook(hook)
+leave = os._exit
+
+def report(code):  # run() ends the call with os._exit
+    loaded = sorted({"decimal", "fractions", "json"} & set(sys.modules))
+    print(repr((code, compiled, loaded)), file=sys.stderr, flush=True)
+    leave(code)
+
+os._exit = report
+runpy.run_module("uniloc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestColdCompile:
+    """What a fresh call compiles where no bytecode is cached or written
+    (PYTHONDONTWRITEBYTECODE, and PYTHONPYCACHEPREFIX an empty directory):
+    the modules of its subcommand, each once, and neither json nor, off
+    the paths that read rationals, fractions.  Files and modules are
+    counted; nothing is timed."""
+
+    CALLS = [
+        ("catalog", "list"),
+        ("catalog", "list", "--format", "json"),
+        ("classify", "--ring", "quad:-5", "--prime", "p2"),
+        ("classify", "--ring", "quad:-5", "--prime", "p2", "--format", "json"),
+        ("classify", "--ring", "twoplanes", "--prime", "(X,Y)", "--format", "json"),
+        ("classify", "--ring", "ell:0,1", "--prime", "2,3", "--format", "json"),
+        ("classify", "--ring", "segre", "--fp", "S0*T0 + S1*T1", "--format", "json"),
+        ("classgroup", "--disc", "-20", "--format", "json"),
+        ("ell", "torsion", "--curve", "0,1", "--point", "2,3", "--format", "json"),
+        ("cech", "--vars", "X,Y,U", "--rel", "XU", "--ideal", "X,Y", "--i", "2", "--format",
+         "json"),
+        ("snf", "--matrix", "{matrix}", "--format", "json"),
+        ("spec", "enumerate", "--poset", "{poset}", "--format", "json"),
+    ]
+    # the paths that read a rational: a curve, a point or a polynomial
+    RATIONAL = {"ell", "segre"}
+
+    @staticmethod
+    def cold_call(tmp_path, *argv):
+        files = {"matrix": tmp_path / "m.txt", "poset": tmp_path / "p.txt"}
+        files["matrix"].write_text("2 2\n2 4\n6 8\n")
+        files["poset"].write_text("a < b\n")
+        cache = tmp_path / "pycache"
+        cache.mkdir()
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(cache))
+        # -S: no site, whose .pth files can import json on their own
+        proc = run_python("-S", "-c", COMPILE, *(arg.format(**files) for arg in argv),
+                          env=env, capture_output=True, text=True, timeout=60)
+        assert not any(cache.iterdir())
+        return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+    def test_catalog_compiles_only_the_cli(self, tmp_path):
+        code, compiled, loaded = self.cold_call(tmp_path, "catalog", "list")
+        assert (code, compiled, loaded) == (0, ["__init__", "cli", "errors"], [])
+
+    def test_quad_adds_only_verdict_and_quadorder(self, tmp_path):
+        code, compiled, loaded = self.cold_call(tmp_path, "classify", "--ring", "quad:-5",
+                                                "--prime", "p2")
+        assert (code, loaded) == (0, [])
+        assert compiled == ["__init__", "cli", "errors", "quadorder", "verdict"]
+
+    def test_spec_adds_only_spectool(self, tmp_path):
+        code, compiled, loaded = self.cold_call(tmp_path, "spec", "enumerate", "--poset",
+                                                "{poset}", "--format", "json")
+        assert (code, compiled, loaded) == (0, ["__init__", "cli", "errors", "spectool"], [])
+
+    @pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+    def test_each_module_once(self, tmp_path, argv):
+        code, compiled, loaded = self.cold_call(tmp_path, *argv)
+        assert code == 0 and len(compiled) == len(set(compiled))
+        assert compiled[:3] == ["__init__", "cli", "errors"]
+        if any(name in arg for arg in argv for name in self.RATIONAL):
+            assert "json" not in loaded
+        else:
+            assert loaded == []
 
 
 JSON_VALUES = st.recursive(

@@ -515,8 +515,8 @@ def test_classify_builds_fractions_only_to_parse(count_fractions):
 
     assert count_fractions(lambda: run("ell:-43,166", "-5,16", "7-line program")) == 0
     # a rational model is undecided: one Fraction per non-integer it reads
-    assert count_fractions(lambda: cli._parse_curve("0,1/64", "")) == 1
-    assert count_fractions(lambda: cli._parse_point("1/2,3/8")) == 2
+    assert count_fractions(lambda: elliptic._parse_curve("0,1/64", "")) == 1
+    assert count_fractions(lambda: elliptic._parse_point("1/2,3/8")) == 2
     assert count_fractions(lambda: run("ell:0,1/64", "1/2,3/8", "not integral")) == 3
 
 

@@ -653,6 +653,30 @@ class TestCertify:
             certify_nonvanishing(over, VariableIdeal.of(over, ["v0"]), 1, 1)
         assert calls == []
 
+    def test_cells_bound_refuses_before_the_key(self, monkeypatch):
+        # 11 generators with the first 128 relations of 6 over them rank 1397
+        # candidate cells at --i 2: with the bound one lower, the key that
+        # would pass it is refused before it is ranked
+        names = ["v%d" % j for j in range(11)]
+        A = MonomialAlgebra.make(names, islice(combinations(names, 6), 128))
+        I = VariableIdeal.of(A, names)
+        events = []
+        for name in ("_key_dim", "_link_dim", "_nerve_dim"):
+            real = getattr(lcohom, name)
+            monkeypatch.setattr(lcohom, name,
+                                lambda *args, _real=real, _name=name:
+                                events.append(_name) or _real(*args))
+        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1397)
+        cech_table(A, I, 2, 1)
+        accepted = list(events)
+        del events[:]
+        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1396)
+        with pytest.raises(InputError, match="would rank 1397 candidate cells, past "
+                                             "lcohom.CECH_CELLS_BOUND = 1396$"):
+            cech_table(A, I, 2, 1)
+        assert events == accepted[:len(events)] and events[-1] == "_key_dim"
+        assert accepted[len(events)] in ("_link_dim", "_nerve_dim")
+
     def test_witness_is_smallest_shell(self):
         I = VariableIdeal.of(TWOPLANES, ("X", "Y"))
         out = certify_nonvanishing(TWOPLANES, I, 2, 3)

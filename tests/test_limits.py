@@ -70,11 +70,11 @@ def seeded_matrix(n, bound):
         " ".join(str(r.randint(-bound, bound)) for _ in range(n)) + "\n" for _ in range(n))
 
 
-def cech_relations(m, size, count):
-    """`cech` over m variables, all but v0 free of the ideal, with the
-    first count relations of the given size."""
+def cech_relations(m, size, count, gens=1, i=1):
+    """`cech` at --i i over m variables, the first gens of them the ideal,
+    with the first count relations of the given size."""
     rels = islice(combinations(["v%d" % j for j in range(m)], size), count)
-    return ("cech", "--vars", names(m), "--ideal", "v0", "--i", "1", "--box", "1",
+    return ("cech", "--vars", names(m), "--ideal", names(gens), "--i", str(i), "--box", "1",
             "--rel", ",".join("*".join(r) for r in rels))
 
 
@@ -146,6 +146,18 @@ ROWS = [
     Row("lcohom.CECH_RELATION_TESTS_BOUND",
         accepted=(cli("15 variables, 128 relations of 7", *cech_relations(15, 7, 128)),),
         refused=(cli("15 variables, 129 relations of 7", *cech_relations(15, 7, 129)),)),
+    # m generators and the first 128 relations of 6 over them rank 1828
+    # candidate cells at --i 2 for m = 12 and 2340 for m = 13; at --i 4 the
+    # first key of 15 alone would rank 4823
+    Row("lcohom.CECH_CELLS_BOUND",
+        accepted=(cli("12 generators, 128 relations of 6, --i 2",
+                      *cech_relations(12, 6, 128, 12, 2)),
+                  cli("15 generators, 128 relations of 6, --i 1",
+                      *cech_relations(15, 6, 128, 15, 1))),
+        refused=(cli("13 generators, 128 relations of 6, --i 2",
+                     *cech_relations(13, 6, 128, 13, 2)),
+                 cli("15 generators, 128 relations of 6, --i 4",
+                     *cech_relations(15, 6, 128, 15, 4)))),
     Row("lcohom.CECH_ROWS_BOUND",
         accepted=(cli("200 000 rows", "cech", "--vars", "X", "--ideal", "X", "--i", "1",
                       "--box", "200000"),),
