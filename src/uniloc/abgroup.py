@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
-from .errors import InputError, record
+from .errors import InputError, quote, record
 from .verdict import PRINT_DIGITS, check_printable, read_number
 
 # the most rows or columns `snf` takes: W alone has cols^2 entries.  In process
@@ -361,21 +361,14 @@ def _past_cost_bound(rows: int, cols: int, row_bits, floor: bool = False):
                          isqrt(n ** 4 * h ** 3), SNF_COST_BOUND))
 
 
-def _quote_row(line: str) -> str:
-    """repr of a matrix row for a row error, cut to its first 40
-    characters and "...": a row of 4300-digit entries would put hundreds
-    of KB on one line of stderr."""
-    return repr(line) if len(line) <= 40 else "%r..." % line[:40]
-
-
 def _read_row(number: int, line: str, row, cols: int) -> list:
     """The entries of row, the tokens of matrix row number (line)."""
     if len(row) != cols:
-        raise InputError("row %s does not have %d entries" % (_quote_row(line), cols))
+        raise InputError("row %s does not have %d entries" % (quote(line), cols))
     try:
         return [read_number(t, "matrix row %d" % number) for t in row]
     except ValueError:
-        raise InputError("non-integer entry in row %s" % _quote_row(line)) from None
+        raise InputError("non-integer entry in row %s" % quote(line)) from None
 
 
 def _parse_matrix(text: str, path: str) -> IntMatrix:

@@ -13,15 +13,15 @@ Exit codes: 0 success, 2 input error, 3 ring not representable,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib.util
 import os
 import sys
 from math import isinf
+from types import SimpleNamespace
 
 from .errors import (InconclusiveError, InputError, NotRepresentableError,
-                     encode_basestring_ascii, record)
+                     encode_basestring_ascii, quote, record)
 
 
 def _lazy(name: str):
@@ -148,7 +148,7 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
     ring = ring.strip()
     family = next((f for f in FAMILIES if f.matches(ring)), None)
     if family is None:
-        raise InputError("unknown ring %r; see `uniloc catalog list`" % (ring,))
+        raise InputError("unknown ring %s; see `uniloc catalog list`" % quote(ring))
     if family.classify is None:
         raise NotRepresentableError(
             "%s is catalogued but carries no finite presentation; "
@@ -289,88 +289,181 @@ def _cmd_spec_enumerate(args) -> int:
     return 0
 
 
-# parser ----------------------------------------------------------------------
+# command table ---------------------------------------------------------------
+
+@record
+class Option:
+    """One option of a command, as argparse takes it: its type is str, int,
+    or bool for a flag (store_true)."""
+
+    name: str
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+    help: str = None
+
+
+@record
+class Command:
+    """A command path, its help and, when it runs, its handler and its
+    options in the order of its usage line; a path with subcommands has no
+    handler."""
+
+    words: tuple
+    help: str
+    handler: object = None
+    options: tuple = ()
+
+
+FORMAT = Option("--format", choices=("text", "json"), default="text")
+
+# the CLI grammar, a parent before its subcommands
+COMMANDS = (
+    Command(("catalog",), "catalog operations"),
+    Command(("catalog", "list"), "list built-in rings", _cmd_catalog_list, (FORMAT,)),
+    Command(("classify",), "flat / universal / classical verdict for V(p)", _cmd_classify, (
+        Option("--ring", required=True),
+        Option("--prime", default=""),
+        Option("--fp", default="", help="bihomogeneous polynomial for segre primes"),
+        Option("--assert-irreducible", bool, False,
+               help="assert irreducibility of --fp above degree 2"),
+        FORMAT)),
+    Command(("classgroup",), "reduced forms and class number", _cmd_classgroup, (
+        Option("--disc", int, required=True, help="fundamental discriminant, e.g. -20"),
+        FORMAT)),
+    Command(("ell",), "elliptic curve utilities"),
+    Command(("ell", "torsion"), "torsion order of a point", _cmd_ell_torsion, (
+        Option("--curve", required=True, help='"a,b" coefficients'),
+        Option("--point", required=True, help='"x,y" or "O"'),
+        FORMAT)),
+    Command(("cech",), "multigraded local cohomology dims", _cmd_cech, (
+        Option("--vars", required=True, help="comma separated names"),
+        Option("--rel", default="", help="comma separated squarefree monomials, e.g. XU"),
+        Option("--ideal", required=True, help="comma separated generators"),
+        Option("--i", int, required=True),
+        Option("--box", int, 3, help="display range |a_j| <= N of the dimension table"),
+        FORMAT)),
+    Command(("snf",), "Smith normal form of an integer matrix", _cmd_snf, (
+        Option("--matrix", required=True, help='file: first line "rows cols", then the rows'),
+        FORMAT)),
+    Command(("spec",), "finite spectrum posets"),
+    Command(("spec", "enumerate"), "all specialisation closed subsets", _cmd_spec_enumerate, (
+        Option("--poset", required=True, help='file of lines "child < parent"'),
+        FORMAT)),
+)
+
+# words -> (command, {option name: (option, its namespace attribute)})
+_GRAMMAR = {command.words: (command, {o.name: (o, o.name[2:].replace("-", "_"))
+                                      for o in command.options})
+            for command in COMMANDS}
+
+
+def _negative_number(value: str) -> bool:
+    """Whether argparse takes value for a negative number, and so for the
+    value of an option where any other word starting with "-" is an
+    option: -<digits> or -[<digits>].<digits>, as its
+    _negative_number_matcher reads them."""
+    whole, dot, fraction = value[1:].partition(".")
+    return value[:1] == "-" and ((whole.isdecimal() and not dot)
+                                 or (fraction.isdecimal() and (whole.isdecimal() or not whole)))
+
+
+def read_argv(argv):
+    """The namespace that build_parser().parse_args(argv) returns, read
+    without argparse, or None.
+
+    It reads only well-formed argv: the words of a command that runs,
+    then its options by their exact names, as --name value or
+    --name=value, with a value that does not start with "-" unless it is
+    a negative number (or, after "=", that is not "--"), that int() reads
+    for an int option and that is one of the choices of --format, and
+    with every required option present.  A repeated option keeps its last
+    value, as in argparse.  Anything else gives None and argparse answers,
+    so help, usage errors, abbreviated options and "--" print what they
+    always printed.
+    """
+    namespace, words = {}, ()
+    args = iter(argv)
+    while True:
+        word = next(args, None)
+        if words + (word,) not in _GRAMMAR:
+            return None
+        namespace["_".join(words + ("command",))] = word
+        words += (word,)
+        command, options = _GRAMMAR[words]
+        if command.handler is not None:
+            break
+    for option, dest in options.values():
+        namespace[dest] = option.default
+    for arg in args:
+        if arg in options:
+            option, dest = options[arg]
+            if option.type is bool:
+                namespace[dest] = True
+                continue
+            value = next(args, None)
+            if value is None or value[:1] == "-" and not _negative_number(value):
+                return None
+        else:  # --name=value, where argparse reads the value "--" as none
+            name, eq, value = arg.partition("=")
+            if not eq or value == "--" or name not in options or options[name][0].type is bool:
+                return None
+            option, dest = options[name]
+        try:
+            namespace[dest] = option.type(value)
+        except ValueError:
+            return None
+        if option.choices and value not in option.choices:
+            return None
+    if any(option.required and namespace[dest] is None for option, dest in options.values()):
+        return None
+    namespace["func"] = command.handler
+    return SimpleNamespace(**namespace)
+
 
 @functools.cache  # built once per process: building costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS.  main() builds it only for an argv
+    that read_argv leaves to it: help, and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="uniloc",
         description="classify localisations of catalogued noetherian rings "
                     "with exact arithmetic")
-    sub = parser.add_subparsers(dest="command")
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_catalog = sub.add_parser("catalog", help="catalog operations")
-    catalog_sub = p_catalog.add_subparsers(dest="catalog_command")
-    p_list = catalog_sub.add_parser("list", help="list built-in rings")
-    add_format(p_list)
-    p_list.set_defaults(func=_cmd_catalog_list)
-
-    p_classify = sub.add_parser(
-        "classify", help="flat / universal / classical verdict for V(p)")
-    p_classify.add_argument("--ring", required=True)
-    p_classify.add_argument("--prime", default="")
-    p_classify.add_argument("--fp", default="",
-                            help="bihomogeneous polynomial for segre primes")
-    p_classify.add_argument("--assert-irreducible", action="store_true",
-                            help="assert irreducibility of --fp above degree 2")
-    add_format(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_cg = sub.add_parser("classgroup", help="reduced forms and class number")
-    p_cg.add_argument("--disc", type=int, required=True,
-                      help="fundamental discriminant, e.g. -20")
-    add_format(p_cg)
-    p_cg.set_defaults(func=_cmd_classgroup)
-
-    p_ell = sub.add_parser("ell", help="elliptic curve utilities")
-    ell_sub = p_ell.add_subparsers(dest="ell_command")
-    p_tors = ell_sub.add_parser("torsion", help="torsion order of a point")
-    p_tors.add_argument("--curve", required=True, help='"a,b" coefficients')
-    p_tors.add_argument("--point", required=True, help='"x,y" or "O"')
-    add_format(p_tors)
-    p_tors.set_defaults(func=_cmd_ell_torsion)
-
-    p_cech = sub.add_parser("cech", help="multigraded local cohomology dims")
-    p_cech.add_argument("--vars", required=True, help="comma separated names")
-    p_cech.add_argument("--rel", default="",
-                        help="comma separated squarefree monomials, e.g. XU")
-    p_cech.add_argument("--ideal", required=True, help="comma separated generators")
-    p_cech.add_argument("--i", type=int, required=True)
-    p_cech.add_argument("--box", type=int, default=3,
-                        help="display range |a_j| <= N of the dimension table")
-    add_format(p_cech)
-    p_cech.set_defaults(func=_cmd_cech)
-
-    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p_snf.add_argument("--matrix", required=True,
-                       help='file: first line "rows cols", then the rows')
-    add_format(p_snf)
-    p_snf.set_defaults(func=_cmd_snf)
-
-    p_spec = sub.add_parser("spec", help="finite spectrum posets")
-    spec_sub = p_spec.add_subparsers(dest="spec_command")
-    p_enum = spec_sub.add_parser("enumerate",
-                                 help="all specialisation closed subsets")
-    p_enum.add_argument("--poset", required=True,
-                        help='file of lines "child < parent"')
-    add_format(p_enum)
-    p_enum.set_defaults(func=_cmd_spec_enumerate)
-
+    parsers, subparsers = {(): parser}, {}
+    for command in COMMANDS:
+        parent = command.words[:-1]
+        if parent not in subparsers:
+            subparsers[parent] = parsers[parent].add_subparsers(
+                dest="_".join(parent + ("command",)))
+        sub = parsers[command.words] = subparsers[parent].add_parser(
+            command.words[-1], help=command.help)
+        for option in command.options:
+            if option.type is bool:
+                sub.add_argument(option.name, action="store_true", help=option.help)
+            else:
+                sub.add_argument(option.name, type=option.type, default=option.default,
+                                 required=option.required, choices=option.choices,
+                                 help=option.help)
+        if command.handler is not None:
+            sub.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv)
+    if args is None:  # help or a usage error, or a form only argparse reads
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 2
     try:
         return args.func(args)
     except NotRepresentableError as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InconclusiveError, InputError, record, required
+from .errors import InconclusiveError, InputError, quote, record, required
 from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
                       TorsionWitness, Verdict, ratio, read_number, render_ratio)
 
@@ -142,7 +142,7 @@ class WeierstrassCurve:
 
 def _require_on_curve(E: WeierstrassCurve, P: ECPoint):
     if not E.contains(P):
-        raise InputError("point %r is not on %r" % (P, E))
+        raise InputError("point %s is not on %s" % (quote(repr(P), str), quote(repr(E), str)))
 
 
 def negate(E: WeierstrassCurve, P: ECPoint) -> ECPoint:
@@ -474,7 +474,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return read_number(text.strip(), "a rational number", Fraction)
     except (ValueError, ZeroDivisionError):
-        raise InputError("cannot read %r as a rational number" % (text,)) from None
+        raise InputError("cannot read %s as a rational number" % quote(text)) from None
 
 
 def _parse_curve(text: str, message: str) -> WeierstrassCurve:
@@ -491,7 +491,7 @@ def _parse_point(text: str) -> ECPoint:
         return O
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError('point must be "x,y" or "O", got %r' % (text,))
+        raise InputError('point must be "x,y" or "O", got %s' % quote(text))
     return ECPoint(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
 
 

@@ -14,6 +14,22 @@ except ImportError:  # an interpreter without the json accelerator
     from json.encoder import encode_basestring_ascii  # noqa: F401
 
 
+# the most characters of an input that a message quotes
+QUOTE_CHARS = 40
+
+
+def quote(text: str, spell=repr) -> str:
+    """spell(text) for a message that quotes an input, or, for text longer
+    than QUOTE_CHARS, spell of its first QUOTE_CHARS characters and "...":
+    a 100 KB --prime, or a row of 4300-digit matrix entries, would put as
+    much on one line of stderr.  spell=str quotes text as it stands.
+
+    >>> quote("p2"), quote("p" + "9" * 99), quote("(X, Y)", str)
+    ("'p2'", "'p999999999999999999999999999999999999999'...", '(X, Y)')
+    """
+    return spell(text) if len(text) <= QUOTE_CHARS else spell(text[:QUOTE_CHARS]) + "..."
+
+
 class UnilocError(Exception):
     pass
 

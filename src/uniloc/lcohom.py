@@ -47,7 +47,7 @@ from __future__ import annotations
 from itertools import chain, combinations, compress, product
 from math import comb, gcd, prod
 
-from .errors import InputError, record, required
+from .errors import InputError, quote, record, required
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
                       FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
                       HeightViolation, Verdict)
@@ -76,19 +76,23 @@ CECH_SCAN_BOUND = 15
 # variables with their 3003 relations of size 5 (2^26.6) take 1.9 s.  The
 # ranks are counted by the next bound.
 CECH_RELATION_TESTS_BOUND = 2 ** 22
-# the most candidate cells the scan ranks: each key is ranked on its link
-# or its nerve, whichever has fewer candidates in the three degrees of
-# _cohomology, and the scan sums that number over its keys.  A key's dense
-# elimination grows faster than its cells: in process on a shared 2-core
-# host, with 15 generators and the first 128 relations of 6 (median of 3),
-# one key of 575 cells takes 0.02 s, of 1079 cells 0.10 s, 1456 0.20 s,
-# 1925 0.37 s, 2211 0.63 s, 2288 0.70 s, 3367 1.8 s and 4823 4.7 s.  One
-# key may take the whole bound, and its time has to fit in the 1 s budget
-# beside the relation tests (see above).  That call ranks 346 cells at
-# --i 1 (0.80 s as a fresh process, median of 5), 3635 at --i 2, 24 535
-# at --i 3 (2 s) and 118 573 at --i 4 (13 s); with 12 generators it ranks
-# 1828 cells at --i 2 in 0.16 s, and with 13 generators 2340.
-CECH_CELLS_BOUND = 2 ** 11
+# what the scan may charge for ranking its keys.  Each key is ranked on its
+# link or its nerve, whichever has fewer candidates in the three degrees
+# of _cohomology, and a key of n such cells is charged CECH_KEY_COST +
+# n^2.5, the scan summing that over its keys.  A key's dense elimination
+# grows like n^2.5: in process on a shared 2-core host, with 15 generators
+# and the first 128 relations of 6 (median of 3), one key of 575 cells
+# takes 0.02 s, of 1079 cells 0.10 s, 1456 0.20 s, 1925 0.37 s, 3367 1.8 s
+# and 4823 4.7 s, about 2.5-3e-9 s per unit of n^2.5.  The one-relation
+# ladder (one relation over all g generators at --i g-1) ranks 2^g - 1
+# keys of 2 cells each, at about 6 us a key (g = 11 to 15), and 6 us is
+# about 2000 units.  With the same relations, m generators charge, at
+# --i 2 and at --i 3: m = 12 2.2e6 and 2.9e7 (0.23 s in process), m = 13
+# 3.7e6 and 6.2e7 (0.42 s), m = 14 6.2e6 and 1.26e8 (0.80 s), and m = 15
+# 1.0e7 and 2.4e8 (0.75-1.5 s); one relation over 15 generators at --i 14
+# charges 6.6e7 (0.33 s).  The bound keeps what took 0.5 s or less.
+CECH_CELLS_BOUND = 100_000_000
+CECH_KEY_COST = 2000
 
 
 @record
@@ -156,7 +160,7 @@ class MonomialAlgebra:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise InputError("unknown variable %r" % (name,)) from None
+            raise InputError("unknown variable %s" % quote(name)) from None
 
     def is_face(self, names) -> bool:
         return self.is_face_mask(self.mask(names))
@@ -468,7 +472,7 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     other coordinates, so the scan runs over the m' variables of A', 2^m'
     candidates, and refuses past CECH_SCAN_BOUND or
     CECH_RELATION_TESTS_BOUND before it builds any, and before the key
-    whose ranking would take it past CECH_CELLS_BOUND candidate cells.
+    whose ranking would take its charge past CECH_CELLS_BOUND.
 
     The scan order is the zero vector, then the rest of {-1,0,1}^m' in
     lexicographic order.  A candidate is a face S = N | P with N inside
@@ -499,14 +503,15 @@ def _scan(A: MonomialAlgebra, I: VariableIdeal, i: int):
     gens = A.mask(I.generators)
     rels = [(r, r & ~gens) for r in A.relation_masks]
     dims = {}
-    ranked = 0
+    charged = 0
 
     def spend(cells):
-        nonlocal ranked
-        ranked += cells
-        if ranked > CECH_CELLS_BOUND:
-            raise InputError("the sign-pattern scan would rank %d candidate cells, past "
-                             "lcohom.CECH_CELLS_BOUND = %d" % (ranked, CECH_CELLS_BOUND))
+        nonlocal charged
+        charged += CECH_KEY_COST + round(cells ** 2.5)
+        if charged > CECH_CELLS_BOUND:
+            raise InputError("ranking the keys of the sign-pattern scan would cost %d "
+                             "(%d a key plus cells^2.5), past lcohom.CECH_CELLS_BOUND = %d"
+                             % (charged, CECH_KEY_COST, CECH_CELLS_BOUND))
 
     for t in chain((gens,), range(gens), range(gens + 1, 1 << len(A.bits))):
         support = t ^ gens
@@ -674,7 +679,7 @@ def parse_variable_set(text: str) -> tuple:
         inner = inner[1:-1]
     names = [t.strip() for t in inner.split(",") if t.strip()]
     if not names:
-        raise InputError("empty prime %r" % (text,))
+        raise InputError("empty prime %s" % quote(text))
     return tuple(names)
 
 

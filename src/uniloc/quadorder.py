@@ -27,7 +27,7 @@ import re
 from itertools import chain
 from math import isqrt, lcm, log
 
-from .errors import InputError, record, required
+from .errors import InputError, quote, record, required
 from .verdict import (DIMENSION_LE_ONE, PRINT_DIGITS, Denominators, Verdict, ratio,
                       read_number, render_rational)
 
@@ -427,7 +427,7 @@ def decompose_prime(order: QuadOrder, ell: int):
     ideals returned without dividing again.
     """
     if not _is_prime(ell):
-        raise InputError("%r is not a rational prime" % (ell,))
+        raise InputError("%s is not a rational prime" % quote(str(ell), str))
     D = order.discriminant
     sym = _symbol(D, ell)
     if sym == -1:
@@ -658,8 +658,8 @@ def _parse_primes(order: QuadOrder, text: str):
         token = token.strip()
         m = re.fullmatch(r"p(\d+)(bar)?", token)
         if not m:
-            raise InputError('prime spec must look like "p2" or "p3bar", got %r'
-                             % (token,))
+            raise InputError('prime spec must look like "p2" or "p3bar", got %s'
+                             % quote(token))
         ell = read_number(m.group(1), "--prime")
         conjugate = bool(m.group(2))
         dec = decompose_prime(order, ell)
@@ -683,7 +683,7 @@ def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdic
     try:
         d = read_number(body, "the ring id")
     except ValueError:
-        raise InputError("cannot read %r as an integer" % (body,)) from None
+        raise InputError("cannot read %s as an integer" % quote(body)) from None
     order = QuadOrder(d)
     ideals, labels = _parse_primes(order, required(prime_spec, "quad rings need --prime"))
     return classify_dedekind(order, ideals, labels)

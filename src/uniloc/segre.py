@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import lcohom
-from .errors import InputError, record, required
+from .errors import InputError, quote, record, required
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
                       INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
                       TorsionWitness, Verdict, check_printable, read_number,
@@ -131,7 +131,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
     stripped = re.sub(r"\s+", "", text)
     tokens = _TOKEN.findall(stripped)
     if "".join(tokens) != stripped:
-        raise InputError("cannot tokenize polynomial %r" % (text,))
+        raise InputError("cannot tokenize polynomial %s" % quote(text))
     if not tokens:
         raise InputError("empty polynomial")
 
@@ -153,7 +153,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
         started = True
         current.append(tok)
     if not current:
-        raise InputError("dangling sign in %r" % (text,))
+        raise InputError("dangling sign in %s" % quote(text))
     groups.append((sign, current))
 
     total = {}
@@ -167,18 +167,18 @@ def parse_polynomial(text: str, names) -> Polynomial:
             tok = toks[i]
             if tok == "*":
                 if expecting_factor:
-                    raise InputError("misplaced '*' in %r" % (text,))
+                    raise InputError("misplaced '*' in %s" % quote(text))
                 expecting_factor = True
                 i += 1
                 continue
             if not expecting_factor:
-                raise InputError("missing '*' before %r in %r" % (tok, text))
+                raise InputError("missing '*' before %s in %s" % (quote(tok), quote(text)))
             if tok.isdigit():
                 num = read_number(tok, "the polynomial")
                 if i + 2 < len(toks) and toks[i + 1] == "/" and toks[i + 2].isdigit():
                     den = read_number(toks[i + 2], "the polynomial")
                     if den == 0:
-                        raise InputError("zero denominator in %r" % (text,))
+                        raise InputError("zero denominator in %s" % quote(text))
                     coeff *= Fraction(num, den)
                     i += 3
                 else:
@@ -188,7 +188,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
                 power = 1
                 if i + 1 < len(toks) and toks[i + 1] == "^":
                     if i + 2 >= len(toks) or not toks[i + 2].isdigit():
-                        raise InputError("'^' needs an integer exponent in %r" % (text,))
+                        raise InputError("'^' needs an integer exponent in %s" % quote(text))
                     power = read_number(toks[i + 2], "the polynomial")
                     i += 3
                 else:
@@ -196,13 +196,13 @@ def parse_polynomial(text: str, names) -> Polynomial:
                 j = names.index(tok)
                 expo[j] += power
             elif re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", tok):
-                raise InputError("unknown variable %r (expected one of %s)"
-                                 % (tok, ", ".join(names)))
+                raise InputError("unknown variable %s (expected one of %s)"
+                                 % (quote(tok), ", ".join(names)))
             else:
-                raise InputError("unexpected %r in %r" % (tok, text))
+                raise InputError("unexpected %s in %s" % (quote(tok), quote(text)))
             expecting_factor = False
         if expecting_factor:
-            raise InputError("term ends with '*' in %r" % (text,))
+            raise InputError("term ends with '*' in %s" % quote(text))
         key = tuple(expo)
         total[key] = total.get(key, 0) + coeff
     return Polynomial.make(names, total)
@@ -394,7 +394,7 @@ def coordinate_prime(names) -> SegrePrime:
     if key not in COORDINATE_PAIRS:
         raise InputError(
             "coordinate primes are (X,V), (Y,U), (X,Y), (U,V); got (%s)"
-            % ", ".join(sorted(names)))
+            % quote(", ".join(sorted(names)), str))
     (p, q), orientation = COORDINATE_PAIRS[key]
     return SegrePrime.linear(p, q, orientation)
 
@@ -486,7 +486,7 @@ def classify_segre(p: SegrePrime) -> Verdict:
     known = is_irreducible(f)
     if known is False:
         raise InputError("f = %s is reducible, it does not define a prime"
-                         % f.render())
+                         % quote(f.render(), str))
 
     notes = []
     if known is None:

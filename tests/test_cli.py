@@ -232,8 +232,44 @@ class TestInputBounds:
         assert code == 0 and doc["prime"] == "{p%s2}" % ("0" * 4299)
         # 10^4299 is read, and the point is then refused as off the curve
         code, _, err = run(capsys, "ell", "torsion", "--curve", "0,1", "--point", "1e4299,2")
-        assert (code, err) == (2, "input error: point (1%s, 2) is not on "
-                                  "y^2 = x^3 + (0)x + (1)\n" % ("0" * 4299))
+        assert (code, err) == (2, "input error: point (1%s... is not on "
+                                  "y^2 = x^3 + (0)x + (1)\n" % ("0" * 38))
+
+
+BIG = "x" * 100_000
+# S0 divides each of its 4000 terms of bidegree (1, 4000)
+REDUCIBLE = " + ".join("%d*S0*T0^%d*T1^%d" % (k + 1, k, 4000 - k) for k in range(4000))
+
+
+class TestQuotedInput:
+    """A refusal quotes at most errors.QUOTE_CHARS characters of an input:
+    a 100 KB malformed argument to each --ring family exits 2 with a short
+    line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--ring", BIG),
+        ("--ring", "quad:" + BIG, "--prime", "p2"),
+        ("--ring", "quad:-5", "--prime", "p" + BIG),
+        ("--ring", "quad:-5", "--prime", "p2" + "0" * 4000 + BIG),
+        ("--ring", "ell:0," + BIG, "--prime", "O"),
+        ("--ring", "ell:0,1", "--prime", BIG),
+        ("--ring", "ell:0,1", "--prime", "1/" + BIG + ",2"),
+        ("--ring", "ell:0,1", "--prime", "1/%s,1/%s" % ("3" * 4300, "7" * 4300)),
+        ("--ring", "segre", "--fp", "S0*T0 + " + BIG),
+        ("--ring", "segre", "--fp", REDUCIBLE),
+        ("--ring", "segre", "--prime", "(%s)" % BIG),
+        ("--ring", "segre", "--prime", "(%s)" % ",".join(["X"] * 50_000)),
+        ("--ring", "twoplanes", "--prime", "(%s)" % BIG),
+        ("--ring", "twoplanes", "--prime", "(%s)" % ("," * 100_000)),
+        ("--ring", "dim3hyper", "--prime", "(%s)" % BIG),
+    ], ids=["unknown ring", "quad ring", "quad prime", "quad prime digits", "ell curve",
+            "ell point", "ell coordinate", "ell point off the curve", "segre fp",
+            "segre fp reducible", "segre prime", "segre prime names", "twoplanes prime",
+            "twoplanes empty prime", "dim3hyper prime"])
+    def test_refusal_is_short(self, capsys, argv):
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (2, "") and err.startswith("input error: ")
+        assert len(err) < 1024, err[:200]
 
 
 PRIME_BOUND = ("cannot test primality past the trial division bound: "
@@ -1514,7 +1550,7 @@ class TestColdImports:
 
 # Runs the CLI as `python -m uniloc.cli` does, then prints to stderr, as
 # it ends, which uniloc files the call compiled, in order, and which of
-# decimal, fractions and json it loaded.
+# argparse, decimal, fractions, gettext, json and locale it loaded.
 COMPILE = """
 import os, runpy, sys
 compiled = []
@@ -1527,7 +1563,8 @@ sys.addaudithook(hook)
 leave = os._exit
 
 def report(code):  # run() ends the call with os._exit
-    loaded = sorted({"decimal", "fractions", "json"} & set(sys.modules))
+    loaded = sorted({"argparse", "decimal", "fractions", "gettext", "json", "locale"}
+                    & set(sys.modules))
     print(repr((code, compiled, loaded)), file=sys.stderr, flush=True)
     leave(code)
 
@@ -1539,9 +1576,10 @@ runpy.run_module("uniloc.cli", run_name="__main__", alter_sys=True)
 class TestColdCompile:
     """What a fresh call compiles where no bytecode is cached or written
     (PYTHONDONTWRITEBYTECODE, and PYTHONPYCACHEPREFIX an empty directory):
-    the modules of its subcommand, each once, and neither json nor, off
-    the paths that read rationals, fractions.  Files and modules are
-    counted; nothing is timed."""
+    the modules of its subcommand, each once, and neither argparse nor
+    json nor, off the paths that read rationals, fractions.  Only help
+    and usage errors load argparse.  Files and modules are counted;
+    nothing is timed."""
 
     CALLS = [
         ("catalog", "list"),
@@ -1561,8 +1599,17 @@ class TestColdCompile:
     # the paths that read a rational: a curve, a point or a polynomial
     RATIONAL = {"ell", "segre"}
 
+    # calls that argparse answers: help, a usage error and an abbreviation
+    FALLBACK = [
+        ("--help",),
+        ("classify", "--help"),
+        ("classify",),
+        ("classify", "--ri", "quad:-5", "--prime", "p2"),
+    ]
+
     @staticmethod
-    def cold_call(tmp_path, *argv):
+    def cold_run(tmp_path, *argv):
+        """(code, compiled, loaded, stdout, stderr) of a fresh call."""
         files = {"matrix": tmp_path / "m.txt", "poset": tmp_path / "p.txt"}
         files["matrix"].write_text("2 2\n2 4\n6 8\n")
         files["poset"].write_text("a < b\n")
@@ -1573,7 +1620,12 @@ class TestColdCompile:
         proc = run_python("-S", "-c", COMPILE, *(arg.format(**files) for arg in argv),
                           env=env, capture_output=True, text=True, timeout=60)
         assert not any(cache.iterdir())
-        return ast.literal_eval(proc.stderr.splitlines()[-1])
+        *err, report = proc.stderr.splitlines(keepends=True)
+        return (*ast.literal_eval(report), proc.stdout, "".join(err))
+
+    @classmethod
+    def cold_call(cls, tmp_path, *argv):
+        return cls.cold_run(tmp_path, *argv)[:3]
 
     def test_catalog_compiles_only_the_cli(self, tmp_path):
         code, compiled, loaded = self.cold_call(tmp_path, "catalog", "list")
@@ -1596,9 +1648,137 @@ class TestColdCompile:
         assert code == 0 and len(compiled) == len(set(compiled))
         assert compiled[:3] == ["__init__", "cli", "errors"]
         if any(name in arg for arg in argv for name in self.RATIONAL):
-            assert "json" not in loaded
+            assert not {"argparse", "gettext", "json", "locale"} & set(loaded)
         else:
             assert loaded == []
+
+    @pytest.mark.parametrize("argv", FALLBACK, ids=" ".join)
+    def test_argparse_answers_help_and_errors(self, tmp_path, capsys, argv):
+        code, compiled, loaded, out, err = self.cold_run(tmp_path, *argv)
+        assert "argparse" in loaded and compiled == ["__init__", "cli", "errors"] + (
+            ["quadorder", "verdict"] if code == 0 and out.startswith("ring:") else [])
+        assert (code, out, err) == run(capsys, *argv)
+
+    def test_abbreviation_answers_as_the_full_name(self, capsys):
+        assert cli.read_argv(["classify", "--ri", "quad:-5", "--prime", "p2"]) is None
+        assert run(capsys, "classify", "--ri", "quad:-5", "--prime", "p2") == run(
+            capsys, "classify", "--ring", "quad:-5", "--prime", "p2")
+
+
+# values that argparse reads as a value, as an option, or refuses
+READ_VALUES = ("-5", "-1.5", "-.5", "-x", "", "json", "xml", "3", "1.5", "x", "p2",
+               "-1/2*S0 + 3*S1", "--", "-h")
+# tokens an insert puts in: option names exact, abbreviated, with =value or
+# unknown, --help, and command words
+EDIT_TOKENS = ("--ring", "--ri", "--i", "--box", "--fo", "--format=json", "--disc=-20",
+               "--prime=", "--assert-irreducible=1", "--help", "-h", "--", "classify", "list")
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv from the command table: the words of a command that runs, its
+    required options and some others, each as --name value or
+    --name=value, then up to three edits.  An edit inserts a token,
+    deletes one, replaces one by a value, or cuts an option name short or
+    gives it =value."""
+    command = draw(st.sampled_from([c for c in cli.COMMANDS if c.handler]))
+    argv = list(command.words)
+    for option in draw(st.permutations(command.options)):
+        if option.type is bool:
+            argv += [option.name] * draw(st.integers(0, 2))
+        elif option.required or draw(st.booleans()):
+            values = option.choices or (("-20", "3") if option.type is int else ("-5", "", "p2"))
+            value = draw(st.sampled_from(values))
+            argv += draw(st.sampled_from(([option.name, value], [option.name + "=" + value])))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        edit = draw(st.sampled_from(("insert", "delete", "value", "name")))
+        # a value or name edit hits an option: its =value, the word after
+        # it, or its name
+        names = [k for k, arg in enumerate(argv) if arg.startswith("--")]
+        at = draw(st.sampled_from(edit in ("value", "name") and names or range(len(argv) + 1)))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(st.sampled_from(EDIT_TOKENS)))
+        elif edit == "delete":
+            del argv[at]
+        elif edit == "value":
+            value = draw(st.sampled_from(READ_VALUES))
+            if "=" in argv[at]:
+                argv[at] = argv[at].partition("=")[0] + "=" + value
+            else:
+                argv[at + 1:at + 2] = [value]
+        else:
+            argv[at] = draw(st.sampled_from((argv[at][:3], argv[at][:4], argv[at] + "=1")))
+    return argv
+
+
+def bench_argvs():
+    """Every argv of the cli-cold corpus and of the kernel-sweep rungs of
+    seeds 1 to 5, as bench/workloads.py draws them."""
+    sys.path.insert(0, str(TRACING.parent))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(TRACING.parent))
+    config = json.loads(TRACING.with_name("config.json").read_text())["kernel_sweep"]
+    argvs = [argv for _, argv, _ in workloads.corpus()]
+    for seed in range(1, 6):
+        for op in workloads.kernel_sweep(random.Random(seed), config):
+            if op["kind"] == "spec":  # the bench writes the poset file before the call
+                op["argv"] = ["spec", "enumerate", "--poset", "poset.txt", "--format", "json"]
+            argvs.extend([op["argv"]] if "argv" in op else [])
+    return argvs
+
+
+class TestReadArgv:
+    """read_argv reads well-formed argv as argparse does, and leaves the
+    rest to it: whenever it returns a namespace, argparse parses the same
+    argv to one with equal vars()."""
+
+    @staticmethod
+    def assert_agrees(argv):
+        args = cli.read_argv(argv)
+        if args is not None:
+            try:
+                parsed = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                raise AssertionError("argparse refuses %r" % (argv,)) from None
+            assert vars(args) == vars(parsed), argv
+        return args
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(argv=cli_argvs())
+    def test_agrees_with_argparse(self, argv):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            self.assert_agrees(argv)
+
+    def test_golden_argvs(self):
+        cases = json.loads(README.with_name("tests").joinpath("golden_verdicts.json").read_text())
+        read = [self.assert_agrees(case["argv"]) is not None for case in cases]
+        assert sum(read) == 157  # the 12 others are usage errors or read only by argparse
+
+    def test_bench_argvs(self):
+        # all but the two usage errors `classify` and no command at all
+        unread = [argv for argv in bench_argvs() if self.assert_agrees(argv) is None]
+        assert unread == [["classify"], []]
+
+    def test_forms(self):
+        args = cli.read_argv(["cech", "--vars=X,Y", "--ideal", "X", "--i", "-1", "--box=-2",
+                              "--format", "json", "--rel", ""])
+        assert vars(args) == {"command": "cech", "vars": "X,Y", "ideal": "X", "i": -1,
+                              "box": -2, "format": "json", "rel": "", "func": cli._cmd_cech}
+        assert vars(cli.read_argv(["classify", "--ring", "segre", "--assert-irreducible",
+                                   "--prime", "-.5"]))["prime"] == "-.5"
+        for argv in (["classify", "--ring", "quad:-5", "--format", "xml"],
+                     ["classify", "--ring", "-x"],
+                     ["classify", "--ring"],
+                     ["classify", "--ring=x", "--assert-irreducible=1"],
+                     ["classify", "--", "--ring", "x"],
+                     ["ell", "torsion", "--curve", "0,1", "--point=--"],
+                     ["classify", "--ring", "x", "stray"],
+                     ["classgroup", "--disc", "1.5"],
+                     ["catalog"],
+                     ["catalog", "list", "-h"]):
+            assert cli.read_argv(argv) is None, argv
 
 
 JSON_VALUES = st.recursive(

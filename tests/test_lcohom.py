@@ -654,9 +654,10 @@ class TestCertify:
         assert calls == []
 
     def test_cells_bound_refuses_before_the_key(self, monkeypatch):
-        # 11 generators with the first 128 relations of 6 over them rank 1397
-        # candidate cells at --i 2: with the bound one lower, the key that
-        # would pass it is refused before it is ranked
+        # 11 generators with the first 128 relations of 6 over them rank 67
+        # keys of 1397 candidate cells in all at --i 2, charged 67 * 2000 +
+        # the sum of cells^2.5 = 1 220 545: with the bound one lower, the key
+        # that would pass it is refused before it is ranked
         names = ["v%d" % j for j in range(11)]
         A = MonomialAlgebra.make(names, islice(combinations(names, 6), 128))
         I = VariableIdeal.of(A, names)
@@ -666,13 +667,13 @@ class TestCertify:
             monkeypatch.setattr(lcohom, name,
                                 lambda *args, _real=real, _name=name:
                                 events.append(_name) or _real(*args))
-        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1397)
+        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1220545)
         cech_table(A, I, 2, 1)
         accepted = list(events)
         del events[:]
-        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1396)
-        with pytest.raises(InputError, match="would rank 1397 candidate cells, past "
-                                             "lcohom.CECH_CELLS_BOUND = 1396$"):
+        monkeypatch.setattr(lcohom, "CECH_CELLS_BOUND", 1220544)
+        with pytest.raises(InputError, match=r"would cost 1220545 \(2000 a key plus cells\^2.5\), "
+                                             "past lcohom.CECH_CELLS_BOUND = 1220544$"):
             cech_table(A, I, 2, 1)
         assert events == accepted[:len(events)] and events[-1] == "_key_dim"
         assert accepted[len(events)] in ("_link_dim", "_nerve_dim")
