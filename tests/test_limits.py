@@ -147,9 +147,10 @@ ROWS = [
         accepted=(cli("15 variables, 128 relations of 7", *cech_relations(15, 7, 128)),),
         refused=(cli("15 variables, 129 relations of 7", *cech_relations(15, 7, 129)),)),
     # m generators and the first 128 relations of 6 over them charge 6.2e7
-    # at --i 3 for m = 13 and 1.02e8 for m = 14; at --i 4 the first key of
-    # 15, 4823 cells, alone would charge 1.6e9.  One relation over g
-    # generators at --i g - 1 ranks 2^g - 1 keys of 2 cells, 6.6e7 for g = 15
+    # at --i 3 for m = 13 and 1.02e8 for m = 14, and 2.5e8 at --i 4 for
+    # m = 13; at --i 4 the first key of 15, 4823 cells, alone would charge
+    # 1.6e9.  One relation over g generators at --i g - 1 ranks 2^g - 1 keys
+    # of 2 cells, 6.6e7 for g = 15
     Row("lcohom.CECH_CELLS_BOUND",
         accepted=(cli("13 generators, 128 relations of 6, --i 3",
                       *cech_relations(13, 6, 128, 13, 3)),
@@ -167,6 +168,8 @@ ROWS = [
                       "--i", "10", "--box", "1")),
         refused=(cli("14 generators, 128 relations of 6, --i 3",
                      *cech_relations(14, 6, 128, 14, 3)),
+                 cli("13 generators, 128 relations of 6, --i 4",
+                     *cech_relations(13, 6, 128, 13, 4)),
                  cli("15 generators, 128 relations of 6, --i 4",
                      *cech_relations(15, 6, 128, 15, 4)))),
     Row("lcohom.CECH_ROWS_BOUND",
