@@ -1754,7 +1754,7 @@ class TestReadArgv:
     def test_golden_argvs(self):
         cases = json.loads(README.with_name("tests").joinpath("golden_verdicts.json").read_text())
         read = [self.assert_agrees(case["argv"]) is not None for case in cases]
-        assert sum(read) == 157  # the 12 others are usage errors or read only by argparse
+        assert sum(read) == 177  # the 12 others are usage errors or read only by argparse
 
     def test_bench_argvs(self):
         # all but the two usage errors `classify` and no command at all

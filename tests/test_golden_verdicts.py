@@ -4,9 +4,10 @@ golden_verdicts.json holds, for each recorded argv, the exit code,
 stdout and stderr of an in-process `uniloc.cli.main` call.  The cases
 cover every reachable classify branch in text and JSON, plus
 `catalog list`, argparse's refusal of a missing `--ring` and of
-`--box`, which classify does not take, and `classgroup` and `spec
-enumerate` in text and JSON with their refusals.  The `spec` calls read
-the poset files under tests/posets by paths relative to the repository
+`--box`, which classify does not take, and `classgroup`, `ell
+torsion`, `cech`, `snf` and `spec enumerate` in text and JSON with
+their refusals.  The `spec` and `snf` calls read the files under
+tests/posets and tests/matrices by paths relative to the repository
 root, where every case runs.  The fixture is never
 regenerated as a whole: a refactor must reproduce it byte for byte, and
 a deliberate output change re-records only the entries it names.
