@@ -3,7 +3,7 @@
 All arithmetic is exact on Python ints; there are no modular shortcuts.
 The Smith normal form backs the `snf` command and the cokernel of a
 relation matrix, whose group structure is read off the diagonal.  The
-`snf` matrix file is read and weighed here too (snf_report).
+`snf` matrix file is read and weighed here too (snf_text).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
-from .errors import InputError, quote, record
+from .errors import InputError, json_text, quote, record
 from .verdict import PRINT_DIGITS, check_printable, read_number
 
 # the most rows or columns `snf` takes: W alone has cols^2 entries.  In process
@@ -375,14 +375,14 @@ def _parse_matrix(text: str, path: str) -> IntMatrix:
     """The matrix of an `snf` file: a "rows cols" line, then the rows."""
     lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
     if not lines:
-        raise InputError("empty matrix file %s" % (path,))
+        raise InputError("empty matrix file %s" % quote(path, str))
     head = lines[0].split()
     if len(head) != 2 or not all(t.isdecimal() for t in head):
         raise InputError('first line must be "rows cols"')
     rows, cols = (read_number(t, "the matrix header") for t in head)
     if max(rows, cols) > SNF_DIM_BOUND:
-        raise InputError("a %d x %d matrix is above abgroup.SNF_DIM_BOUND = %d rows or columns"
-                         % (rows, cols, SNF_DIM_BOUND))
+        raise InputError("a %s x %s matrix is above abgroup.SNF_DIM_BOUND = %d rows or columns"
+                         % (quote(str(rows), str), quote(str(cols), str), SNF_DIM_BOUND))
     if len(lines) - 1 != rows:
         raise InputError("expected %d matrix rows, found %d" % (rows, len(lines) - 1))
     tokens = [ln.split() for ln in lines[1:]]
@@ -407,32 +407,24 @@ def _parse_matrix(text: str, path: str) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(x for row in entries for x in row))
 
 
-def snf_report(text: str, path: str, as_text: bool):
-    """(JSON document, text) of `snf` on the matrix file text read from
-    path; the text spells out D, U and W only when as_text."""
+def snf_text(text: str, path: str, as_json: bool) -> str:
+    """What `snf` prints for the matrix file text read from path, in JSON
+    or in text."""
     M = _parse_matrix(text, path)
     D, U, W = smith_normal_form(M)
     if (U @ M) @ W != D:
         raise AssertionError("transform identity U*M*W = D failed")
     check_printable((x for T in (D, U, W) for x in T.entries), "the Smith normal form")
     structure = diagonal_structure(D)
-    doc = {
-        "schema": 1,
-        "D": D.to_rows(),
-        "U": U.to_rows(),
-        "W": W.to_rows(),
-        "diagonal": D.diagonal(),
-        "cokernel": {
-            "free_rank": structure.free_rank,
-            "invariant_factors": list(structure.invariant_factors),
-        },
-    }
+    rows = {"D": D.to_rows(), "U": U.to_rows(), "W": W.to_rows()}
+    factors = list(structure.invariant_factors)
+    if as_json:
+        return json_text(dict(rows, schema=1, diagonal=D.diagonal(), cokernel={
+            "free_rank": structure.free_rank, "invariant_factors": factors}))
     lines = ["D = U * M * W with"]
-    if as_text:  # U and W can be large: spell them out only to print them
-        for tag, mat in (("D", D), ("U", U), ("W", W)):
-            lines.append("%s:" % tag)
-            lines.extend("  " + " ".join(str(x) for x in row) for row in mat.to_rows())
+    for tag, mat in rows.items():
+        lines.append("%s:" % tag)
+        lines.extend("  " + " ".join(map(str, row)) for row in mat)
     lines.append("diagonal: %s" % (D.diagonal(),))
-    lines.append("cokernel: free rank %d, invariant factors %s"
-                 % (structure.free_rank, list(structure.invariant_factors)))
-    return doc, "\n".join(lines)
+    lines.append("cokernel: free rank %d, invariant factors %s" % (structure.free_rank, factors))
+    return "\n".join(lines)

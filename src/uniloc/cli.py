@@ -17,11 +17,9 @@ import functools
 import importlib.util
 import os
 import sys
-from math import isinf
 from types import SimpleNamespace
 
-from .errors import (InconclusiveError, InputError, NotRepresentableError,
-                     encode_basestring_ascii, quote, record)
+from .errors import InconclusiveError, InputError, NotRepresentableError, json_text, quote, record
 
 
 def _lazy(name: str):
@@ -64,7 +62,7 @@ class Family:
 
     spec is the ring id, or "<name>:<parameters>" for ids that carry
     parameters.  reads lists the classify options the family uses besides
-    --prime.  classify(ring, prime_spec, fp, asserted) calls the family
+    --prime.  classify(ring, prime_spec, *values of reads) calls the family
     module's reader, which parses the ring and the prime and calls the
     family classifier; it is None for a family that is catalogued but not
     representable.  Each reader is looked up on its module at call time:
@@ -153,10 +151,11 @@ def classify(ring: str, prime_spec: str = "", fp: str = "",
         raise NotRepresentableError(
             "%s is catalogued but carries no finite presentation; "
             "nothing can be computed for it" % (ring,))
-    for option, value in (("--fp", fp), ("--assert-irreducible", asserted)):
+    options = {"--fp": fp, "--assert-irreducible": asserted}
+    for option, value in options.items():
         if value and option not in family.reads:
-            raise InputError("%s does not apply to %s" % (option, ring))
-    return family.classify(ring, prime_spec, fp, asserted)
+            raise InputError("%s does not apply to %s" % (option, quote(ring, str)))
+    return family.classify(ring, prime_spec, *map(options.get, family.reads))
 
 
 # subcommand handlers ---------------------------------------------------------
@@ -165,58 +164,9 @@ def _read_file(path: str) -> str:
     try:
         with open(path) as f:
             return f.read()
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from None
-
-
-def _json_atom(value) -> str:
-    """json.dumps(value) for None, a bool, an int, a float, a str, or an
-    empty list, tuple or dict, without importing json."""
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, float):  # json writes float.__repr__, or these three
-        if value != value:
-            return "NaN"
-        return ("Infinity" if value > 0 else "-Infinity") if isinf(value) else float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple, dict)) and not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), one string per value.
-
-    Every --format json document prints with it but a verdict, a class
-    group and a list of closed sets, which write their fixed layouts
-    themselves.  The standard library indents through a generator per
-    token, a few microseconds for each integer of an SNF transform; here
-    a list or dict is one join over its items, and an int or str item is
-    written inline.
-    """
-    if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        items = [repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
-                 else _json_text(v, inner) for v in value]
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k if isinstance(k, str) else _json_atom(k)) + ": "
-                 + (repr(v) if type(v) is int else encode_basestring_ascii(v) if type(v) is str
-                    else _json_text(v, inner)) for k, v in sorted(value.items())]
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
-    if type(value) is int:
-        return repr(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return _json_atom(value)
-
-
-def _emit(args, payload_json, payload_text) -> None:
-    _print(_json_text(payload_json) if args.format == "json" else payload_text)
+    except OSError as exc:  # as str(exc) reads, but with the path quoted
+        raise InputError("cannot read %s: [Errno %s] %s: %s" % (
+            quote(path, str), exc.errno, exc.strerror, quote(path))) from None
 
 
 def _print(payload_text) -> None:
@@ -252,7 +202,8 @@ def _cmd_catalog_list(args) -> int:
             lines.append("%-12s %s%s" % (row.id, row.description, flag))
             lines.append("%-12s primes: %s" % ("", row.primes))
             lines.extend("%-12s note: %s" % ("", note) for note in row.notes)
-    _emit(args, {"schema": 1, "entries": entries}, "\n".join(lines))
+    _print(json_text({"schema": 1, "entries": entries}) if args.format == "json"
+           else "\n".join(lines))
     return 0
 
 
@@ -268,19 +219,18 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_ell_torsion(args) -> int:
-    _emit(args, *elliptic.torsion_report(args.curve, args.point))
+    _print(elliptic.torsion_text(args.curve, args.point, args.format == "json"))
     return 0
 
 
 def _cmd_cech(args) -> int:
-    _emit(args, *lcohom.cech_report(args.vars, args.rel, args.ideal, args.i, args.box,
-                                    args.format == "text"))
+    _print(lcohom.cech_text(args.vars, args.rel, args.ideal, args.i, args.box,
+                            args.format == "json"))
     return 0
 
 
 def _cmd_snf(args) -> int:
-    _emit(args, *abgroup.snf_report(_read_file(args.matrix), args.matrix,
-                                    args.format == "text"))
+    _print(abgroup.snf_text(_read_file(args.matrix), args.matrix, args.format == "json"))
     return 0
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InconclusiveError, InputError, quote, record, required
-from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, FLAT_ONLY, INFINITE,
+from .errors import InconclusiveError, InputError, json_text, quote, record, required
+from .verdict import (CLASS_NON_TORSION, CLASS_TORSION, INFINITE, UNKNOWN, YES, Rule,
                       TorsionWitness, Verdict, ratio, read_number, render_ratio)
 
 # orders allowed for rational torsion points; 11 and anything above 12 cannot occur
@@ -215,7 +215,7 @@ def _multiples(E: WeierstrassCurve, P: ECPoint) -> list:
         return [P]
     if not E.is_integral:
         raise ModelNotIntegral(
-            "torsion test needs integer coefficients, got %r" % (E,))
+            "torsion test needs integer coefficients, got %s" % quote(repr(E), str))
     out = [P]
     Q = P
     while len(out) < 12 and Q._k[1] == 1 and Q._k[3] == 1:
@@ -424,7 +424,8 @@ def miller_function(E: WeierstrassCurve, P: ECPoint, n: int, multiples=None):
 
 CONE_FACTS = ("elliptic-cone-flat-always", "elliptic-cone-class-group",
               "graded-picard-trivial")
-TORSION_UNDECIDED = FLAT_ONLY.cite(("elliptic-cone-flat-always",))
+# flat by the cone's facts, with no torsion test for the other two answers
+TORSION_UNDECIDED = Rule(YES, UNKNOWN, UNKNOWN, ("elliptic-cone-flat-always",))
 TORSION_POINT = CLASS_TORSION.cite(CONE_FACTS)
 NON_TORSION_POINT = CLASS_NON_TORSION.cite(CONE_FACTS, ("mazur-bound", "nagell-lutz"))
 
@@ -455,7 +456,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
             ring_id, prime_description, TorsionWitness(INFINITE, cls),
             notes=("the class of the prime is (P, 1 mod 3) with P non-torsion, "
                    "hence non-torsion in the class group",),
-            extra=(("torsion", INFINITE),))
+            torsion=INFINITE)
 
     program = miller_function(E, P, order, multiples)
     cl_order = lcm(order, 3)
@@ -465,7 +466,7 @@ def classify_point(E: WeierstrassCurve, P: ECPoint) -> Verdict:
                "%d-th power of the prime is principal" % (cl_order, cl_order),
                "the line program certifies a function with divisor "
                "%d(P) - %d(O)" % (order, order)),
-        extra=(("torsion", order),))
+        torsion=order)
 
 
 # the command line ------------------------------------------------------------
@@ -495,22 +496,19 @@ def _parse_point(text: str) -> ECPoint:
     return ECPoint(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
 
 
-def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
-    """`classify --ring ell:a,b --prime x,y`: fp and asserted are unused."""
+def classify_ring(ring: str, prime_spec: str) -> Verdict:
+    """`classify --ring ell:a,b --prime x,y`."""
     E = _parse_curve(ring.split(":", 1)[1], 'curve spec must look like "ell:a,b"')
     P = _parse_point(required(prime_spec, "elliptic rings need --prime with a point"))
     return classify_point(E, P)
 
 
-def torsion_report(curve: str, point: str):
-    """(JSON document, text) of `ell torsion --curve a,b --point x,y`."""
+def torsion_text(curve: str, point: str, as_json: bool) -> str:
+    """What `ell torsion --curve a,b --point x,y` prints, in JSON or in text."""
     E = _parse_curve(curve, '--curve must look like "a,b"')
     P = _parse_point(point)
     order = torsion_order(E, P)  # ModelNotIntegral exits 4
-    doc = {
-        "schema": 1,
-        "curve": E.spec(),
-        "point": "O" if P.is_infinity else "%s,%s" % (P.x, P.y),
-        "torsion": order,
-    }
-    return doc, "torsion: %s" % order
+    if not as_json:
+        return "torsion: %s" % order
+    return json_text({"schema": 1, "curve": E.spec(), "torsion": order,
+                      "point": "O" if P.is_infinity else "%s,%s" % (P.x, P.y)})

@@ -47,10 +47,10 @@ from __future__ import annotations
 from itertools import chain, combinations, compress, product
 from math import comb, gcd, prod
 
-from .errors import InputError, quote, record, required
+from .errors import InputError, json_text, quote, record, required
 from .verdict import (CLASSICAL, COHOMOLOGY_OBSTRUCTION, COHOMOLOGY_VIA_QUOTIENT,
-                      FLAT_ONLY, HEIGHT_VIOLATION, CohomologyWitness, Denominators,
-                      HeightViolation, Verdict)
+                      HEIGHT_VIOLATION, UNKNOWN, YES, CohomologyWitness, Denominators,
+                      HeightViolation, Rule, Verdict)
 
 # facet enumeration is exponential in the variable count: the facets of
 # k[v0..v15] take 0.14 s as a fresh process on a shared 2-core host
@@ -226,7 +226,7 @@ def prime_height(A: MonomialAlgebra, names) -> int:
     s = set(names)
     comp = frozenset(v for v in A.variables if v not in s)
     if not A.is_face(comp):
-        raise InputError("(%s) is not prime here" % ", ".join(sorted(s)))
+        raise InputError("(%s) is not prime here" % quote(", ".join(sorted(s)), str))
     heights = [len(f) - len(comp) for f in A.facets() if comp <= set(f)]
     if not heights:
         raise AssertionError("a face must extend to a facet")
@@ -259,7 +259,7 @@ def _degree_key(A: MonomialAlgebra, gens, a):
     try:
         bits = sorted(map(A.bits.__getitem__, gens), reverse=True)  # variable order
     except KeyError as missing:
-        raise InputError("unknown variable %r" % missing.args) from None
+        raise InputError("unknown variable %s" % quote(*missing.args)) from None
     # the bits of the j with 0 > a_j and of those with 0 < a_j
     neg = sum(compress(A.bits.values(), map((0).__gt__, a)))
     pos = sum(compress(A.bits.values(), map((0).__lt__, a)))
@@ -563,8 +563,8 @@ def cech_table(A: MonomialAlgebra, I: VariableIdeal, i: int, box: int):
     # box^k (1 + box)^f degrees; the rows are counted before any is built
     size = {-1: box, 0: 1, 1: box, None: 1 + box}
     if sum(prod(size[x] for x in t) for t, _ in found) > CECH_ROWS_BOUND:
-        raise InputError("the table for --box %d has more than lcohom.CECH_ROWS_BOUND = %d "
-                         "rows" % (box, CECH_ROWS_BOUND))
+        raise InputError("the table for --box %s has more than lcohom.CECH_ROWS_BOUND = %d "
+                         "rows" % (quote(str(box), str), CECH_ROWS_BOUND))
     ranges = {-1: range(-box, 0), 0: (0,), 1: range(1, box + 1), None: range(box + 1)}
     # only the signs that occur: a nonzero one bounds box by the row count
     ranges = {x: tuple(map(str, r)) for x, r in ranges.items()
@@ -579,9 +579,10 @@ TWOPLANES = MonomialAlgebra.make(("X", "Y", "U"), [{"X", "U"}])
 DIM3_SURROGATE = MonomialAlgebra.make(("X", "Y", "U", "V"), [{"X", "U"}])
 DIM3_PRIMES = (("X", "Y"), ("X", "V"), ("Y", "U"), ("U", "V"))
 
-# H^k = 0 for every k > 1, by the length bound or by the sign-pattern scan
-TWOPLANES_VANISHING = FLAT_ONLY.cite(("coherence-local-cohomology",
-                                      "cech-length-bound"))
+# H^k = 0 for every k > 1, by the length bound or by the sign-pattern scan,
+# with no criterion for the other two answers
+TWOPLANES_VANISHING = Rule(YES, UNKNOWN, UNKNOWN, ("coherence-local-cohomology",
+                                                   "cech-length-bound"))
 TWOPLANES_COORDINATE = CLASSICAL.cite(after=("flat-universal-classical-hierarchy",))
 TWOPLANES_OBSTRUCTION = COHOMOLOGY_OBSTRUCTION.cite(("twoplanes-not-coherent",))
 DIM3_OBSTRUCTION = COHOMOLOGY_VIA_QUOTIENT.cite(("dim3-hypersurface-not-coherent",))
@@ -683,14 +684,14 @@ def parse_variable_set(text: str) -> tuple:
     return tuple(names)
 
 
-def classify_twoplanes_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
-    """`classify --ring twoplanes --prime "(X,Y)"`: fp and asserted are unused."""
+def classify_twoplanes_ring(ring: str, prime_spec: str) -> Verdict:
+    """`classify --ring twoplanes --prime "(X,Y)"`."""
     return classify_twoplanes(parse_variable_set(
         required(prime_spec, "twoplanes needs --prime with a variable subset")))
 
 
-def classify_dim3hyper_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
-    """`classify --ring dim3hyper --prime "(X,Y)"`: fp and asserted are unused."""
+def classify_dim3hyper_ring(ring: str, prime_spec: str) -> Verdict:
+    """`classify --ring dim3hyper --prime "(X,Y)"`."""
     return classify_dim3hyper(parse_variable_set(
         required(prime_spec, "dim3hyper needs --prime")))
 
@@ -706,20 +707,20 @@ def _parse_relations(text: str, variables):
         elif all(len(v) == 1 for v in variables):
             parts = list(token)
         else:
-            raise InputError("relation %r needs '*' between variables" % (token,))
+            raise InputError("relation %s needs '*' between variables" % quote(token))
         for p in parts:
             if p not in known:
-                raise InputError("relation %r uses unknown variable %r" % (token, p))
+                raise InputError("relation %s uses unknown variable %s" % (quote(token), quote(p)))
         if len(set(parts)) != len(parts):
-            raise InputError("relation %r is not squarefree" % (token,))
+            raise InputError("relation %s is not squarefree" % quote(token))
         rels.append(set(parts))
     return rels
 
 
-def cech_report(variables: str, relations: str, ideal: str, i: int, box: int,
-                as_text: bool):
-    """(JSON document, text) of `cech --vars ... --rel ... --ideal ... --i
-    i --box box`; the text spells out the table only when as_text."""
+def cech_text(variables: str, relations: str, ideal: str, i: int, box: int,
+              as_json: bool) -> str:
+    """What `cech --vars ... --rel ... --ideal ... --i i --box box` prints,
+    in JSON or in text."""
     names = tuple(v.strip() for v in variables.split(",") if v.strip())
     rels = _parse_relations(relations, names)
     gens = tuple(g.strip() for g in ideal.split(",") if g.strip())
@@ -730,20 +731,12 @@ def cech_report(variables: str, relations: str, ideal: str, i: int, box: int,
     I = VariableIdeal.of(A, gens)
     out, table = cech_table(A, I, i, box)
     dims = {",".join(a): dim for a, dim in table}
-    doc = {
-        "schema": 1,
-        "algebra": A.describe(),
-        "ideal": list(I.generators),
-        "i": i,
-        "box": box,
-        "dim_by_degree": dims,
-        "witness": list(out.witness) if out.found else None,
-        "note": out.note,
-    }
-    lines = ["algebra: %s" % A.describe(),
-             "ideal: (%s)" % ", ".join(I.generators)]
-    if as_text:  # the table can be large: spell it out only to print it
-        lines += ["H^%d dim %d at (%s)" % (i, dim, key) for key, dim in sorted(dims.items())]
-    lines.append("witness: %s" % (list(out.witness) if out.found else "none"))
-    lines.append("note: %s" % out.note)
-    return doc, "\n".join(lines)
+    witness = list(out.witness) if out.found else None
+    if as_json:
+        return json_text({"schema": 1, "algebra": A.describe(), "ideal": list(I.generators),
+                          "i": i, "box": box, "dim_by_degree": dims, "witness": witness,
+                          "note": out.note})
+    return "\n".join(["algebra: %s" % A.describe(), "ideal: (%s)" % ", ".join(I.generators)]
+                     + ["H^%d dim %d at (%s)" % (i, dim, key) for key, dim in sorted(dims.items())]
+                     + ["witness: %s" % ("none" if witness is None else witness),
+                        "note: %s" % out.note])

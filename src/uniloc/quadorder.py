@@ -461,9 +461,12 @@ def inert_ideal(order: QuadOrder, ell: int) -> QuadIdeal:
 # 10^10, 0.10-0.17 s at 3*10^10, 0.14-0.34 s at 5*10^10, 0.23-0.29 s at
 # 10^11 and 0.8-1.3 s at 10^12 (four discriminants per rung, two runs; the
 # class number moves the time).  The whole call, text or JSON, took a median
-# of 0.18-0.20 s and at most 0.29 s at 3*10^10 (eight discriminants), and
-# 0.19-0.20 s and at most 0.27 s at 5*10^10: 3*10^10 keeps a wide margin
-# inside the 1 s budget per call.
+# of 0.18-0.20 s and at most 0.29 s at 3*10^10 (eight discriminants).  As a
+# fresh process with output to /dev/null, eight seeded fundamental D per
+# rung with 0.95 T <= |D| <= T, median of 5 per call, it takes 0.22-0.58 s
+# at T = 5*10^10, 0.28-1.10 s at 10^11 and 0.43-1.11 s at 2*10^11: the
+# slowest call passes 0.5 s on every rung (D = -48030442759 in JSON at
+# 5*10^10), so the bound stays at 3*10^10.
 FORMS_BOUND = 3 * 10 ** 10
 
 
@@ -626,7 +629,7 @@ def classify_dedekind(order: QuadOrder, primes, labels=None) -> Verdict:
         if P.order != order:
             raise InputError("prime from a different order")
         if not is_prime_ideal(P):
-            raise InputError("non-prime ideal in V: %r" % (P,))
+            raise InputError("non-prime ideal in V: %s" % quote(repr(P), str))
     if labels is not None and len(labels) != len(primes):
         raise InputError("label count mismatch")
 
@@ -677,8 +680,8 @@ def _parse_primes(order: QuadOrder, text: str):
     return ideals, labels
 
 
-def classify_ring(ring: str, prime_spec: str, fp: str, asserted: bool) -> Verdict:
-    """`classify --ring quad:<d> --prime <spec>`: fp and asserted are unused."""
+def classify_ring(ring: str, prime_spec: str) -> Verdict:
+    """`classify --ring quad:<d> --prime <spec>`."""
     body = ring.split(":", 1)[1]
     try:
         d = read_number(body, "the ring id")
@@ -697,7 +700,7 @@ def classgroup_text(D: int, as_json: bool) -> str:
     elif D % 4 == 1:
         d = D
     else:
-        raise InputError("%d is not a discriminant (need 0 or 1 mod 4)" % (D,))
+        raise InputError("%s is not a discriminant (need 0 or 1 mod 4)" % quote(str(D), str))
     order = QuadOrder(d)
     if order.discriminant != D:
         raise InputError(

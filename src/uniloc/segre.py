@@ -225,7 +225,7 @@ class BihomogPoly:
         # exponents add up to the degrees, which the answer prints
         check_printable((d for deg in degs for d in deg), "an S or T degree of f")
         if len(degs) != 1:
-            raise InputError("not bihomogeneous: S,T degrees %s" % sorted(degs))
+            raise InputError("not bihomogeneous: S,T degrees %s" % quote(str(sorted(degs)), str))
 
     @classmethod
     def from_terms(cls, mapping) -> "BihomogPoly":

@@ -13,7 +13,7 @@ verdict is quantified over the represented fragment only.
 
 from __future__ import annotations
 
-from .errors import InputError, encode_basestring_ascii, record
+from .errors import InputError, encode_basestring_ascii, quote, record
 
 # an antichain of n nodes has 2^n closed sets, and enumerate_closed lists each.
 # In process on a shared 2-core host (median of 5), `spec enumerate --format
@@ -37,9 +37,10 @@ class SpecPoset:
         direct = {n: {} for n in nodes}  # parent -> its children, in edge order
         for child, parent in edges:
             if child not in known or parent not in known:
-                raise InputError("edge %r < %r uses an undeclared node" % (child, parent))
+                raise InputError("edge %s < %s uses an undeclared node"
+                                 % (_label(child), _label(parent)))
             if child == parent:
-                raise InputError("node %r below itself" % (child,))
+                raise InputError("node %s below itself" % _label(child))
             direct[parent][child] = None
 
         # topological order: a node is placed once every node directly below it is
@@ -64,7 +65,7 @@ class SpecPoset:
             while n not in seen:
                 seen.add(n)
                 n = next(c for c in direct[n] if c not in order)
-            raise InputError("containment cycle through %r" % (n,))
+            raise InputError("containment cycle through %s" % _label(n))
         return cls(tuple(nodes), order)
 
     @classmethod
@@ -78,7 +79,7 @@ class SpecPoset:
         try:
             return self._order[node]
         except KeyError:
-            raise InputError("unknown prime %r" % (node,)) from None
+            raise InputError("unknown prime %s" % _label(node)) from None
 
     def below(self, node) -> frozenset:
         """Every node strictly below node, walked down the direct edges."""
@@ -95,7 +96,7 @@ class SpecPoset:
         S = list(S)
         for s in S:
             if s not in self._order:
-                raise InputError("unknown prime %r" % (s,))
+                raise InputError("unknown prime %s" % _label(s))
         return frozenset(S)
 
     def height(self, node) -> int:
@@ -104,6 +105,11 @@ class SpecPoset:
 
     def heights(self) -> dict:
         return {n: self._order[n][1] for n in self.nodes}
+
+
+def _label(node) -> str:
+    """repr(node), cut as errors.quote cuts a quoted input."""
+    return quote(repr(node), str)
 
 
 def parse_poset(text: str):
@@ -121,13 +127,13 @@ def parse_poset(text: str):
         if "<" in line:
             sides = [s.strip() for s in line.split("<")]
             if len(sides) != 2 or not all(sides):
-                raise InputError("cannot parse poset line %r" % (raw,))
+                raise InputError("cannot parse poset line %s" % quote(raw))
             child, parent = sides
             nodes.extend([child, parent])
             edges.append((child, parent))
         else:
             if any(ch.isspace() for ch in line):
-                raise InputError("cannot parse poset line %r" % (raw,))
+                raise InputError("cannot parse poset line %s" % quote(raw))
             nodes.append(line)
     if not nodes:
         raise InputError("empty poset description")
@@ -156,7 +162,7 @@ class SpecClosedSet:
         for n in self.poset.nodes:
             if n not in members and not members.isdisjoint(order[n][0]):
                 raise InputError(
-                    "%r contains a member but is missing: not upward closed" % (n,))
+                    "%s contains a member but is missing: not upward closed" % _label(n))
 
 
 def check_height_condition(P: SpecPoset, V) -> bool:

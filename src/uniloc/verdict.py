@@ -279,9 +279,9 @@ class HeightViolation:
 # ---------------------------------------------------------------------------
 
 
-# the keys of every verdict's JSON, sorted
+# the keys of every verdict's JSON, sorted; "torsion" only on ell: rings
 VERDICT_KEYS = ("citations", "classical", "flat", "notes", "prime", "ring", "schema",
-                "universal", "witness")
+                "torsion", "universal", "witness")
 
 
 @record
@@ -289,7 +289,8 @@ class Verdict:
     """A decision rule applied to one ring and one prime.
 
     The rule holds the answers and their anchors; the verdict adds the
-    witness, the notes and the ring family's JSON fields.
+    witness, the notes and, on an ell: ring, the torsion order of the
+    point (an int or INFINITE), or None.
     """
 
     ring_id: str
@@ -297,31 +298,22 @@ class Verdict:
     rule: Rule
     witness: object = None
     notes: tuple = ()
-    extra: tuple = ()  # ring-family JSON fields, e.g. ("torsion", 6)
+    torsion: object = None
 
     def to_json(self) -> str:
-        """json.dumps(..., sort_keys=True, indent=2) of the verdict's fields.
-
-        The keys of VERDICT_KEYS in their sorted order, the rule's entries
-        written when it was built, and each extra field merged in at its
-        sorted place; an extra value is an int or a str.
-        """
-        rule, witness = self.rule, self.witness
-        entries = [*rule._json_answers,
-                   '"notes": ' + _json_list(self.notes, "  "),
-                   '"prime": ' + encode_basestring_ascii(self.prime_description),
-                   '"ring": ' + encode_basestring_ascii(self.ring_id),
-                   '"schema": 1', rule._json_universal,
-                   '"witness": ' + ("null" if witness is None else witness.json_text())]
-        if self.extra:
-            keys = list(VERDICT_KEYS)
-            for key, value in self.extra:
-                if key in keys:
-                    raise InputError("extra field %r collides with the schema" % (key,))
-                at = sum(k < key for k in keys)
-                keys.insert(at, key)
-                entries.insert(at, encode_basestring_ascii(key) + ": " + _json_scalar(value))
-        return "{\n  %s\n}" % ",\n  ".join(entries)
+        """json.dumps(..., sort_keys=True, indent=2) of the verdict's fields:
+        the keys of VERDICT_KEYS in their sorted order, the rule's entries
+        written when it was built, and "torsion" only when it is not None."""
+        rule, witness, torsion = self.rule, self.witness, self.torsion
+        return "{\n  %s\n}" % ",\n  ".join([
+            *rule._json_answers,
+            '"notes": ' + _json_list(self.notes, "  "),
+            '"prime": ' + encode_basestring_ascii(self.prime_description),
+            '"ring": ' + encode_basestring_ascii(self.ring_id),
+            '"schema": 1',
+            *(() if torsion is None else ('"torsion": ' + _json_scalar(torsion),)),
+            rule._json_universal,
+            '"witness": ' + ("null" if witness is None else witness.json_text())])
 
     def to_text(self) -> str:
         lines = [
@@ -331,8 +323,8 @@ class Verdict:
             "universal localisation: %s" % self.rule.universal,
             "classical localisation: %s" % self.rule.classical,
         ]
-        for key, value in self.extra:
-            lines.append("%s: %s" % (key, value))
+        if self.torsion is not None:
+            lines.append("torsion: %s" % self.torsion)
         if self.witness is not None:
             lines.append("witness: %s" % self.witness.describe())
         for note in self.notes:
@@ -426,7 +418,8 @@ def check_citations(anchors) -> tuple:
 # ---------------------------------------------------------------------------
 # Decision rules.  A rule fixes the answers it licenses and the anchors it
 # cites; a family adds its own facts around them with cite().  Both are
-# checked when a rule is built, which for every rule is at import.
+# checked when a rule is built, which for every rule is at import: a
+# definite answer without an anchor does not load.
 
 
 @record
@@ -450,6 +443,8 @@ class Rule:
         if self.universal == NO and self.classical != NO:
             raise InputError("universal=no requires classical=no")
         object.__setattr__(self, "citations", check_citations(self.citations))
+        if not self.citations and {self.flat, self.universal, self.classical} != {UNKNOWN}:
+            raise InputError("definite answers require at least one citation anchor")
         # the verdict JSON entries the rule fixes, written once: every rule is
         # built at import.  Attributes, not fields: equality reads the fields
         object.__setattr__(self, "_json_answers", (
@@ -467,11 +462,8 @@ class Rule:
                     tuple(before) + self.citations + tuple(after))
 
     def __call__(self, ring_id, prime_description, witness=None, notes=(),
-                 extra=()) -> Verdict:
-        # here, not when built: FLAT_ONLY is an anchorless template for cite()
-        if not self.citations and {self.flat, self.universal, self.classical} != {UNKNOWN}:
-            raise InputError("definite answers require at least one citation anchor")
-        return Verdict(ring_id, prime_description, self, witness, tuple(notes), tuple(extra))
+                 torsion=None) -> Verdict:
+        return Verdict(ring_id, prime_description, self, witness, tuple(notes), torsion)
 
 
 # a minimal prime of height above one rules out a flat epimorphism
@@ -480,8 +472,6 @@ HEIGHT_VIOLATION = Rule(NO, NO, NO, ("height-le-one-necessary",))
 COHOMOLOGY_OBSTRUCTION = Rule(NO, NO, NO, ("coherence-local-cohomology",))
 COHOMOLOGY_VIA_QUOTIENT = COHOMOLOGY_OBSTRUCTION.cite(
     after=("top-degree-right-exactness",))
-# flatness shown by family facts, with no criterion for the other two answers
-FLAT_ONLY = Rule(YES, UNKNOWN, UNKNOWN)
 # the class-torsion criteria in Cl and in Cl modulo Pic
 CLASS_TORSION = Rule(YES, YES, YES, ("class-torsion-universal",
                                      "class-torsion-classical",

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import uniloc
 from oracles import ELL_CURVES, ec_multiples_brute
 from uniloc import abgroup, cli, elliptic, lcohom, quadorder, segre, spectool
-from uniloc.cli import FAMILIES, _json_text, classify, main
+from uniloc.cli import FAMILIES, classify, main
+from uniloc.errors import json_text
 from uniloc.errors import InputError
 from uniloc.verdict import read_number
 
@@ -243,8 +244,8 @@ REDUCIBLE = " + ".join("%d*S0*T0^%d*T1^%d" % (k + 1, k, 4000 - k) for k in range
 
 class TestQuotedInput:
     """A refusal quotes at most errors.QUOTE_CHARS characters of an input:
-    a 100 KB malformed argument to each --ring family exits 2 with a short
-    line on stderr."""
+    a 100 KB malformed argument to each --ring family and to each other
+    subcommand exits 2 with a short line on stderr."""
 
     @pytest.mark.parametrize("argv", [
         ("--ring", BIG),
@@ -262,14 +263,63 @@ class TestQuotedInput:
         ("--ring", "twoplanes", "--prime", "(%s)" % BIG),
         ("--ring", "twoplanes", "--prime", "(%s)" % ("," * 100_000)),
         ("--ring", "dim3hyper", "--prime", "(%s)" % BIG),
+        ("--ring", "quad:" + BIG, "--fp", "S0"),
+        ("--ring", "segre", "--fp", " + ".join("S0^%d" % k for k in range(1, 10_000))),
     ], ids=["unknown ring", "quad ring", "quad prime", "quad prime digits", "ell curve",
             "ell point", "ell coordinate", "ell point off the curve", "segre fp",
             "segre fp reducible", "segre prime", "segre prime names", "twoplanes prime",
-            "twoplanes empty prime", "dim3hyper prime"])
+            "twoplanes empty prime", "dim3hyper prime", "option of another family",
+            "segre fp degrees"])
     def test_refusal_is_short(self, capsys, argv):
         code, out, err = run(capsys, "classify", *argv)
         assert (code, out) == (2, "") and err.startswith("input error: ")
         assert len(err) < 1024, err[:200]
+
+    # FILE is a file holding the text given; `catalog list` takes no
+    # argument but --format, whose refusal argparse writes
+    @pytest.mark.parametrize("argv, text", [
+        (("classgroup", "--disc", "-" + "7" * 4290), None),
+        (("ell", "torsion", "--curve", "0," + BIG, "--point", "O"), None),
+        (("ell", "torsion", "--curve", "0,1", "--point", BIG), None),
+        (("cech", "--vars", "X,Y", "--rel", BIG, "--ideal", "X", "--i", "1"), None),
+        (("cech", "--vars", "X,Y", "--rel", "X*" + BIG, "--ideal", "X", "--i", "1"), None),
+        (("cech", "--vars", "X,Y", "--ideal", BIG, "--i", "1"), None),
+        (("cech", "--vars", "X", "--ideal", "X", "--i", "1", "--box", "9" * 4300), None),
+        (("snf", "--matrix", BIG), None),
+        (("snf", "--matrix", "FILE"), "1 1\n" + BIG),
+        (("snf", "--matrix", "FILE"), "%s 1\n1\n" % ("9" * 4300)),
+        (("spec", "enumerate", "--poset", BIG), None),
+        (("spec", "enumerate", "--poset", "FILE"), "%s < %s\n" % (BIG, BIG)),
+        (("spec", "enumerate", "--poset", "FILE"), "a < b < %s\n" % BIG),
+    ], ids=["classgroup disc", "ell torsion curve", "ell torsion point", "cech rel",
+            "cech rel names", "cech ideal", "cech box", "snf path", "snf entry", "snf header",
+            "spec path",
+            "spec self-edge", "spec line"])
+    def test_subcommand_refusal_is_short(self, capsys, tmp_path, argv, text):
+        if text is not None:
+            (tmp_path / "input.txt").write_text(text)
+            argv = [str(tmp_path / "input.txt") if arg == "FILE" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("input error: ")
+        assert len(err) < 1024, err[:200]
+
+    def test_inconclusive_is_short(self, capsys):
+        # (0, 1/10^2000) lies on y^2 = x^3 + 1/10^4000, a model with a
+        # denominator, which `ell torsion` names when it gives up
+        code, out, err = run(capsys, "ell", "torsion", "--curve", "0,1/1" + "0" * 4000,
+                             "--point", "0,1/1" + "0" * 2000)
+        assert (code, out) == (4, "") and err.startswith("inconclusive: ")
+        assert len(err) < 1024, err[:200]
+
+    @pytest.mark.parametrize("path", ["nonexist.txt", "d" * 40, "d" * 41])
+    def test_short_quotes_keep_their_bytes(self, capsys, tmp_path, monkeypatch, path):
+        # a quote of up to errors.QUOTE_CHARS characters reads as before
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "snf", "--matrix", path)
+        cut = path if len(path) <= 40 else path[:40] + "..."
+        quoted = repr(path) if len(path) <= 40 else repr(path[:40]) + "..."
+        assert (code, out, err) == (2, "", "input error: cannot read %s: [Errno 2] No such file "
+                                    "or directory: %s\n" % (cut, quoted))
 
 
 PRIME_BOUND = ("cannot test primality past the trial division bound: "
@@ -1795,18 +1845,18 @@ class TestJsonText:
     @settings(max_examples=300)
     @given(value=JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_non_string_keys(self):
         value = {2: [1], 10: {"b": (), "a": {}}, -1: "é"}
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_nested_dict_scalars(self):
         # the dict branch writes int and str values inline, as the list one does
         value = {"n": -12345678901234567890, "s": "é\n\"", "t": True, "f": False, "z": None,
                  "x": 1.5, "e": [], "d": {}, "u": (), "i": {1: 0, -2: "a", 10: {"k": [{}]}},
                  "l": [{"b": 1, "a": None}, {0: False}], "": {"": 0.0}}
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_parser_reused_across_calls(self, capsys):
         assert run(capsys, "classgroup", "--disc", "-20", "--format", "text")[0] == 0

@@ -574,14 +574,14 @@ class TestClassifyPoint:
         assert v.prime_description == "(2, 3)"
         assert v.witness.order == 6
         assert check_line_program(E_PLUS_1, pt(2, 3), 6, v.witness.line_program)
-        assert ("torsion", 6) in v.extra
+        assert v.torsion == 6
         assert any("order 6" in n for n in v.notes)
 
     def test_two_torsion(self):
         v = classify_point(E_MINUS_X, pt(0, 0))
         assert (v.rule.flat, v.rule.universal, v.rule.classical) == ("yes", "yes", "yes")
         assert v.witness.order == 2
-        assert ("torsion", 2) in v.extra
+        assert v.torsion == 2
         # class order in E(Q) x Z/3 is lcm(2, 3)
         assert any("order 6" in n for n in v.notes)
 
@@ -591,7 +591,7 @@ class TestClassifyPoint:
         assert v.witness.order is INFINITE
         assert v.witness.line_program is None
         assert "(2, 2)" in v.witness.class_description
-        assert ("torsion", "infinite") in v.extra
+        assert v.torsion == "infinite"
 
     def test_non_integral_model_inconclusive(self):
         E = WeierstrassCurve(Fraction(1, 4), 0)

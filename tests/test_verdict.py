@@ -21,7 +21,7 @@ from check_read_number import (ALPHABET, DIGITS as DIGIT_SPELLINGS, ENDS, SEPARA
                                SIGNS, outcome)
 from uniloc.errors import InputError, UnilocError
 from uniloc import cli, elliptic, lcohom, quadorder, verdict
-from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, FLAT_ONLY, INFINITE,
+from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE,
                             UNDECIDED, VERDICT_KEYS, CohomologyWitness, Denominators,
                             HeightViolation, PrincipalElement, Rule, TorsionWitness, Verdict,
                             check_citations, read_number, render_ratio,
@@ -61,12 +61,13 @@ class TestHierarchy:
             Rule("yes", True, "no", CITE)
 
     def test_definite_needs_citation(self):
-        # an anchorless rule can be built, as a template for cite(), but not applied
-        for rule in (Rule("yes", "yes", "yes"), Rule("unknown", "unknown", "no"), FLAT_ONLY):
+        # checked when the rule is built: a definite answer without anchors does not load
+        for answers in (("yes", "yes", "yes"), ("unknown", "unknown", "no"),
+                        ("yes", "unknown", "unknown")):
             with pytest.raises(InputError, match="^definite answers require at least "
                                                  "one citation anchor$"):
-                rule("r", "p")
-        assert FLAT_ONLY.cite(("mazur-bound",))("r", "p").rule.citations == ("mazur-bound",)
+                Rule(*answers)
+        assert UNDECIDED.cite(("mazur-bound",))("r", "p").rule.citations == ("mazur-bound",)
 
     def test_conclusive(self):
         assert make("yes", "no", "no").rule.conclusive
@@ -183,18 +184,18 @@ class TestSerialization:
                 if line.startswith('  "')]
         assert keys == sorted(keys)
 
-    def test_extra_fields(self):
-        v = make("yes", "yes", "yes", extra=(("torsion", 6),))
-        assert json.loads(v.to_json())["torsion"] == 6
-        clash = make("yes", "yes", "yes", extra=(("ring", "x"),))
-        with pytest.raises(InputError):
-            clash.to_json()
+    def test_torsion_field(self):
+        # between "schema" and "universal", and only when it is not None
+        for torsion in (6, INFINITE):
+            doc = json.loads(make("yes", "yes", "yes", torsion=torsion).to_json())
+            assert (list(doc), doc["torsion"]) == (list(VERDICT_KEYS), torsion)
+        assert "torsion" not in json.loads(make("yes", "yes", "yes").to_json())
 
     def test_to_text(self):
         v = make("yes", "yes", "yes",
                  witness=Denominators(("2",)),
                  notes=("V is empty",),
-                 extra=(("torsion", 2),))
+                 torsion=2)
         lines = v.to_text().splitlines()
         assert lines[0] == "ring: r"
         assert lines[1] == "prime: p"
@@ -332,20 +333,15 @@ class TestJsonLayout:
             make("no", "no", "no", witness=CohomologyWitness("A", (), 0, (), ())),
             make("no", "no", "no", witness=HeightViolation(rich[0], 10 ** 40)),
             make("yes", "yes", "yes", witness=PrincipalElement(rich[0]), notes=("",)),
-            # extra fields go to their sorted place, before, between and after
-            make("yes", "yes", "yes", extra=(("torsion", 6), ("a", "x"), ("zz", -1),
-                                             ("flat2", INFINITE), ("", 0))),
+            make("yes", "yes", "yes", torsion=6),
+            make("yes", "no", "no", witness=TorsionWitness(INFINITE), torsion=INFINITE),
             Rule("no", "no", "no", tuple(CITATIONS))(rich[0], rich[2]),
             quadorder.classify_dedekind(quadorder.QuadOrder(-5), []),  # V empty
         ]
         for v in verdicts:
             assert v.to_json() == canonical(v.to_json()), v
         keys = list(json.loads(verdicts[-3].to_json()))
-        assert keys == ["", "a", "citations", "classical", "flat", "flat2", "notes", "prime",
-                        "ring", "schema", "torsion", "universal", "witness", "zz"]
-        for key in VERDICT_KEYS + ("torsion",):
-            with pytest.raises(InputError, match="collides with the schema"):
-                make("yes", "yes", "yes", extra=(("torsion", 1), (key, 1))).to_json()
+        assert keys == sorted(keys) == list(VERDICT_KEYS)
 
     @pytest.mark.parametrize("ring, prime, fp, kind", [
         ("quad:-5", "p2,p3", "", "denominators"),
@@ -362,8 +358,8 @@ class TestJsonLayout:
         # classify, both printers and both CLI formats: 0 calls of the
         # generic document printer, which every other --format json uses
         calls = []
-        printer = cli._json_text
-        monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or printer(*a))
+        printer = cli.json_text
+        monkeypatch.setattr(cli, "json_text", lambda *a: calls.append(a) or printer(*a))
         v = cli.classify(ring, prime, fp)
         assert (v.witness and v.witness.kind) == kind
         v.to_text(), v.to_json()
@@ -408,11 +404,11 @@ class TestRules:
 
     def test_which_rules_answer_unknown(self):
         rules = set(all_rules())
-        assert len(rules) == 20
+        assert len(rules) == 19
         undecided = {rule for rule in rules
                      if "unknown" in (rule.flat, rule.universal, rule.classical)}
-        assert undecided == {verdict.FLAT_ONLY, verdict.UNDECIDED,
-                             elliptic.TORSION_UNDECIDED, lcohom.TWOPLANES_VANISHING}
+        assert undecided == {verdict.UNDECIDED, elliptic.TORSION_UNDECIDED,
+                             lcohom.TWOPLANES_VANISHING}
 
     def test_every_rule_keeps_the_hierarchy(self):
         for rule in set(all_rules()):
