@@ -137,12 +137,22 @@ class WeierstrassCurve:
 
     def __repr__(self):
         an, ad, bn, bd = self._k
-        return "y^2 = x^3 + (%s)x + (%s)" % (render_ratio(an, ad), render_ratio(bn, bd))
+        return MODEL % (render_ratio(an, ad), render_ratio(bn, bd))
+
+
+MODEL = "y^2 = x^3 + (%s)x + (%s)"
+
+
+def _quoted(key) -> tuple:
+    """The two numbers of a curve or point key as a message quotes them:
+    each cut as errors.quote cuts a quoted input, so the fixed text
+    around them never shortens a short one."""
+    return quote(render_ratio(*key[:2]), str), quote(render_ratio(*key[2:]), str)
 
 
 def _require_on_curve(E: WeierstrassCurve, P: ECPoint):
     if not E.contains(P):
-        raise InputError("point %s is not on %s" % (quote(repr(P), str), quote(repr(E), str)))
+        raise InputError(("point (%s, %s) is not on " + MODEL) % (_quoted(P._k) + _quoted(E._k)))
 
 
 def negate(E: WeierstrassCurve, P: ECPoint) -> ECPoint:
@@ -215,7 +225,7 @@ def _multiples(E: WeierstrassCurve, P: ECPoint) -> list:
         return [P]
     if not E.is_integral:
         raise ModelNotIntegral(
-            "torsion test needs integer coefficients, got %s" % quote(repr(E), str))
+            "torsion test needs integer coefficients, got " + MODEL % _quoted(E._k))
     out = [P]
     Q = P
     while len(out) < 12 and Q._k[1] == 1 and Q._k[3] == 1:

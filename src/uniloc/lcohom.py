@@ -226,7 +226,7 @@ def prime_height(A: MonomialAlgebra, names) -> int:
     s = set(names)
     comp = frozenset(v for v in A.variables if v not in s)
     if not A.is_face(comp):
-        raise InputError("(%s) is not prime here" % quote(", ".join(sorted(s)), str))
+        raise InputError("(%s) is not prime here" % ", ".join(quote(n, str) for n in sorted(s)))
     heights = [len(f) - len(comp) for f in A.facets() if comp <= set(f)]
     if not heights:
         raise AssertionError("a face must extend to a facet")

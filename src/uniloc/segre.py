@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import lcohom
-from .errors import InputError, quote, record, required
+from .errors import QUOTE_CHARS, InputError, quote, record, required
 from .verdict import (CLASS_NON_TORSION, CLASSICAL, COHOMOLOGY_VIA_QUOTIENT,
                       INFINITE, UNDECIDED, CohomologyWitness, PrincipalElement,
                       TorsionWitness, Verdict, check_printable, read_number,
@@ -210,6 +210,14 @@ def parse_polynomial(text: str, names) -> Polynomial:
 
 # the Segre side ------------------------------------------------------------
 
+def _bidegrees(poly: Polynomial) -> list:
+    """The (S, T) degrees of the terms of poly, sorted, each printable."""
+    degs = {(e[0] + e[1], e[2] + e[3]) for e, _ in poly.terms}
+    # exponents add up to the degrees, which the answer prints
+    check_printable((d for deg in degs for d in deg), "an S or T degree of f")
+    return sorted(degs)
+
+
 @record
 class BihomogPoly:
     """Polynomial in S0,S1,T0,T1, homogeneous in S and in T separately."""
@@ -221,11 +229,9 @@ class BihomogPoly:
             raise InputError("BihomogPoly lives on %s" % (S_NAMES,))
         if self.poly.is_zero():
             raise InputError("zero polynomial has no bidegree")
-        degs = {(e[0] + e[1], e[2] + e[3]) for e, _ in self.poly.terms}
-        # exponents add up to the degrees, which the answer prints
-        check_printable((d for deg in degs for d in deg), "an S or T degree of f")
+        degs = _bidegrees(self.poly)
         if len(degs) != 1:
-            raise InputError("not bihomogeneous: S,T degrees %s" % quote(str(sorted(degs)), str))
+            raise InputError("not bihomogeneous: S,T degrees %s" % degs)
 
     @classmethod
     def from_terms(cls, mapping) -> "BihomogPoly":
@@ -233,7 +239,11 @@ class BihomogPoly:
 
     @classmethod
     def from_string(cls, text: str) -> "BihomogPoly":
-        return cls(parse_polynomial(text, S_NAMES))
+        poly = parse_polynomial(text, S_NAMES)
+        degs = _bidegrees(poly) if len(text) > QUOTE_CHARS else ()
+        if len(degs) > 1:  # the degrees of a long f grow with it, so they are cut
+            raise InputError("not bihomogeneous: S,T degrees %s" % quote(str(degs), str))
+        return cls(poly)
 
     @property
     def terms(self):

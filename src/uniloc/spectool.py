@@ -108,8 +108,9 @@ class SpecPoset:
 
 
 def _label(node) -> str:
-    """repr(node), cut as errors.quote cuts a quoted input."""
-    return quote(repr(node), str)
+    """A node as a message quotes it: a string label as errors.quote
+    quotes an input, any other node by its repr, cut the same way."""
+    return quote(node) if isinstance(node, str) else quote(repr(node), str)
 
 
 def parse_poset(text: str):

@@ -233,8 +233,8 @@ class TestInputBounds:
         assert code == 0 and doc["prime"] == "{p%s2}" % ("0" * 4299)
         # 10^4299 is read, and the point is then refused as off the curve
         code, _, err = run(capsys, "ell", "torsion", "--curve", "0,1", "--point", "1e4299,2")
-        assert (code, err) == (2, "input error: point (1%s... is not on "
-                                  "y^2 = x^3 + (0)x + (1)\n" % ("0" * 38))
+        assert (code, err) == (2, "input error: point (1%s..., 2) is not on "
+                                  "y^2 = x^3 + (0)x + (1)\n" % ("0" * 39))
 
 
 BIG = "x" * 100_000
@@ -320,6 +320,34 @@ class TestQuotedInput:
         quoted = repr(path) if len(path) <= 40 else repr(path[:40]) + "..."
         assert (code, out, err) == (2, "", "input error: cannot read %s: [Errno 2] No such file "
                                     "or directory: %s\n" % (cut, quoted))
+
+    def test_short_polynomial_names_every_degree(self, capsys):
+        # a 23-character f whose six degrees take 48 characters to list
+        code, out, err = run(capsys, "classify", "--ring", "segre", "--fp", "S0+T0+S0*T0+S0^2+T0^2+1")
+        assert (code, out, err) == (2, "", "input error: not bihomogeneous: S,T degrees "
+                                    "[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]\n")
+
+    @pytest.mark.parametrize("n", [39, 40, 41])
+    def test_short_labels_and_coefficients_keep_their_bytes(self, capsys, tmp_path, n):
+        # a quote cuts the input it names, never the fixed text around it
+        label = "a" * n
+        quoted = repr(label) if n <= 40 else repr(label[:40]) + "..."
+        (tmp_path / "cycle.txt").write_text("%s < b\nb < %s\n" % (label, label))
+        code, out, err = run(capsys, "spec", "enumerate", "--poset", str(tmp_path / "cycle.txt"))
+        assert (code, out, err) == (2, "", "input error: containment cycle through %s\n" % quoted)
+        b = "1" + "0" * (n - 1)
+        cut = b if n <= 40 else b[:40] + "..."
+        code, out, err = run(capsys, "ell", "torsion", "--curve", "0," + b, "--point", "1,1")
+        assert (code, out, err) == (2, "", "input error: point (1, 1) is not on "
+                                    "y^2 = x^3 + (0)x + (%s)\n" % cut)
+        # (0, 1/d) lies on y^2 = x^3 + 1/d^2, whose denominator has n - 2 digits
+        d = 10 ** (n // 2 - 1) if n % 2 else 4 * 10 ** (n // 2 - 2)
+        b = "1/%d" % d ** 2
+        assert len(b) == n
+        cut = b if n <= 40 else b[:40] + "..."
+        code, out, err = run(capsys, "ell", "torsion", "--curve", "0," + b, "--point", "0,1/%d" % d)
+        assert (code, out, err) == (4, "", "inconclusive: torsion test needs integer "
+                                    "coefficients, got y^2 = x^3 + (0)x + (%s)\n" % cut)
 
 
 PRIME_BOUND = ("cannot test primality past the trial division bound: "

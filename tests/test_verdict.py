@@ -20,7 +20,7 @@ from oracles import ELL_CURVES, ec_multiples_brute
 from check_read_number import (ALPHABET, DIGITS as DIGIT_SPELLINGS, ENDS, SEPARATORS,
                                SIGNS, outcome)
 from uniloc.errors import InputError, UnilocError
-from uniloc import cli, elliptic, lcohom, quadorder, verdict
+from uniloc import abgroup, cli, elliptic, errors, lcohom, quadorder, verdict
 from uniloc.verdict import (CITATIONS, COHOMOLOGY_VIA_QUOTIENT, INFINITE,
                             UNDECIDED, VERDICT_KEYS, CohomologyWitness, Denominators,
                             HeightViolation, PrincipalElement, Rule, TorsionWitness, Verdict,
@@ -358,8 +358,9 @@ class TestJsonLayout:
         # classify, both printers and both CLI formats: 0 calls of the
         # generic document printer, which every other --format json uses
         calls = []
-        printer = cli.json_text
-        monkeypatch.setattr(cli, "json_text", lambda *a: calls.append(a) or printer(*a))
+        printer = errors.json_text
+        for module in (errors, cli, elliptic, lcohom, abgroup):  # each holds the name
+            monkeypatch.setattr(module, "json_text", lambda *a: calls.append(a) or printer(*a))
         v = cli.classify(ring, prime, fp)
         assert (v.witness and v.witness.kind) == kind
         v.to_text(), v.to_json()
